@@ -15,7 +15,7 @@ if str(ROOT) not in sys.path:
 
 
 def record_section(output: Path, section: str, payload) -> None:
-    """Merge one section into a committed ``BENCH_*.json`` file."""
+    """Merge one section into a ``BENCH_*.json`` file (untracked)."""
     data = {}
     if output.exists():
         data = json.loads(output.read_text())

@@ -1,8 +1,8 @@
 """CAMPAIGN — staged-rollout scaling, canary cost, breach determinism.
 
-Producer of ``BENCH_campaign.json`` (committed at the repo root and
-uploaded as a CI artifact): quantifies the campaign engine along the
-three ROADMAP axes.
+Producer of ``BENCH_campaign.json`` (written at the repo root,
+untracked, and uploaded as a CI artifact): quantifies the campaign
+engine along the three ROADMAP axes.
 
 * ``fleet_size_sweep`` — wall/simulated time to update whole fleets,
   per wave policy: one blast wave, fixed-size waves, and a percentage

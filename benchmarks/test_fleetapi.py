@@ -1,9 +1,9 @@
 """FLEETAPI — control-plane throughput on a 500-vehicle fleet.
 
-Producer of ``BENCH_fleetapi.json`` (committed at the repo root and
-uploaded as a CI artifact alongside ``BENCH_campaign.json``): quantifies
-the fleet control plane's portal-facing hot paths on a synthetic
-500-vehicle registry.
+Producer of ``BENCH_fleetapi.json`` (written at the repo root,
+untracked, and uploaded as a CI artifact alongside
+``BENCH_campaign.json``): quantifies the fleet control plane's
+portal-facing hot paths on a synthetic 500-vehicle registry.
 
 * ``selector_query_throughput`` — FleetSelector queries of increasing
   tree depth against the registry: queries/second and rows returned.

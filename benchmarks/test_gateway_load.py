@@ -1,7 +1,7 @@
 """GATEWAY — concurrent HTTP clients against one simulated fleet.
 
-Producer of ``BENCH_gateway.json`` (committed at the repo root and
-uploaded as a CI artifact): quantifies the HTTP gateway's ability to
+Producer of ``BENCH_gateway.json`` (written at the repo root, untracked,
+and uploaded as a CI artifact): quantifies the HTTP gateway's ability to
 multiplex many portal clients onto the single-threaded simulator.
 
 * ``concurrent_query_throughput`` — 120 threaded :class:`FleetClient`

@@ -1,7 +1,8 @@
 """TELEMETRY — bus throughput under load, soak-gate cost, drop bounds.
 
-Producer of ``BENCH_telemetry.json`` (committed at the repo root and
-uploaded as a CI artifact): quantifies the observability pipeline.
+Producer of ``BENCH_telemetry.json`` (written at the repo root,
+untracked, and uploaded as a CI artifact): quantifies the observability
+pipeline.
 
 * ``soak_gate_scenario`` — the acceptance scenario end to end: a
   plug-in that installs cleanly everywhere but traps during soak is

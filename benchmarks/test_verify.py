@@ -1,7 +1,7 @@
 """VERIFY — static-verifier throughput on synthetic and real binaries.
 
-Producer of ``BENCH_verify.json`` (committed at the repo root and
-uploaded as a CI artifact): quantifies the cost the upload gate adds
+Producer of ``BENCH_verify.json`` (written at the repo root, untracked,
+and uploaded as a CI artifact): quantifies the cost the upload gate adds
 to every APP upload and campaign pre-flight.
 
 * ``verify_size_sweep`` — wall-clock (min of 3) for verifying

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Gate CI on the committed benchmark result files.
+"""Gate CI on the benchmark result files a benchmark run writes.
 
 Every ``BENCH_*.json`` the benchmark suites produce must exist at the
 repo root, parse as JSON, and contain at least one non-empty section —
 a benchmark that silently stopped writing its file should fail the
-build, not upload an empty artifact.
+build, not upload an empty artifact.  The files are not tracked in git:
+each run of ``benchmarks/`` rewrites them, so run it first.
 
 On top of the structural checks, :data:`PERF_CEILINGS` turns this into
-a perf guard: committed wall-clock numbers for the kernel's flagship
-scenarios must stay under generous ceilings.  The ceilings catch an
+a perf guard: the wall-clock numbers the run recorded for the kernel's
+flagship scenarios must stay under generous ceilings.  The ceilings catch an
 order-of-magnitude regression (an accidental O(n^2) in the event loop,
 tombstones piling up again), not host noise — the benchmark records
 min-of-repeats and the ceilings sit ~2x above the expected value.

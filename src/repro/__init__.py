@@ -46,6 +46,15 @@ Composing your own scenario::
     platform = scenario.build()
 """
 
+# fes first: api imports the fes substrate; fes.example_platform imports api.
+from repro.fes import (
+    ExamplePlatform,
+    Fleet,
+    Smartphone,
+    build_example_platform,
+    build_fleet,
+    build_fleet_from_specs,
+)
 from repro.api import (
     ApiError,
     AppBuilder,
@@ -74,14 +83,6 @@ from repro.api import (
     ServicePort,
     SoakPolicy,
     VehicleBuilder,
-)
-from repro.fes import (
-    ExamplePlatform,
-    Fleet,
-    Smartphone,
-    build_example_platform,
-    build_fleet,
-    build_fleet_from_specs,
 )
 from repro.sim import MS, SECOND
 

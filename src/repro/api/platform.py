@@ -70,11 +70,6 @@ class Platform:
         return self.server.api
 
     @property
-    def web(self):
-        """The legacy web-services facade (deprecation shim)."""
-        return self.server.web
-
-    @property
     def vins(self) -> list[str]:
         return [vehicle.vin for vehicle in self.vehicles]
 
@@ -275,23 +270,6 @@ class Platform:
             for vehicle in self.vehicles
             if status(vehicle.vin, app_name) is InstallStatus.ACTIVE
         )
-
-    def run_until_active(
-        self, app_name: str, timeout_us: int, step_us: int = 50_000
-    ) -> int:
-        """Advance time until all installs acked; returns elapsed us.
-
-        Legacy polling interface kept for experiments that deploy
-        through the raw server operations; new code should use
-        :meth:`deploy` and :meth:`Deployment.wait` instead.
-        """
-        self.boot()
-        start = self.sim.now
-        while self.sim.now - start < timeout_us:
-            self.sim.run_for(step_us)
-            if self.active_count(app_name) == len(self.vehicles):
-                return self.sim.now - start
-        return -1
 
     # -- observation ---------------------------------------------------------
 

@@ -8,6 +8,7 @@ from repro.autosar.events import (
     RteEvent,
     TimingEvent,
 )
+from repro.autosar.generator import BuiltSystem, SystemBuilder, build_system
 from repro.autosar.interfaces import (
     ClientServerInterface,
     DataElement,
@@ -22,7 +23,7 @@ from repro.autosar.ports import (
     provided_port,
     required_port,
 )
-from repro.autosar.rte import BuiltSystem, Rte, SystemBuilder, build_system
+from repro.autosar.rte import Rte
 from repro.autosar.runnable import Runnable
 from repro.autosar.swc import (
     ComponentInstance,

@@ -1,30 +1,9 @@
-"""Runtime environment: routing runtime plus the system generator.
+"""Runtime environment: the per-ECU routing runtime.
 
-Imports are lazy (PEP 562) because :mod:`repro.autosar.ecu` imports the
-RTE runtime while the generator imports the ECU — eager package imports
-would form a cycle.
+The generator that builds ECUs and wires their RTEs sits one layer up,
+in :mod:`repro.autosar.generator`.
 """
 
-from typing import Any
+from repro.autosar.rte.rte import ComRoute, LocalRoute, Rte, ServerRoute
 
-_EXPORTS = {
-    "CAN_ID_BASE": "repro.autosar.rte.generator",
-    "BuiltSystem": "repro.autosar.rte.generator",
-    "SystemBuilder": "repro.autosar.rte.generator",
-    "build_system": "repro.autosar.rte.generator",
-    "ComRoute": "repro.autosar.rte.rte",
-    "LocalRoute": "repro.autosar.rte.rte",
-    "Rte": "repro.autosar.rte.rte",
-    "ServerRoute": "repro.autosar.rte.rte",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__all__ = ["ComRoute", "LocalRoute", "Rte", "ServerRoute"]

@@ -3,7 +3,7 @@
 A :class:`SystemDescription` collects ECUs, component instances with
 their ECU allocation and task mapping, and VFB connectors.  It validates
 structural consistency and is the single input to
-:class:`repro.autosar.rte.generator.SystemBuilder`, mirroring how
+:class:`repro.autosar.generator.SystemBuilder`, mirroring how
 AUTOSAR description files feed the RTE generator.
 """
 

@@ -4,49 +4,57 @@ The scenario-composition front door lives in :mod:`repro.api`; this
 package holds the vehicle assembly substrate plus the paper's concrete
 demonstrator (example platform, fleets) built on top of it.
 
-Exports resolve lazily (PEP 562): :mod:`repro.api` imports the
-substrate modules (:mod:`repro.fes.vehicle`, :mod:`repro.fes.phone`)
-while :mod:`repro.fes.example_platform` imports :mod:`repro.api`, and
-the lazy indirection keeps that layering cycle-free.
+The substrate (:mod:`~repro.fes.phone`, :mod:`~repro.fes.vehicle`,
+:mod:`~repro.fes.statistical`) sits below :mod:`repro.api`, while the
+demonstrator (:mod:`~repro.fes.example_platform`, :mod:`~repro.fes.fleet`)
+builds on it.  So the substrate is imported first here, and
+:mod:`repro` imports this package before :mod:`repro.api`.
 """
 
-from importlib import import_module
+from repro.fes.phone import ReceivedValue, Smartphone
+from repro.fes.vehicle import (
+    LegacyComponent,
+    PluginSwcPlacement,
+    Vehicle,
+    VehicleSpec,
+    build_vehicle,
+)
+from repro.fes.statistical import StatisticalModel, StatisticalVehicle
+from repro.fes.example_platform import (
+    ExamplePlatform,
+    build_example_platform,
+    declare_example_vehicle,
+    declare_remote_control_app,
+    make_example_vehicle_spec,
+    make_remote_control_app,
+)
+from repro.fes.fleet import (
+    Fleet,
+    build_fleet,
+    build_fleet_from_specs,
+    calibrate_model,
+    canary_campaign,
+)
 
-_EXPORTS = {
-    "ExamplePlatform": "repro.fes.example_platform",
-    "build_example_platform": "repro.fes.example_platform",
-    "declare_example_vehicle": "repro.fes.example_platform",
-    "declare_remote_control_app": "repro.fes.example_platform",
-    "make_example_vehicle_spec": "repro.fes.example_platform",
-    "make_remote_control_app": "repro.fes.example_platform",
-    "Fleet": "repro.fes.fleet",
-    "build_fleet": "repro.fes.fleet",
-    "build_fleet_from_specs": "repro.fes.fleet",
-    "canary_campaign": "repro.fes.fleet",
-    "ReceivedValue": "repro.fes.phone",
-    "Smartphone": "repro.fes.phone",
-    "StatisticalModel": "repro.fes.statistical",
-    "StatisticalVehicle": "repro.fes.statistical",
-    "calibrate_model": "repro.fes.statistical",
-    "LegacyComponent": "repro.fes.vehicle",
-    "PluginSwcPlacement": "repro.fes.vehicle",
-    "Vehicle": "repro.fes.vehicle",
-    "VehicleSpec": "repro.fes.vehicle",
-    "build_vehicle": "repro.fes.vehicle",
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    return getattr(import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__ = [
+    "ExamplePlatform",
+    "build_example_platform",
+    "declare_example_vehicle",
+    "declare_remote_control_app",
+    "make_example_vehicle_spec",
+    "make_remote_control_app",
+    "Fleet",
+    "build_fleet",
+    "build_fleet_from_specs",
+    "calibrate_model",
+    "canary_campaign",
+    "ReceivedValue",
+    "Smartphone",
+    "StatisticalModel",
+    "StatisticalVehicle",
+    "LegacyComponent",
+    "PluginSwcPlacement",
+    "Vehicle",
+    "VehicleSpec",
+    "build_vehicle",
+]

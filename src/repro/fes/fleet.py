@@ -17,11 +17,15 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.api.builder import ScenarioBuilder
 from repro.api.platform import Platform
 from repro.campaign.spec import CampaignSpec, HealthPolicy, PercentageWaves
-from repro.fes.example_platform import make_example_vehicle_spec
+from repro.fes.example_platform import (
+    make_example_vehicle_spec,
+    make_remote_control_app,
+)
 from repro.fes.statistical import StatisticalModel
 from repro.fes.vehicle import VehicleSpec
 from repro.network.channel import ChannelProfile
 from repro.server.server import DEFAULT_ADDRESS
+from repro.sim.kernel import SECOND
 
 
 class Fleet(Platform):
@@ -33,10 +37,6 @@ class Fleet(Platform):
     :meth:`~repro.api.platform.Platform.run_campaign`; see
     :func:`canary_campaign` for the canonical spec shape.
     """
-
-    def run(self, duration_us: int) -> None:
-        self.boot()
-        self.sim.run_for(duration_us)
 
 
 def canary_campaign(
@@ -136,9 +136,60 @@ def build_fleet_from_specs(
     return scenario.build(platform_cls=Fleet)
 
 
+def calibrate_model(
+    fleet_size: int = 3,
+    seed: int = 0,
+    settle_us: int = 30 * SECOND,
+    **overrides,
+) -> StatisticalModel:
+    """Fit a :class:`StatisticalModel` against the full simulation.
+
+    Builds a small full-fidelity fleet, deploys the paper's
+    remote-control APP to every vehicle, and measures the server-side
+    time from dispatch to each install resolving.  The mean becomes
+    ``ack_latency_us`` and half the observed spread ``ack_jitter_us``.
+    The sample includes the channel's round trip, which the statistical
+    vehicle pays again on its own link — the fit is a slight
+    overestimate, conservative for campaign-duration experiments.
+    Keyword ``overrides`` replace fitted or default fields on the
+    result.
+    """
+    fleet = build_fleet(fleet_size, seed=seed)
+    app = make_remote_control_app()
+    fleet.api.store.upload(app).unwrap()
+    fleet.run(1 * SECOND)  # ECMs dial in
+    resolved: list[int] = []
+    start = fleet.sim.now
+
+    def on_event(event) -> None:
+        if event.kind == "install_resolved":
+            resolved.append(fleet.sim.now - start)
+
+    fleet.api.deployments.add_listener(on_event)
+    try:
+        fleet.deploy(app.name)
+        deadline = fleet.sim.now + settle_us
+        while len(resolved) < fleet_size and fleet.sim.now < deadline:
+            if not fleet.sim.step():
+                break
+    finally:
+        fleet.api.deployments.remove_listener(on_event)
+    if not resolved:
+        return StatisticalModel(**overrides)
+    mean = sum(resolved) // len(resolved)
+    spread = (max(resolved) - min(resolved)) // 2
+    fitted = {
+        "ack_latency_us": mean,
+        "ack_jitter_us": spread,
+    }
+    fitted.update(overrides)
+    return StatisticalModel(**fitted)
+
+
 __all__ = [
     "Fleet",
     "build_fleet",
     "build_fleet_from_specs",
+    "calibrate_model",
     "canary_campaign",
 ]

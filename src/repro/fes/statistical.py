@@ -11,7 +11,7 @@ campaign is *when* the acks come back and *whether* they are positive.
 :class:`StatisticalVehicle` replaces the ECU/VM substrate with seeded
 draws from a :class:`StatisticalModel` (ack latency, jitter, failure
 rates), calibrated against the full simulation via
-:func:`calibrate_model`.  It speaks the real management protocol over
+:func:`repro.fes.fleet.calibrate_model`.  It speaks the real management protocol over
 the real simulated network — the trusted server cannot tell the
 difference — so campaign engines, health gates, pusher accounting, and
 telemetry soak windows all work unchanged on mixed-fidelity fleets.
@@ -271,62 +271,8 @@ class StatisticalVehicle:
             self._send_upstream(report.encode())
 
 
-def calibrate_model(
-    fleet_size: int = 3,
-    seed: int = 0,
-    settle_us: int = 30 * 1_000_000,
-    **overrides,
-) -> StatisticalModel:
-    """Fit a :class:`StatisticalModel` against the full simulation.
-
-    Builds a small full-fidelity fleet, deploys the paper's
-    remote-control APP to every vehicle, and measures the server-side
-    time from dispatch to each install resolving.  The mean becomes
-    ``ack_latency_us`` and half the observed spread ``ack_jitter_us``.
-    The sample includes the channel's round trip, which the statistical
-    vehicle pays again on its own link — the fit is a slight
-    overestimate, conservative for campaign-duration experiments.
-    Keyword ``overrides`` replace fitted or default fields on the
-    result.
-    """
-    from repro.fes.example_platform import make_remote_control_app
-    from repro.fes.fleet import build_fleet
-
-    fleet = build_fleet(fleet_size, seed=seed)
-    app = make_remote_control_app()
-    fleet.api.store.upload(app).unwrap()
-    fleet.run(1_000_000)  # ECMs dial in
-    resolved: list[int] = []
-    start = fleet.sim.now
-
-    def on_event(event) -> None:
-        if event.kind == "install_resolved":
-            resolved.append(fleet.sim.now - start)
-
-    fleet.api.deployments.add_listener(on_event)
-    try:
-        fleet.deploy(app.name)
-        deadline = fleet.sim.now + settle_us
-        while len(resolved) < fleet_size and fleet.sim.now < deadline:
-            if not fleet.sim.step():
-                break
-    finally:
-        fleet.api.deployments.remove_listener(on_event)
-    if not resolved:
-        return StatisticalModel(**overrides)
-    mean = sum(resolved) // len(resolved)
-    spread = (max(resolved) - min(resolved)) // 2
-    fitted = {
-        "ack_latency_us": mean,
-        "ack_jitter_us": spread,
-    }
-    fitted.update(overrides)
-    return StatisticalModel(**fitted)
-
-
 __all__ = [
     "StatisticalModel",
     "StatisticalVehicle",
-    "calibrate_model",
     "STREAM_PREFIX",
 ]

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.autosar.generator import BuiltSystem, build_system
 from repro.autosar.swc import ComponentType
 from repro.autosar.system import SystemDescription
-from repro.autosar.rte.generator import BuiltSystem, build_system
 from repro.core.ecm import EcmPirte, EcmSpec, SwcRoute, make_ecm_swc_type
 from repro.core.pirte import Pirte
 from repro.core.plugin_swc import (
@@ -159,7 +159,7 @@ def build_vehicle(
 ) -> Vehicle:
     """Assemble and build one vehicle connected to ``fabric``.
 
-    ``tracer`` follows :func:`repro.autosar.rte.generator.build_system`
+    ``tracer`` follows :func:`repro.autosar.generator.build_system`
     semantics: omitted auto-creates one, explicit ``None`` disables
     tracing (what the scenario builder passes for untraced fleets).
     """

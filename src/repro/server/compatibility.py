@@ -167,11 +167,8 @@ def _check_conflicts(
             report.add_failure(
                 f"APP {app.name} conflicts with installed APP {conflicting}"
             )
-    # Symmetric direction: an installed APP may declare a conflict on us.
-    for name, installed in vehicle.conf.installed.items():
-        del installed  # only the name matters here
-        # The database resolves the App object; checked in WebServices
-        # where the store is available.
+    # The symmetric direction (an installed APP declaring a conflict on
+    # this one) needs the APP catalogue; the app store checks it.
 
 
 __all__ = ["CompatibilityReport", "check_compatibility"]

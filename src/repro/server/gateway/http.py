@@ -53,6 +53,9 @@ class _GatewayHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-gateway/1.0"
+    # Headers and body leave in two writes: with Nagle's algorithm on, a
+    # client reusing its connection waits a delayed ACK per response.
+    disable_nagle_algorithm = True
 
     # Route all verbs through one dispatcher.
     def do_GET(self) -> None:  # noqa: N802 - http.server API

@@ -3,16 +3,11 @@
 Every mutating operation on a :class:`~repro.server.services.fleetapi.FleetAPI`
 service returns a :class:`Response`: a typed envelope carrying a success
 flag, a structured :class:`ErrorCode`, human-readable reasons, and an
-operation-specific payload.  This replaces the seed's mix of
-``OperationResult`` strings and raw exceptions — entity-lookup failures
-that used to escape as :class:`~repro.errors.UnknownEntityError` now
-come back as ``Response(code=ErrorCode.UNKNOWN_ENTITY)``, so portal-style
-clients can branch on codes instead of parsing messages.  Cheap status
-probes (``installation_status`` and friends) still return plain values;
-envelopes are for operations and portal queries.
-
-The legacy :class:`~repro.server.webservices.WebServices` shim converts
-envelopes back to ``OperationResult``/exceptions for old call sites.
+operation-specific payload.  Entity-lookup and authorization failures
+are codes too (``UNKNOWN_ENTITY``, ``UNAUTHORIZED``), never exceptions,
+so portal-style clients branch on codes instead of parsing messages.
+Cheap status probes (``installation_status`` and friends) return plain
+values; envelopes are for operations and portal queries.
 """
 
 from __future__ import annotations
@@ -21,18 +16,18 @@ import enum
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Optional
 
-from repro.errors import DuplicateEntityError, ServerError, UnknownEntityError
+from repro.errors import ServerError
 
 
 class ErrorCode(enum.Enum):
     """Structured outcome codes of control-plane operations."""
 
     OK = "ok"
-    # entity / authorization failures (legacy raised exceptions)
+    # entity / authorization failures
     UNKNOWN_ENTITY = "unknown_entity"
     UNAUTHORIZED = "unauthorized"
     DUPLICATE_ENTITY = "duplicate_entity"
-    # deployment rejections (legacy OperationResult(ok=False))
+    # deployment rejections
     ALREADY_INSTALLED = "already_installed"
     NOT_INSTALLED = "not_installed"
     INCOMPATIBLE = "incompatible"
@@ -46,14 +41,6 @@ class ErrorCode(enum.Enum):
     NOT_PERSISTABLE = "not_persistable"
     CAMPAIGN_STATE = "campaign_state"
     INVALID_REQUEST = "invalid_request"
-
-
-#: Codes the legacy surface signalled by raising instead of returning.
-_RAISING_CODES = {
-    ErrorCode.UNKNOWN_ENTITY: UnknownEntityError,
-    ErrorCode.UNAUTHORIZED: UnknownEntityError,
-    ErrorCode.DUPLICATE_ENTITY: DuplicateEntityError,
-}
 
 
 def wire_value(value: Any) -> Any:
@@ -108,7 +95,7 @@ class Response:
     ``value`` carries the operation-specific payload (created entity,
     compatibility report, query rows, campaign record, ...);
     ``pushed_messages`` counts downstream pusher traffic the operation
-    caused, mirroring the legacy ``OperationResult`` field.
+    caused.
     """
 
     ok: bool
@@ -136,11 +123,7 @@ class Response:
 
     @property
     def report(self) -> Any:
-        """Compatibility-report payload when the operation produced one.
-
-        Mirrors ``OperationResult.report`` so unified deployment handles
-        work identically over envelopes and legacy results.
-        """
+        """Compatibility-report payload when the operation produced one."""
         from repro.server.compatibility import CompatibilityReport
 
         return self.value if isinstance(self.value, CompatibilityReport) else None
@@ -180,18 +163,6 @@ class Response:
             value=data.get("value"),
             pushed_messages=int(data.get("pushed_messages") or 0),
         )
-
-    def raise_legacy(self) -> "Response":
-        """Re-raise failures the pre-control-plane API raised as exceptions.
-
-        Entity and authorization failures come back as codes on the new
-        surface; the deprecation shim calls this to restore the old
-        raising behaviour.  Returns ``self`` for chaining.
-        """
-        exc = _RAISING_CODES.get(self.code)
-        if not self.ok and exc is not None:
-            raise exc("; ".join(self.reasons) or self.code.value)
-        return self
 
 
 __all__ = ["ApiError", "ErrorCode", "Response", "wire_value"]

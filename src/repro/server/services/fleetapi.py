@@ -12,9 +12,9 @@ exposes:
   cross-campaign admission control.
 
 Every operation returns a uniform
-:class:`~repro.server.services.envelope.Response` envelope.  The legacy
-:class:`~repro.server.webservices.WebServices` object is a deprecation
-shim over this façade.
+:class:`~repro.server.services.envelope.Response` envelope.  This is the
+server's one operator surface: the paper's web services to the user
+portal, and the routes the HTTP gateway mounts.
 """
 
 from __future__ import annotations

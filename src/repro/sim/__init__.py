@@ -10,7 +10,7 @@ from repro.sim.kernel import (
     format_time,
 )
 from repro.sim.random import SeededStream, StreamFactory, derive_seed
-from repro.sim.tracing import LatencyStats, MetricSet, TracePoint, Tracer
+from repro.sim.tracing import LatencyStats, TracePoint, Tracer
 
 __all__ = [
     "MS",
@@ -24,7 +24,6 @@ __all__ = [
     "StreamFactory",
     "derive_seed",
     "LatencyStats",
-    "MetricSet",
     "TracePoint",
     "Tracer",
 ]

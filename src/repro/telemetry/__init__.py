@@ -11,8 +11,7 @@ package provides the three pieces:
   owns one and feeds it diag reports, deployment life-cycle events,
   pusher back-pressure, and campaign timeline entries.
 * :class:`MetricsRegistry` — counters, gauges, and windowed quantile
-  histograms; supersedes the deprecated
-  :class:`~repro.sim.tracing.MetricSet`.
+  histograms.
 * :class:`SoakPolicy` — the telemetry-driven wave gate: sample the
   updated vehicles' :class:`~repro.core.messages.DiagMessage` telemetry
   over a soak window, compare against the pre-update baseline, and

@@ -162,7 +162,7 @@ SYNTH_REGIONS = ("eu-north", "eu-south", "na-east", "apac")
 
 
 def populate_server(
-    target,
+    api,
     config: SyntheticConfig,
     n_apps: int,
     n_vehicles: int,
@@ -170,12 +170,10 @@ def populate_server(
 ) -> None:
     """Fill a server's store with a synthetic fleet and APP catalogue.
 
-    ``target`` is a :class:`~repro.server.services.fleetapi.FleetAPI`
-    (preferred) or the legacy ``WebServices`` shim — the shim's own
-    FleetAPI is used in that case, keeping benchmark runs free of
-    deprecation noise.  Vehicles cycle through :data:`SYNTH_REGIONS`.
+    ``api`` is the server's
+    :class:`~repro.server.services.fleetapi.FleetAPI`.  Vehicles cycle
+    through :data:`SYNTH_REGIONS`.
     """
-    api = getattr(target, "api", target)
     rng = SeededStream(seed, "server-workload")
     api.vehicles.create_user("u0", "Synthetic User").unwrap()
     for v in range(n_vehicles):

@@ -36,7 +36,9 @@ APP = "remote-control"
 
 def make_fleet(size, seed=3):
     fleet = build_fleet(size, seed=seed)
-    fleet.server.web.upload_app(make_remote_control_app(PHONE_ADDRESS))
+    fleet.server.api.store.upload(
+        make_remote_control_app(PHONE_ADDRESS)
+    ).unwrap()
     return fleet
 
 
@@ -380,10 +382,10 @@ class TestInstallProgress:
         fleet = make_fleet(1)
         vin = fleet.vins[0]
         fleet.run(1 * SECOND)
-        web = fleet.server.web
+        deployments = fleet.server.api.deployments
         events = []
-        web.add_listener(events.append)
-        result = web.deploy(fleet.user_id, vin, APP)
+        deployments.add_listener(events.append)
+        result = deployments.deploy(fleet.user_id, vin, APP)
         assert result.ok
         installed = fleet.server.db.installation(vin, APP)
         record = installed.plugins[0]
@@ -392,11 +394,12 @@ class TestInstallProgress:
             msg.MessageType.INSTALL, msg.AckStatus.BAD_PACKAGE, "boom",
         ).encode()
         fleet.server.pusher.inject_upstream(vin, nack)
-        progress = web.installation_progress(vin, APP)
+        progress = deployments.installation_progress(vin, APP)
         assert progress.failed == 1
         assert progress.acked == 0
         assert progress.pending == progress.total - 1
-        assert web.installation_status(vin, APP) is InstallStatus.FAILED
+        status = deployments.installation_status(vin, APP)
+        assert status is InstallStatus.FAILED
         # The resolution was pushed to listeners, not polled.
         assert [
             (e.kind, e.vin, e.status) for e in events
@@ -411,7 +414,7 @@ class TestInstallProgress:
         deployment = fleet.deploy(APP)
         deployment.wait(30 * SECOND)
         assert deployment.all_active
-        web = fleet.server.web
+        deployments = fleet.server.api.deployments
         installed = fleet.server.db.installation(vin, APP)
         record = installed.plugins[0]
         assert record.acked
@@ -421,6 +424,7 @@ class TestInstallProgress:
             "already installed",
         ).encode()
         fleet.server.pusher.inject_upstream(vin, stale)
-        assert web.installation_status(vin, APP) is InstallStatus.ACTIVE
-        progress = web.installation_progress(vin, APP)
+        status = deployments.installation_status(vin, APP)
+        assert status is InstallStatus.ACTIVE
+        progress = deployments.installation_progress(vin, APP)
         assert progress.failed == 0 and progress.acked == progress.total

@@ -48,14 +48,14 @@ class TestDiagnosticsPath:
         pirte2 = deployed.vehicle().pirte_of("swc2")
         pirte2.emit_diagnostics()
         deployed.run(2 * SECOND)
-        health = deployed.server.web.vehicle_health("VIN-0001")
+        health = deployed.server.api.vehicles.health("VIN-0001").unwrap()
         assert "swc2" in health
         assert health["swc2"].plugins[0].plugin_name == "OP"
 
     def test_ecm_diag_reaches_server_directly(self, deployed):
         deployed.vehicle().ecm_pirte.emit_diagnostics()
         deployed.run(2 * SECOND)
-        health = deployed.server.web.vehicle_health("VIN-0001")
+        health = deployed.server.api.vehicles.health("VIN-0001").unwrap()
         assert "swc1" in health
         assert health["swc1"].plugins[0].plugin_name == "COM"
 
@@ -64,14 +64,14 @@ class TestDiagnosticsPath:
         deployed.run(1 * SECOND)
         deployed.vehicle().ecm_pirte.emit_diagnostics()
         deployed.run(2 * SECOND)
-        health = deployed.server.web.vehicle_health("VIN-0001")
+        health = deployed.server.api.vehicles.health("VIN-0001").unwrap()
         assert health["swc1"].plugins[0].activations >= 1
 
     def test_health_updated_not_appended(self, deployed):
         for __ in range(3):
             deployed.vehicle().ecm_pirte.emit_diagnostics()
             deployed.run(1 * SECOND)
-        health = deployed.server.web.vehicle_health("VIN-0001")
+        health = deployed.server.api.vehicles.health("VIN-0001").unwrap()
         assert len(health) == 1  # latest report per SW-C, not a log
 
 
@@ -86,10 +86,10 @@ class TestEcmRouting:
             ecc=__import__("repro.core.context", fromlist=["Ecc"]).Ecc(()),
             binary=b"",
         )
-        before = deployed.server.web.acks_processed
+        before = deployed.server.api.deployments.acks_processed
         ecm.handle_server_message(install.encode())
         deployed.run(2 * SECOND)
-        assert deployed.server.web.acks_processed == before + 1
+        assert deployed.server.api.deployments.acks_processed == before + 1
 
     def test_data_message_to_remote_ecu(self, deployed):
         """DATA relayed over type I reaches a plug-in port on ECU2."""

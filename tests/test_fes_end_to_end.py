@@ -12,6 +12,7 @@ import pytest
 from repro.core.plugin import PluginState
 from repro.fes.example_platform import build_example_platform
 from repro.server.models import InstallStatus
+from repro.server.services import ErrorCode
 from repro.sim import MS, SECOND
 
 
@@ -37,7 +38,7 @@ class TestDeployment:
         assert platform.server.pusher.is_connected("VIN-0001")
 
     def test_deploy_reaches_active(self, deployed):
-        status = deployed.server.web.installation_status(
+        status = deployed.server.api.deployments.installation_status(
             "VIN-0001", "remote-control"
         )
         assert status is InstallStatus.ACTIVE
@@ -57,28 +58,29 @@ class TestDeployment:
         assert bus.frames_transferred > 20
 
     def test_acks_counted(self, deployed):
-        assert deployed.server.web.acks_processed == 2
+        assert deployed.server.api.deployments.acks_processed == 2
         assert deployed.vehicle().ecm_pirte.acks_forwarded == 1
 
     def test_deploy_offline_vehicle_queues(self):
         p = build_example_platform()
+        deployments = p.server.api.deployments
         # Do not boot: the ECM never connects.
-        result = p.server.web.deploy(p.user_id, "VIN-0001", "remote-control")
+        result = deployments.deploy(p.user_id, "VIN-0001", "remote-control")
         assert result.ok
         assert p.server.pusher.pending_for("VIN-0001") == 2
         # Boot later: the queued packages flush on connect.
         p.boot()
         p.run(4 * SECOND)
         assert (
-            p.server.web.installation_status("VIN-0001", "remote-control")
+            deployments.installation_status("VIN-0001", "remote-control")
             is InstallStatus.ACTIVE
         )
 
     def test_duplicate_deploy_rejected(self, deployed):
-        result = deployed.server.web.deploy(
+        result = deployed.server.api.deployments.deploy(
             deployed.user_id, "VIN-0001", "remote-control"
         )
-        assert not result.ok
+        assert result.code is ErrorCode.ALREADY_INSTALLED
         assert "already installed" in result.reasons[0]
 
 
@@ -116,13 +118,13 @@ class TestFesDataPath:
 
 class TestUninstallAndRestore:
     def test_uninstall_removes_both_plugins(self, deployed):
-        result = deployed.server.web.uninstall(
+        result = deployed.server.api.deployments.uninstall(
             deployed.user_id, "VIN-0001", "remote-control"
         )
         assert result.ok
         deployed.run(3 * SECOND)
         assert (
-            deployed.server.web.installation_status(
+            deployed.server.api.deployments.installation_status(
                 "VIN-0001", "remote-control"
             )
             is None
@@ -131,7 +133,7 @@ class TestUninstallAndRestore:
         assert "OP" not in deployed.vehicle().pirte_of("swc2").plugins
 
     def test_uninstalled_plugin_stops_processing(self, deployed):
-        deployed.server.web.uninstall(
+        deployed.server.api.deployments.uninstall(
             deployed.user_id, "VIN-0001", "remote-control"
         )
         deployed.run(3 * SECOND)
@@ -140,7 +142,7 @@ class TestUninstallAndRestore:
         assert deployed.actuator_state().get("wheels") is None
 
     def test_reinstall_after_uninstall(self, deployed):
-        deployed.server.web.uninstall(
+        deployed.server.api.deployments.uninstall(
             deployed.user_id, "VIN-0001", "remote-control"
         )
         deployed.run(3 * SECOND)
@@ -157,7 +159,7 @@ class TestUninstallAndRestore:
         # Simulate replacement: wipe the PIRTE's dynamic state.
         pirte2.uninstall("OP")
         assert "OP" not in pirte2.plugins
-        result = deployed.server.web.restore("VIN-0001", "ECU2")
+        result = deployed.server.api.deployments.restore("VIN-0001", "ECU2")
         assert result.ok
         assert result.pushed_messages == 1
         deployed.run(3 * SECOND)
@@ -169,20 +171,21 @@ class TestUninstallAndRestore:
         assert deployed.actuator_state().get("wheels") == [3]
 
     def test_restore_unknown_ecu_fails(self, deployed):
-        result = deployed.server.web.restore("VIN-0001", "ECU9")
-        assert not result.ok
+        result = deployed.server.api.deployments.restore("VIN-0001", "ECU9")
+        assert result.code is ErrorCode.NOTHING_TO_DO
 
 
 class TestServerSideChecks:
     def test_deploy_unbound_user_rejected(self, platform):
-        platform.server.web.create_user("stranger", "Eve")
-        from repro.errors import UnknownEntityError
-
-        with pytest.raises(UnknownEntityError):
-            platform.server.web.deploy("stranger", "VIN-0001", "remote-control")
+        api = platform.server.api
+        api.vehicles.create_user("stranger", "Eve").unwrap()
+        result = api.deployments.deploy(
+            "stranger", "VIN-0001", "remote-control"
+        )
+        assert result.code is ErrorCode.UNAUTHORIZED
 
     def test_unknown_app_rejected(self, platform):
-        from repro.errors import UnknownEntityError
-
-        with pytest.raises(UnknownEntityError):
-            platform.server.web.deploy(platform.user_id, "VIN-0001", "ghost")
+        result = platform.server.api.deployments.deploy(
+            platform.user_id, "VIN-0001", "ghost"
+        )
+        assert result.code is ErrorCode.UNKNOWN_ENTITY

@@ -120,11 +120,14 @@ class TestMultiPeerPhone:
 
         fleet = build_fleet(2, seed=17)
         phone = Smartphone(fleet.fabric, PHONE_ADDRESS, fleet.sim)
-        fleet.server.web.upload_app(make_remote_control_app(PHONE_ADDRESS))
+        fleet.server.api.store.upload(
+            make_remote_control_app(PHONE_ADDRESS)
+        ).unwrap()
         fleet.boot()
         fleet.sim.run_for(1 * SECOND)
-        fleet.deploy_everywhere("remote-control")
-        fleet.run_until_active("remote-control", 30 * SECOND)
+        deployment = fleet.deploy_everywhere("remote-control")
+        deployment.wait(30 * SECOND)
+        assert deployment.all_active
         assert len(phone.connected_peers) == 2
         phone.send("Wheels", 8)  # broadcast
         fleet.sim.run_for(1 * SECOND)
@@ -141,11 +144,14 @@ class TestMultiPeerPhone:
 
         fleet = build_fleet(2, seed=19)
         phone = Smartphone(fleet.fabric, PHONE_ADDRESS, fleet.sim)
-        fleet.server.web.upload_app(make_remote_control_app(PHONE_ADDRESS))
+        fleet.server.api.store.upload(
+            make_remote_control_app(PHONE_ADDRESS)
+        ).unwrap()
         fleet.boot()
         fleet.sim.run_for(1 * SECOND)
-        fleet.deploy_everywhere("remote-control")
-        fleet.run_until_active("remote-control", 30 * SECOND)
+        deployment = fleet.deploy_everywhere("remote-control")
+        deployment.wait(30 * SECOND)
+        assert deployment.all_active
         target = phone.connected_peers[0]
         count = phone.send("Wheels", 5, peer=target)
         assert count == 1

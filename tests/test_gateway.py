@@ -18,9 +18,11 @@ Four layers of coverage:
 """
 
 import dataclasses
+import http.client
 import json
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -413,6 +415,25 @@ class TestGatewayHTTP:
             "POST", "/v1/deployments", body={"not": "a deploy"}
         )
         assert response.code is ErrorCode.INVALID_REQUEST
+
+    def test_kept_alive_connection_does_not_stall(self, served):
+        # With Nagle's algorithm on, each response body on a reused
+        # connection waits for the client's delayed ACK (~40 ms).
+        fleet, gateway, client = served
+        split = urlsplit(gateway.base_url)
+        conn = http.client.HTTPConnection(split.hostname, split.port, 10)
+        paths = ("/v1/health", f"/v1/vehicles/{fleet.vins[0]}")
+        try:
+            start = time.perf_counter()
+            for index in range(20):
+                conn.request("GET", paths[index % 2])
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            mean_ms = (time.perf_counter() - start) * 1000 / 20
+        finally:
+            conn.close()
+        assert mean_ms < 20, f"{mean_ms:.1f} ms per kept-alive response"
 
     def test_selector_queries_match_in_process_results(self, served):
         fleet, gateway, client = served

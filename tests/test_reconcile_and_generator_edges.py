@@ -36,7 +36,7 @@ class TestReconcile:
         deployed.vehicle().pirte_of("swc2").emit_diagnostics()
         deployed.vehicle().ecm_pirte.emit_diagnostics()
         deployed.run(2 * SECOND)
-        result = deployed.server.web.reconcile("VIN-0001")
+        result = deployed.server.api.deployments.reconcile("VIN-0001")
         assert result.ok
         assert result.pushed_messages == 0
 
@@ -45,12 +45,12 @@ class TestReconcile:
         pirte2.uninstall("OP")  # RAM loss on ECU2, server not told
         pirte2.emit_diagnostics()
         deployed.run(2 * SECOND)
-        result = deployed.server.web.reconcile("VIN-0001")
+        result = deployed.server.api.deployments.reconcile("VIN-0001")
         assert result.pushed_messages == 1
         deployed.run(3 * SECOND)
         assert "OP" in pirte2.plugins
         assert (
-            deployed.server.web.installation_status(
+            deployed.server.api.deployments.installation_status(
                 "VIN-0001", "remote-control"
             )
             is InstallStatus.ACTIVE
@@ -64,7 +64,7 @@ class TestReconcile:
         """No telemetry -> no action (absence of evidence rule)."""
         pirte2 = deployed.vehicle().pirte_of("swc2")
         pirte2.uninstall("OP")
-        result = deployed.server.web.reconcile("VIN-0001")
+        result = deployed.server.api.deployments.reconcile("VIN-0001")
         assert result.pushed_messages == 0
         assert "OP" not in pirte2.plugins
 

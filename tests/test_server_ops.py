@@ -25,7 +25,9 @@ from tests.test_server_models import make_test_app
 @pytest.fixture()
 def fleet3():
     fleet = build_fleet(3)
-    fleet.server.web.upload_app(make_remote_control_app(PHONE_ADDRESS))
+    fleet.server.api.store.upload(
+        make_remote_control_app(PHONE_ADDRESS)
+    ).unwrap()
     fleet.boot()
     fleet.sim.run_for(1 * SECOND)
     return fleet
@@ -33,15 +35,16 @@ def fleet3():
 
 class TestFleetDeployment:
     def test_deploy_everywhere(self, fleet3):
-        results = fleet3.deploy_everywhere("remote-control")
-        assert all(r.ok for r in results)
-        elapsed = fleet3.run_until_active("remote-control", 20 * SECOND)
+        deployment = fleet3.deploy_everywhere("remote-control")
+        assert all(r.ok for r in deployment)
+        elapsed = deployment.wait(20 * SECOND)
         assert elapsed > 0
+        assert deployment.all_active
         assert fleet3.active_count("remote-control") == 3
 
     def test_vehicles_isolated(self, fleet3):
         """Install on one vehicle does not touch the others."""
-        fleet3.server.web.deploy(
+        fleet3.server.api.deployments.deploy(
             fleet3.user_id, fleet3.vehicles[0].vin, "remote-control"
         )
         fleet3.sim.run_for(5 * SECOND)
@@ -49,8 +52,9 @@ class TestFleetDeployment:
         assert "COM" not in fleet3.vehicles[1].ecm_pirte.plugins
 
     def test_port_ids_independent_per_vehicle(self, fleet3):
-        fleet3.deploy_everywhere("remote-control")
-        fleet3.run_until_active("remote-control", 20 * SECOND)
+        deployment = fleet3.deploy_everywhere("remote-control")
+        deployment.wait(20 * SECOND)
+        assert deployment.all_active
         for vehicle in fleet3.vehicles:
             installed = fleet3.server.db.installation(
                 vehicle.vin, "remote-control"
@@ -81,59 +85,64 @@ class TestDependenciesAndConflicts:
         )
 
     def test_dependency_blocks_until_base_active(self, fleet3):
-        web = fleet3.server.web
-        web.upload_app(self._app_with_relation("base"))
-        web.upload_app(self._app_with_relation("addon", deps=("base",)))
+        api = fleet3.server.api
+        api.store.upload(self._app_with_relation("base")).unwrap()
+        addon = self._app_with_relation("addon", deps=("base",))
+        api.store.upload(addon).unwrap()
         vin = fleet3.vehicles[0].vin
-        result = web.deploy(fleet3.user_id, vin, "addon")
+        result = api.deployments.deploy(fleet3.user_id, vin, "addon")
         assert not result.ok
-        web.deploy(fleet3.user_id, vin, "base")
+        api.deployments.deploy(fleet3.user_id, vin, "base")
         fleet3.sim.run_for(5 * SECOND)
-        assert web.installation_status(vin, "base") is InstallStatus.ACTIVE
-        result = web.deploy(fleet3.user_id, vin, "addon")
+        status = api.deployments.installation_status(vin, "base")
+        assert status is InstallStatus.ACTIVE
+        result = api.deployments.deploy(fleet3.user_id, vin, "addon")
         assert result.ok, result.reasons
 
     def test_uninstall_blocked_by_dependents(self, fleet3):
-        web = fleet3.server.web
-        web.upload_app(self._app_with_relation("base"))
-        web.upload_app(self._app_with_relation("addon", deps=("base",)))
+        api = fleet3.server.api
+        api.store.upload(self._app_with_relation("base")).unwrap()
+        addon = self._app_with_relation("addon", deps=("base",))
+        api.store.upload(addon).unwrap()
         vin = fleet3.vehicles[0].vin
-        web.deploy(fleet3.user_id, vin, "base")
+        api.deployments.deploy(fleet3.user_id, vin, "base")
         fleet3.sim.run_for(5 * SECOND)
-        web.deploy(fleet3.user_id, vin, "addon")
+        api.deployments.deploy(fleet3.user_id, vin, "addon")
         fleet3.sim.run_for(5 * SECOND)
-        result = web.uninstall(fleet3.user_id, vin, "base")
+        result = api.deployments.uninstall(fleet3.user_id, vin, "base")
         assert not result.ok
         assert "addon" in result.reasons[0]
         # Remove the dependent first, then the base goes.
-        assert web.uninstall(fleet3.user_id, vin, "addon").ok
+        assert api.deployments.uninstall(fleet3.user_id, vin, "addon").ok
         fleet3.sim.run_for(5 * SECOND)
-        assert web.uninstall(fleet3.user_id, vin, "base").ok
+        assert api.deployments.uninstall(fleet3.user_id, vin, "base").ok
 
     def test_conflict_blocks_deploy(self, fleet3):
-        web = fleet3.server.web
-        web.upload_app(self._app_with_relation("peace"))
-        web.upload_app(self._app_with_relation("war", conflicts=("peace",)))
+        api = fleet3.server.api
+        api.store.upload(self._app_with_relation("peace")).unwrap()
+        war = self._app_with_relation("war", conflicts=("peace",))
+        api.store.upload(war).unwrap()
         vin = fleet3.vehicles[0].vin
-        web.deploy(fleet3.user_id, vin, "peace")
+        api.deployments.deploy(fleet3.user_id, vin, "peace")
         fleet3.sim.run_for(5 * SECOND)
-        result = web.deploy(fleet3.user_id, vin, "war")
+        result = api.deployments.deploy(fleet3.user_id, vin, "war")
         assert not result.ok
         assert any("conflict" in r for r in result.reasons)
 
     def test_reverse_conflict_blocks_deploy(self, fleet3):
         """Installed APP declares the conflict on the newcomer."""
-        web = fleet3.server.web
-        web.upload_app(self._app_with_relation("first", conflicts=("second",)))
-        web.upload_app(self._app_with_relation("second"))
+        api = fleet3.server.api
+        first = self._app_with_relation("first", conflicts=("second",))
+        api.store.upload(first).unwrap()
+        api.store.upload(self._app_with_relation("second")).unwrap()
         vin = fleet3.vehicles[0].vin
-        web.deploy(fleet3.user_id, vin, "first")
+        api.deployments.deploy(fleet3.user_id, vin, "first")
         fleet3.sim.run_for(5 * SECOND)
-        result = web.deploy(fleet3.user_id, vin, "second")
+        result = api.deployments.deploy(fleet3.user_id, vin, "second")
         assert not result.ok
 
     def test_memory_budget_enforced_server_side(self, fleet3):
-        web = fleet3.server.web
+        api = fleet3.server.api
         big_binary = make_fat_binary(40_000)
         plugin = PluginDescriptor("fat_p", big_binary, ("out",))
         conf = SwConf(
@@ -145,8 +154,8 @@ class TestDependenciesAndConflicts:
                 ),
             ),
         )
-        web.upload_app(App("fat", "1.0", {"fat_p": plugin}, [conf]))
-        result = web.deploy(
+        api.store.upload(App("fat", "1.0", {"fat_p": plugin}, [conf])).unwrap()
+        result = api.deployments.deploy(
             fleet3.user_id, fleet3.vehicles[0].vin, "fat"
         )
         assert not result.ok
@@ -156,9 +165,9 @@ class TestDependenciesAndConflicts:
 class TestAckHandling:
     def test_failed_install_marks_failed(self, fleet3):
         """A plug-in that collides on port ids nacks; APP goes FAILED."""
-        web = fleet3.server.web
+        api = fleet3.server.api
         vin = fleet3.vehicles[0].vin
-        web.deploy(fleet3.user_id, vin, "remote-control")
+        api.deployments.deploy(fleet3.user_id, vin, "remote-control")
         fleet3.sim.run_for(5 * SECOND)
         # Forge a second install of COM with the same port ids by
         # pushing a raw duplicate package (simulating a racing server).
@@ -167,20 +176,20 @@ class TestAckHandling:
         fleet3.server.pusher.push(vin, com_record.package)  # type: ignore[attr-defined]
         fleet3.sim.run_for(5 * SECOND)
         # The duplicate was nacked; the server recorded the failure.
-        assert web.installation_status(vin, "remote-control") in (
+        assert api.deployments.installation_status(vin, "remote-control") in (
             InstallStatus.FAILED,
             InstallStatus.ACTIVE,  # nack matched after active: FAILED
         )
-        assert web.acks_processed >= 3
+        assert api.deployments.acks_processed >= 3
 
     def test_non_ack_upstream_ignored(self, fleet3):
-        web = fleet3.server.web
-        before = web.acks_processed
-        web.on_vehicle_message(
+        api = fleet3.server.api
+        before = api.deployments.acks_processed
+        api.deployments.on_vehicle_message(
             fleet3.vehicles[0].vin,
             msg.DataMessage("ECU1", "swc1", 0, 1).encode(),
         )
-        assert web.acks_processed == before
+        assert api.deployments.acks_processed == before
 
 
 class TestSyntheticWorkload:
@@ -193,14 +202,16 @@ class TestSyntheticWorkload:
         fabric = NetworkFabric(sim)
         server = TrustedServer(fabric)
         config = SyntheticConfig()
-        populate_server(server.web, config, n_apps=10, n_vehicles=5)
+        populate_server(server.api, config, n_apps=10, n_vehicles=5)
         assert len(server.db.apps) == 10
         assert len(server.db.vehicles) == 5
         # Deploy an APP without dependencies to an offline vehicle:
         # packages queue in the pusher.
         for app in server.db.apps.values():
             if not app.dependencies:
-                result = server.web.deploy("u0", "SYNTH-00000", app.name)
+                result = server.api.deployments.deploy(
+                    "u0", "SYNTH-00000", app.name
+                )
                 assert result.ok, result.reasons
                 break
         else:

@@ -18,13 +18,14 @@ from repro.fes import (
     StatisticalModel,
     StatisticalVehicle,
     build_fleet,
+    calibrate_model,
     canary_campaign,
     make_example_vehicle_spec,
     make_remote_control_app,
 )
 from repro.network.sockets import NetworkFabric
 from repro.server.models import InstallStatus
-from repro.sim.kernel import SECOND, Simulator
+from repro.sim.kernel import MS, SECOND, Simulator
 from repro.telemetry.soak import SoakPolicy
 
 APP = "remote-control"
@@ -227,3 +228,18 @@ class TestMixedFleetReplay:
             return (wave.started_us, wave.resolved_us)
 
         assert canary_times(5) == canary_times(15)
+
+
+class TestCalibrateModel:
+    def test_fit_overrides_and_replay(self):
+        model = calibrate_model(fleet_size=2, seed=5)
+        assert model.ack_latency_us > 0
+        assert model != StatisticalModel()  # fitted, not the defaults
+        assert calibrate_model(fleet_size=2, seed=5) == model
+        overridden = calibrate_model(
+            fleet_size=2, seed=5, ack_latency_us=7 * MS,
+            install_failure_rate=0.5,
+        )
+        assert overridden.ack_latency_us == 7 * MS
+        assert overridden.install_failure_rate == 0.5
+        assert overridden.ack_jitter_us == model.ack_jitter_us

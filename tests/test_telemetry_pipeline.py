@@ -8,8 +8,8 @@ tests the bounded bus is designed around:
   (drop counters exactly account for evicted events);
 * retained events preserve FIFO publish order.
 
-Also pins the ``MetricSet`` deprecation shim and the vacuous-pass
-guards shared by :class:`HealthPolicy` and :class:`SoakPolicy`.
+Also pins the vacuous-pass guards shared by :class:`HealthPolicy` and
+:class:`SoakPolicy`.
 """
 
 import json
@@ -199,7 +199,9 @@ class TestMetricsRegistry:
         for value in (10, 20, 30, 40):
             registry.observe("latency", value)
         assert registry.counter_value("installs") == 3
+        assert registry.counter_value("never") == 0
         assert registry.gauge_value("outbox_bytes") == 4096
+        assert registry.gauge_value("missing") is None
         assert registry.samples("latency") == [10, 20, 30, 40]
         summary = registry.summary()
         assert summary["installs"] == 3
@@ -246,44 +248,6 @@ class TestMetricsRegistry:
         snapshot = json.loads(json.dumps(registry.snapshot()))
         assert list(snapshot["counters"]) == ["a", "b"]
         assert snapshot["histograms"]["lat"]["count"] == 1
-
-
-# -- MetricSet deprecation shim ------------------------------------------------
-
-
-class TestMetricSetShim:
-    def test_warns_and_delegates(self):
-        from repro.sim.tracing import MetricSet
-
-        with pytest.warns(DeprecationWarning, match="MetricsRegistry"):
-            metrics = MetricSet()
-        metrics.incr("hits")
-        metrics.gauge("depth", 5)
-        metrics.sample("lat", 10)
-        metrics.sample("lat", 20)
-        assert metrics.counter("hits") == 1
-        assert metrics.gauge_value("depth") == 5
-        assert metrics.samples("lat") == [10, 20]
-        summary = metrics.summary()
-        assert summary["lat.mean"] == 15 and summary["lat.count"] == 2
-        assert dict(iter(metrics))["hits"] == 1
-
-    def test_shim_adopts_shared_registry(self):
-        # Legacy call sites handed the control plane's registry record
-        # into the same store GET /v1/metrics and CI snapshots serve —
-        # not a private sink nothing reads.
-        from repro.sim.tracing import MetricSet
-
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning):
-            metrics = MetricSet(registry)
-        assert metrics.registry is registry
-        metrics.incr("gateway.requests")
-        assert registry.counter_value("gateway.requests") == 1
-        # Counters recorded through the shim show up in the registry's
-        # deterministic snapshot shape, round-trippable through JSON.
-        snapshot = json.loads(json.dumps(registry.snapshot()))
-        assert snapshot["counters"]["gateway.requests"] == 1
 
 
 # -- soak policy ---------------------------------------------------------------
