@@ -36,7 +36,7 @@ from repro.core import (
     get_pirte,
 )
 from repro.core.plugin_swc import make_plugin_swc_type
-from repro.sim import MS, SECOND, Simulator, Tracer
+from repro.sim import MS, SECOND
 from repro.vm.loader import compile_plugin
 
 FORWARD_SOURCE = """
@@ -89,8 +89,8 @@ class RelayScenario:
     sink_state: dict
 
 
-def build_relay_scenario(n_port_pairs: int = 1, cross_ecu: bool = True,
-                         trace: bool = True) -> RelayScenario:
+def build_relay_scenario(n_port_pairs: int = 1,
+                         cross_ecu: bool = True) -> RelayScenario:
     """Sender plug-in on SW-C A, receiver on SW-C B, N multiplexed pairs."""
     spec_a = PluginSwcSpec(
         "BenchHostA",
@@ -112,7 +112,7 @@ def build_relay_scenario(n_port_pairs: int = 1, cross_ecu: bool = True,
     desc.connect("hosta", "p2p_hostb_out", "hostb", "p2p_hosta_in")
     desc.connect("hostb", "p2p_hosta_out", "hosta", "p2p_hostb_in")
     desc.connect("hostb", "svc_out", "sink", "in")
-    system = build_system(desc, tracer=Tracer(enabled=trace))
+    system = build_system(desc)
     system.boot_all()
     system.sim.run_for(10 * MS)
 
@@ -151,7 +151,7 @@ class ServiceScenario:
     sink_state: dict
 
 
-def build_service_scenario(trace: bool = True) -> ServiceScenario:
+def build_service_scenario() -> ServiceScenario:
     spec = PluginSwcSpec(
         "BenchServiceHost",
         services=[
@@ -164,7 +164,7 @@ def build_service_scenario(trace: bool = True) -> ServiceScenario:
     desc.add_component("host", make_plugin_swc_type(spec), "ecu1")
     desc.add_component("sink", make_sink_type(), "ecu1", priority=6)
     desc.connect("host", "svc_out", "sink", "in")
-    system = build_system(desc, tracer=Tracer(enabled=trace))
+    system = build_system(desc)
     system.boot_all()
     system.sim.run_for(10 * MS)
     pirte = get_pirte(system.instance("host"))

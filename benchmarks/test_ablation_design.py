@@ -22,7 +22,8 @@ from repro.autosar import SystemDescription, build_system
 from repro.core import LinkKind, PlcLink, PluginSwcSpec, ServicePort, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type
 from repro.autosar.types import INT16
-from repro.sim import MS, LatencyStats, Tracer
+from repro.sim import MS
+from repro.telemetry.metrics import summarize
 
 
 def run_dispatch_period(period_us, n=30):
@@ -41,7 +42,7 @@ def run_dispatch_period(period_us, n=30):
 
     desc.add_component("sink", make_sink_type(), "ecu1", priority=6)
     desc.connect("host", "svc_out", "sink", "in")
-    system = build_system(desc, tracer=Tracer(enabled=False))
+    system = build_system(desc)
     system.boot_all()
     system.sim.run_for(10 * MS)
     pirte = get_pirte(system.instance("host"))
@@ -74,11 +75,11 @@ def test_ablation_dispatch_period(benchmark):
     means = {}
     for period_ms in (1, 2, 5, 10, 20):
         latencies, utilization = run_dispatch_period(period_ms * MS)
-        stats = LatencyStats.from_samples(latencies)
-        means[period_ms] = stats.mean
+        stats = summarize(latencies)
+        means[period_ms] = stats["mean"]
         rows.append(
-            [period_ms, round(stats.mean / 1000, 2),
-             round(stats.p95 / 1000, 2), f"{utilization:.1%}"]
+            [period_ms, round(stats["mean"] / 1000, 2),
+             round(stats["p95"] / 1000, 2), f"{utilization:.1%}"]
         )
     print_table(
         ["dispatch period ms", "latency mean_ms", "p95_ms", "ECU util"],
@@ -121,7 +122,7 @@ def run_install_at_bitrate(bitrate, payload_pad=2000):
     # carried over the bus: connect hosta's relay to nothing; instead
     # inject the package into ecu1's COM toward hostb's mgmt port.
     # Simpler: connect a type I pair hosta->hostb like the ECM does.
-    system = build_system(desc, tracer=Tracer(enabled=False))
+    system = build_system(desc)
     system.boot_all()
     system.sim.run_for(10 * MS)
     # Ship a padded package over the type II relay path as a proxy for
@@ -189,7 +190,7 @@ def test_ablation_vm_slice(benchmark):
     drain_times = {}
     burst = 96
     for cap in (4, 16, 64):
-        scenario = build_service_scenario(trace=False)
+        scenario = build_service_scenario()
         scenario.pirte.max_activations_per_step = cap
         system = scenario.system
         for i in range(burst):

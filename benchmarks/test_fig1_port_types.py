@@ -18,7 +18,8 @@ from benchmarks._scenarios import (
 )
 from repro.analysis import print_table
 from repro.core.messages import DataMessage
-from repro.sim import MS, LatencyStats
+from repro.sim import MS
+from repro.telemetry.metrics import summarize
 
 N_MESSAGES = 40
 
@@ -87,7 +88,7 @@ def test_fig1_port_type_latencies(benchmark):
 
     # pytest-benchmark metric: host CPU cost of the PIRTE routing hot
     # path (one plug-in write routed through a service virtual port).
-    scenario = build_service_scenario(trace=False)
+    scenario = build_service_scenario()
     plugin = scenario.pirte.plugin("fwd")
 
     def route_once():
@@ -97,9 +98,9 @@ def test_fig1_port_type_latencies(benchmark):
 
 
 def _row(latencies):
-    stats = LatencyStats.from_samples(latencies)
-    return [stats.count, stats.minimum, round(stats.mean, 1),
-            stats.p95, stats.maximum]
+    stats = summarize(latencies)
+    return [stats["count"], stats["min"], round(stats["mean"], 1),
+            stats["p95"], stats["max"]]
 
 
 def _mean(latencies):

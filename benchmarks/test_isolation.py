@@ -25,7 +25,8 @@ from repro.autosar import (
 )
 from repro.core import LinkKind, PluginSwcSpec, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type
-from repro.sim import MS, LatencyStats
+from repro.sim import MS
+from repro.telemetry.metrics import summarize
 
 from benchmarks._scenarios import install_message
 
@@ -132,8 +133,8 @@ def test_isolation_control_task_jitter(benchmark):
 
 
 def _jitter_row(jitters):
-    stats = LatencyStats.from_samples(jitters)
-    return [round(stats.mean, 1), stats.maximum]
+    stats = summarize(jitters)
+    return [round(stats["mean"], 1), stats["max"]]
 
 
 def test_isolation_fuel_bounds_plugin_cpu(benchmark):

@@ -14,7 +14,8 @@ budget saturates; header overhead is a constant 2 bytes per message.
 from benchmarks._scenarios import build_relay_scenario, sink_latencies
 from repro.analysis import print_table
 from repro.core.virtual_ports import RELAY_MESSAGE_SIZE
-from repro.sim import MS, LatencyStats
+from repro.sim import MS
+from repro.telemetry.metrics import summarize
 
 ROUNDS = 12
 
@@ -40,14 +41,14 @@ def test_mux_any_number_of_ports(benchmark):
     for n_ports in (1, 2, 4, 8, 16):
         delivered, latencies, system = run_mux(n_ports)
         expected = ROUNDS * n_ports
-        stats = LatencyStats.from_samples(latencies)
+        stats = summarize(latencies)
         frames = system.bus.frames_transferred if system.bus else 0
         rows.append(
             [
                 n_ports,
                 f"{delivered}/{expected}",
-                round(stats.mean / 1000, 2),
-                round(stats.p95 / 1000, 2),
+                round(stats["mean"] / 1000, 2),
+                round(stats["p95"] / 1000, 2),
                 frames,
             ]
         )

@@ -19,10 +19,10 @@ def print_signal_chain(platform) -> None:
     """Show the end-to-end latency of each command from the trace."""
     tracer = platform.tracer
     sends = [
-        p for p in tracer.select("net", "send")
-        if "ext" in p.data.get("channel", "")
+        event for event in tracer.events("net", "send")
+        if "ext" in event.data.get("channel", "")
     ]
-    writes = tracer.select("rte", "write", ecu="ECU2")
+    writes = tracer.events("rte", "write", ecu="ECU2")
     print(f"   external sends seen on the wireless link: {len(sends)}")
     print(f"   RTE writes on ECU2 (type III actuator writes): {len(writes)}")
 

@@ -4,11 +4,12 @@
 Every PR so far has protected the same two properties by review alone;
 this makes them machine-checked:
 
-1. **Byte-identical replay** — the simulation core must draw all
-   randomness from the seeded kernel RNG and all time from simulated
-   time.  Unseeded ``random.*`` calls and wall-clock reads
-   (``time.time``, ``datetime.now``, ...) inside
-   ``src/repro/{sim,core,campaign,fes}`` break determinism silently.
+1. **Byte-identical replay** — everything that runs inside the
+   replayed simulation must draw all randomness from the seeded kernel
+   RNG and all time from simulated time.  Unseeded ``random.*`` calls
+   and wall-clock reads (``time.time``, ``datetime.now``, ...) anywhere
+   in ``src/repro`` outside the HTTP gateway (``src/repro/server/gateway``)
+   break determinism silently.
 2. **Single-threaded simulator** — gateway/HTTP-worker code must reach
    the simulator only through the command pump (``pump.py``).  A direct
    ``.sim`` attribute access anywhere else in
@@ -32,15 +33,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ALLOWLIST = Path(__file__).resolve().parent / "lint_allowlist.txt"
 
-#: Directories whose code must be deterministic (rule scopes 1).
-DETERMINISTIC_DIRS = (
-    "src/repro/sim",
-    "src/repro/core",
-    "src/repro/campaign",
-    "src/repro/fes",
-)
-
-#: Gateway directory where ``.sim`` access is pump-only (rule scope 2).
+#: The HTTP gateway: its threads may read the wall clock, but reach the
+#: simulator through the command pump only (rule scope 2).  Every other
+#: file under ``src/repro`` must be deterministic (rule scope 1).
 GATEWAY_DIR = "src/repro/server/gateway"
 GATEWAY_EXEMPT_FILES = ("pump.py",)
 
@@ -125,11 +120,9 @@ class Visitor(ast.NodeVisitor):
 
 def lint_file(path: Path) -> list[tuple[str, str, int, str]]:
     rel = path.relative_to(ROOT).as_posix()
-    deterministic = any(rel.startswith(d + "/") for d in DETERMINISTIC_DIRS)
-    gateway = (
-        rel.startswith(GATEWAY_DIR + "/")
-        and path.name not in GATEWAY_EXEMPT_FILES
-    )
+    in_gateway = rel.startswith(GATEWAY_DIR + "/")
+    deterministic = not in_gateway
+    gateway = in_gateway and path.name not in GATEWAY_EXEMPT_FILES
     if not deterministic and not gateway:
         return []
     tree = ast.parse(path.read_text(), filename=rel)

@@ -14,9 +14,10 @@ Reproduction of Ni, Kobetski & Axelsson, DAC 2014.  The package layers:
   :class:`Platform` and unified :class:`Deployment` handles.
 * :mod:`repro.campaign` — staged fleet rollouts: wave policies, canary
   waves, health gates, fault injection, automatic rollback.
-* :mod:`repro.telemetry` — bounded observability: the control plane's
-  ring-buffer event bus, a metrics registry, and telemetry-driven
-  :class:`SoakPolicy` gates for campaigns.
+* :mod:`repro.telemetry` — bounded observability: the ring-buffer
+  event bus of the control plane and of traced substrates, a metrics
+  registry, and telemetry-driven :class:`SoakPolicy` gates for
+  campaigns.
 * :mod:`repro.baselines`, :mod:`repro.workloads`, :mod:`repro.analysis`
   — experiment support.
 

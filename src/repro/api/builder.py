@@ -61,7 +61,7 @@ from repro.server.models import (
 from repro.server.server import DEFAULT_ADDRESS, TrustedServer
 from repro.sim.kernel import Simulator
 from repro.sim.random import StreamFactory
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 from repro.vm.loader import compile_plugin
 
 
@@ -477,21 +477,6 @@ class ScenarioBuilder:
 
     # -- infrastructure ------------------------------------------------------
 
-    def network(
-        self,
-        default_profile: Optional[ChannelProfile] = None,
-        seed: Optional[int] = None,
-        trace: Optional[bool] = None,
-    ) -> "ScenarioBuilder":
-        """Configure the wide-area fabric: channel profile, seed, trace."""
-        if default_profile is not None:
-            self._default_profile = default_profile
-        if seed is not None:
-            self._seed = seed
-        if trace is not None:
-            self._trace = trace
-        return self
-
     def server(self, address: str) -> "ScenarioBuilder":
         """Set the trusted server's pre-defined address."""
         self._server_address = address
@@ -583,17 +568,11 @@ class ScenarioBuilder:
         """
         specs = self.vehicle_specs()  # validate before constructing
         sim = Simulator()
-        tracer = Tracer(enabled=self._trace)
-        # Subsystems get None (not a disabled tracer) when tracing is
-        # off: hot paths guard with ``if self.tracer:``, and None makes
-        # that check free instead of an emit call that discards its
-        # point.  The platform still exposes the Tracer object so
-        # ``platform.tracer.count(...)`` keeps working (it reads zero).
-        sub_tracer = tracer if self._trace else None
+        tracer = TelemetryBus() if self._trace else None
         fabric = NetworkFabric(
             sim,
             StreamFactory(self._seed),
-            tracer=sub_tracer,
+            tracer=tracer,
             default_profile=self._default_profile,
         )
         server = TrustedServer(fabric, self._server_address)
@@ -614,7 +593,7 @@ class ScenarioBuilder:
                 )
             else:
                 vehicle = build_vehicle(
-                    spec, fabric, sim=sim, tracer=sub_tracer
+                    spec, fabric, sim=sim, tracer=tracer
                 )
             vehicles.append(vehicle)
             hw, system_sw = spec.describe_for_server()

@@ -33,7 +33,7 @@ from repro.server.models import InstallStatus
 from repro.server.server import TrustedServer
 from repro.server.services.selector import FleetSelector
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 
 
 class Platform:
@@ -41,12 +41,14 @@ class Platform:
 
     ``boot()`` is guarded by a ``_booted`` flag so repeated ``boot()``
     (or ``run()`` on fleets) never re-boots already-running vehicles.
+    ``tracer`` is the bus the substrate publishes into, or None when
+    the scenario was built with ``trace=False``.
     """
 
     def __init__(
         self,
         sim: Simulator,
-        tracer: Tracer,
+        tracer: Optional[TelemetryBus],
         fabric: NetworkFabric,
         server: TrustedServer,
         vehicles: Optional[list[Vehicle]] = None,

@@ -22,7 +22,7 @@ from repro.can.bus import CanBus
 from repro.can.controller import CanController
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 
 
 class Ecu:
@@ -32,7 +32,7 @@ class Ecu:
         self,
         name: str,
         sim: Simulator,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[TelemetryBus] = None,
         memory_block_size: int = 256,
         memory_block_count: int = 4096,
     ) -> None:
@@ -104,8 +104,8 @@ class Ecu:
         if self.booted:
             return
         self.booted = True
-        if self.tracer:
-            self.tracer.emit(self.sim.now, "ecu", "boot", ecu=self.name)
+        if self.tracer is not None:
+            self.tracer.publish("ecu", "boot", self.sim.now, ecu=self.name)
         for action in self._boot_actions:
             action()
 

@@ -29,7 +29,7 @@ from repro.can.bus import CanBus
 from repro.can.frame import MAX_STD_ID
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 
 #: First CAN identifier handed to generated signals.  Identifiers below
 #: this are reserved for built-in, manually configured traffic.
@@ -44,7 +44,7 @@ class BuiltSystem:
     sim: Simulator
     ecus: dict[str, Ecu]
     bus: Optional[CanBus]
-    tracer: Optional[Tracer]
+    tracer: Optional[TelemetryBus]
     signal_allocation: dict[tuple[str, str, str, str, str], int] = field(
         default_factory=dict
     )
@@ -79,15 +79,11 @@ class SystemBuilder:
         self,
         description: SystemDescription,
         sim: Optional[Simulator] = None,
-        tracer: "Optional[Tracer]" = ...,  # type: ignore[assignment]
+        tracer: Optional[TelemetryBus] = None,
     ) -> None:
         self.description = description
         self.sim = sim or Simulator()
-        # Ellipsis (the omitted-argument default) auto-creates a tracer;
-        # an explicit None builds a system with tracing compiled out —
-        # every ``if self.tracer:`` guard in the OS/RTE/CAN hot paths
-        # then short-circuits at C speed instead of calling emit().
-        self.tracer = Tracer() if tracer is ... else tracer
+        self.tracer = tracer
         self._next_pdu = 0
 
     def build(self) -> BuiltSystem:
@@ -329,12 +325,12 @@ class SystemBuilder:
 def build_system(
     description: SystemDescription,
     sim: Optional[Simulator] = None,
-    tracer: "Optional[Tracer]" = ...,  # type: ignore[assignment]
+    tracer: Optional[TelemetryBus] = None,
 ) -> BuiltSystem:
     """One-call convenience wrapper around :class:`SystemBuilder`.
 
-    Omitting ``tracer`` auto-creates one; passing ``None`` explicitly
-    disables tracing entirely (the fast path for large fleets).
+    The OS, RTE, CAN bus and PIRTEs publish their events into
+    ``tracer`` when one is given.
     """
     return SystemBuilder(description, sim, tracer).build()
 

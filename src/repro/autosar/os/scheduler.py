@@ -18,7 +18,7 @@ from typing import Optional
 from repro.autosar.os.task import Task, TaskState, WorkItem
 from repro.errors import OsekError
 from repro.sim.kernel import EventHandle, Simulator
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 
 
 class Cpu:
@@ -28,7 +28,7 @@ class Cpu:
         self,
         sim: Simulator,
         name: str = "cpu0",
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[TelemetryBus] = None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -85,9 +85,9 @@ class Cpu:
         task.note_activation(self.sim.now)
         if task.state is TaskState.SUSPENDED:
             task.state = TaskState.READY
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now, "os", "activate", cpu=self.name,
+        if self.tracer is not None:
+            self.tracer.publish(
+                "os", "activate", self.sim.now, cpu=self.name,
                 task=task.name, item=item.label,
             )
         self._schedule_decision()
@@ -142,9 +142,9 @@ class Cpu:
         self._handle = self.sim.schedule(
             item.duration_us, self._complete, self._labels[task.name]
         )
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now, "os", "dispatch", cpu=self.name,
+        if self.tracer is not None:
+            self.tracer.publish(
+                "os", "dispatch", self.sim.now, cpu=self.name,
                 task=task.name, item=item.label,
             )
 
@@ -161,9 +161,9 @@ class Cpu:
         # Resume at queue head so the preempted item finishes first.
         task.queue.appendleft(WorkItem(item.label, remaining, item.action))
         self._current = None
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now, "os", "preempt", cpu=self.name,
+        if self.tracer is not None:
+            self.tracer.publish(
+                "os", "preempt", self.sim.now, cpu=self.name,
                 task=task.name, remaining=remaining,
             )
 
@@ -174,9 +174,9 @@ class Cpu:
         task.note_completion(self.sim.now)
         # task.queue truthiness is has_work() without the method call.
         task.state = TaskState.READY if task.queue else TaskState.SUSPENDED
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now, "os", "complete", cpu=self.name,
+        if self.tracer is not None:
+            self.tracer.publish(
+                "os", "complete", self.sim.now, cpu=self.name,
                 task=task.name, item=item.label,
             )
         # Run the side effects at completion time, then pick the next job.

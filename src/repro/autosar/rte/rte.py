@@ -17,7 +17,7 @@ from repro.autosar.ports import PortInstance
 from repro.autosar.swc import ComponentInstance
 from repro.errors import PortError, RteError
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class Rte:
         self,
         ecu_name: str,
         sim: Simulator,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[TelemetryBus] = None,
     ) -> None:
         self.ecu_name = ecu_name
         self.sim = sim
@@ -156,9 +156,9 @@ class Rte:
         iface = prototype.interface
         iface.element(element)  # type: ignore[union-attr]
         self.writes += 1
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now, "rte", "write", ecu=self.ecu_name,
+        if self.tracer is not None:
+            self.tracer.publish(
+                "rte", "write", self.sim.now, ecu=self.ecu_name,
                 src=f"{instance.name}.{port}.{element}",
             )
         routes = self._sr_routes.get((instance.name, port, element), [])
@@ -188,16 +188,16 @@ class Rte:
         port_instance: PortInstance = receiver.port(to_port)
         delivered = port_instance.deliver(element, value)
         if not delivered:
-            if self.tracer:
-                self.tracer.emit(
-                    self.sim.now, "rte", "overflow", ecu=self.ecu_name,
+            if self.tracer is not None:
+                self.tracer.publish(
+                    "rte", "overflow", self.sim.now, ecu=self.ecu_name,
                     dst=f"{to_instance}.{to_port}.{element}",
                 )
             return
         self.local_deliveries += 1
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now, "rte", "deliver", ecu=self.ecu_name,
+        if self.tracer is not None:
+            self.tracer.publish(
+                "rte", "deliver", self.sim.now, ecu=self.ecu_name,
                 dst=f"{to_instance}.{to_port}.{element}",
             )
         for hook in self._delivery_hooks.get(
@@ -233,9 +233,9 @@ class Rte:
                 f"handler for operation {operation!r}"
             )
         self.calls += 1
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now, "rte", "call", ecu=self.ecu_name,
+        if self.tracer is not None:
+            self.tracer.publish(
+                "rte", "call", self.sim.now, ecu=self.ecu_name,
                 op=f"{route.server_instance}.{route.server_port}.{operation}",
             )
         server = self.instance(route.server_instance)

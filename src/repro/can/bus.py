@@ -15,7 +15,7 @@ from typing import Optional
 from repro.can.frame import CanFrame
 from repro.errors import CanError
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 
 
 class CanBus:
@@ -26,7 +26,7 @@ class CanBus:
         sim: Simulator,
         name: str = "can0",
         bitrate: int = 500_000,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[TelemetryBus] = None,
     ) -> None:
         if bitrate <= 0:
             raise CanError(f"bitrate must be positive (got {bitrate})")
@@ -76,11 +76,11 @@ class CanBus:
         frame = winner.pop_tx()
         assert frame is not None
         duration = self.frame_duration_us(frame)
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now,
+        if self.tracer is not None:
+            self.tracer.publish(
                 "can",
                 "tx_start",
+                self.sim.now,
                 bus=self.name,
                 can_id=frame.can_id,
                 node=winner.name,
@@ -95,11 +95,11 @@ class CanBus:
         self._busy = False
         self.frames_transferred += 1
         self.bits_transferred += frame.bit_length()
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now,
+        if self.tracer is not None:
+            self.tracer.publish(
                 "can",
                 "tx_done",
+                self.sim.now,
                 bus=self.name,
                 can_id=frame.can_id,
                 node=sender.name,

@@ -163,7 +163,7 @@ class Pirte:
         rte = self.instance.rte
         if rte is not None and rte.tracer is not None:
             data.setdefault("swc", self.swc_name)
-            rte.tracer.emit(rte.sim.now, "pirte", name, **data)
+            rte.tracer.publish("pirte", name, rte.sim.now, **data)
 
     def plugin(self, name: str) -> Plugin:
         """Look up an installed plug-in by name."""

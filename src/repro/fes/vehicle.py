@@ -36,7 +36,7 @@ from repro.server.models import (
     VirtualPortDesc,
 )
 from repro.sim.kernel import Simulator
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 
 
 @dataclass
@@ -155,13 +155,12 @@ def build_vehicle(
     spec: VehicleSpec,
     fabric: NetworkFabric,
     sim: Optional[Simulator] = None,
-    tracer: "Optional[Tracer]" = ...,  # type: ignore[assignment]
+    tracer: Optional[TelemetryBus] = None,
 ) -> Vehicle:
     """Assemble and build one vehicle connected to ``fabric``.
 
-    ``tracer`` follows :func:`repro.autosar.generator.build_system`
-    semantics: omitted auto-creates one, explicit ``None`` disables
-    tracing (what the scenario builder passes for untraced fleets).
+    The vehicle's substrate publishes its events into ``tracer`` when
+    one is given.
     """
     if spec.ecm.ecu_name not in spec.ecus:
         raise ConfigurationError(

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Optional
 from repro.errors import ChannelClosedError
 from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.random import SeededStream
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class Channel:
         profile: ChannelProfile,
         name: str,
         rng: Optional[SeededStream] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[TelemetryBus] = None,
     ) -> None:
         self.sim = sim
         self.profile = profile
@@ -102,9 +102,9 @@ class Channel:
         if self.profile.loss > 0 and self.rng is not None:
             if self.rng.chance(self.profile.loss):
                 self.dropped += 1
-                if self.tracer:
-                    self.tracer.emit(
-                        self.sim.now, "net", "drop", channel=self.name
+                if self.tracer is not None:
+                    self.tracer.publish(
+                        "net", "drop", self.sim.now, channel=self.name
                     )
                 return None
         delay = self.profile.latency_us + self.profile.serialization_delay(size)
@@ -114,9 +114,9 @@ class Channel:
         # Enforce FIFO: jitter may not reorder messages on one channel.
         arrival = max(arrival, self._last_delivery_time)
         self._last_delivery_time = arrival
-        if self.tracer:
-            self.tracer.emit(
-                self.sim.now, "net", "send", channel=self.name, size=size
+        if self.tracer is not None:
+            self.tracer.publish(
+                "net", "send", self.sim.now, channel=self.name, size=size
             )
         return arrival
 
@@ -191,8 +191,10 @@ class Channel:
         if self._closed or self._receiver is None:
             return
         self.delivered += 1
-        if self.tracer:
-            self.tracer.emit(self.sim.now, "net", "deliver", channel=self.name)
+        if self.tracer is not None:
+            self.tracer.publish(
+                "net", "deliver", self.sim.now, channel=self.name
+            )
         self._receiver(message)
 
 
@@ -206,7 +208,7 @@ class DuplexLink:
         name: str,
         rng_a: Optional[SeededStream] = None,
         rng_b: Optional[SeededStream] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[TelemetryBus] = None,
     ) -> None:
         self.name = name
         self.a_to_b = Channel(sim, profile, f"{name}:a->b", rng_a, tracer)

@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.network.channel import ChannelProfile, DuplexLink, WIRED
 from repro.sim.kernel import Simulator
 from repro.sim.random import StreamFactory
-from repro.sim.tracing import Tracer
+from repro.telemetry.bus import TelemetryBus
 
 
 class Endpoint:
@@ -103,7 +103,7 @@ class NetworkFabric:
         self,
         sim: Simulator,
         streams: Optional[StreamFactory] = None,
-        tracer: Optional[Tracer] = None,
+        tracer: Optional[TelemetryBus] = None,
         default_profile: ChannelProfile = WIRED,
     ) -> None:
         self.sim = sim

@@ -39,6 +39,9 @@ from repro.sim.kernel import MS
 #: Sim time advanced per driver-loop iteration.
 DEFAULT_SLICE_US = 20 * MS
 
+#: Largest request body the gateway reads (1 MiB).
+MAX_BODY_BYTES = 1 << 20
+
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
@@ -70,15 +73,24 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence per-request stderr logging; metrics cover it."""
 
-    def _read_body(self) -> Optional[dict]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length == 0:
-            return None
-        raw = self.rfile.read(length)
-        data = json.loads(raw.decode("utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError("request body must be a JSON object")
-        return data
+    def _read_body(self) -> bytes:
+        """Consume the request body, whatever the route.
+
+        Reading it before routing keeps a kept-alive connection framed
+        at the next request.  A length that is not an integer in
+        ``0..MAX_BODY_BYTES`` cannot be skipped safely, so it raises
+        ValueError and the connection closes after the response.
+        """
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()) or (
+            int(header) > MAX_BODY_BYTES
+        ):
+            self.close_connection = True
+            raise ValueError(
+                f"Content-Length must be an integer in 0..{MAX_BODY_BYTES} "
+                f"(got {header!r})"
+            )
+        return self.rfile.read(int(header))
 
     def _dispatch(self, method: str) -> None:
         gateway = self.server.gateway  # type: ignore[attr-defined]
@@ -90,6 +102,7 @@ class _Handler(BaseHTTPRequestHandler):
         route, params = gateway.router.match(method, split.path)
         status: Optional[int] = None
         try:
+            raw = self._read_body()
             if route is None:
                 response = Response.failure(
                     ErrorCode.UNKNOWN_ENTITY,
@@ -97,7 +110,7 @@ class _Handler(BaseHTTPRequestHandler):
                     value={"routes": ROUTE_NAMES},
                 )
             else:
-                body = self._read_body()
+                body = _parse_body(raw)
                 if route.pumped:
                     response = gateway.commands.submit(
                         lambda: _run_handler(
@@ -127,9 +140,21 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
         gateway.count_request(route.name if route else "<no-route>", status)
+
+
+def _parse_body(raw: bytes) -> Optional[dict]:
+    """A request body as a JSON object, or None when empty."""
+    if not raw:
+        return None
+    data = json.loads(raw.decode("utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError("request body must be a JSON object")
+    return data
 
 
 def _run_handler(handler, gateway, params, query, body) -> Response:
@@ -297,4 +322,4 @@ class FleetGateway:
         return f"<FleetGateway {state} engines={len(self.engines)}>"
 
 
-__all__ = ["DEFAULT_SLICE_US", "FleetGateway"]
+__all__ = ["DEFAULT_SLICE_US", "MAX_BODY_BYTES", "FleetGateway"]

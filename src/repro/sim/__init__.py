@@ -1,4 +1,4 @@
-"""Deterministic discrete-event simulation kernel and instrumentation."""
+"""Deterministic discrete-event simulation kernel."""
 
 from repro.sim.kernel import (
     MS,
@@ -10,7 +10,6 @@ from repro.sim.kernel import (
     format_time,
 )
 from repro.sim.random import SeededStream, StreamFactory, derive_seed
-from repro.sim.tracing import LatencyStats, TracePoint, Tracer
 
 __all__ = [
     "MS",
@@ -23,7 +22,4 @@ __all__ = [
     "SeededStream",
     "StreamFactory",
     "derive_seed",
-    "LatencyStats",
-    "TracePoint",
-    "Tracer",
 ]

@@ -77,9 +77,9 @@ def _check_delay(delay: int, what: str) -> None:
 class Simulator:
     """Priority-queue based discrete-event simulator.
 
-    The simulator is intentionally small: ``schedule``/``cancel``, a
-    handful of run modes, and hooks for tracing.  Higher layers build
-    processes, timers, and protocols on top of these primitives.
+    The simulator is intentionally small: ``schedule``/``cancel`` and a
+    handful of run modes.  Higher layers build processes, timers, and
+    protocols on top of these primitives.
     """
 
     def __init__(self) -> None:

@@ -9,7 +9,9 @@ package provides the three pieces:
   pipeline with exact drop accounting and subscriber taps.  The server
   control plane (:class:`~repro.server.services.fleetapi.FleetAPI`)
   owns one and feeds it diag reports, deployment life-cycle events,
-  pusher back-pressure, and campaign timeline entries.
+  pusher back-pressure, and campaign timeline entries; a traced
+  scenario's substrate (OS, RTE, CAN, channels, PIRTEs) publishes
+  into another.
 * :class:`MetricsRegistry` — counters, gauges, and windowed quantile
   histograms.
 * :class:`SoakPolicy` — the telemetry-driven wave gate: sample the

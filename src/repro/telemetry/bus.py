@@ -1,18 +1,22 @@
-"""Bounded structured event pipeline for fleet observability.
+"""Bounded structured event pipeline for the substrate and the server.
 
-A :class:`TelemetryBus` is the server-side collection point for
-everything the fleet reports back: per-SW-C :class:`DiagMessage`
-telemetry relayed through the ECMs, deployment life-cycle events, pusher
-back-pressure, and campaign timeline entries.  It is deliberately
-*bounded*: each category keeps a ring buffer of the most recent events,
-and anything evicted is counted instead of silently lost — a server
-process must never let observability grow without limit just because a
-campaign is noisy.
+A :class:`TelemetryBus` is the one event store of the system.  The
+in-vehicle substrate (OSEK dispatch, RTE writes, CAN frames, channel
+traffic, PIRTE life cycle) publishes into the bus it was built with,
+when one is given (``tracer=``).  The trusted server's control plane
+owns another one for what the fleet reports back: per-SW-C
+:class:`DiagMessage` telemetry relayed through the ECMs, deployment
+life-cycle events, pusher back-pressure, and campaign timeline entries.
+It is deliberately *bounded*: each category keeps a ring buffer of the
+most recent events, and anything evicted is counted instead of silently
+lost — observability must never grow without limit just because a run
+is long or a campaign is noisy.
 
 Design points:
 
 * **Per-category ring buffers.**  Categories (``"diag"``, ``"deploy"``,
-  ``"campaign"``, ``"pusher"``, ...) are independent; a diag storm can
+  ``"campaign"``, ``"pusher"``, ``"os"``, ``"rte"``, ``"can"``,
+  ``"net"``, ``"pirte"``, ...) are independent; a dispatch storm can
   never evict deployment events.  Capacities are per-category with a
   shared default; a capacity of 0 turns a category into a pure
   tap-through (counted, never retained).
@@ -26,12 +30,13 @@ Design points:
 
 The bus itself is clock-free: publishers stamp events with simulated
 time, so the bus works identically under the kernel and in plain unit
-tests.
+tests.  A bus defines ``__len__``, so an empty one is falsy: hold it as
+``Optional[TelemetryBus]`` and guard with ``is not None``.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Iterable, Optional
 
@@ -190,8 +195,12 @@ class TelemetryBus:
         category: Optional[str] = None,
         name: Optional[str] = None,
         vin: Optional[str] = None,
+        **data: Any,
     ) -> list[TelemetryEvent]:
-        """Retained events, oldest first, matching the given filters."""
+        """Retained events, oldest first, matching the given filters.
+
+        ``data`` keywords are equality filters on event data.
+        """
         if category is not None:
             buffers = [self._buffers.get(category, deque())]
         else:
@@ -205,8 +214,38 @@ class TelemetryBus:
                     continue
                 if vin is not None and event.vin != vin:
                     continue
+                if any(event.data.get(k) != v for k, v in data.items()):
+                    continue
                 out.append(event)
         return out
+
+    def pair_latencies(
+        self,
+        start: tuple[str, str],
+        end: tuple[str, str],
+        key: str,
+    ) -> list[int]:
+        """Latencies between matching retained start and end events.
+
+        ``start`` and ``end`` are ``(category, name)`` pairs.  Their
+        events are merged by time, starts first on ties, and each end
+        is paired with the oldest waiting start whose ``data[key]`` is
+        equal (FIFO matching, which suits message pipelines).
+        """
+        merged = sorted(
+            [(event.time_us, 0, event) for event in self.events(*start)]
+            + [(event.time_us, 1, event) for event in self.events(*end)],
+            key=lambda item: item[:2],
+        )
+        waiting: dict[Any, Deque[int]] = defaultdict(deque)
+        latencies: list[int] = []
+        for time_us, is_end, event in merged:
+            value = event.data.get(key)
+            if not is_end:
+                waiting[value].append(time_us)
+            elif waiting[value]:
+                latencies.append(time_us - waiting[value].popleft())
+        return latencies
 
     def published(self, category: Optional[str] = None) -> int:
         """Events ever published (to one category, or in total)."""

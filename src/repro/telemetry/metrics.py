@@ -22,10 +22,29 @@ from __future__ import annotations
 
 import statistics
 from collections import deque
-from typing import Any, Deque, Iterator, Optional
+from typing import Any, Deque, Iterable, Iterator, Optional
 
 #: Default bound on retained histogram observations.
 DEFAULT_MAX_SAMPLES = 256
+
+
+def summarize(samples: Iterable[float]) -> dict:
+    """Nearest-rank ``count``/``min``/``mean``/``p50``/``p95``/``max``.
+
+    Raises ValueError on an empty sample.
+    """
+    data = sorted(samples)
+    if not data:
+        raise ValueError("cannot summarise an empty sample")
+    last = len(data) - 1
+    return {
+        "count": len(data),
+        "min": data[0],
+        "mean": statistics.fmean(data),
+        "p50": data[round(0.5 * last)],
+        "p95": data[round(0.95 * last)],
+        "max": data[-1],
+    }
 
 
 class Counter:
@@ -125,19 +144,11 @@ class WindowedHistogram:
 
     def summary(self, now_us: Optional[int] = None) -> dict:
         """Deterministic stats dict over the current window."""
-        data = sorted(self.values(now_us))
-        if not data:
-            return {"count": 0, "observed": self.observed}
-        p95_index = min(len(data) - 1, int(round(0.95 * (len(data) - 1))))
-        return {
-            "count": len(data),
-            "observed": self.observed,
-            "min": data[0],
-            "mean": statistics.fmean(data),
-            "p50": data[int(round(0.5 * (len(data) - 1)))],
-            "p95": data[p95_index],
-            "max": data[-1],
-        }
+        data = self.values(now_us)
+        out = {"count": len(data), "observed": self.observed}
+        if data:
+            out.update(summarize(data))
+        return out
 
 
 class MetricsRegistry:
@@ -253,6 +264,7 @@ class MetricsRegistry:
 
 __all__ = [
     "DEFAULT_MAX_SAMPLES",
+    "summarize",
     "Counter",
     "Gauge",
     "WindowedHistogram",

@@ -22,6 +22,7 @@ from repro.autosar import (
 )
 from repro.errors import ConfigurationError, RteError
 from repro.sim import MS
+from repro.telemetry import TelemetryBus
 
 SPEED_IF = SenderReceiverInterface("SpeedIf", [DataElement("speed", UINT16)])
 BLOB_IF = SenderReceiverInterface("BlobIf", [DataElement("blob", BYTES, queued=True)])
@@ -175,15 +176,15 @@ class TestCrossEcuRouting:
         assert system.bus.frames_transferred == 4
 
     def test_delivery_is_delayed_by_bus(self):
-        system = build_system(self._two_ecu_system())
+        system = build_system(self._two_ecu_system(), tracer=TelemetryBus())
         system.run(1 * MS)
         # Sent at t=20us (end of produce runnable); CAN frame takes
         # ~100-130us at 500kbit; receive task runs 20us after delivery.
         tracer = system.tracer
-        writes = tracer.select("rte", "write")
-        delivers = tracer.select("rte", "deliver")
+        writes = tracer.events("rte", "write")
+        delivers = tracer.events("rte", "deliver")
         assert len(writes) == 1 and len(delivers) == 1
-        assert delivers[0].time > writes[0].time
+        assert delivers[0].time_us > writes[0].time_us
 
     def test_signal_allocation_recorded(self):
         system = build_system(self._two_ecu_system())

@@ -4,7 +4,8 @@ import pytest
 
 from repro.can import CanBus, CanController, CanFrame, MAX_DLC, MAX_STD_ID
 from repro.errors import CanError, CanFrameError
-from repro.sim import Simulator, Tracer
+from repro.sim import Simulator
+from repro.telemetry import TelemetryBus
 
 
 def make_bus(node_names, bitrate=500_000):
@@ -111,15 +112,15 @@ class TestCanBus:
 
     def test_tracer_records_tx(self):
         sim = Simulator()
-        tracer = Tracer()
+        tracer = TelemetryBus()
         bus = CanBus(sim, tracer=tracer)
         a, b = CanController("a"), CanController("b")
         bus.attach(a)
         bus.attach(b)
         a.transmit(CanFrame(0x55))
         sim.run()
-        assert tracer.count("can", "tx_start") == 1
-        assert tracer.count("can", "tx_done") == 1
+        assert len(tracer.events("can", "tx_start", can_id=0x55)) == 1
+        assert len(tracer.events("can", "tx_done")) == 1
 
 
 class TestCanController:

@@ -35,6 +35,7 @@ from repro.fes.example_platform import (
     make_remote_control_app,
 )
 from repro.gateway import ApiError, FleetClient, FleetGateway
+from repro.server.gateway.http import MAX_BODY_BYTES
 from repro.server.gateway.pump import CommandPump, GatewayTimeout
 from repro.server.gateway.stream import (
     MAX_CLIENT_BUFFER,
@@ -434,6 +435,46 @@ class TestGatewayHTTP:
         finally:
             conn.close()
         assert mean_ms < 20, f"{mean_ms:.1f} ms per kept-alive response"
+
+    def test_request_framing_survives_bad_bodies_on_one_connection(
+        self, served
+    ):
+        fleet, gateway, client = served
+        split = urlsplit(gateway.base_url)
+        conn = http.client.HTTPConnection(split.hostname, split.port, 5)
+
+        def exchange(method, path, body=None, length=None):
+            conn.putrequest(method, path)
+            if length is not None:
+                conn.putheader("Content-Length", length)
+            elif body is not None:
+                conn.putheader("Content-Length", str(len(body)))
+            conn.endheaders(body)
+            response = conn.getresponse()
+            envelope = decode(response.read())
+            return response, envelope
+
+        try:
+            # A body sent to an unknown route is still consumed, so the
+            # next request on the connection parses cleanly.
+            response, envelope = exchange("POST", "/v1/nope", b'{"x": 1}')
+            assert response.status == 404
+            assert envelope.code is ErrorCode.UNKNOWN_ENTITY
+            response, envelope = exchange("GET", "/v1/health")
+            assert response.status == 200 and envelope.ok
+            # Unframeable lengths are refused and the connection closes;
+            # http.client reopens it for the next request.
+            for length in ("abc", "-1", str(MAX_BODY_BYTES + 1)):
+                response, envelope = exchange(
+                    "POST", "/v1/apps", length=length
+                )
+                assert response.status == 400
+                assert envelope.code is ErrorCode.INVALID_REQUEST
+                assert response.getheader("Connection") == "close"
+                response, envelope = exchange("GET", "/v1/health")
+                assert response.status == 200 and envelope.ok
+        finally:
+            conn.close()
 
     def test_selector_queries_match_in_process_results(self, served):
         fleet, gateway, client = served

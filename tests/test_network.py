@@ -14,7 +14,8 @@ from repro.network import (
     DuplexLink,
     NetworkFabric,
 )
-from repro.sim import Simulator, StreamFactory, Tracer
+from repro.sim import Simulator, StreamFactory
+from repro.telemetry import TelemetryBus
 
 
 def make_channel(sim, profile, rng=None):
@@ -95,13 +96,13 @@ class TestChannel:
 
     def test_tracer_records_send_and_deliver(self):
         sim = Simulator()
-        tracer = Tracer()
+        tracer = TelemetryBus()
         chan = Channel(sim, IDEAL, "traced", tracer=tracer)
         chan.on_receive(lambda m: None)
         chan.send("x", size=10)
         sim.run()
-        assert tracer.count("net", "send") == 1
-        assert tracer.count("net", "deliver") == 1
+        assert len(tracer.events("net", "send", size=10)) == 1
+        assert len(tracer.events("net", "deliver")) == 1
 
 
 class TestDuplexLink:

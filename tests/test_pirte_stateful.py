@@ -31,7 +31,7 @@ from repro.core import (
 )
 from repro.core.plugin import PluginState
 from repro.core.plugin_swc import make_plugin_swc_type
-from repro.sim import MS, Tracer
+from repro.sim import MS
 from tests.helpers import FORWARD_SOURCE, link_virtual, make_install
 
 
@@ -49,7 +49,7 @@ class PirteMachine(RuleBasedStateMachine):
         desc = SystemDescription("stateful")
         desc.add_ecu("ecu1")
         desc.add_component("host", make_plugin_swc_type(spec), "ecu1")
-        self.system = build_system(desc, tracer=Tracer(enabled=False))
+        self.system = build_system(desc)
         self.system.boot_all()
         self.system.sim.run_for(5 * MS)
         self.pirte = get_pirte(self.system.instance("host"))

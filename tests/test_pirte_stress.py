@@ -5,7 +5,7 @@ import pytest
 from repro.autosar import UINT16, SystemDescription, build_system
 from repro.core import PluginSwcSpec, ServicePort, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type
-from repro.sim import MS, Tracer
+from repro.sim import MS
 from tests.helpers import (
     FORWARD_SOURCE,
     link_plugin,
@@ -26,7 +26,7 @@ def build_host(vm_memory_blocks=2048):
     desc = SystemDescription("stress")
     desc.add_ecu("ecu1")
     desc.add_component("host", make_plugin_swc_type(spec), "ecu1")
-    system = build_system(desc, tracer=Tracer(enabled=False))
+    system = build_system(desc)
     system.boot_all()
     system.sim.run_for(5 * MS)
     return system, get_pirte(system.instance("host"))

@@ -5,7 +5,7 @@ import pytest
 from repro.autosar import INT16, SystemDescription, build_system
 from repro.core import PluginSwcSpec, ServicePort, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type
-from repro.sim import MS, Tracer
+from repro.sim import MS
 from tests.helpers import link_virtual, make_install
 
 #: Drains its input queue each timer tick, forwarding the sum.
@@ -49,7 +49,7 @@ def build_host(timer_period_us=10 * MS):
 
     desc.add_component("sink", make_sink_type(), "ecu1", priority=6)
     desc.connect("host", "svc_out", "sink", "in")
-    system = build_system(desc, tracer=Tracer(enabled=False))
+    system = build_system(desc)
     system.boot_all()
     system.sim.run_for(5 * MS)
     return system, get_pirte(system.instance("host"))

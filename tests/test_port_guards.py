@@ -7,7 +7,8 @@ from repro.core import PluginSwcSpec, PortGuard, ServicePort, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type
 from repro.core.virtual_ports import VirtualPortKind, VirtualPortSpec
 from repro.errors import ConfigurationError, ContextError
-from repro.sim import MS, Tracer
+from repro.sim import MS
+from repro.telemetry import TelemetryBus
 from tests.helpers import FORWARD_SOURCE, link_virtual, make_install
 
 
@@ -66,7 +67,7 @@ def build_guarded_host(guard):
 
     desc.add_component("sink", make_sink_type(), "ecu1", priority=6)
     desc.connect("host", "svc_out", "sink", "in")
-    system = build_system(desc, tracer=Tracer())
+    system = build_system(desc, tracer=TelemetryBus())
     system.boot_all()
     system.sim.run_for(5 * MS)
     pirte = get_pirte(system.instance("host"))
@@ -111,7 +112,7 @@ class TestGuardedRouting:
         plugin = pirte.plugin("fwd")
         pirte.plugin_write(plugin, 1, 11)
         tracer = system.tracer
-        assert tracer.count("pirte", "guard_rejected") == 1
+        assert len(tracer.events("pirte", "guard_rejected")) == 1
 
     def test_guard_visible_in_diagnostics_counters(self):
         guard = PortGuard(max_value=10)

@@ -1,85 +1,94 @@
-"""Unit tests for tracing, metrics, and seeded randomness."""
+"""Unit tests for bus tracing, sample summaries and seeded randomness."""
 
 import pytest
 
-from repro.sim import LatencyStats, SeededStream, StreamFactory, Tracer
+from repro.sim import SeededStream, StreamFactory
 from repro.sim.random import derive_seed
+from repro.telemetry import TelemetryBus
+from repro.telemetry.metrics import summarize
 
 
 class TestTracer:
     def test_emit_and_count(self):
-        tracer = Tracer()
-        tracer.emit(10, "rte", "write", port="p1")
-        tracer.emit(20, "rte", "write", port="p2")
-        tracer.emit(30, "rte", "read", port="p1")
-        assert tracer.count("rte") == 3
-        assert tracer.count("rte", "write") == 2
+        tracer = TelemetryBus()
+        tracer.publish("rte", "write", 10, port="p1")
+        tracer.publish("rte", "write", 20, port="p2")
+        tracer.publish("rte", "read", 30, port="p1")
+        assert tracer.published("rte") == 3
+        assert len(tracer.events("rte", "write")) == 2
 
     def test_select_filters_by_data(self):
-        tracer = Tracer()
-        tracer.emit(10, "rte", "write", port="p1")
-        tracer.emit(20, "rte", "write", port="p2")
-        points = tracer.select("rte", "write", port="p2")
-        assert len(points) == 1
-        assert points[0].time == 20
+        tracer = TelemetryBus()
+        tracer.publish("rte", "write", 10, port="p1")
+        tracer.publish("rte", "write", 20, port="p2")
+        events = tracer.events("rte", "write", port="p2")
+        assert len(events) == 1
+        assert events[0].time_us == 20
+        assert tracer.events("rte", "write", port="p3") == []
 
     def test_disabled_tracer_counts_but_stores_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(10, "can", "tx_start", can_id=5)
-        assert tracer.count("can", "tx_start") == 1
-        assert tracer.points == []
+        tracer = TelemetryBus(default_capacity=0)
+        tracer.publish("can", "tx_start", 10, can_id=5)
+        assert tracer.published("can") == 1
+        assert tracer.events() == []
 
     def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(10, "a", "b")
+        tracer = TelemetryBus()
+        tracer.publish("a", "b", 10)
         tracer.clear()
-        assert tracer.count("a") == 0
-        assert tracer.points == []
+        assert tracer.published("a") == 0
+        assert tracer.events() == []
 
     def test_pair_latencies_fifo_matching(self):
-        tracer = Tracer()
-        tracer.emit(100, "net", "send", msg=1)
-        tracer.emit(150, "net", "send", msg=2)
-        tracer.emit(300, "net", "deliver", msg=1)
-        tracer.emit(500, "net", "deliver", msg=2)
+        tracer = TelemetryBus()
+        tracer.publish("net", "send", 100, msg=1)
+        tracer.publish("net", "send", 150, msg=2)
+        tracer.publish("net", "deliver", 300, msg=1)
+        tracer.publish("net", "deliver", 500, msg=2)
         lats = tracer.pair_latencies(
             ("net", "send"), ("net", "deliver"), key="msg"
         )
         assert lats == [200, 350]
 
+    def test_pair_latencies_across_categories(self):
+        tracer = TelemetryBus()
+        tracer.publish("rte", "deliver", 40, port="p")
+        tracer.publish("rte", "deliver", 90, port="p")
+        tracer.publish("net", "send", 40, port="p")
+        tracer.publish("net", "send", 60, port="p")
+        # The tie at t=40 pairs (start first); the end at 90 takes the
+        # oldest waiting start.
+        assert tracer.pair_latencies(
+            ("net", "send"), ("rte", "deliver"), key="port"
+        ) == [0, 30]
+
     def test_pair_latencies_unmatched_end_ignored(self):
-        tracer = Tracer()
-        tracer.emit(300, "net", "deliver", msg=9)
+        tracer = TelemetryBus()
+        tracer.publish("net", "deliver", 300, msg=9)
         assert tracer.pair_latencies(
             ("net", "send"), ("net", "deliver"), key="msg"
         ) == []
 
 
-class TestLatencyStats:
+class TestSummarize:
     def test_basic_statistics(self):
-        stats = LatencyStats.from_samples([10, 20, 30, 40, 50])
-        assert stats.count == 5
-        assert stats.minimum == 10
-        assert stats.maximum == 50
-        assert stats.mean == 30
-        assert stats.median == 30
+        stats = summarize([50, 10, 40, 20, 30])
+        assert stats == {
+            "count": 5, "min": 10, "mean": 30, "p50": 30, "p95": 50,
+            "max": 50,
+        }
 
     def test_p95_near_top(self):
-        stats = LatencyStats.from_samples(range(1, 101))
-        assert stats.p95 >= 95
+        stats = summarize(range(1, 101))
+        assert stats["p95"] >= 95
 
     def test_single_sample(self):
-        stats = LatencyStats.from_samples([42])
-        assert stats.stdev == 0.0
-        assert stats.p95 == 42
+        stats = summarize([42])
+        assert stats["p50"] == stats["p95"] == 42
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            LatencyStats.from_samples([])
-
-    def test_as_row_keys(self):
-        row = LatencyStats.from_samples([1, 2, 3]).as_row()
-        assert set(row) == {"n", "min_us", "mean_us", "median_us", "p95_us", "max_us"}
+            summarize([])
 
 
 class TestSeededStream:

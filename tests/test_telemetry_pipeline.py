@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import FaultPlan, build_fleet
 from repro.campaign import HealthPolicy
 from repro.errors import ConfigurationError
+from repro.fes import canary_campaign, make_remote_control_app
 from repro.telemetry import (
     MetricsRegistry,
     SoakMonitor,
@@ -187,6 +189,34 @@ class TestBusProperties:
             )
 
 
+# -- substrate tracing --------------------------------------------------------
+
+
+class TestSubstrateTracing:
+    @staticmethod
+    def _campaign(trace):
+        fleet = build_fleet(6, seed=3, full_vehicles=4, trace=trace)
+        fleet.api.store.upload(make_remote_control_app()).unwrap()
+        faults = FaultPlan(seed=3, install_failure_rate=0.2, delay_rate=0.3)
+        report = fleet.run_campaign(
+            canary_campaign("remote-control"), faults=faults
+        )
+        return fleet, json.dumps(report.to_dict(), sort_keys=True)
+
+    def test_tracing_on_and_off_replay_identically(self):
+        traced, traced_report = self._campaign(trace=True)
+        plain, plain_report = self._campaign(trace=False)
+        assert plain.tracer is None
+        assert traced_report == plain_report
+        assert traced.sim.events_executed == plain.sim.events_executed
+        snapshot = traced.tracer.snapshot()
+        assert {"os", "rte", "can", "net", "pirte"} <= set(snapshot)
+        assert snapshot["os"]["dropped"] > 0  # the rings did fill up
+        for row in snapshot.values():
+            assert row["published"] == row["retained"] + row["dropped"]
+            assert row["retained"] <= row["capacity"]
+
+
 # -- metrics registry ----------------------------------------------------------
 
 
@@ -245,9 +275,16 @@ class TestMetricsRegistry:
         registry.inc("b")
         registry.inc("a")
         registry.observe("lat", 7)
+        registry.histogram("idle")
         snapshot = json.loads(json.dumps(registry.snapshot()))
         assert list(snapshot["counters"]) == ["a", "b"]
         assert snapshot["histograms"]["lat"]["count"] == 1
+        # Campaign reports embed these bytes: key order is part of them.
+        assert json.dumps(snapshot["histograms"]) == (
+            '{"idle": {"count": 0, "observed": 0}, '
+            '"lat": {"count": 1, "observed": 1, "min": 7, "mean": 7.0, '
+            '"p50": 7, "p95": 7, "max": 7}}'
+        )
 
 
 # -- soak policy ---------------------------------------------------------------
