@@ -22,8 +22,10 @@ without one (pinned in ``tests/test_gateway.py``).
 from __future__ import annotations
 
 import json
+import logging
+import socket
 import threading
-import traceback
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
@@ -41,6 +43,17 @@ DEFAULT_SLICE_US = 20 * MS
 
 #: Largest request body the gateway reads (1 MiB).
 MAX_BODY_BYTES = 1 << 20
+
+#: How long the input after a refused, unframeable request is read and
+#: dropped before the connection closes.
+LINGER_S = 1.0
+
+#: Tracebacks of unhandled errors go here, never into a response body.
+_log = logging.getLogger(__name__)
+
+
+class _UnframedBody(ValueError):
+    """A request body whose end cannot be found: the connection closes."""
 
 
 class _GatewayHTTPServer(ThreadingHTTPServer):
@@ -77,20 +90,47 @@ class _Handler(BaseHTTPRequestHandler):
         """Consume the request body, whatever the route.
 
         Reading it before routing keeps a kept-alive connection framed
-        at the next request.  A length that is not an integer in
-        ``0..MAX_BODY_BYTES`` cannot be skipped safely, so it raises
-        ValueError and the connection closes after the response.
+        at the next request.  A ``Transfer-Encoding`` body, or a length
+        that is not an integer in ``0..MAX_BODY_BYTES``, cannot be
+        skipped safely, so it raises :class:`_UnframedBody` and the
+        connection closes after the response.
         """
+        if self.headers.get("Transfer-Encoding") is not None:
+            self.close_connection = True
+            raise _UnframedBody(
+                "Transfer-Encoding is not supported; send the body with "
+                "a Content-Length"
+            )
         header = (self.headers.get("Content-Length") or "0").strip()
         if not (header.isascii() and header.isdigit()) or (
             int(header) > MAX_BODY_BYTES
         ):
             self.close_connection = True
-            raise ValueError(
+            raise _UnframedBody(
                 f"Content-Length must be an integer in 0..{MAX_BODY_BYTES} "
                 f"(got {header!r})"
             )
         return self.rfile.read(int(header))
+
+    def _discard_input(self) -> None:
+        """Drop what the client still sends after an unframeable request.
+
+        Its body may still be in flight, and closing a socket with
+        unread input resets the connection, which can destroy the 400
+        before the client reads it.  So the response ends with a
+        half-close, and input is dropped until the client closes or
+        :data:`LINGER_S` passes.
+        """
+        sock = self.connection
+        deadline = time.monotonic() + LINGER_S
+        try:
+            sock.shutdown(socket.SHUT_WR)
+            while (remaining := deadline - time.monotonic()) > 0:
+                sock.settimeout(remaining)
+                if not sock.recv(1 << 16):
+                    break
+        except OSError:  # reset or timed out: the connection is done
+            pass
 
     def _dispatch(self, method: str) -> None:
         gateway = self.server.gateway  # type: ignore[attr-defined]
@@ -101,6 +141,7 @@ class _Handler(BaseHTTPRequestHandler):
         }
         route, params = gateway.router.match(method, split.path)
         status: Optional[int] = None
+        unframed = False
         try:
             raw = self._read_body()
             if route is None:
@@ -127,11 +168,13 @@ class _Handler(BaseHTTPRequestHandler):
             status = STATUS_GATEWAY_BUSY
         except (json.JSONDecodeError, ValueError) as error:
             response = Response.failure(ErrorCode.INVALID_REQUEST, str(error))
-        except Exception:  # noqa: BLE001 - last-resort 500 with traceback
+            unframed = isinstance(error, _UnframedBody)
+        except Exception:  # noqa: BLE001 - last-resort 500, traceback logged
+            _log.exception(
+                "unhandled gateway error in %s %s", method, split.path
+            )
             response = Response.failure(
-                ErrorCode.INVALID_STATE,
-                "unhandled gateway error",
-                value={"traceback": traceback.format_exc(limit=8)},
+                ErrorCode.INVALID_STATE, "unhandled gateway error"
             )
             status = 500
         wire_status, payload = encode(response)
@@ -145,6 +188,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
         gateway.count_request(route.name if route else "<no-route>", status)
+        if unframed:
+            self._discard_input()
 
 
 def _parse_body(raw: bytes) -> Optional[dict]:

@@ -8,11 +8,10 @@ property suite).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from repro.errors import BinaryFormatError
-from repro.vm.isa import BY_OPCODE
+from repro.vm.isa import decode_at
 from repro.vm.loader import PluginBinary
 
 
@@ -35,23 +34,18 @@ def decode_all(code: bytes) -> list[DecodedInstruction]:
     out: list[DecodedInstruction] = []
     pc = 0
     while pc < len(code):
-        spec = BY_OPCODE.get(code[pc])
+        spec, operand, defect = decode_at(code, pc)
         if spec is None:
             raise BinaryFormatError(
                 f"illegal opcode {code[pc]:#04x} at offset {pc}"
             )
-        if pc + spec.size > len(code):
+        if defect is not None:
             raise BinaryFormatError(
                 f"truncated {spec.mnemonic} at offset {pc}"
             )
-        operand: int | None = None
-        if spec.operand == "i32":
-            operand = struct.unpack_from("<i", code, pc + 1)[0]
-        elif spec.operand == "u16":
-            operand = struct.unpack_from("<H", code, pc + 1)[0]
-        elif spec.operand == "u8":
-            operand = code[pc + 1]
-        out.append(DecodedInstruction(pc, spec.mnemonic, operand))
+        out.append(DecodedInstruction(
+            pc, spec.mnemonic, None if spec.operand is None else operand
+        ))
         pc += spec.size
     return out
 

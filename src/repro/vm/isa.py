@@ -11,11 +11,19 @@ Each opcode carries a *fuel cost*; the interpreter charges fuel per
 executed instruction, which is how the VM enforces the paper's
 best-effort execution scheme (a runaway plug-in exhausts its activation
 quota instead of starving the ECU).
+
+An instruction is one opcode byte followed by a little-endian operand
+of 0, 1, 2 or 4 bytes.  :func:`decode_at` is the one decoder of that
+encoding: the interpreter's decode table, the disassembler, the
+verifier's CFG sweep and the report listing all call it, and each turns
+the defect it names (an illegal opcode, an operand running off the code
+end) into its own trap, exception or finding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from typing import Optional
 
 # -- opcode values ---------------------------------------------------------
@@ -67,6 +75,15 @@ EMIT = 0x54
 TIME = 0x55
 
 
+#: Operand kind -> (byte width, little-endian unpacker).
+_OPERANDS = {
+    None: (0, None),
+    "u8": (1, struct.Struct("<B").unpack_from),
+    "u16": (2, struct.Struct("<H").unpack_from),
+    "i32": (4, struct.Struct("<i").unpack_from),
+}
+
+
 @dataclass(frozen=True)
 class OpSpec:
     """Static description of one opcode."""
@@ -75,11 +92,11 @@ class OpSpec:
     opcode: int
     operand: Optional[str]  # None | "i32" | "u16" | "u8"
     fuel: int
+    #: Encoded size in bytes (opcode + operand), set from ``operand``.
+    size: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def size(self) -> int:
-        """Encoded size in bytes (opcode + operand)."""
-        return 1 + {"i32": 4, "u16": 2, "u8": 1, None: 0}[self.operand]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size", 1 + _OPERANDS[self.operand][0])
 
 
 _SPECS = [
@@ -138,9 +155,37 @@ def wrap32(value: int) -> int:
     return value - (1 << 32) if value > INT32_MAX else value
 
 
-__all__ = [name for name in dir() if name.isupper()] + [
+#: Defects :func:`decode_at` names.
+ILLEGAL_OPCODE = "illegal opcode"
+TRUNCATED_OPERAND = "truncated operand"
+
+
+def decode_at(
+    code: bytes, pc: int
+) -> tuple[Optional[OpSpec], int, Optional[str]]:
+    """Decode the instruction at ``pc`` (``0 <= pc < len(code)``).
+
+    Returns ``(spec, operand, None)`` for a whole instruction, with
+    operand 0 when the opcode takes none.  A defect is named instead:
+    ``(None, 0, ILLEGAL_OPCODE)`` when ``code[pc]`` is no opcode, and
+    ``(spec, 0, TRUNCATED_OPERAND)`` when the operand runs off the code
+    end.  Any offset decodes, including one inside another instruction.
+    """
+    spec = BY_OPCODE.get(code[pc])
+    if spec is None:
+        return None, 0, ILLEGAL_OPCODE
+    if pc + spec.size > len(code):
+        return spec, 0, TRUNCATED_OPERAND
+    unpack = _OPERANDS[spec.operand][1]
+    if unpack is None:
+        return spec, 0, None
+    return spec, unpack(code, pc + 1)[0], None
+
+
+__all__ = [n for n in dir() if n.isupper() and not n.startswith("_")] + [
     "OpSpec",
     "wrap32",
+    "decode_at",
     "BY_MNEMONIC",
     "BY_OPCODE",
 ]

@@ -12,19 +12,45 @@ resource quotas:
   plug-in SW-C's memory pool; out-of-bounds access traps.
 * **stack depth** — bounded operand and call stacks.
 
+Each code offset is decoded at most once per :class:`Vm`.  The first
+time an activation reaches an offset, :func:`~repro.vm.isa.decode_at`
+turns the bytes there into an ``(opcode, operand, next_pc, fuel)``
+entry of the instance's decode table; every later execution of that
+offset reads the entry.  Decoding is lazy, so installing a plug-in
+decodes nothing, and it starts wherever control arrives, so a jump into
+the middle of an instruction runs the bytes found there.  A program
+counter past the code end, an illegal opcode and a truncated operand
+become entries that trap when reached, in the order a decode-per-step
+interpreter meets them: the first two before any fuel is charged, the
+last after.
+
 Port I/O goes through a :class:`PortBridge` provided by the PIRTE, so
 the VM itself knows nothing about SW-C ports, virtual ports, or routing.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Optional, Protocol
 
 from repro.errors import FuelExhaustedError, VmMemoryError, VmTrap
-from repro.vm import isa
-from repro.vm.isa import BY_OPCODE, wrap32
+from repro.vm.isa import (
+    ADD, AND, AVAIL, CALL, DIV, DUP, EMIT, EQ, GE, GT, HALT, JMP, JNZ, JZ,
+    LE, LOAD, LOADI, LT, MOD, MUL, NE, NEG, NOP, NOT, OR, OVER, POP, PUSH,
+    RDPORT, RECV, RET, SHL, SHR, STORE, STOREI, SUB, SWAP, TIME, WRPORT,
+    XOR, INT32_MAX, INT32_MIN, decode_at, wrap32,
+)
 from repro.vm.loader import PluginBinary
+
+#: Decode-table opcode of an entry that traps when reached; its operand
+#: is the trap message.  It costs no fuel when the fault comes before
+#: the fuel charge (off the code end, illegal opcode).  It sorts after
+#: every real opcode, so dispatch reaches it last.
+_TRAP = 0x100
+
+#: Arithmetic and comparison opcodes that pop two operands, push one.
+_BINARY = frozenset(
+    {ADD, SUB, MUL, AND, OR, XOR, SHL, SHR, EQ, NE, LT, LE, GT, GE}
+)
 
 
 class PortBridge(Protocol):
@@ -104,6 +130,9 @@ class Vm:
         self.traps = 0
         #: Values emitted via the EMIT instruction (diagnostics channel).
         self.emitted: list[int] = []
+        #: Code offset -> ``(opcode, operand, next_pc, fuel)``, filled the
+        #: first time an activation reaches the offset.
+        self._decoded: dict[int, tuple] = {}
 
     # -- helpers ----------------------------------------------------------
 
@@ -111,13 +140,32 @@ class Vm:
         self.traps += 1
         return VmTrap(message)
 
-    def _check_mem(self, address: int) -> int:
-        if not 0 <= address < len(self.memory):
-            self.traps += 1
-            raise VmMemoryError(
-                f"memory access at {address} outside 0..{len(self.memory) - 1}"
-            )
-        return address
+    def _memory_error(self, address: int, cells: int) -> VmMemoryError:
+        self.traps += 1
+        return VmMemoryError(
+            f"memory access at {address} outside 0..{cells - 1}"
+        )
+
+    def _decode(self, pc: int) -> tuple:
+        """Decode the instruction at ``pc`` into its table entry."""
+        code = self.binary.code
+        if pc >= len(code):
+            entry = (_TRAP, f"program counter {pc} ran off code end", pc, 0)
+        else:
+            spec, operand, defect = decode_at(code, pc)
+            if spec is None:
+                message = f"illegal opcode {code[pc]:#04x} at {pc}"
+                entry = (_TRAP, message, pc, 0)
+            elif defect is not None:
+                message = (
+                    f"truncated {spec.mnemonic} at {pc}: operand runs "
+                    f"off code end"
+                )
+                entry = (_TRAP, message, pc, spec.fuel)
+            else:
+                entry = (spec.opcode, operand, pc + spec.size, spec.fuel)
+        self._decoded[pc] = entry
+        return entry
 
     # -- execution ---------------------------------------------------------
 
@@ -133,169 +181,227 @@ class Vm:
         Raises :class:`FuelExhaustedError` when the budget runs out and
         :class:`VmTrap`/:class:`VmMemoryError` on faults.  State in
         ``self.memory`` persists across activations; the operand stack
-        does not.
+        does not.  More than :attr:`MAX_STACK` ``args`` overflow the
+        operand stack before the first instruction runs.
         """
-        code = self.binary.code
         pc = self.binary.entry_offset(entry)
-        stack: list[int] = [wrap32(a) for a in args]
-        calls: list[int] = []
+        # Every value on the stack is an int32: args and bridge results
+        # are wrapped on the way in, and so is every result that can
+        # leave the int32 range.
+        stack = [wrap32(a) for a in args]
         budget = self.fuel_per_activation if fuel is None else fuel
-        used = 0
         self.activations += 1
-
-        def pop() -> int:
-            if not stack:
-                raise self._trap("operand stack underflow")
-            return stack.pop()
-
-        def push(value: int) -> None:
-            if len(stack) >= self.MAX_STACK:
-                raise self._trap("operand stack overflow")
-            stack.append(wrap32(value))
+        if len(stack) > self.MAX_STACK:
+            raise self._trap("operand stack overflow")
+        push = stack.append
+        pop = stack.pop
+        max_stack = self.MAX_STACK
+        calls: list[int] = []
+        memory = self.memory
+        cells = len(memory)
+        table = self._decoded
+        used = 0
 
         while True:
-            if pc >= len(code):
-                raise self._trap(f"program counter {pc} ran off code end")
-            opcode = code[pc]
-            spec = BY_OPCODE.get(opcode)
-            if spec is None:
-                raise self._trap(f"illegal opcode {opcode:#04x} at {pc}")
-            used += spec.fuel
+            try:
+                op, operand, next_pc, cost = table[pc]
+            except KeyError:
+                op, operand, next_pc, cost = self._decode(pc)
+            used += cost
             if used > budget:
+                if op == _TRAP and not cost:
+                    # Off the code end or an illegal opcode: both trap
+                    # before any fuel is charged.
+                    raise self._trap(operand)
                 self.total_fuel_used += used
                 self.traps += 1
                 raise FuelExhaustedError(
                     f"fuel budget of {budget} exhausted at pc={pc}"
                 )
-            if pc + spec.size > len(code):
-                raise self._trap(
-                    f"truncated {spec.mnemonic} at {pc}: operand runs "
-                    f"off code end"
-                )
-            operand = 0
-            if spec.operand == "i32":
-                operand = struct.unpack_from("<i", code, pc + 1)[0]
-            elif spec.operand == "u16":
-                operand = struct.unpack_from("<H", code, pc + 1)[0]
-            elif spec.operand == "u8":
-                operand = code[pc + 1]
-            next_pc = pc + spec.size
 
-            if opcode == isa.HALT:
-                self.total_fuel_used += used
-                return ActivationResult(used, halted=True)
-            elif opcode == isa.NOP:
-                pass
-            elif opcode == isa.PUSH:
-                push(operand)
-            elif opcode == isa.POP:
-                pop()
-            elif opcode == isa.DUP:
-                value = pop()
-                push(value)
-                push(value)
-            elif opcode == isa.SWAP:
-                a, b = pop(), pop()
-                push(a)
-                push(b)
-            elif opcode == isa.OVER:
-                a, b = pop(), pop()
-                push(b)
-                push(a)
-                push(b)
-            elif opcode == isa.LOAD:
-                push(self.memory[self._check_mem(operand)])
-            elif opcode == isa.STORE:
-                self.memory[self._check_mem(operand)] = pop()
-            elif opcode == isa.LOADI:
-                push(self.memory[self._check_mem(pop())])
-            elif opcode == isa.STOREI:
-                address = pop()
-                self.memory[self._check_mem(address)] = pop()
-            elif opcode == isa.ADD:
-                push(pop() + pop())
-            elif opcode == isa.SUB:
-                a = pop()
-                push(pop() - a)
-            elif opcode == isa.MUL:
-                push(pop() * pop())
-            elif opcode == isa.DIV:
-                a = pop()
-                if a == 0:
-                    raise self._trap("division by zero")
-                b = pop()
-                push(int(b / a))  # C-style truncation
-            elif opcode == isa.MOD:
-                a = pop()
-                if a == 0:
-                    raise self._trap("modulo by zero")
-                b = pop()
-                push(b - int(b / a) * a)
-            elif opcode == isa.NEG:
-                push(-pop())
-            elif opcode == isa.AND:
-                push(pop() & pop())
-            elif opcode == isa.OR:
-                push(pop() | pop())
-            elif opcode == isa.XOR:
-                push(pop() ^ pop())
-            elif opcode == isa.NOT:
-                push(~pop())
-            elif opcode == isa.SHL:
-                a = pop()
-                push(pop() << (a & 31))
-            elif opcode == isa.SHR:
-                a = pop()
-                push(pop() >> (a & 31))
-            elif opcode == isa.EQ:
-                push(1 if pop() == pop() else 0)
-            elif opcode == isa.NE:
-                push(1 if pop() != pop() else 0)
-            elif opcode == isa.LT:
-                a = pop()
-                push(1 if pop() < a else 0)
-            elif opcode == isa.LE:
-                a = pop()
-                push(1 if pop() <= a else 0)
-            elif opcode == isa.GT:
-                a = pop()
-                push(1 if pop() > a else 0)
-            elif opcode == isa.GE:
-                a = pop()
-                push(1 if pop() >= a else 0)
-            elif opcode == isa.JMP:
-                next_pc = operand
-            elif opcode == isa.JZ:
-                if pop() == 0:
-                    next_pc = operand
-            elif opcode == isa.JNZ:
-                if pop() != 0:
-                    next_pc = operand
-            elif opcode == isa.CALL:
-                if len(calls) >= self.MAX_CALL_DEPTH:
-                    raise self._trap("call stack overflow")
-                calls.append(next_pc)
-                next_pc = operand
-            elif opcode == isa.RET:
-                if not calls:
-                    # RET at depth zero ends the activation cleanly.
+            # Dispatch on the ISA's opcode classes (the high nibble):
+            # stack, memory, arithmetic and comparison come before
+            # control flow and port I/O; HALT and NOP close the first
+            # class, and trap entries come last.
+            if op < 0x20:  # 0x0_ stack, 0x1_ memory
+                if op == PUSH:
+                    if len(stack) >= max_stack:
+                        raise self._trap("operand stack overflow")
+                    push(operand)
+                elif op == POP:
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    pop()
+                elif op == DUP:
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    if len(stack) >= max_stack:
+                        raise self._trap("operand stack overflow")
+                    push(stack[-1])
+                elif op == SWAP:
+                    if len(stack) < 2:
+                        raise self._trap("operand stack underflow")
+                    stack[-1], stack[-2] = stack[-2], stack[-1]
+                elif op == OVER:
+                    if len(stack) < 2:
+                        raise self._trap("operand stack underflow")
+                    if len(stack) >= max_stack:
+                        raise self._trap("operand stack overflow")
+                    push(stack[-2])
+                elif op == LOAD:
+                    if operand >= cells:  # a u16 operand is never negative
+                        raise self._memory_error(operand, cells)
+                    if len(stack) >= max_stack:
+                        raise self._trap("operand stack overflow")
+                    push(memory[operand])
+                elif op == STORE:
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    value = pop()
+                    if operand >= cells:
+                        raise self._memory_error(operand, cells)
+                    memory[operand] = value
+                elif op == LOADI:
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    address = stack[-1]
+                    if not 0 <= address < cells:
+                        raise self._memory_error(address, cells)
+                    stack[-1] = memory[address]
+                elif op == STOREI:
+                    if len(stack) < 2:
+                        raise self._trap("operand stack underflow")
+                    address = pop()
+                    value = pop()
+                    if not 0 <= address < cells:
+                        raise self._memory_error(address, cells)
+                    memory[address] = value
+                elif op == HALT:
                     self.total_fuel_used += used
-                    return ActivationResult(used, halted=False)
-                next_pc = calls.pop()
-            elif opcode == isa.RDPORT:
-                push(bridge.read_port(operand))
-            elif opcode == isa.WRPORT:
-                bridge.write_port(operand, pop())
-            elif opcode == isa.AVAIL:
-                push(bridge.pending(operand))
-            elif opcode == isa.RECV:
-                push(bridge.receive(operand))
-            elif opcode == isa.EMIT:
-                self.emitted.append(pop())
-            elif opcode == isa.TIME:
-                push(wrap32(self._time_source()))
-            else:  # pragma: no cover - all opcodes handled above
-                raise self._trap(f"unhandled opcode {opcode:#04x}")
+                    return ActivationResult(used, halted=True)
+                elif op == NOP:
+                    pass
+            elif op < 0x40:  # 0x2_ arithmetic, 0x3_ comparison
+                if op in _BINARY:
+                    if len(stack) < 2:
+                        raise self._trap("operand stack underflow")
+                    b = pop()
+                    a = stack[-1]
+                    if op == ADD:
+                        a += b
+                    elif op == SUB:
+                        a -= b
+                    elif op == MUL:
+                        a *= b
+                    elif op == AND:
+                        a &= b
+                    elif op == OR:
+                        a |= b
+                    elif op == XOR:
+                        a ^= b
+                    elif op == SHL:
+                        a <<= b & 31
+                    elif op == SHR:
+                        a >>= b & 31
+                    elif op == EQ:
+                        a = 1 if a == b else 0
+                    elif op == NE:
+                        a = 1 if a != b else 0
+                    elif op == LT:
+                        a = 1 if a < b else 0
+                    elif op == LE:
+                        a = 1 if a <= b else 0
+                    elif op == GT:
+                        a = 1 if a > b else 0
+                    else:  # GE
+                        a = 1 if a >= b else 0
+                    # Only ADD, SUB, MUL and SHL can leave int32, and a
+                    # range test is cheaper than a call to wrap32.
+                    if INT32_MIN <= a <= INT32_MAX:
+                        stack[-1] = a
+                    else:
+                        stack[-1] = wrap32(a)
+                elif op == DIV or op == MOD:
+                    # A zero divisor traps before a missing dividend does.
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    b = pop()
+                    if b == 0:
+                        raise self._trap(
+                            "division by zero" if op == DIV
+                            else "modulo by zero"
+                        )
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    a = stack[-1]
+                    quotient = int(a / b)  # C-style truncation
+                    stack[-1] = wrap32(
+                        quotient if op == DIV else a - quotient * b
+                    )
+                elif op == NEG:
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    stack[-1] = wrap32(-stack[-1])
+                else:  # NOT
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    stack[-1] = ~stack[-1]
+            elif op < 0x60:  # 0x4_ control flow, 0x5_ port I/O
+                if op == JMP:
+                    next_pc = operand
+                elif op == JZ:
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    if pop() == 0:
+                        next_pc = operand
+                elif op == JNZ:
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    if pop() != 0:
+                        next_pc = operand
+                elif op == CALL:
+                    if len(calls) >= self.MAX_CALL_DEPTH:
+                        raise self._trap("call stack overflow")
+                    calls.append(next_pc)
+                    next_pc = operand
+                elif op == RET:
+                    if not calls:
+                        # RET at depth zero ends the activation cleanly.
+                        self.total_fuel_used += used
+                        return ActivationResult(used, halted=False)
+                    next_pc = calls.pop()
+                elif op == RDPORT:
+                    value = bridge.read_port(operand)
+                    if len(stack) >= max_stack:
+                        raise self._trap("operand stack overflow")
+                    push(wrap32(value))
+                elif op == WRPORT:
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    bridge.write_port(operand, pop())
+                elif op == AVAIL:
+                    value = bridge.pending(operand)
+                    if len(stack) >= max_stack:
+                        raise self._trap("operand stack overflow")
+                    push(wrap32(value))
+                elif op == RECV:
+                    value = bridge.receive(operand)
+                    if len(stack) >= max_stack:
+                        raise self._trap("operand stack overflow")
+                    push(wrap32(value))
+                elif op == EMIT:
+                    if not stack:
+                        raise self._trap("operand stack underflow")
+                    self.emitted.append(pop())
+                elif op == TIME:
+                    value = self._time_source()
+                    if len(stack) >= max_stack:
+                        raise self._trap("operand stack overflow")
+                    push(wrap32(value))
+            else:
+                # A _TRAP entry: off the code end, an illegal opcode, or
+                # (after its fuel) a truncated operand.
+                raise self._trap(operand)
             pc = next_pc
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.vm import isa
-from repro.vm.isa import BY_OPCODE, OpSpec
+from repro.vm.isa import OpSpec, decode_at
 
 from repro.vm.verify.report import (
     Finding,
@@ -101,7 +101,7 @@ def build_cfg(code: bytes) -> Cfg:
     findings: list[Finding] = []
     pc = 0
     while pc < len(code):
-        spec = BY_OPCODE.get(code[pc])
+        spec, operand, defect = decode_at(code, pc)
         if spec is None:
             findings.append(
                 Finding(
@@ -112,7 +112,7 @@ def build_cfg(code: bytes) -> Cfg:
                 )
             )
             break
-        if pc + spec.size > len(code):
+        if defect is not None:
             findings.append(
                 Finding(
                     Severity.ERROR,
@@ -123,13 +123,6 @@ def build_cfg(code: bytes) -> Cfg:
                 )
             )
             break
-        operand = 0
-        if spec.operand is not None:
-            operand = int.from_bytes(
-                code[pc + 1 : pc + spec.size],
-                "little",
-                signed=spec.operand == "i32",
-            )
         instructions.append(Instruction(pc, spec, operand))
         pc += spec.size
     return Cfg(

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.vm.isa import BY_OPCODE
+from repro.vm.isa import decode_at
 
 
 class Severity(enum.Enum):
@@ -247,21 +247,16 @@ def _safe_listing(code: bytes):
     """Linear ``(offset, text)`` listing that survives malformed tails."""
     pc = 0
     while pc < len(code):
-        spec = BY_OPCODE.get(code[pc])
+        spec, operand, defect = decode_at(code, pc)
         if spec is None:
             yield pc, f".byte 0x{code[pc]:02x}  ; illegal opcode"
             return
-        if pc + spec.size > len(code):
+        if defect is not None:
             yield pc, f"{spec.mnemonic} <truncated>"
             return
         if spec.operand is None:
             yield pc, spec.mnemonic
         else:
-            operand = int.from_bytes(
-                code[pc + 1 : pc + spec.size],
-                "little",
-                signed=spec.operand == "i32",
-            )
             yield pc, f"{spec.mnemonic} {operand}"
         pc += spec.size
 

@@ -20,6 +20,7 @@ Four layers of coverage:
 import dataclasses
 import http.client
 import json
+import logging
 import threading
 import time
 from urllib.parse import urlsplit
@@ -443,13 +444,15 @@ class TestGatewayHTTP:
         split = urlsplit(gateway.base_url)
         conn = http.client.HTTPConnection(split.hostname, split.port, 5)
 
-        def exchange(method, path, body=None, length=None):
+        def exchange(method, path, body=None, length=None, chunked=False):
             conn.putrequest(method, path)
-            if length is not None:
+            if chunked:
+                conn.putheader("Transfer-Encoding", "chunked")
+            elif length is not None:
                 conn.putheader("Content-Length", length)
             elif body is not None:
                 conn.putheader("Content-Length", str(len(body)))
-            conn.endheaders(body)
+            conn.endheaders(body, encode_chunked=chunked)
             response = conn.getresponse()
             envelope = decode(response.read())
             return response, envelope
@@ -473,8 +476,45 @@ class TestGatewayHTTP:
                 assert response.getheader("Connection") == "close"
                 response, envelope = exchange("GET", "/v1/health")
                 assert response.status == 200 and envelope.ok
+            # A chunked body is refused, not read as empty: the selector
+            # must not be ignored, nor the chunks parsed as a request.
+            query = {"selector": S.vins(fleet.vins[:1]).to_dict()}
+            response, envelope = exchange(
+                "POST", "/v1/vehicles/query", json.dumps(query).encode(),
+                chunked=True,
+            )
+            assert response.status == 400
+            assert envelope.code is ErrorCode.INVALID_REQUEST
+            assert response.getheader("Connection") == "close"
+            response, envelope = exchange("GET", "/v1/health")
+            assert response.status == 200 and envelope.ok
         finally:
             conn.close()
+
+    def test_unhandled_error_is_logged_not_sent(self, served, caplog):
+        fleet, gateway, client = served
+        route, __ = gateway.router.match("GET", "/v1/health")
+
+        def broken(*args):
+            raise RuntimeError("secret internal detail")
+
+        route.handler = broken
+        split = urlsplit(gateway.base_url)
+        conn = http.client.HTTPConnection(split.hostname, split.port, 5)
+        try:
+            with caplog.at_level(logging.ERROR, "repro.server.gateway.http"):
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 500
+        envelope = decode(body)
+        assert envelope.code is ErrorCode.INVALID_STATE
+        assert envelope.reasons == ["unhandled gateway error"]
+        assert b"Traceback" not in body and b"secret internal" not in body
+        assert "secret internal detail" in caplog.text
+        assert "Traceback" in caplog.text
 
     def test_selector_queries_match_in_process_results(self, served):
         fleet, gateway, client = served
