@@ -74,8 +74,12 @@ class Task:
         self.activation_count = 0
         self.dropped_activations = 0
         self.completed_items = 0
-        #: Filled by the scheduler: response-time samples (us).
-        self.response_times: list[int] = []
+        #: Response-time statistics (us), filled by the scheduler.  Kept
+        #: as running totals, not samples: a long run completes millions
+        #: of work items.
+        self.response_count = 0
+        self.response_total_us = 0
+        self.response_worst_us = 0
         self._activation_times: Deque[int] = deque()
 
     def enqueue(self, item: WorkItem) -> bool:
@@ -104,7 +108,11 @@ class Task:
         """Record a work-item completion; pairs FIFO with activations."""
         self.completed_items += 1
         if self._activation_times:
-            self.response_times.append(now - self._activation_times.popleft())
+            response = now - self._activation_times.popleft()
+            self.response_count += 1
+            self.response_total_us += response
+            if response > self.response_worst_us:
+                self.response_worst_us = response
 
     def __repr__(self) -> str:
         return f"<Task {self.name} prio={self.priority} {self.state.value}>"

@@ -12,6 +12,19 @@
 * optionally a *driver* thread that advances simulated time so the
   scenario is fully remote-drivable (``start(drive=True)``).
 
+Driver contract: the driver advances the simulator one pump interval
+per slice.  Between slices it checks, without blocking, whether a
+pumped request is in flight: its body read, its response not yet
+written.  If so and no command is queued, it releases the interpreter
+to the HTTP threads: it blocks until a command is submitted or such a
+response is written, at most :data:`YIELD_TIMEOUT_S`.  Otherwise it
+releases the interpreter for :data:`RELEASE_S` after each
+:data:`HOLD_LIMIT_S` it runs, so threads it cannot see (a worker
+accepting a connection or reading a request, a client in the same
+process) do not wait for CPython's 5 ms switch interval.  An open
+connection, idle or sending a slow body, and the ``/v1/events``
+long-poll, which parks for seconds, never hold it back.
+
 Determinism contract: with ``drive=False`` the gateway never advances
 the simulator — pump ticks ride along as ordinary kernel events and
 are no-ops while no traffic arrives, so a seeded scenario with a
@@ -38,8 +51,16 @@ from repro.server.gateway.wire import STATUS_GATEWAY_BUSY, encode
 from repro.server.services.envelope import ApiError, ErrorCode, Response
 from repro.sim.kernel import MS
 
-#: Sim time advanced per driver-loop iteration.
-DEFAULT_SLICE_US = 20 * MS
+#: Longest the driver blocks while a pumped request is in flight: a
+#: guard against a missed wakeup, not a pacing knob.
+YIELD_TIMEOUT_S = 0.002
+
+#: While no pumped request is in flight, the driver releases the
+#: interpreter for RELEASE_S after each HOLD_LIMIT_S of running.  HTTP
+#: threads otherwise wait for CPython's 5 ms switch interval, and far
+#: longer when other processes contend for the CPU.
+HOLD_LIMIT_S = 0.001
+RELEASE_S = 0.0001
 
 #: Largest request body the gateway reads (1 MiB).
 MAX_BODY_BYTES = 1 << 20
@@ -142,6 +163,7 @@ class _Handler(BaseHTTPRequestHandler):
         route, params = gateway.router.match(method, split.path)
         status: Optional[int] = None
         unframed = False
+        held = False
         try:
             raw = self._read_body()
             if route is None:
@@ -153,6 +175,10 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 body = _parse_body(raw)
                 if route.pumped:
+                    # Until its response is written the request holds
+                    # the driver back (see the module docstring).
+                    gateway._hold_driver()
+                    held = True
                     response = gateway.commands.submit(
                         lambda: _run_handler(
                             route.handler, gateway, params, query, body
@@ -177,16 +203,20 @@ class _Handler(BaseHTTPRequestHandler):
                 ErrorCode.INVALID_STATE, "unhandled gateway error"
             )
             status = 500
-        wire_status, payload = encode(response)
-        if status is None:
-            status = wire_status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(payload)
+        try:
+            wire_status, payload = encode(response)
+            if status is None:
+                status = wire_status
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(payload)
+        finally:
+            if held:
+                gateway._release_driver()
         gateway.count_request(route.name if route else "<no-route>", status)
         if unframed:
             self._discard_input()
@@ -232,14 +262,12 @@ class FleetGateway:
         host: str = "127.0.0.1",
         port: int = 0,
         pump_interval_us: int = 5 * MS,
-        slice_us: int = DEFAULT_SLICE_US,
         command_timeout_s: float = 30.0,
         stream_buffer: int = 256,
     ) -> None:
         self.platform = platform
         self.host = host
         self.port = port
-        self.slice_us = slice_us
         self.command_timeout_s = command_timeout_s
         self.router = build_router()
         metrics = self.api.metrics
@@ -256,6 +284,9 @@ class FleetGateway:
         self._http_thread: Optional[threading.Thread] = None
         self._driver: Optional[threading.Thread] = None
         self._running = False
+        #: Pumped requests in flight, which the driver yields to.
+        self._in_flight = 0
+        self._in_flight_lock = threading.Lock()
 
     @property
     def api(self):
@@ -321,6 +352,7 @@ class FleetGateway:
         if not self._running:
             return
         self._running = False
+        self.commands.notify()
         if self._driver is not None:
             self._driver.join(timeout=5.0)
             self._driver = None
@@ -343,17 +375,36 @@ class FleetGateway:
         self.stop()
 
     def _drive(self) -> None:
-        """Driver loop: advance sim time in slices until stopped.
+        """Driver loop: advance sim time one pump interval per slice.
 
         The simulator is only ever touched from this thread while it
         runs; HTTP workers reach it exclusively through the pump.
+        Between slices it yields to pumped requests in flight, and
+        briefly to every other thread (see the module docstring).
         """
         sim = self.platform.sim
+        interval = self.commands.interval_us
+        released = time.perf_counter()
         while self._running:
-            sim.run_for(self.slice_us)
-            # Yield the GIL so HTTP worker threads get scheduled even
-            # when the event queue is busy.
-            threading.Event().wait(0.0005)
+            sim.run_for(interval)
+            # Read without the lock: a response written after this read
+            # leaves a notification, so the wait returns at once.
+            if self._in_flight:
+                self.commands.wait_for_command(YIELD_TIMEOUT_S)
+            elif time.perf_counter() - released >= HOLD_LIMIT_S:
+                self.commands.wait_for_command(RELEASE_S)
+            else:
+                continue
+            released = time.perf_counter()
+
+    def _hold_driver(self) -> None:
+        with self._in_flight_lock:
+            self._in_flight += 1
+
+    def _release_driver(self) -> None:
+        with self._in_flight_lock:
+            self._in_flight -= 1
+        self.commands.notify()
 
     # -- metrics ---------------------------------------------------------------
 
@@ -367,4 +418,4 @@ class FleetGateway:
         return f"<FleetGateway {state} engines={len(self.engines)}>"
 
 
-__all__ = ["DEFAULT_SLICE_US", "MAX_BODY_BYTES", "FleetGateway"]
+__all__ = ["MAX_BODY_BYTES", "FleetGateway"]

@@ -7,7 +7,10 @@ control plane directly — they :meth:`~CommandPump.submit` a closure
 and block on a :class:`threading.Event`; a sim-side pump scheduled as
 ordinary kernel events (via ``schedule_many``, in self-rescheduling
 batches) drains the queue *between* simulation events and executes the
-closures on the sim thread.
+closures on the sim thread.  Each command is claimed exactly once:
+either the pump runs it or a waiter that timed out abandons it.  A
+gateway driver thread blocks in :meth:`~CommandPump.wait_for_command`
+while a request is in flight, and every submission wakes it.
 
 Determinism: an idle pump tick touches neither RNG streams nor any
 entity state — attaching a gateway to a seeded scenario and never
@@ -36,7 +39,8 @@ TICK_BATCH = 32
 
 
 class GatewayTimeout(ServerError):
-    """A submitted command was not pumped before the caller's deadline.
+    """A submitted command was not pumped before the caller's deadline,
+    and never will be.
 
     Raised on the *HTTP worker* thread — typically means nothing is
     advancing the simulator (gateway started with ``drive=False`` and
@@ -45,12 +49,15 @@ class GatewayTimeout(ServerError):
 
 
 class _Command:
-    """One enqueued request: closure + completion event + result slot."""
+    """One enqueued request: closure, claim, completion event, result."""
 
-    __slots__ = ("fn", "done", "response", "error")
+    __slots__ = ("fn", "claim", "done", "response", "error")
 
     def __init__(self, fn: Callable[[], Response]) -> None:
         self.fn = fn
+        #: Taken exactly once: by the pump, which then runs the command,
+        #: or by a waiter that gave up, which abandons it.
+        self.claim = threading.Lock()
         self.done = threading.Event()
         self.response: Optional[Response] = None
         self.error: Optional[BaseException] = None
@@ -60,9 +67,9 @@ class CommandPump:
     """Bridges HTTP worker threads onto the simulator thread.
 
     ``metrics`` (a :class:`~repro.telemetry.MetricsRegistry`) receives
-    ``gateway.commands`` (executed count), ``gateway.queue.depth``
-    (drained per tick, a gauge), and ``gateway.queue.rejected``
-    (submissions after close).
+    ``gateway.commands`` (executed count) and ``gateway.queue.depth``
+    (executed per tick, a gauge).  A command whose waiter timed out
+    before the pump reached it is skipped and counted in neither.
     """
 
     def __init__(
@@ -77,6 +84,10 @@ class CommandPump:
         self.interval_us = interval_us
         self.metrics = metrics
         self._queue: "queue.SimpleQueue[_Command]" = queue.SimpleQueue()
+        #: Notified on every submission and by :meth:`notify`; a driver
+        #: blocks on it in :meth:`wait_for_command`.
+        self._ready = threading.Condition()
+        self._notified = False
         self._handles: list = []
         self._attached = False
         self.executed = 0
@@ -125,10 +136,11 @@ class CommandPump:
         self._handles = self.sim.schedule_many(items, "gateway:pump")
 
     def pump(self) -> int:
-        """Drain and execute every queued command; returns the count.
+        """Drain the queue and execute every live command; returns the count.
 
         Runs on the simulator thread (called by the scheduled ticks or
-        directly by tests).  Executes in FIFO submission order.
+        directly by tests).  Executes in FIFO submission order and skips
+        commands their waiters abandoned.
         """
         drained = 0
         while True:
@@ -136,6 +148,8 @@ class CommandPump:
                 command = self._queue.get_nowait()
             except queue.Empty:
                 break
+            if not command.claim.acquire(blocking=False):
+                continue
             drained += 1
             try:
                 command.response = command.fn()
@@ -155,8 +169,32 @@ class CommandPump:
                 command = self._queue.get_nowait()
             except queue.Empty:
                 return
-            command.error = GatewayTimeout(reason)
-            command.done.set()
+            if command.claim.acquire(blocking=False):
+                command.error = GatewayTimeout(reason)
+                command.done.set()
+
+    # -- driver side -----------------------------------------------------------
+
+    def wait_for_command(self, timeout_s: float) -> None:
+        """Block until a command is submitted, :meth:`notify` is called,
+        or ``timeout_s`` passes.
+
+        Returns at once when a command is queued or a notification came
+        since the last wait.  Both are checked under the condition's
+        lock, so a submission or notification racing with the caller's
+        decision to wait is never lost.
+        """
+        with self._ready:
+            if self._queue.empty() and not self._notified:
+                self._ready.wait(timeout_s)
+            self._notified = False
+
+    def notify(self) -> None:
+        """Wake a caller of :meth:`wait_for_command`, now or at its next
+        call."""
+        with self._ready:
+            self._notified = True
+            self._ready.notify_all()
 
     # -- HTTP worker side ------------------------------------------------------
 
@@ -166,16 +204,21 @@ class CommandPump:
         """Enqueue ``fn`` and block until the sim thread has run it.
 
         Re-raises whatever ``fn`` raised; raises :class:`GatewayTimeout`
-        when no pump tick serviced the command within ``timeout_s``
-        wall seconds.
+        when no pump tick started the command within ``timeout_s`` wall
+        seconds.  A command that timed out never runs; one the pump
+        started in time is waited for, however long it takes.
         """
         command = _Command(fn)
-        self._queue.put(command)
+        with self._ready:
+            self._queue.put(command)
+            self._ready.notify_all()
         if not command.done.wait(timeout_s):
-            raise GatewayTimeout(
-                f"command not pumped within {timeout_s}s "
-                "(is anything advancing the simulator?)"
-            )
+            if command.claim.acquire(blocking=False):
+                raise GatewayTimeout(
+                    f"command not pumped within {timeout_s}s "
+                    "(is anything advancing the simulator?)"
+                )
+            command.done.wait()
         if command.error is not None:
             raise command.error
         assert command.response is not None

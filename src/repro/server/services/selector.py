@@ -46,6 +46,13 @@ class FleetSelector:
     def matches(self, vehicle: "Vehicle") -> bool:
         raise NotImplementedError
 
+    def candidate_vins(self) -> Optional[frozenset]:
+        """The only VINs this selector can match, or None for no bound.
+
+        A registry read visits just these instead of the whole fleet.
+        """
+        return None
+
     def __call__(self, vehicle: "Vehicle") -> bool:
         return self.matches(vehicle)
 
@@ -207,6 +214,9 @@ class VinIn(FleetSelector):
     def matches(self, vehicle: "Vehicle") -> bool:
         return vehicle.vin in self.vin_set
 
+    def candidate_vins(self) -> Optional[frozenset]:
+        return self.vin_set
+
     def to_dict(self) -> dict:
         return {"op": self.op, "vins": sorted(self.vin_set)}
 
@@ -277,6 +287,15 @@ class And(FleetSelector):
 
     def matches(self, vehicle: "Vehicle") -> bool:
         return self.left.matches(vehicle) and self.right.matches(vehicle)
+
+    def candidate_vins(self) -> Optional[frozenset]:
+        left = self.left.candidate_vins()
+        right = self.right.candidate_vins()
+        if left is None:
+            return right
+        if right is None:
+            return left
+        return left & right
 
     def to_dict(self) -> dict:
         return {

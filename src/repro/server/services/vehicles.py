@@ -5,11 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import (
-    ConfigurationError,
-    DuplicateEntityError,
-    UnknownEntityError,
-)
+from repro.errors import DuplicateEntityError, UnknownEntityError
 from repro.server.database import Database
 from repro.server.models import (
     HwConf,
@@ -149,7 +145,10 @@ class VehicleService:
         """Portal-style fleet query: selector -> :class:`VehicleView` rows.
 
         ``None`` selects the whole fleet.  Rows come back ordered by VIN
-        so repeated queries render deterministically.
+        so repeated queries render deterministically.  Only the
+        registered VINs the selector can match are visited
+        (:meth:`FleetSelector.candidate_vins`), so a one-VIN read does
+        not scan the fleet.
         """
         if selector is not None and not isinstance(selector, FleetSelector):
             return Response.failure(
@@ -157,8 +156,14 @@ class VehicleService:
                 f"query needs a FleetSelector (got {type(selector).__name__})",
             )
         self.queries += 1
+        registry = self.db.vehicles
+        bound = None if selector is None else selector.candidate_vins()
+        if bound is None:
+            vins = sorted(registry)
+        else:
+            vins = sorted(vin for vin in bound if vin in registry)
         rows = []
-        for vin in sorted(self.db.vehicles):
+        for vin in vins:
             vehicle = self.resolve(vin)
             if selector is not None and not selector.matches(vehicle):
                 continue
@@ -177,24 +182,6 @@ class VehicleService:
                 )
             )
         return Response.success(rows)
-
-    def query_vins(self, selector: Optional[FleetSelector] = None) -> list[str]:
-        """VINs matching ``selector`` (the targeting fast path).
-
-        Unlike :meth:`query`, no :class:`VehicleView` rows are built and
-        the portal ``queries`` counter is not touched — this is the
-        internal path ``deploy_to``/campaign targeting hammer.
-        """
-        if selector is not None and not isinstance(selector, FleetSelector):
-            raise ConfigurationError(
-                f"targeting needs a FleetSelector "
-                f"(got {type(selector).__name__})"
-            )
-        return [
-            vin
-            for vin in sorted(self.db.vehicles)
-            if selector is None or selector.matches(self.resolve(vin))
-        ]
 
 
 __all__ = ["VehicleService", "VehicleView"]

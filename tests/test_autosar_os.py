@@ -124,7 +124,9 @@ class TestCpuBasics:
         cpu.activate(task, WorkItem("a", 100))
         cpu.activate(task, WorkItem("b", 100))
         sim.run()
-        assert task.response_times == [100, 200]
+        assert task.response_count == 2
+        assert task.response_total_us == 300
+        assert task.response_worst_us == 200
 
     def test_utilization(self):
         sim, cpu = make_cpu()

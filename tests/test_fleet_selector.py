@@ -7,7 +7,8 @@ De Morgan and double negation hold, ``all()``/``none()`` are the
 identity and annihilator, and every selector tree survives a
 ``to_dict``/``from_dict`` round trip both structurally and
 semantically.  Empty-fleet edge cases run against a real server's
-query endpoint.
+query endpoint, and the endpoint's narrowed registry read (only the
+VINs a selector can match) is checked against a full scan.
 """
 
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from repro.server.models import (
 )
 from repro.server.server import TrustedServer
 from repro.server.services import FleetSelector as S
+from repro.server.services.vehicles import VehicleView
 from repro.sim import Simulator
 
 import pytest
@@ -33,6 +35,7 @@ MODELS = ("model-a", "model-b", "model-c")
 REGIONS = ("", "eu-north", "na-east")
 APPS = ("app-1", "app-2")
 VERSIONS = ("1.0", "2.0")
+VINS = tuple(f"VIN-{i:04d}" for i in range(8))
 
 
 def make_vehicle(vin, model, region, online, installed):
@@ -50,7 +53,7 @@ def make_vehicle(vin, model, region, online, installed):
 
 vehicles = st.builds(
     make_vehicle,
-    vin=st.sampled_from([f"VIN-{i:04d}" for i in range(8)]),
+    vin=st.sampled_from(VINS),
     model=st.sampled_from(MODELS),
     region=st.sampled_from(REGIONS),
     online=st.booleans(),
@@ -74,9 +77,7 @@ leaves = st.one_of(
     st.builds(S.region, st.sampled_from(REGIONS)),
     st.builds(
         S.vins,
-        st.frozensets(
-            st.sampled_from([f"VIN-{i:04d}" for i in range(8)]), max_size=4
-        ),
+        st.frozensets(st.sampled_from(VINS), max_size=4),
     ),
     st.builds(
         S.installed,
@@ -173,7 +174,6 @@ class TestEmptyFleetQueries:
     def test_query_on_empty_fleet_is_empty(self, a):
         server = TrustedServer(NetworkFabric(Simulator()))
         assert server.api.vehicles.query(a).unwrap() == []
-        assert server.api.vehicles.query_vins(a) == []
 
     def test_query_without_selector_is_whole_fleet(self, empty_server):
         assert empty_server.api.vehicles.query().unwrap() == []
@@ -184,3 +184,61 @@ class TestEmptyFleetQueries:
         response = empty_server.api.vehicles.query(lambda v: True)
         assert not response.ok
         assert response.code is ErrorCode.INVALID_REQUEST
+
+
+def full_scan(service, selector):
+    """The rows ``query`` returned before it narrowed: every registered
+    vehicle, in VIN order, resolved and matched."""
+    rows = []
+    for vin in sorted(service.db.vehicles):
+        vehicle = service.resolve(vin)
+        if not selector.matches(vehicle):
+            continue
+        apps = tuple(
+            (record.app_name, record.version, record.status.value)
+            for record in vehicle.conf.installed.values()
+        )
+        rows.append(
+            VehicleView(
+                vin=vehicle.vin,
+                model=vehicle.model,
+                region=vehicle.region,
+                owner=vehicle.owner or "",
+                online=vehicle.online,
+                apps=apps,
+            )
+        )
+    return rows
+
+
+#: VIN sets that may name vehicles the fleet never registered.
+vin_sets = st.frozensets(st.sampled_from(VINS + ("VIN-9999",)), max_size=5)
+
+
+class TestNarrowedQueries:
+    @given(
+        fleet=st.lists(vehicles, max_size=6, unique_by=lambda v: v.vin),
+        a=selectors,
+        vins=vin_sets,
+        more_vins=vin_sets,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_narrowed_query_returns_the_full_scan_rows(
+        self, fleet, a, vins, more_vins
+    ):
+        server = TrustedServer(NetworkFabric(Simulator()))
+        server.api.db.add_vehicles(fleet)
+        service = server.api.vehicles
+        for selector in (
+            a,
+            S.vins(vins),
+            a & S.vins(vins),
+            S.vins(vins) & ~a,
+            S.vins(vins) & (a & S.vins(more_vins)),
+            S.vins(vins) | a,
+        ):
+            before = service.queries
+            assert service.query(selector).unwrap() == full_scan(
+                service, selector
+            )
+            assert service.queries == before + 1

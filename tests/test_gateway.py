@@ -9,18 +9,23 @@ Four layers of coverage:
   drop accounting (``enqueued == delivered + pending + dropped``),
   category filtering, reconnect semantics;
 * command pump — FIFO marshalling of worker-thread requests onto the
-  simulator thread, timeout and detach behaviour;
+  simulator thread, timeout and detach behaviour (a timed-out command
+  never runs);
 * the served gateway — a real ``ThreadingHTTPServer`` driven end to end
   through :class:`FleetClient`, including a full canary campaign staged
   and observed entirely over HTTP, selector parity against in-process
-  queries, and the replay-identity contract: attaching a gateway to a
-  seeded scenario changes no byte of its campaign report.
+  queries, the driver's yield contract, and the replay-identity
+  contract: attaching a gateway to a seeded scenario changes no byte of
+  its campaign report.
 """
 
+import collections
 import dataclasses
 import http.client
 import json
 import logging
+import socket
+import sys
 import threading
 import time
 from urllib.parse import urlsplit
@@ -36,6 +41,7 @@ from repro.fes.example_platform import (
     make_remote_control_app,
 )
 from repro.gateway import ApiError, FleetClient, FleetGateway
+from repro.server.gateway import http as gateway_http
 from repro.server.gateway.http import MAX_BODY_BYTES
 from repro.server.gateway.pump import CommandPump, GatewayTimeout
 from repro.server.gateway.stream import (
@@ -46,6 +52,7 @@ from repro.server.gateway.stream import (
 from repro.server.gateway.wire import HTTP_STATUS, decode, encode, http_status
 from repro.server.services import FleetSelector as S
 from repro.server.services.envelope import ErrorCode, Response, wire_value
+from repro.telemetry import MetricsRegistry
 from repro.telemetry.bus import TelemetryBus
 
 APP = "remote-control"
@@ -327,6 +334,87 @@ class TestCommandPump:
         pump = CommandPump(fleet.sim)
         with pytest.raises(GatewayTimeout, match="advancing the simulator"):
             pump.submit(lambda: Response.success(), timeout_s=0.05)
+
+    def test_timed_out_command_never_runs(self):
+        fleet = make_fleet(size=1)
+        metrics = MetricsRegistry()
+        pump = CommandPump(fleet.sim, metrics=metrics)
+        ran = []
+
+        def job():
+            ran.append(True)
+            return Response.success()
+
+        with pytest.raises(GatewayTimeout):
+            pump.submit(job, timeout_s=0.05)
+        assert pump.pump() == 0
+        assert ran == [] and pump.executed == 0
+        assert metrics.counter_value("gateway.commands") == 0
+
+    def test_command_started_before_the_deadline_is_awaited(self):
+        fleet = make_fleet(size=1)
+        pump = CommandPump(fleet.sim)
+        outcome = {}
+
+        def slow():
+            time.sleep(0.3)  # outlives the waiter's deadline
+            return Response.success("late")
+
+        def submit():
+            try:
+                outcome["value"] = pump.submit(slow, timeout_s=0.1).unwrap()
+            except GatewayTimeout as error:
+                outcome["error"] = error
+
+        worker = threading.Thread(target=submit)
+        worker.start()
+        pump.wait_for_command(5.0)  # returns once the command is queued
+        assert pump.pump() == 1
+        worker.join(timeout=5.0)
+        assert outcome == {"value": "late"}
+
+    def test_each_command_runs_once_exactly_when_its_waiter_gets_it(self):
+        # Waiters with 0-2 ms deadlines race the pump for every claim,
+        # interleaved finely by a shortened switch interval.
+        fleet = make_fleet(size=1)
+        pump = CommandPump(fleet.sim)
+        runs = collections.Counter()
+        outcomes = {}
+
+        def waiter(worker):
+            for k in range(50):
+                key = (worker, k)
+
+                def job(key=key):
+                    runs[key] += 1
+                    return Response.success()
+
+                try:
+                    pump.submit(job, timeout_s=0.001 * (k % 3))
+                    outcomes[key] = 1
+                except GatewayTimeout:
+                    outcomes[key] = 0
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=waiter, args=(w,)) for w in range(8)
+            ]
+            for w in workers:
+                w.start()
+            deadline = time.monotonic() + 30.0
+            while any(w.is_alive() for w in workers):
+                assert time.monotonic() < deadline, "waiters did not finish"
+                pump.pump()
+            for w in workers:
+                w.join(timeout=5.0)
+        finally:
+            sys.setswitchinterval(interval)
+        pump.pump()
+        assert len(outcomes) == 400
+        assert {key: runs[key] for key in outcomes} == outcomes
+        assert pump.executed == sum(outcomes.values())
 
     def test_detach_rejects_queued_commands(self):
         fleet = make_fleet(size=1)
@@ -626,6 +714,202 @@ class TestGatewayHTTP:
                 gateway.start()
         finally:
             gateway.stop()
+
+
+@pytest.fixture()
+def strict_served(monkeypatch):
+    """``served`` with the driver's safety timeout out of reach, so a
+    missed wakeup stalls the simulator instead of costing 2 ms."""
+    monkeypatch.setattr(gateway_http, "YIELD_TIMEOUT_S", 60.0)
+    fleet = make_fleet(size=4)
+    gateway = FleetGateway(fleet).start(drive=True)
+    try:
+        yield fleet, gateway, FleetClient(gateway.base_url, timeout_s=10.0)
+    finally:
+        gateway.stop()
+
+
+class TestDriverYield:
+    def test_parked_event_poll_does_not_hold_the_simulator(
+        self, strict_served
+    ):
+        fleet, gateway, client = strict_served
+        batch = {}
+        poller = threading.Thread(
+            target=lambda: batch.update(
+                client.poll_events(categories=["nothing"], timeout_s=0.8)
+            )
+        )
+        poller.start()
+        deadline = time.monotonic() + 10.0
+        while not gateway.broker.stats()["clients"]:
+            assert time.monotonic() < deadline, "the poll never arrived"
+            time.sleep(0.01)
+        start = fleet.sim.now
+        time.sleep(0.2)
+        advanced = fleet.sim.now - start
+        poller.join(timeout=10.0)
+        assert advanced > 0
+        assert batch["events"] == []
+
+    def test_idle_driver_still_lets_go_of_the_interpreter(self, served):
+        # Threads the driver cannot see (this one, say) get the
+        # interpreter at its periodic releases, not only at CPython's
+        # forced switches.
+        fleet, gateway, client = served
+        releases = []
+        wait = gateway.commands.wait_for_command
+
+        def counted(timeout_s):
+            releases.append(timeout_s)
+            wait(timeout_s)
+
+        gateway.commands.wait_for_command = counted
+        start = fleet.sim.now
+        time.sleep(0.3)
+        assert fleet.sim.now > start
+        assert gateway_http.RELEASE_S in releases
+
+    def test_two_requests_on_one_kept_alive_connection(self, strict_served):
+        fleet, gateway, client = strict_served
+        split = urlsplit(gateway.base_url)
+        conn = http.client.HTTPConnection(split.hostname, split.port, 10)
+        answers = []
+        try:
+            for path in ("/v1/health", f"/v1/vehicles/{fleet.vins[1]}"):
+                conn.request("GET", path)
+                reply = conn.getresponse()
+                answers.append((reply.status, decode(reply.read()).value))
+                time.sleep(0.05)  # the connection idles between requests
+        finally:
+            conn.close()
+        assert [status for status, __ in answers] == [200, 200]
+        assert answers[1][1]["vin"] == fleet.vins[1]
+
+    def test_command_queued_mid_slice_runs_without_the_safety_timeout(
+        self, strict_served
+    ):
+        fleet, gateway, client = strict_served
+        late = {}
+        submitters = []
+        queued = threading.Event()
+
+        def submit_late():
+            try:
+                late["value"] = gateway.commands.submit(
+                    lambda: Response.success("late"), timeout_s=10.0
+                ).unwrap()
+            except GatewayTimeout as error:
+                late["error"] = error
+
+        def queue_mid_slice():
+            # A simulator event after this slice's pump tick: the command
+            # it queues waits for the wait_for_command call that ends
+            # the slice in FleetGateway._drive.
+            submitters.append(threading.Thread(target=submit_late))
+            submitters[0].start()
+            gateway.commands.wait_for_command(10.0)  # until it is queued
+            queued.set()
+
+        def schedule_probe():
+            fleet.sim.schedule(0, queue_mid_slice)
+            return Response.success()
+
+        # As while a pumped request is in flight: between slices the
+        # driver takes its yield path.
+        gateway._hold_driver()
+        try:
+            gateway.commands.submit(schedule_probe, timeout_s=10.0)
+            assert queued.wait(10.0)
+            submitters[0].join(timeout=15.0)
+            assert late == {"value": "late"}
+        finally:
+            gateway._release_driver()
+
+    def test_open_connections_do_not_slow_the_simulator(self, served):
+        # A connection that sends nothing, or stalls inside its body,
+        # is no pumped request in flight: the driver keeps its pace.
+        fleet, gateway, client = served
+        split = urlsplit(gateway.base_url)
+
+        def simulated_rate():
+            sim_start, start = fleet.sim.now, time.perf_counter()
+            time.sleep(0.3)
+            return (fleet.sim.now - sim_start) / (time.perf_counter() - start)
+
+        alone = simulated_rate()
+        idle = socket.create_connection((split.hostname, split.port), 10)
+        stalled = socket.create_connection((split.hostname, split.port), 10)
+        try:
+            stalled.sendall(
+                b"POST /v1/vehicles/query HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 2\r\n\r\n"
+            )
+            time.sleep(0.1)  # both accepted, the headers read
+            beside = simulated_rate()
+            stalled.sendall(b"{}")
+            reply = http.client.HTTPResponse(stalled)
+            reply.begin()
+            assert reply.status == 200
+            assert len(decode(reply.read()).value) == len(fleet.vins)
+        finally:
+            idle.close()
+            stalled.close()
+        assert beside > alone / 2, (
+            f"{beside / 1e6:.1f} simulated s/s with open connections, "
+            f"{alone / 1e6:.1f} without"
+        )
+
+    def test_concurrent_clients_leave_nothing_holding_the_driver(
+        self, strict_served
+    ):
+        # More clients than cores and a shortened switch interval: a lost
+        # wakeup stalls the strict driver past the clients' timeouts, and
+        # a leaked count stops the simulator once traffic ends.
+        fleet, gateway, client = strict_served
+        split = urlsplit(gateway.base_url)
+        errors = []
+
+        def work(worker):
+            own = FleetClient(gateway.base_url, timeout_s=10.0)
+            conn = http.client.HTTPConnection(split.hostname, split.port, 10)
+            try:
+                for k in range(4):
+                    vin = fleet.vins[(worker + k) % len(fleet.vins)]
+                    for path, expected in (
+                        ("/v1/health", 200),
+                        (f"/v1/vehicles/{vin}", 200),
+                        ("/v1/nope", 404),
+                    ):
+                        conn.request("GET", path)
+                        reply = conn.getresponse()
+                        reply.read()
+                        if reply.status != expected:
+                            errors.append(f"{path}: {reply.status}")
+                    own.vehicle(vin)
+                    own.poll_events(categories=["nothing"], timeout_s=0.01)
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(repr(error))
+            finally:
+                conn.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            workers = [
+                threading.Thread(target=work, args=(w,)) for w in range(8)
+            ]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        start = fleet.sim.now
+        time.sleep(0.2)
+        assert fleet.sim.now > start
 
 
 class TestReplayIdentity:
