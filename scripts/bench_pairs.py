@@ -27,6 +27,13 @@ count for neither side) and a verdict:
   not every run of the change reads better than every parent run;
 * ``unchanged``: none of the above.
 
+After each run the script also reads the output digests of that run's
+repeats from ``<checkout>/bench/out/<workload>-seed<N>.json``, and it
+ends with one line saying in how many pairs both sides produced the
+same single digest (``output digest: identical in 10/10 pairs``).  The
+rollouts and the dataplane record digests; the portal does not.  The
+line is informational: it does not change the exit status.
+
 The exit status is 1 when any run is not ``correct`` or the change
 fails a larger share of its attempted operations than the parent, and
 0 otherwise; a verdict of ``worse`` is printed, not turned into a
@@ -129,6 +136,27 @@ def run_bench(
     return result
 
 
+def run_digests(checkout: Path, workload: str, seed: int) -> list[str]:
+    """Output digests of the repeats the last untraced run saved."""
+    path = checkout / "bench" / "out" / f"{workload}-seed{seed}.json"
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return []
+    return [r["digest"] for r in record.get("repeats", []) if "digest" in r]
+
+
+def digest_summary(pairs: list[tuple[list[str], list[str]]]) -> str:
+    """How many ``(parent, change)`` pairs share one output digest."""
+    if not any(parent or change for parent, change in pairs):
+        return "output digest: not recorded by this workload"
+    identical = sum(
+        1 for parent, change in pairs
+        if len(set(parent)) == 1 and set(parent) == set(change)
+    )
+    return f"output digest: identical in {identical}/{len(pairs)} pairs"
+
+
 def _row(values: list[float]) -> str:
     q1, median, q3 = quartiles(values)
     return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
@@ -164,12 +192,16 @@ def main(argv=None) -> int:
     metrics = config["end_to_end"]
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    digests: dict[str, list[list[str]]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             checkout = args.parent if side == "parent" else args.change
             result = run_bench(checkout, args.workload, args.seed, seconds)
             runs[side].append(result)
+            digests[side].append(
+                run_digests(checkout, args.workload, args.seed)
+            )
             values = " ".join(
                 f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
                 for m in metrics
@@ -195,6 +227,7 @@ def main(argv=None) -> int:
             f"{wins(parent, change, metric['better']):>5}/{args.pairs:<2}  "
             f"{verdict(parent, change, metric['better'], metric['bound'])}"
         )
+    print(digest_summary(list(zip(digests["parent"], digests["change"]))))
 
     status = 0
     if not all(r["correct"] for side in runs.values() for r in side):

@@ -75,6 +75,7 @@ class Ecu:
         self.instances[instance.name] = instance
         self.tasks[instance.name] = task
         self.cpu.add_task(task)
+        instance.cpu = self.cpu
         self.rte.register_instance(instance)
 
     def instance(self, name: str) -> ComponentInstance:

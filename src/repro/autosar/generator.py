@@ -10,6 +10,7 @@ element, and turns RTE events into alarms and delivery hooks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.autosar.ecu import Ecu
@@ -263,7 +264,7 @@ class SystemBuilder:
 
     @staticmethod
     def _activation_item(
-        instance: ComponentInstance, runnable_name: str
+        instance: ComponentInstance, runnable_name: str, periodic: bool = False
     ) -> WorkItem:
         """Build the work item for one runnable activation.
 
@@ -271,13 +272,16 @@ class SystemBuilder:
         mutating), so event installers construct it once and re-enqueue
         the same object every period — a periodic runnable would
         otherwise allocate a WorkItem, a label string, and a closure on
-        every tick of every vehicle.
+        every tick of every vehicle.  A ``periodic`` item carries the
+        runnable's ``noop`` predicate, bound to ``instance``.
         """
         runnable = instance.ctype.runnable(runnable_name)
+        noop = runnable.noop if periodic else None
         return WorkItem(
             label=f"{instance.name}.{runnable_name}",
             duration_us=runnable.execution_time_us,
             action=lambda: runnable.run(instance),
+            noop=None if noop is None else partial(noop, instance),
         )
 
     def _install_timing_event(
@@ -287,10 +291,10 @@ class SystemBuilder:
         task: Task,
         event: TimingEvent,
     ) -> None:
-        item = self._activation_item(instance, event.runnable)
+        item = self._activation_item(instance, event.runnable, periodic=True)
         alarm = ecu.alarms.create(
             f"{instance.name}.{event.runnable}.timer",
-            lambda: ecu.cpu.activate(task, item),
+            partial(ecu.cpu.activate, task, item),
         )
         ecu.at_boot(
             lambda a=alarm, e=event: a.set_relative(e.offset_us, e.period_us)

@@ -32,15 +32,35 @@ class WorkItem:
     ``duration_us`` is charged to the CPU; ``action`` runs when the work
     item completes (side effects become visible at completion, modelling
     results produced at the end of a runnable's execution window).
+    ``noop``, when given, says whether running ``action`` now would
+    change nothing; the scheduler may then elide the item's completion
+    event (see :class:`~repro.autosar.os.scheduler.Cpu`).
     """
 
     label: str
     duration_us: int
     action: Optional[Callable[[], None]] = None
+    noop: Optional[Callable[[], bool]] = None
 
     def __post_init__(self) -> None:
         if self.duration_us < 0:
             raise OsekError(f"work item {self.label} has negative duration")
+
+
+def _settled(field: str, doc: str) -> property:
+    """A read-only task attribute that a lazy completion may still owe.
+
+    Reading it first settles (or materializes) its CPU's lazy
+    completion, so it reads what the ticking scheduler would show.
+    """
+
+    def read(task: "Task"):
+        cpu = task.cpu
+        if cpu is not None and cpu._lazy is not None:
+            cpu.wake()
+        return getattr(task, field)
+
+    return property(read, doc=doc)
 
 
 class Task:
@@ -67,20 +87,32 @@ class Task:
         self.priority = priority
         self.preemptable = preemptable
         self.max_activations = max_activations
-        self.state = TaskState.SUSPENDED
+        self._state = TaskState.SUSPENDED
         #: Stamped by Cpu.add_task; activate() verifies it by identity.
-        self.cpu: object = None
+        self.cpu: Any = None
         self.queue: Deque[WorkItem] = deque()
         self.activation_count = 0
         self.dropped_activations = 0
-        self.completed_items = 0
-        #: Response-time statistics (us), filled by the scheduler.  Kept
-        #: as running totals, not samples: a long run completes millions
-        #: of work items.
-        self.response_count = 0
-        self.response_total_us = 0
-        self.response_worst_us = 0
+        self._completed_items = 0
+        # Response-time statistics (us), filled by the scheduler.  Kept
+        # as running totals, not samples: a long run completes millions
+        # of work items.
+        self._response_count = 0
+        self._response_total_us = 0
+        self._response_worst_us = 0
         self._activation_times: Deque[int] = deque()
+
+    state = _settled("_state", "The OSEK task state.")
+    completed_items = _settled("_completed_items", "Work items completed.")
+    response_count = _settled(
+        "_response_count", "Completions paired with an activation."
+    )
+    response_total_us = _settled(
+        "_response_total_us", "Sum of response times (us)."
+    )
+    response_worst_us = _settled(
+        "_response_worst_us", "Longest response time (us)."
+    )
 
     def enqueue(self, item: WorkItem) -> bool:
         """Queue a work item; returns False when the activation limit hit."""
@@ -106,13 +138,13 @@ class Task:
 
     def note_completion(self, now: int) -> None:
         """Record a work-item completion; pairs FIFO with activations."""
-        self.completed_items += 1
+        self._completed_items += 1
         if self._activation_times:
             response = now - self._activation_times.popleft()
-            self.response_count += 1
-            self.response_total_us += response
-            if response > self.response_worst_us:
-                self.response_worst_us = response
+            self._response_count += 1
+            self._response_total_us += response
+            if response > self._response_worst_us:
+                self._response_worst_us = response
 
     def __repr__(self) -> str:
         return f"<Task {self.name} prio={self.priority} {self.state.value}>"

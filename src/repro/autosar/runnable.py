@@ -8,7 +8,7 @@ instance, through which it reaches its ports and the RTE API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigurationError
@@ -29,11 +29,19 @@ class Runnable:
     consumes; the scheduler charges this to the mapped task.  A runnable
     may be re-entrant in AUTOSAR; here each activation runs to completion
     within its task, so no concurrency control is needed.
+
+    ``noop`` is an optional predicate for periodic runnables: true when
+    running the body on ``instance`` now would change nothing.  The
+    generator attaches it to the runnable's timing-event work item, so
+    the scheduler can elide such activations' completions.  Whatever
+    changes the state it reads must first call ``Cpu.wake`` on the
+    instance's CPU (see :mod:`repro.autosar.os.scheduler`).
     """
 
     name: str
     body: Optional[RunnableBody] = None
     execution_time_us: int = 50
+    noop: Optional[Callable[["ComponentInstance"], bool]] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -42,11 +50,9 @@ class Runnable:
             raise ConfigurationError(
                 f"runnable {self.name} has negative execution time"
             )
-        self.activations = 0
 
     def run(self, instance: "ComponentInstance") -> None:
         """Execute the behaviour once (invoked by the scheduler)."""
-        self.activations += 1
         if self.body is not None:
             self.body(instance)
 

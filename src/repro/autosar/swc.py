@@ -24,6 +24,7 @@ from repro.autosar.runnable import Runnable
 from repro.errors import ConfigurationError, PortError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.autosar.os.scheduler import Cpu
     from repro.autosar.rte.rte import Rte
 
 
@@ -266,6 +267,10 @@ class ComponentInstance:
             p.name: PortInstance(name, p) for p in ctype.ports
         }
         self.rte: Optional["Rte"] = None
+        #: The CPU that runs this instance's runnables (set by
+        #: ``Ecu.add_instance``); state a ``noop`` predicate reads
+        #: changes only after ``cpu.wake()``.
+        self.cpu: Optional["Cpu"] = None
         #: Free-form per-instance state for runnable bodies.
         self.state: dict[str, Any] = {}
 

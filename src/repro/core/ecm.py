@@ -11,7 +11,13 @@ interacting with the external world" (paper Sec. 3.1.1).  The
 * the ECC table: external endpoints are dialled when an ECC arrives,
   inbound named messages are routed to the recipient plug-in port
   (locally, or as DATA messages over type I), and unconnected plug-in
-  port writes are routed outward.
+  port writes are routed outward.  Entries are kept per (target SW-C,
+  plug-in): a re-install replaces them and the plug-in's uninstall
+  drops them, so an updated APP is routed by its own ECC.
+
+Messages from the server and from external endpoints land in inboxes
+that the next ``dispatch`` tick drains; each arrival wakes the host CPU
+first, so an elided idle tick never misses one.
 """
 
 from __future__ import annotations
@@ -101,7 +107,8 @@ class EcmPirte(Pirte):
         self._server_inbox: Deque[bytes] = deque()
         self._ext_inbox: Deque[tuple[str, bytes]] = deque()
         self._externals: dict[str, Endpoint] = {}
-        self.ecc_entries: list[EccEntry] = []
+        #: (target SW-C, plug-in) -> the ECC entries its install carried.
+        self._ecc: dict[tuple[str, str], tuple[EccEntry, ...]] = {}
         self.packages_forwarded = 0
         self.acks_forwarded = 0
         self.external_in = 0
@@ -119,11 +126,19 @@ class EcmPirte(Pirte):
 
     def _on_server_connected(self, endpoint: Endpoint) -> None:
         self._server = endpoint
-        endpoint.on_receive(self._server_inbox.append)
+        endpoint.on_receive(self._on_server_data)
         self._trace("server_connected")
         while self._server_outbox:
             raw = self._server_outbox.popleft()
             endpoint.send(raw, size=len(raw))
+
+    def _on_server_data(self, raw: bytes) -> None:
+        self._wake()
+        self._server_inbox.append(raw)
+
+    def _on_external_data(self, address: str, raw: bytes) -> None:
+        self._wake()
+        self._ext_inbox.append((address, raw))
 
     @property
     def connected(self) -> bool:
@@ -151,7 +166,7 @@ class EcmPirte(Pirte):
         def on_connected(endpoint: Endpoint) -> None:
             self._externals[address] = endpoint
             endpoint.on_receive(
-                lambda raw: self._ext_inbox.append((address, raw))
+                lambda raw: self._on_external_data(address, raw)
             )
             self._trace("external_connected", endpoint=address)
 
@@ -163,22 +178,33 @@ class EcmPirte(Pirte):
             self._trace("external_unreachable", endpoint=address)
             del self._externals[address]
 
-    def register_ecc(self, entries) -> None:
-        """Adopt ECC entries and dial their endpoints."""
+    @property
+    def ecc_entries(self) -> list[EccEntry]:
+        """The ECC entries of every installed plug-in, oldest first."""
+        return [entry for entries in self._ecc.values() for entry in entries]
+
+    def register_ecc(self, swc: str, plugin: str, entries) -> None:
+        """Adopt one plug-in's ECC entries and dial their endpoints.
+
+        They replace any entries registered for the same plug-in.
+        """
+        self._ecc[(swc, plugin)] = tuple(entries)
         for entry in entries:
-            self.ecc_entries.append(entry)
             self._connect_external(entry.endpoint)
 
     def _ecc_route_for_message(self, name: str) -> Optional[EccEntry]:
-        for entry in self.ecc_entries:
-            if entry.message_name == name:
-                return entry
+        for entries in self._ecc.values():
+            for entry in entries:
+                if entry.message_name == name:
+                    return entry
         return None
 
     def _ecc_entry_for_port(self, port_id: int) -> Optional[EccEntry]:
-        for entry in self.ecc_entries:
-            if entry.port_id == port_id and entry.recipient_ecu == self.ecu_name:
-                return entry
+        ecu = self.ecu_name
+        for entries in self._ecc.values():
+            for entry in entries:
+                if entry.port_id == port_id and entry.recipient_ecu == ecu:
+                    return entry
         return None
 
     # -- overrides ---------------------------------------------------------------
@@ -200,6 +226,17 @@ class EcmPirte(Pirte):
         endpoint.send(raw, size=len(raw))
         self.external_out += 1
 
+    def idle(self) -> bool:
+        """:meth:`Pirte.idle`, plus empty server, external and ack inboxes."""
+        if self._server_inbox or self._ext_inbox:
+            return False
+        # Unresolved until the first step, which resolves the base
+        # class's buffers too; Pirte.idle is false until then.
+        for __, buffer in self._ack_buffers or ():
+            if buffer.pending():
+                return False
+        return super().idle()
+
     def step(self) -> int:
         """ECM processing: server + external traffic, acks, then base."""
         while self._server_inbox:
@@ -220,13 +257,18 @@ class EcmPirte(Pirte):
             # "An ECC is extracted by the ECM PIRTE" (Sec. 3.1.2) —
             # regardless of which SW-C the plug-in lands on.
             if message.ecc.entries:
-                self.register_ecc(message.ecc.entries)
+                self.register_ecc(
+                    message.target_swc, message.plugin_name,
+                    message.ecc.entries,
+                )
             if message.target_swc == self.swc_name:
                 ack = self.install(message)
                 self.send_to_server(ack.encode())
             else:
                 self._forward(message.target_ecu, message.target_swc, raw)
         elif isinstance(message, msg.UninstallMessage):
+            # The plug-in's ECC goes with it; its connections stay open.
+            self._ecc.pop((message.target_swc, message.plugin_name), None)
             if message.target_swc == self.swc_name:
                 ack = self.uninstall(message.plugin_name)
                 self.send_to_server(ack.encode())

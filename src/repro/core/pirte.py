@@ -8,7 +8,10 @@ plug-ins using the shipped contexts.
 One PIRTE instance lives in the ``state`` dict of its host
 :class:`~repro.autosar.swc.ComponentInstance`; the host component's
 runnables call :meth:`step` (message processing + VM execution) and
-:meth:`timer_tick` (periodic plug-in activations).
+:meth:`timer_tick` (periodic plug-in activations).  :meth:`idle` and
+:meth:`timer_idle` tell when those calls would do nothing, which lets
+the scheduler elide idle ticks; every entry point that changes that
+state from outside the PIRTE's own runnables wakes the host CPU first.
 
 Routing summary (paper Sec. 3.1.3):
 
@@ -159,6 +162,12 @@ class Pirte:
         rte = self.instance.rte
         return rte.sim.now if rte is not None else 0
 
+    def _wake(self) -> None:
+        """Let the host CPU resolve an elided tick before state changes."""
+        cpu = self.instance.cpu
+        if cpu is not None:
+            cpu.wake()
+
     def _trace(self, name: str, **data: Any) -> None:
         rte = self.instance.rte
         if rte is not None and rte.tracer is not None:
@@ -191,6 +200,8 @@ class Pirte:
         Never raises for package-level problems; failures are reported
         as negative acks so they travel back to the trusted server.
         """
+        self._wake()
+
         def nack(status: msg.AckStatus, detail: str) -> msg.AckMessage:
             self._trace(
                 "install_failed", plugin=message.plugin_name, detail=detail
@@ -289,6 +300,7 @@ class Pirte:
 
     def uninstall(self, plugin_name: str) -> msg.AckMessage:
         """Remove a plug-in: stop, unlink, release memory."""
+        self._wake()
         plugin = self.plugins.get(plugin_name)
         if plugin is None:
             return msg.AckMessage(
@@ -317,6 +329,7 @@ class Pirte:
 
     def set_state(self, plugin_name: str, op: msg.MessageType) -> msg.AckMessage:
         """Apply a START or STOP request."""
+        self._wake()
         plugin = self.plugins.get(plugin_name)
         if plugin is None:
             return msg.AckMessage(
@@ -406,6 +419,7 @@ class Pirte:
         an activation argument; others (polling-style plug-ins and
         stopped plug-ins) get it queued on the port for RECV.
         """
+        self._wake()
         plugin = self._ports_by_id.get(global_port_id)
         if plugin is None:
             self.dropped_messages += 1
@@ -437,6 +451,32 @@ class Pirte:
             if plugin.running and plugin.binary.has_entry(ENTRY_ON_TIMER):
                 self._pending.append((plugin, ENTRY_ON_TIMER, ()))
         return self.step()
+
+    def idle(self) -> bool:
+        """Whether :meth:`step` would do nothing now.
+
+        True when no activation is pending and every input buffer is
+        empty.  Until the first step has resolved the buffers, false.
+        """
+        in_buffers = self._in_buffers
+        if self._pending or in_buffers is None:
+            return False
+        mgmt = self._mgmt_buffer
+        if mgmt is not None and mgmt.pending():
+            return False
+        for __, buffer in in_buffers:
+            if buffer.pending():
+                return False
+        return True
+
+    def timer_idle(self) -> bool:
+        """Whether :meth:`timer_tick` would do nothing now."""
+        if not self.idle():
+            return False
+        for plugin in self.plugins.values():
+            if plugin.running and plugin.binary.has_entry(ENTRY_ON_TIMER):
+                return False
+        return True
 
     def _resolve_in_buffers(self) -> list:
         """Resolve the receive buffers the drain loop polls (once)."""

@@ -223,6 +223,12 @@ def make_plugin_swc_type(
 
     ``pirte_factory`` lets the ECM factory substitute its own PIRTE
     subclass; the default creates a plain :class:`Pirte`.
+
+    The periodic ``dispatch`` and ``timer`` runnables declare ``noop``
+    predicates: a tick is a no-op once the PIRTE exists and
+    :meth:`Pirte.idle` (for ``timer``, :meth:`Pirte.timer_idle`) holds.
+    The scheduler then elides the tick's completion; the PIRTE wakes
+    its CPU before any change from outside its own runnables.
     """
 
     def default_factory(instance: ComponentInstance) -> Pirte:
@@ -254,10 +260,24 @@ def make_plugin_swc_type(
     def timer_body(instance: ComponentInstance) -> None:
         ensure_pirte(instance).timer_tick()
 
+    def dispatch_noop(instance: ComponentInstance) -> bool:
+        pirte = instance.state.get(PIRTE_KEY)
+        return pirte is not None and pirte.idle()
+
+    def timer_noop(instance: ComponentInstance) -> bool:
+        pirte = instance.state.get(PIRTE_KEY)
+        return pirte is not None and pirte.timer_idle()
+
     runnables = [
         Runnable("init", init_body, execution_time_us=50),
-        Runnable("dispatch", dispatch_body, execution_time_us=spec.dispatch_exec_us),
-        Runnable("timer", timer_body, execution_time_us=spec.dispatch_exec_us),
+        Runnable(
+            "dispatch", dispatch_body,
+            execution_time_us=spec.dispatch_exec_us, noop=dispatch_noop,
+        ),
+        Runnable(
+            "timer", timer_body,
+            execution_time_us=spec.dispatch_exec_us, noop=timer_noop,
+        ),
     ]
     events: list = [
         InitEvent("init"),

@@ -23,6 +23,20 @@ Performance notes (this is the hottest module in the repository — a
   compacted in one O(n) pass.
 * :meth:`Simulator.schedule_many` amortizes validation and, for large
   batches, replaces N ``heappush`` calls with one ``heapify``.
+
+Reserved sequence numbers let a layer skip an event it can prove does
+nothing, without moving any other event.  :meth:`Simulator.reserve`
+takes the number ``schedule`` would have given the event and queues
+nothing; the layer later either applies the event's bookkeeping itself
+or queues it for real with :meth:`Simulator.schedule_reserved`.  Every
+event still queued keeps the number, and so the place among
+same-instant ties, it would have had.  :meth:`Simulator.passed` tells
+which of the two a key needs: a ``(time, seq)`` key has been passed
+when ``time < now``, or when ``time == now`` and ``seq`` is below the
+executing event's number.  Once :meth:`Simulator.run` or
+:meth:`Simulator.run_until` returns, every key at ``now`` has been
+passed; a bare :meth:`Simulator.step` leaves the position at the event
+it ran.
 """
 
 from __future__ import annotations
@@ -41,6 +55,9 @@ SECOND = 1_000_000
 #: Tombstone count below which cancel() never triggers a compaction;
 #: keeps tiny simulations from heapifying on every few cancels.
 _COMPACT_MIN_TOMBSTONES = 64
+
+#: Position after run()/run_until() return: above every sequence number.
+_PAST_ALL = float("inf")
 
 
 class EventHandle:
@@ -97,6 +114,10 @@ class Simulator:
         self._events: dict[int, tuple[Callable[[], None], str]] = {}
         self._tombstones = 0
         self.events_executed = 0
+        #: Sequence number of the executing event (or of the last one a
+        #: bare step() ran); _PAST_ALL once run()/run_until() return.
+        #: Keys at ``now`` below it have been passed (see passed()).
+        self._at: float = -1
 
     def schedule(
         self,
@@ -200,6 +221,42 @@ class Simulator:
         heapify(self._queue)
         self._tombstones = 0
 
+    def reserve(self) -> int:
+        """Take the sequence number the next :meth:`schedule` would use.
+
+        Nothing is queued.  The caller either never queues the event
+        (and applies its effects itself once :meth:`passed` says the
+        key is behind) or queues it later under this number with
+        :meth:`schedule_reserved`, so no other event changes place.
+        """
+        return next(self._seq)
+
+    def schedule_reserved(
+        self,
+        seq: int,
+        time: int,
+        callback: Callable[[], None],
+        label: str = "",
+    ) -> EventHandle:
+        """Queue ``callback`` at absolute ``time`` under reserved ``seq``.
+
+        The key must not have been passed: the event would run out of
+        order.
+        """
+        if self.passed(time, seq):
+            raise SimTimeError(
+                f"reserved event ({time}, {seq}) is behind the kernel "
+                f"(now {self.now})"
+            )
+        self._events[seq] = (callback, label)
+        heappush(self._queue, (time, seq))
+        return EventHandle(seq, time, label)
+
+    def passed(self, time: int, seq: int) -> bool:
+        """Whether an event keyed ``(time, seq)`` would already have run."""
+        now = self.now
+        return time < now or (time == now and seq < self._at)
+
     def is_pending(self, handle: EventHandle) -> bool:
         """Whether the event behind ``handle`` is still queued."""
         return handle.seq in self._events
@@ -224,6 +281,7 @@ class Simulator:
                 self._tombstones -= 1
                 continue
             self.now = time
+            self._at = seq
             self.events_executed += 1
             item[0]()
             return True
@@ -243,6 +301,7 @@ class Simulator:
         step = self.step
         while executed < max_events:
             if not step():
+                self._at = _PAST_ALL
                 return executed
             executed += 1
         raise SimTimeError(
@@ -286,6 +345,7 @@ class Simulator:
             executed += 1
         if time > self.now:
             self.now = time
+        self._at = _PAST_ALL
         return executed
 
     def run_for(self, duration: int, max_events: int = 10_000_000) -> int:

@@ -1,8 +1,12 @@
 """The paired-run verdicts of ``scripts/bench_pairs.py`` on fixed numbers."""
 
 import json
+from pathlib import Path
 
-from scripts.bench_pairs import main, quartiles, verdict, wins
+import scripts.bench_pairs as bench_pairs
+from scripts.bench_pairs import (
+    digest_summary, main, quartiles, run_digests, verdict, wins,
+)
 
 PARENT = [100.0, 102.0, 98.0, 101.0, 99.0, 103.0, 97.0, 100.0, 101.0, 99.0]
 
@@ -75,3 +79,62 @@ def test_refuses_checkouts_whose_benchmarks_differ(tmp_path, capsys):
     ])
     assert status == 2
     assert "bench/workloads.py" in capsys.readouterr().err
+
+
+def _save_run(checkout, workload, seed, digests):
+    out = checkout / "bench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    repeats = [{"digest": digest} for digest in digests]
+    (out / f"{workload}-seed{seed}.json").write_text(
+        json.dumps({"repeats": repeats})
+    )
+
+
+def test_run_digests_reads_the_saved_repeats(tmp_path):
+    assert run_digests(tmp_path, "rollout-full", 1) == []
+    _save_run(tmp_path, "rollout-full", 1, ["aa", "aa", "aa"])
+    assert run_digests(tmp_path, "rollout-full", 1) == ["aa", "aa", "aa"]
+    assert run_digests(tmp_path, "rollout-full", 7919) == []
+    # Portal repeats carry no digest.
+    out = tmp_path / "bench" / "out" / "portal-mixed-seed1.json"
+    out.write_text(json.dumps({"repeats": [{"wall_s": 1.0}]}))
+    assert run_digests(tmp_path, "portal-mixed", 1) == []
+
+
+def test_digest_summary():
+    same, other = (["aa", "aa"], ["aa"]), (["aa"], ["bb"])
+    assert digest_summary([same, same]) == (
+        "output digest: identical in 2/2 pairs"
+    )
+    assert digest_summary([same, other, (["aa", "cc"], ["aa", "cc"])]) == (
+        "output digest: identical in 1/3 pairs"
+    )
+    assert digest_summary([([], []), ([], [])]) == (
+        "output digest: not recorded by this workload"
+    )
+
+
+def test_main_prints_output_identity(tmp_path, monkeypatch, capsys):
+    config = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+    digest = {"parent": "aa", "change": "aa"}
+    for side in digest:
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_bytes(config.read_bytes())
+    metrics = {
+        m["name"]: {"value": 1.0}
+        for m in json.loads(config.read_text())["end_to_end"]
+    }
+
+    def fake_run(checkout, workload, seed, seconds):
+        _save_run(checkout, workload, seed, [digest[checkout.name]] * 3)
+        return {"correct": True, "failed": 0, "attempted": 1,
+                "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"),
+            "--workload", "rollout-full", "--pairs", "2"]
+    assert main(args) == 0
+    assert "output digest: identical in 2/2 pairs" in capsys.readouterr().out
+    digest["change"] = "bb"
+    assert main(args) == 0
+    assert "output digest: identical in 0/2 pairs" in capsys.readouterr().out

@@ -169,6 +169,53 @@ class TestRunUntil:
         assert sim.now == 600
 
 
+class TestReservedSequenceNumbers:
+    def test_reserved_event_keeps_its_place_among_ties(self):
+        sim = Simulator()
+        order = []
+        sim.schedule(5, lambda: order.append("before"))
+        seq = sim.reserve()
+        sim.schedule(5, lambda: order.append("after"))
+        sim.schedule_reserved(seq, 5, lambda: order.append("reserved"))
+        sim.run()
+        assert order == ["before", "reserved", "after"]
+
+    def test_passed_compares_sequence_numbers_at_now(self):
+        sim = Simulator()
+        seen = []
+        early = sim.reserve()
+        sim.schedule(5, lambda: seen.append(
+            (sim.passed(5, early), sim.passed(5, late), sim.passed(4, late))
+        ))
+        late = sim.reserve()
+        assert not sim.passed(0, early)  # nothing has run yet
+        sim.run_until(5)
+        assert seen == [(True, False, True)]
+        # Once run_until returns, every key at now has been passed.
+        assert sim.passed(5, late)
+        assert not sim.passed(6, early)
+
+    def test_bare_step_leaves_the_position_at_its_event(self):
+        sim = Simulator()
+        first = sim.schedule(5, lambda: None)
+        between = sim.reserve()
+        sim.schedule(5, lambda: None)
+        assert sim.step()
+        assert sim.passed(5, first.seq - 1)
+        assert not sim.passed(5, between)
+
+    def test_reserved_event_behind_the_kernel_rejected(self):
+        sim = Simulator()
+        seq = sim.reserve()
+        sim.run_until(10)
+        with pytest.raises(SimTimeError):
+            sim.schedule_reserved(seq, 10, lambda: None)
+        with pytest.raises(SimTimeError):
+            sim.schedule_reserved(seq, 9, lambda: None)
+        sim.schedule_reserved(seq, 11, lambda: None)
+        assert sim.run() == 1
+
+
 class TestProcess:
     def test_periodic_activations(self):
         sim = Simulator()

@@ -119,3 +119,52 @@ class TestUpdateFlow:
         deployed.phone().send("Speed", 44)
         deployed.run(1 * SECOND)
         assert deployed.actuator_state().get("speed") == [44]
+
+
+def make_swapped_externals_app():
+    """remote-control 2.0: the phone's Wheels drives COM's speed port."""
+    from repro.api.builder import AppBuilder
+    from repro.fes.example_platform import COM_SOURCE, MODEL, OP_SOURCE
+
+    builder = AppBuilder(None, "remote-control", MODEL, "2.0")
+    builder.plugin(
+        "COM", source=COM_SOURCE, mem_hint=8, on="swc1",
+        ports=("cmd_wheels", "cmd_speed", "out_wheels", "out_speed"),
+    )
+    builder.plugin(
+        "OP", source=OP_SOURCE, mem_hint=8, on="swc2",
+        ports=("in_wheels", "in_speed", "act_wheels", "act_speed"),
+    )
+    builder.unconnected("COM", "cmd_wheels")
+    builder.unconnected("COM", "cmd_speed")
+    builder.wire("COM", "out_wheels", "OP", "in_wheels")
+    builder.wire("COM", "out_speed", "OP", "in_speed")
+    builder.virtual("OP", "act_wheels", "V4")
+    builder.virtual("OP", "act_speed", "V5")
+    builder.external(PHONE_ADDRESS, "Wheels", "COM", "cmd_speed")
+    builder.external(PHONE_ADDRESS, "Speed", "COM", "cmd_wheels")
+    return builder.to_app()
+
+
+class TestEccAfterUpdate:
+    def test_external_messages_follow_the_new_versions_ecc(self, deployed):
+        deployed.phone().send("Wheels", 30)
+        deployed.run(1 * SECOND)
+        assert deployed.actuator_state().get("wheels") == [30]
+        api = deployed.server.api
+        api.store.upload_version(make_swapped_externals_app()).unwrap()
+        result = api.deployments.update(
+            deployed.user_id, "VIN-0001", "remote-control"
+        )
+        assert result.ok, result.reasons
+        deployed.run(6 * SECOND)
+        ecm = deployed.vehicle().pirte_of("swc1")
+        # One entry per message: the uninstall dropped 1.0's entries.
+        assert sorted(e.message_name for e in ecm.ecc_entries) == [
+            "Speed", "Wheels",
+        ]
+        deployed.phone().send("Wheels", 77)
+        deployed.run(1 * SECOND)
+        state = deployed.actuator_state()
+        assert state.get("wheels") == [30]
+        assert state.get("speed") == [77]
