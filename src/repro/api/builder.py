@@ -322,8 +322,6 @@ class AppBuilder:
         self._placements: list[tuple[str, str]] = []
         self._connections: list[ConnectionSpec] = []
         self._externals: list[ExternalSpec] = []
-        self._dependencies: list[str] = []
-        self._conflicts: list[str] = []
 
     # -- plug-ins ------------------------------------------------------------
 
@@ -417,14 +415,6 @@ class AppBuilder:
         )
         return self
 
-    def depends_on(self, *app_names: str) -> "AppBuilder":
-        self._dependencies.extend(app_names)
-        return self
-
-    def conflicts_with(self, *app_names: str) -> "AppBuilder":
-        self._conflicts.extend(app_names)
-        return self
-
     def done(self) -> "ScenarioBuilder":
         """Finish the APP and return to the parent scenario builder."""
         if self._scenario is None:
@@ -450,8 +440,6 @@ class AppBuilder:
             version=self.version,
             plugins=dict(self._plugins),
             sw_confs=[conf],
-            dependencies=tuple(self._dependencies),
-            conflicts=tuple(self._conflicts),
         )
 
 

@@ -110,14 +110,6 @@ class Deployment:
             if self.status(vin) is InstallStatus.ACTIVE
         ]
 
-    @property
-    def failed_vins(self) -> list[str]:
-        return [
-            vin
-            for vin in self.accepted_vins
-            if self.status(vin) is InstallStatus.FAILED
-        ]
-
     def active_count(self) -> int:
         return len(self.active_vins)
 

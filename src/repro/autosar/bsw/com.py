@@ -169,11 +169,6 @@ class ComStack:
     def _on_tx_confirm(self, _frame) -> None:
         self._pump()
 
-    @property
-    def tx_backlog_depth(self) -> int:
-        """Segments still waiting in the software backlog."""
-        return len(self._tx_backlog)
-
     def _on_pdu(self, pdu_id: int, payload: bytes) -> None:
         config = self._rx_signals_by_pdu.get(pdu_id)
         if config is None:
@@ -188,10 +183,6 @@ class ComStack:
         self.signals_received += 1
         for callback in self._listeners.get(config.signal_id, []):
             callback(value)
-
-    def reassembly_aborts(self) -> int:
-        """Total TP reassemblies aborted (diagnostics)."""
-        return sum(r.aborted for r in self._reassemblers.values())
 
 
 __all__ = ["SignalConfig", "ComStack"]

@@ -194,8 +194,7 @@ class Cpu:
 
     def _highest_ready(self) -> Optional[Task]:
         best: Optional[Task] = None
-        # task.queue truthiness is has_work() without the method call;
-        # this scan runs twice per work item across the whole fleet.
+        # Hot: this scan runs twice per work item across the whole fleet.
         for task in self._task_list:
             if task.queue and (best is None or task.priority > best.priority):
                 best = task
@@ -269,7 +268,6 @@ class Cpu:
         task, item = self._current, self._item
         self._current = None
         task.note_completion(self.sim.now)
-        # task.queue truthiness is has_work() without the method call.
         task._state = TaskState.READY if task.queue else TaskState.SUSPENDED
         if self.tracer is not None:
             self.tracer.publish(

@@ -122,9 +122,6 @@ class Task:
         self.queue.append(item)
         return True
 
-    def has_work(self) -> bool:
-        return bool(self.queue)
-
     def next_item(self) -> WorkItem:
         """Pop the next work item (scheduler use)."""
         if not self.queue:

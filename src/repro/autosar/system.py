@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.autosar.interfaces import SenderReceiverInterface
 from repro.autosar.swc import ComponentType, CompositionType
 from repro.autosar.vfb import Connector, validate_connector
 from repro.errors import ConfigurationError
@@ -195,21 +194,6 @@ class SystemDescription:
                     f"({seen_receivers[key]} and {connector.from_instance})"
                 )
             seen_receivers[key] = connector.from_instance
-
-    def cross_ecu_elements(self) -> list[tuple[Connector, str]]:
-        """All (connector, element) pairs that need COM signals."""
-        out = []
-        for connector in self.connectors:
-            if not self.is_cross_ecu(connector):
-                continue
-            proto = self.placement(connector.from_instance).ctype.port(
-                connector.from_port
-            )
-            iface = proto.interface
-            assert isinstance(iface, SenderReceiverInterface)
-            for element in iface.elements:
-                out.append((connector, element.name))
-        return out
 
 
 __all__ = [

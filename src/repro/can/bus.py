@@ -110,10 +110,5 @@ class CanBus:
                 controller.on_bus_frame(frame)
         self._arbitrate()
 
-    @property
-    def busy(self) -> bool:
-        """Whether a frame is currently occupying the medium."""
-        return self._busy
-
 
 __all__ = ["CanBus"]

@@ -97,10 +97,5 @@ class CanController:
         for hook in self._tx_confirm_hooks:
             hook(frame)
 
-    @property
-    def tx_pending(self) -> int:
-        """Number of frames waiting in the transmit queue."""
-        return len(self._tx)
-
 
 __all__ = ["CanController"]

@@ -137,10 +137,6 @@ class CompatibilityError(ServerError):
     """The compatibility check between an APP and a vehicle failed."""
 
 
-class DependencyError(ServerError):
-    """Plug-in dependency or conflict constraints were violated."""
-
-
 class PersistenceError(ServerError):
     """An object cannot be serialized into a database entity."""
 

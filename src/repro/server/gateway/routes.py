@@ -152,6 +152,10 @@ def _upload_app(gateway, params, query, body) -> Response:
     """
     body = body or {}
     payload = body.get("app") or {}
+    if not isinstance(payload, dict):
+        return Response.failure(
+            ErrorCode.INVALID_REQUEST, "app payload must be a JSON object"
+        )
     missing = [key for key in ("name", "version", "plugins")
                if not payload.get(key)]
     if missing:
@@ -161,10 +165,8 @@ def _upload_app(gateway, params, query, body) -> Response:
         )
     try:
         app = App.from_dict(payload)
-    except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-        return Response.failure(
-            ErrorCode.INVALID_REQUEST, f"malformed app payload: {exc}"
-        )
+    except ConfigurationError as exc:
+        return Response.failure(ErrorCode.INVALID_REQUEST, str(exc))
     if body.get("version_upload"):
         return gateway.api.store.upload_version(app)
     return gateway.api.store.upload(app)
@@ -177,8 +179,14 @@ def _app_verification(gateway, params, query, body) -> Response:
 
 def _deploy(gateway, params, query, body) -> Response:
     body = body or {}
-    app_name = body["app"]
-    vins = list(body["vins"])
+    app_name, vins = body["app"], body["vins"]
+    if not isinstance(app_name, str) or not (
+        isinstance(vins, list) and all(isinstance(vin, str) for vin in vins)
+    ):
+        return Response.failure(
+            ErrorCode.INVALID_REQUEST,
+            "deploy needs an app name and a list of VIN strings",
+        )
     user_id = body.get("user_id") or gateway.platform.user_id
     results = gateway.api.deployments.deploy_batch(
         user_id, vins, app_name, campaign=body.get("campaign", "")

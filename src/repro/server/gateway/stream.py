@@ -233,10 +233,6 @@ class StreamBroker:
                 )
             return client
 
-    def drop_client(self, client_id: str) -> bool:
-        with self._lock:
-            return self._clients.pop(client_id, None) is not None
-
     @property
     def seq(self) -> int:
         with self._lock:

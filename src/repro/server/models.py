@@ -414,19 +414,26 @@ class App:
 
     @classmethod
     def from_dict(cls, data: dict) -> "App":
-        return cls(
-            name=data["name"],
-            version=data.get("version", ""),
-            plugins={
-                name: PluginDescriptor.from_dict(descriptor)
-                for name, descriptor in (data.get("plugins") or {}).items()
-            },
-            sw_confs=[
-                SwConf.from_dict(conf) for conf in data.get("sw_confs") or []
-            ],
-            dependencies=tuple(data.get("dependencies") or ()),
-            conflicts=tuple(data.get("conflicts") or ()),
-        )
+        """Parse the wire form; any shape error is a ConfigurationError."""
+        try:
+            return cls(
+                name=data["name"],
+                version=data.get("version", ""),
+                plugins={
+                    name: PluginDescriptor.from_dict(descriptor)
+                    for name, descriptor in (data.get("plugins") or {}).items()
+                },
+                sw_confs=[
+                    SwConf.from_dict(conf)
+                    for conf in data.get("sw_confs") or []
+                ],
+                dependencies=tuple(data.get("dependencies") or ()),
+                conflicts=tuple(data.get("conflicts") or ()),
+            )
+        except (
+            AttributeError, ConfigurationError, KeyError, TypeError, ValueError
+        ) as exc:  # missing field, wrong type, bad descriptor
+            raise ConfigurationError(f"malformed app payload: {exc}") from exc
 
 
 __all__ = [

@@ -211,9 +211,6 @@ class Pusher:
         connection = self._connections.get(vin)
         return connection is not None and not connection.closed
 
-    def connected_vins(self) -> list[str]:
-        return [vin for vin in self._connections if self.is_connected(vin)]
-
     def disconnect(self, vin: str) -> int:
         """Sever the connection to ``vin`` (vehicle went offline).
 

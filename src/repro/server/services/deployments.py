@@ -241,19 +241,6 @@ class DeploymentService:
             for vin in vins
         }
 
-    def uninstall_batch(
-        self,
-        user_id: str,
-        vins: Iterable[str],
-        app_name: str,
-        campaign: str = "",
-    ) -> dict[str, Response]:
-        """Remove an APP from many vehicles (campaign rollback path)."""
-        return {
-            vin: self.uninstall(user_id, vin, app_name, campaign=campaign)
-            for vin in vins
-        }
-
     def retry_install(
         self, user_id: str, vin: str, app_name: str, campaign: str = ""
     ) -> Response:

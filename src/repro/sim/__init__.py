@@ -4,9 +4,7 @@ from repro.sim.kernel import (
     MS,
     SECOND,
     EventHandle,
-    Process,
     Simulator,
-    drain,
     format_time,
 )
 from repro.sim.random import SeededStream, StreamFactory, derive_seed
@@ -15,9 +13,7 @@ __all__ = [
     "MS",
     "SECOND",
     "EventHandle",
-    "Process",
     "Simulator",
-    "drain",
     "format_time",
     "SeededStream",
     "StreamFactory",

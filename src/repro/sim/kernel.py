@@ -353,100 +353,6 @@ class Simulator:
         return self.run_until(self.now + duration, max_events=max_events)
 
 
-class Process:
-    """A repeating activity driven by the simulator.
-
-    Subclasses (or users providing ``body``) get a periodic callback; the
-    process can be stopped and restarted.  This is the building block for
-    periodic OS alarms, network pollers, and traffic generators.
-    """
-
-    __slots__ = (
-        "sim",
-        "period",
-        "offset",
-        "label",
-        "_body",
-        "_handle",
-        "_epoch",
-        "activations",
-        "running",
-    )
-
-    def __init__(
-        self,
-        sim: Simulator,
-        period: int,
-        body: Optional[Callable[[], None]] = None,
-        offset: int = 0,
-        label: str = "",
-    ) -> None:
-        if period <= 0:
-            raise SimTimeError(f"process period must be positive (got {period})")
-        if offset < 0:
-            raise SimTimeError(f"process offset must be >= 0 (got {offset})")
-        self.sim = sim
-        self.period = period
-        self.offset = offset
-        self.label = label or type(self).__name__
-        self._body = body
-        self._handle: Optional[EventHandle] = None
-        #: Bumped on every start()/stop(); a tick belonging to an older
-        #: epoch never reschedules, so stop()+start() inside body() can
-        #: not fork a second live tick chain.
-        self._epoch = 0
-        self.activations = 0
-        self.running = False
-
-    def body(self) -> None:
-        """Action executed each period; override or pass ``body`` in."""
-        if self._body is not None:
-            self._body()
-
-    def start(self) -> None:
-        """Begin periodic activation ``offset`` microseconds from now."""
-        if self.running:
-            return
-        self.running = True
-        self._epoch += 1
-        epoch = self._epoch
-        self._handle = self.sim.schedule(
-            self.offset, lambda: self._tick(epoch), self.label
-        )
-
-    def stop(self) -> None:
-        """Stop the process; a queued activation is cancelled."""
-        self.running = False
-        self._epoch += 1
-        if self._handle is not None:
-            self.sim.cancel(self._handle)
-            self._handle = None
-
-    def _tick(self, epoch: int) -> None:
-        if not self.running or epoch != self._epoch:
-            return
-        self.activations += 1
-        self.body()
-        # Re-check the epoch: body() may have stopped (or stopped and
-        # restarted) the process.  A restart scheduled its own chain
-        # under a newer epoch — rescheduling here too would double the
-        # activation rate on every restart.
-        if self.running and epoch == self._epoch:
-            self._handle = self.sim.schedule(
-                self.period, lambda: self._tick(epoch), self.label
-            )
-
-
-def drain(sim: Simulator, chunks: Iterable[int]) -> None:
-    """Run the simulator through each duration in ``chunks`` in order.
-
-    Convenience for tests that want to interleave assertions with
-    simulated time advancing.
-    """
-    for chunk in chunks:
-        sim.run_for(chunk)
-
-
 def format_time(us: int) -> str:
     """Human-readable rendering of a kernel timestamp."""
     if us >= SECOND:
@@ -461,7 +367,5 @@ __all__ = [
     "SECOND",
     "EventHandle",
     "Simulator",
-    "Process",
-    "drain",
     "format_time",
 ]

@@ -66,9 +66,4 @@ def disassemble(binary: PluginBinary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reassemblable_source(binary: PluginBinary) -> str:
-    """A listing the assembler accepts again (jump targets as numbers)."""
-    return disassemble(binary)
-
-
 __all__ = ["DecodedInstruction", "decode_all", "disassemble"]

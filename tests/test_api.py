@@ -293,6 +293,15 @@ class TestHeterogeneousFleet:
         }
         assert fleet.active_count("pair") == 2
 
+    def test_statistical_declaration_builds_a_statistical_vehicle(self):
+        scenario = ScenarioBuilder(seed=3, trace=False)
+        declare_tri_ecu_vehicle(scenario, vin="VIN-FULL")
+        declare_tri_ecu_vehicle(scenario, vin="VIN-STAT").statistical()
+        fleet = scenario.build(platform_cls=Fleet)
+        kinds = [type(vehicle).__name__ for vehicle in fleet.vehicles]
+        assert kinds == ["Vehicle", "StatisticalVehicle"]
+        assert sorted(fleet.server.db.vehicles) == ["VIN-FULL", "VIN-STAT"]
+
     def test_fleet_run_boots_exactly_once(self):
         fleet = self._mixed_fleet()
         boots = {"count": 0}

@@ -1,11 +1,15 @@
 """Campaign orchestration tests: waves, gates, rollback, determinism.
 
 Covers the `repro.campaign` subsystem end to end — property-style wave
-partition invariants, deterministic replay under fault injection, health
-gates halting promotion with scoped rollback, the 100-vehicle staged
-acceptance scenario — plus the pusher robustness and ack-progress fixes
-the engine depends on.
+partition invariants, deterministic replay under fault injection, every
+wave policy across fleet sizes (with a wall-clock ceiling on the
+50-vehicle staged rollout), health gates halting promotion with scoped
+rollback, the 100-vehicle staged acceptance scenario — plus the pusher
+robustness and ack-progress fixes the engine depends on.
 """
+
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -296,20 +300,57 @@ class TestHealthGatesAndRollback:
         assert report.updated == 6
 
 
+# -- wave policies across fleet sizes ------------------------------------------
+
+
+def _sweep_cases():
+    for size in (10, 25, 50):
+        for name, waves in (
+            ("blast", FixedWaves(size)),
+            ("fixed-10", FixedWaves(10)),
+            ("canary-pct", PercentageWaves((0.1, 0.5, 1.0))),
+        ):
+            repeats = 3 if (name, size) == ("fixed-10", 50) else 1
+            spec = replace(canary_campaign(APP), waves=waves)
+            yield pytest.param(size, spec, repeats, id=f"{name}-{size}")
+    for fraction in (0.1, 0.2, 0.4):
+        spec = canary_campaign(APP, fractions=(fraction, 1.0))
+        yield pytest.param(30, spec, 1, id=f"canary-{fraction}-30")
+
+
+class TestWavePolicySweep:
+    @pytest.mark.parametrize("size, spec, repeats", _sweep_cases())
+    def test_policy_updates_whole_fleet(self, size, spec, repeats):
+        walls = []
+        for __ in range(repeats):
+            fleet = make_fleet(size)
+            start = time.perf_counter()
+            report = fleet.run_campaign(spec)
+            walls.append(time.perf_counter() - start)
+            assert report.status == "succeeded"
+            assert report.updated == size
+        if repeats > 1:
+            # Catches an O(n^2) slip in the kernel's event loop.
+            assert min(walls) <= 1.5, walls
+
+
 # -- the acceptance scenario ---------------------------------------------------
+
+
+def breach_run():
+    """100 vehicles, 5% -> 25% -> 100%, fault rate above the gate."""
+    fleet = make_fleet(100)
+    spec = canary_campaign(
+        APP, fractions=(0.05, 0.25, 1.0),
+        max_failure_rate=0.1, retry_budget=0,
+    )
+    faults = FaultPlan(seed=13, install_failure_rate=0.5)
+    return fleet, fleet.run_campaign(spec, faults=faults)
 
 
 class TestStagedHundredVehicleCampaign:
     def test_canary_breach_halts_and_rolls_back(self):
-        """100 vehicles, 5% -> 25% -> 100%, fault rate above the gate."""
-        fleet = make_fleet(100)
-        spec = canary_campaign(
-            APP, fractions=(0.05, 0.25, 1.0),
-            max_failure_rate=0.1, retry_budget=0,
-        )
-        faults = FaultPlan(seed=13, install_failure_rate=0.5)
-        report = fleet.run_campaign(spec, faults=faults)
-
+        fleet, report = breach_run()
         assert [len(wave.vins) for wave in report.waves] == [5, 20, 75]
         assert report.status == "rolled_back"
         canary = report.waves[0]
@@ -326,6 +367,12 @@ class TestStagedHundredVehicleCampaign:
         assert report.rolled_back > 0 and report.needs_workshop > 0
         assert len(report.dispositions) == 100
         assert fleet.active_count(APP) == 0
+
+    def test_breach_replays_identically(self):
+        _, first = breach_run()
+        _, second = breach_run()
+        assert first.status == "rolled_back" and first.waves[0].breaches
+        assert first.to_dict() == second.to_dict()
 
 
 # -- pusher robustness (satellite) ---------------------------------------------

@@ -8,7 +8,8 @@ identity and annihilator, and every selector tree survives a
 ``to_dict``/``from_dict`` round trip both structurally and
 semantically.  Empty-fleet edge cases run against a real server's
 query endpoint, and the endpoint's narrowed registry read (only the
-VINs a selector can match) is checked against a full scan.
+VINs a selector can match) is checked against a full scan, on random
+fleets and on the portal's queries over a 500-vehicle synthetic fleet.
 """
 
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from repro.server.server import TrustedServer
 from repro.server.services import FleetSelector as S
 from repro.server.services.vehicles import VehicleView
 from repro.sim import Simulator
+from tests.test_server_ops import synthetic_server
 
 import pytest
 
@@ -242,3 +244,16 @@ class TestNarrowedQueries:
                 service, selector
             )
             assert service.queries == before + 1
+
+    def test_portal_queries_over_500_synthetic_vehicles(self):
+        service = synthetic_server(500).api.vehicles
+        eu = S.region("eu-north")
+        for selector in (
+            S.all(),
+            eu,
+            eu & S.model("model-0"),
+            (eu | S.region("na-east")) & ~S.installed("app0") & S.healthy(),
+        ):
+            rows = service.query(selector).unwrap()
+            assert rows and rows == full_scan(service, selector)
+        assert len(service.query(S.all()).unwrap()) == 500

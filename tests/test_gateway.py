@@ -13,8 +13,10 @@ Four layers of coverage:
   never runs);
 * the served gateway — a real ``ThreadingHTTPServer`` driven end to end
   through :class:`FleetClient`, including a full canary campaign staged
-  and observed entirely over HTTP, selector parity against in-process
-  queries, the driver's yield contract, and the replay-identity
+  and observed entirely over HTTP, slow stream consumers whose drops
+  are all accounted for, selector parity against in-process
+  queries, 120 concurrent readers inside a p95 ceiling, concurrent
+  deploys, the driver's yield contract, and the replay-identity
   contract: attaching a gateway to a seeded scenario changes no byte of
   its campaign report.
 """
@@ -52,8 +54,10 @@ from repro.server.gateway.stream import (
 from repro.server.gateway.wire import HTTP_STATUS, decode, encode, http_status
 from repro.server.services import FleetSelector as S
 from repro.server.services.envelope import ErrorCode, Response, wire_value
+from repro.sim import SECOND
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.bus import TelemetryBus
+from repro.telemetry.metrics import summarize
 
 APP = "remote-control"
 
@@ -576,6 +580,30 @@ class TestGatewayHTTP:
             assert response.getheader("Connection") == "close"
             response, envelope = exchange("GET", "/v1/health")
             assert response.status == 200 and envelope.ok
+            # Wrongly shaped bodies are the client's error, not a 500 or
+            # a per-character deploy, and nothing gets deployed.
+            bad_bodies = [
+                ("/v1/apps", {"app": 5}),
+                *(
+                    ("/v1/apps", {"app": {
+                        "name": "a", "version": "1", "plugins": plugins,
+                    }})
+                    for plugins in (5, ["p"], "p")
+                ),
+                ("/v1/deployments", {"app": APP, "vins": fleet.vins[0]}),
+                ("/v1/deployments", {"app": APP, "vins": [5]}),
+                ("/v1/deployments", {"app": 5, "vins": fleet.vins}),
+            ]
+            for path, body in bad_bodies:
+                response, envelope = exchange(
+                    "POST", path, json.dumps(body).encode()
+                )
+                assert response.status == 400, body
+                assert envelope.code is ErrorCode.INVALID_REQUEST, body
+            assert all(
+                fleet.api.deployments.installation_status(vin, APP) is None
+                for vin in fleet.vins
+            )
         finally:
             conn.close()
 
@@ -684,6 +712,40 @@ class TestGatewayHTTP:
             campaign_id
         )
 
+    def test_stream_events_iterates_until_the_stream_goes_idle(self, served):
+        fleet, gateway, client = served
+        client.poll_events(categories=("campaign",), timeout_s=0.0)
+        record = client.stage_campaign(soaked_spec())
+        _await_terminal(client, record["campaign_id"])
+        events = list(client.stream_events(poll_timeout_s=0.05, idle_polls=2))
+        assert {event["category"] for event in events} == {"campaign"}
+        seqs = [event["seq"] for event in events]
+        assert seqs == sorted(set(seqs))
+        assert "campaign_done" in [event["name"] for event in events]
+
+    def test_event_stream_fanout_accounts_for_every_drop(self, served):
+        fleet, gateway, client = served
+        # Register every consumer *before* staging so none misses an event.
+        slow = [FleetClient(gateway.base_url) for __ in range(2)]
+        for consumer in slow:
+            consumer.poll_events(
+                categories=("campaign", "diag"), timeout_s=0.0, buffer=4
+            )
+        client.poll_events(categories=("campaign",), timeout_s=0.0)
+
+        record = client.stage_campaign(soaked_spec())
+        final = _await_terminal(client, record["campaign_id"])
+        assert final["status"] == "succeeded"
+        # The slow consumers never polled again, so their 4-event buffers
+        # overflowed; every event is still delivered, pending or counted
+        # as dropped, broker-wide and for each client.
+        stats = gateway.broker.stats()
+        assert stats["unaccounted"] == 0
+        rows = {row["client"]: row for row in stats["per_client"]}
+        assert all(row["unaccounted"] == 0 for row in rows.values())
+        assert all(rows[c.stream_client_id]["dropped"] > 0 for c in slow)
+        assert rows[client.stream_client_id]["dropped"] == 0
+
     def test_metrics_endpoint_serves_shared_registry(self, served):
         fleet, gateway, client = served
         client.health()
@@ -714,6 +776,101 @@ class TestGatewayHTTP:
                 gateway.start()
         finally:
             gateway.stop()
+
+    def test_vehicle_health_serves_the_latest_diagnostics(self):
+        fleet = make_fleet(size=1)
+        fleet.run(1 * SECOND)
+        fleet.deploy_everywhere(APP).wait(20 * SECOND)
+        vehicle = fleet.vehicles[0]
+        for swc in ("swc1", "swc2"):
+            vehicle.pirte_of(swc).emit_diagnostics()
+        fleet.run(2 * SECOND)
+        gateway = FleetGateway(fleet).start(drive=True)
+        try:
+            client = FleetClient(gateway.base_url)
+            health = client.vehicle_health(vehicle.vin)
+            with pytest.raises(ApiError) as excinfo:
+                client.vehicle_health("VIN-NOPE")
+        finally:
+            gateway.stop()
+        assert excinfo.value.code is ErrorCode.UNKNOWN_ENTITY
+        assert sorted(health) == ["swc1", "swc2"]
+        assert health["swc1"]["plugins"][0]["plugin_name"] == "COM"
+        assert health["swc2"]["plugins"][0]["plugin_name"] == "OP"
+        assert all(row["memory_used_blocks"] > 0 for row in health.values())
+
+
+@pytest.fixture()
+def served20():
+    """A 20-vehicle fleet (seed 3) served over HTTP with a live driver."""
+    fleet = make_fleet(size=20, seed=3)
+    gateway = FleetGateway(fleet).start(drive=True)
+    try:
+        yield fleet, gateway
+    finally:
+        gateway.stop()
+
+
+class TestGatewayUnderLoad:
+    def test_concurrent_readers_stay_under_the_p95_ceiling(self, served20):
+        fleet, gateway = served20
+        clients = 120  # the gateway promises at least 100 at once
+        latencies, errors = [], []
+        start_gun = threading.Event()
+
+        def reader():
+            client = FleetClient(gateway.base_url)
+            start_gun.wait()
+            try:
+                for __ in range(4):
+                    start = time.perf_counter()
+                    rows = client.vehicles()
+                    latencies.append(time.perf_counter() - start)
+                    assert len(rows) == 20
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(repr(error))
+
+        threads = [threading.Thread(target=reader) for __ in range(clients)]
+        for thread in threads:
+            thread.start()
+        start_gun.set()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(latencies) == clients * 4
+        # Catches requests queueing behind the simulator thread.
+        assert summarize(latencies)["p95"] <= 2.0, sorted(latencies)[-5:]
+
+    def test_concurrent_deploy_slices_all_go_active(self, served20):
+        fleet, gateway = served20
+        outcomes = []
+
+        def deploy(vins):
+            outcomes.append(FleetClient(gateway.base_url).deploy(APP, vins))
+
+        threads = [
+            threading.Thread(target=deploy, args=(fleet.vins[i::4],))
+            for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(outcome["accepted"] for outcome in outcomes) == 20
+
+        client = FleetClient(gateway.base_url)
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline:
+            active = [
+                vin for vin in fleet.vins
+                if client.deployment_status(vin, APP)["status"] == "active"
+            ]
+            if active == fleet.vins:
+                break
+            time.sleep(0.05)
+        assert active == fleet.vins
 
 
 @pytest.fixture()

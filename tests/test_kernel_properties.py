@@ -1,10 +1,10 @@
 """Property and regression tests for the event-kernel hot path.
 
-The PR that converted the kernel's heap entries to ``(time, seq)``
-tuples with lazy tombstone cancellation also fixed three latent bugs
-(Process stop/start double activation, cancel leaking heap entries
-forever, bool accepted as a delay).  These tests pin the invariants the
-rewrite must preserve and the bugs it must keep fixed.
+The kernel's heap holds ``(time, seq)`` tuples with lazy tombstone
+cancellation.  These tests pin the invariants that design must keep
+(same-instant FIFO, bounded tombstones, inclusive ``run_until``) and two
+bugs it must stay clear of: cancel leaking heap entries forever, and
+bool accepted as a delay.
 """
 
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimTimeError
-from repro.sim.kernel import MS, Process, Simulator
+from repro.sim.kernel import Simulator
 
 
 class TestSameInstantFifo:
@@ -160,64 +160,6 @@ class TestDelayValidation:
         sim = Simulator()
         with pytest.raises(SimTimeError):
             sim.schedule(1.5, lambda: None)
-
-
-class TestProcessEpochs:
-    def test_stop_start_inside_body_does_not_double_activate(self):
-        """Regression: stop()+start() inside body() used to leave two
-        live tick chains, doubling the activation rate."""
-        sim = Simulator()
-        proc = Process(sim, period=MS)
-
-        restarted = []
-
-        def body():
-            if not restarted:
-                restarted.append(True)
-                proc.stop()
-                proc.start()
-
-        proc._body = body
-        proc.start()
-        sim.run_until(10 * MS)
-        # The t=0 tick restarts; the new chain starts at offset 0 (one
-        # more activation still at t=0) and fires at 1..10ms.  The old
-        # pre-epoch kernel kept BOTH chains alive and counted ~22.
-        assert proc.activations == 12
-
-    def test_stop_inside_body_halts(self):
-        sim = Simulator()
-        proc = Process(sim, period=MS)
-        proc._body = proc.stop
-        proc.start()
-        sim.run_until(10 * MS)
-        assert proc.activations == 1
-
-    @given(restart_at=st.integers(min_value=0, max_value=5))
-    @settings(max_examples=20, deadline=None)
-    def test_restart_rate_is_exactly_periodic(self, restart_at):
-        """However a mid-run restart lands, exactly one chain survives:
-        one extra activation at the restart instant (the new chain's
-        offset-0 start), then strictly one per period — never a forked
-        second chain doubling the rate."""
-        sim = Simulator()
-        proc = Process(sim, period=MS)
-        fired = []
-
-        def body():
-            fired.append(sim.now)
-            if len(fired) == restart_at + 1:
-                proc.stop()
-                proc.start()
-
-        proc._body = body
-        proc.start()
-        sim.run_until(20 * MS)
-        assert sorted(fired) == fired
-        # 21 periodic instants (0..20ms) plus the restart instant twice.
-        assert len(fired) == 22
-        assert len(set(fired)) == 21
-        assert fired.count(restart_at * MS) == 2
 
 
 class TestRunUntilBoundary:

@@ -8,6 +8,7 @@ from repro.fes.example_platform import (
     make_remote_control_app,
 )
 from repro.fes.fleet import build_fleet
+from repro.network.sockets import NetworkFabric
 from repro.server import InstallStatus
 from repro.server.models import (
     App,
@@ -16,7 +17,8 @@ from repro.server.models import (
     PluginDescriptor,
     SwConf,
 )
-from repro.sim import SECOND
+from repro.server.server import TrustedServer
+from repro.sim import SECOND, Simulator
 from repro.workloads import SyntheticConfig, populate_server
 from tests.helpers import make_binary, make_fat_binary
 from tests.test_server_models import make_test_app
@@ -192,12 +194,20 @@ class TestAckHandling:
         assert api.deployments.acks_processed == before
 
 
+def synthetic_server(n_vehicles):
+    """A server over a conflict-free synthetic fleet with five APPs."""
+    server = TrustedServer(NetworkFabric(Simulator()))
+    populate_server(
+        server.api,
+        SyntheticConfig(dependency_density=0.0, conflict_density=0.0),
+        n_apps=5,
+        n_vehicles=n_vehicles,
+    )
+    return server
+
+
 class TestSyntheticWorkload:
     def test_populate_and_deploy(self):
-        from repro.network.sockets import NetworkFabric
-        from repro.server.server import TrustedServer
-        from repro.sim import Simulator
-
         sim = Simulator()
         fabric = NetworkFabric(sim)
         server = TrustedServer(fabric)
@@ -216,6 +226,21 @@ class TestSyntheticWorkload:
                 break
         else:
             pytest.fail("no dependency-free app generated")
+
+    def test_500_vehicle_batch_deploy_then_uninstall(self):
+        server = synthetic_server(500)
+        vins = sorted(server.db.vehicles)
+        deployments = server.api.deployments
+        results = deployments.deploy_batch("u0", vins, "app0")
+        assert [vin for vin, r in results.items() if not r.ok] == []
+        assert all(deployments.uninstall("u0", vin, "app0").ok for vin in vins)
+
+    def test_admission_denies_the_half_another_campaign_holds(self):
+        server = synthetic_server(500)
+        vins = sorted(server.db.vehicles)
+        campaigns = server.api.campaigns
+        campaigns.claim("cmp-0001", vins[:250])
+        assert sorted(campaigns.admit("cmp-0002", vins)) == vins[:250]
 
     def test_generated_apps_have_valid_binaries(self):
         from repro.sim.random import SeededStream

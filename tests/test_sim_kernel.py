@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimTimeError
-from repro.sim import MS, SECOND, Process, Simulator, drain, format_time
+from repro.sim import SECOND, Simulator, format_time
 
 
 class TestScheduling:
@@ -163,11 +163,6 @@ class TestRunUntil:
         sim.run_for(250)
         assert sim.now == 350
 
-    def test_drain_helper(self):
-        sim = Simulator()
-        drain(sim, [100, 200, 300])
-        assert sim.now == 600
-
 
 class TestReservedSequenceNumbers:
     def test_reserved_event_keeps_its_place_among_ties(self):
@@ -214,62 +209,6 @@ class TestReservedSequenceNumbers:
             sim.schedule_reserved(seq, 9, lambda: None)
         sim.schedule_reserved(seq, 11, lambda: None)
         assert sim.run() == 1
-
-
-class TestProcess:
-    def test_periodic_activations(self):
-        sim = Simulator()
-        ticks = []
-        proc = Process(sim, period=10 * MS, body=lambda: ticks.append(sim.now))
-        proc.start()
-        sim.run_until(35 * MS)
-        assert ticks == [0, 10 * MS, 20 * MS, 30 * MS]
-
-    def test_offset_delays_first_activation(self):
-        sim = Simulator()
-        ticks = []
-        proc = Process(
-            sim, period=10 * MS, body=lambda: ticks.append(sim.now), offset=3 * MS
-        )
-        proc.start()
-        sim.run_until(25 * MS)
-        assert ticks == [3 * MS, 13 * MS, 23 * MS]
-
-    def test_stop_halts_activations(self):
-        sim = Simulator()
-        proc = Process(sim, period=MS, body=lambda: None)
-        proc.start()
-        sim.run_until(5 * MS)
-        proc.stop()
-        count = proc.activations
-        sim.run_until(20 * MS)
-        assert proc.activations == count
-
-    def test_restart_after_stop(self):
-        sim = Simulator()
-        proc = Process(sim, period=MS, body=lambda: None)
-        proc.start()
-        sim.run_until(2 * MS)
-        proc.stop()
-        proc.start()
-        sim.run_until(4 * MS)
-        assert proc.activations >= 4
-
-    def test_start_idempotent(self):
-        sim = Simulator()
-        proc = Process(sim, period=MS, body=lambda: None)
-        proc.start()
-        proc.start()
-        sim.run_until(3 * MS)
-        assert proc.activations == 4  # t=0,1,2,3 ms; not doubled
-
-    def test_invalid_period_rejected(self):
-        with pytest.raises(SimTimeError):
-            Process(Simulator(), period=0)
-
-    def test_invalid_offset_rejected(self):
-        with pytest.raises(SimTimeError):
-            Process(Simulator(), period=1, offset=-1)
 
 
 class TestFormatTime:

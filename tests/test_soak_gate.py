@@ -228,6 +228,26 @@ class TestSoakRollback:
         assert report.status == "succeeded"
         assert report.updated == 6
 
+    def test_ten_vehicle_gated_run_beside_its_clean_control(self):
+        # A 20% canary over 10 vehicles: the trap is caught and replays
+        # byte for byte, and the same spec without it promotes.
+        spec = dataclasses.replace(
+            canary_campaign(APP, fractions=(0.2, 1.0), max_failure_rate=0.5),
+            soak=SoakPolicy(max_trap_delta=2, min_samples=2),
+        )
+        faults = FaultPlan(
+            seed=5, soak_trap_vins={"VIN-0001"}, soak_trap_count=8
+        )
+        _, gated = run_campaign(spec, faults=faults, size=10)
+        _, clean = run_campaign(spec, size=10)
+        _, replay = run_campaign(spec, faults=faults, size=10)
+        assert gated.status == "rolled_back"
+        assert gated.waves[0].breaches == [] and gated.waves[0].soak_breaches
+        assert gated.metrics["rollback_latency_us"] > 0
+        assert clean.status == "succeeded" and clean.updated == 10
+        assert clean.metrics["rollback_latency_us"] is None
+        assert gated.to_dict() == replay.to_dict()
+
 
 class TestFuelRateSemantics:
     """Direct evaluate() coverage of the per-activation fuel rate."""

@@ -4,9 +4,11 @@ The statistical vehicle model (:mod:`repro.fes.statistical`) lets one
 campaign span fleet sizes the full ECU/VM simulation cannot reach.
 These tests pin its contract: protocol compatibility with the trusted
 server, byte-identical replay per seed on mixed fleets, soak-gate
-telemetry, and the failure-rate knobs feeding the campaign health gate.
+telemetry, the failure-rate knobs feeding the campaign health gate, and
+a 10,000-vehicle campaign inside a wall-clock ceiling.
 """
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -175,6 +177,22 @@ class TestMixedFleetCampaigns:
         report = fleet.run_campaign(spec)
         assert report.status in ("rolled_back", "halted")
         assert report.waves[0].failed > 0
+
+    @pytest.mark.parametrize("size", [1_000, 10_000])
+    def test_full_canary_leads_statistical_tail(self, size):
+        full = 10
+        fleet = mixed_fleet(size, full=full)
+        spec = replace(
+            canary_campaign(APP), waves=PercentageWaves((full / size, 1.0))
+        )
+        start = time.perf_counter()
+        report = fleet.run_campaign(spec)
+        wall = time.perf_counter() - start
+        assert report.status == "succeeded"
+        assert report.updated == size
+        assert report.waves[0].vins == fleet.vins[:full]
+        # Catches an order-of-magnitude slip in the statistical tail.
+        assert wall <= 15.0, wall
 
     def test_soak_gate_passes_on_mixed_fleet(self):
         fleet = mixed_fleet(12, full=2)

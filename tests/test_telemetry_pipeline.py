@@ -120,6 +120,23 @@ class TestTelemetryBus:
         with pytest.raises(ValueError):
             TelemetryBus().set_capacity("diag", -1)
 
+    def test_diag_storm_into_small_rings_counts_every_drop(self):
+        publishes = 20_000
+        for capacity in (64, 512, 4096):
+            bus = TelemetryBus(default_capacity=capacity)
+            for i in range(publishes):
+                bus.publish(
+                    "diag", "report", i, vin=f"VIN-{i % 100:04d}",
+                    traps=i % 3, memory_used_blocks=4,
+                )
+            assert bus.published("diag") == publishes
+            assert bus.retained("diag") == capacity
+            assert bus.dropped("diag") == publishes - capacity
+            # The ring kept the newest events, oldest first.
+            assert [e.time_us for e in bus.events("diag")] == list(
+                range(publishes - capacity, publishes)
+            )
+
 
 # -- bus property tests --------------------------------------------------------
 
@@ -251,6 +268,16 @@ class TestMetricsRegistry:
         assert hist.count == 4
         assert hist.observed == 10
         assert hist.values() == [6, 7, 8, 9]
+
+    def test_50k_observations_stay_exact_and_bounded(self):
+        registry = MetricsRegistry()
+        for i in range(50_000):
+            registry.inc("installs")
+            registry.observe("latency_us", (i * 37) % 1000, time_us=i)
+        assert registry.counter_value("installs") == 50_000
+        hist = registry.histogram("latency_us")
+        assert hist.observed == 50_000
+        assert hist.count == hist.max_samples
 
     def test_histogram_time_window_prunes(self):
         hist = WindowedHistogram("lat", window_us=100)

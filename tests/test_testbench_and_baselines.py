@@ -61,6 +61,19 @@ class TestPluginTestBench:
         bench.timer()  # queue empty -> RECV yields 0
         assert bench.report.writes_on(1) == [7, 8, 0]
 
+    def test_set_port_feeds_rdport(self):
+        source = """
+        .entry on_timer
+            RDPORT 0
+            WRPORT 1
+            HALT
+        """
+        bench = PluginTestBench.from_source(source)
+        bench.timer()
+        bench.set_port(0, 42)
+        bench.timer()
+        assert bench.report.writes_on(1) == [0, 42]
+
     def test_time_instruction(self):
         source = """
         .entry on_timer

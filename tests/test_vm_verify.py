@@ -1,6 +1,6 @@
 """Static bytecode verifier: corpus, differential properties, the gate.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * known-bad corpus — one hand-crafted binary per finding kind, pinning
   that each analysis actually fires (and at the right severity tier);
@@ -8,6 +8,8 @@ Four layers of coverage:
   binary the verifier calls *clean* never traps when executed against a
   :class:`NullBridge`, and its measured fuel never exceeds the static
   worst-case bound (exactly equal on straight-line code);
+* cost — verification time grows linearly with code size, and a
+  ~3.6k-instruction plug-in verifies inside a wall-clock ceiling;
 * the OTA gate — uploads carrying error-tier binaries are rejected
   in-process with ``VERIFICATION_FAILED`` and the report stays
   queryable, while every reference plug-in verifies clean and deploys
@@ -18,6 +20,7 @@ Four layers of coverage:
 
 import json
 import struct
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +233,46 @@ class TestReport:
         assert tiers == sorted(tiers)
 
 
+# -- cost ----------------------------------------------------------------------
+
+
+def blocky_source(blocks):
+    """7 instructions per block: compute, a CALL, a diamond join."""
+    lines = [".entry on_message"]
+    for i in range(blocks):
+        lines += [
+            f"b{i}:",
+            "    PUSH 7",
+            "    ADD",
+            "    CALL helper",
+            f"    JZ skip{i}",
+            "    PUSH 1",
+            f"    JMP join{i}",
+            f"skip{i}:",
+            "    PUSH 2",
+            f"join{i}:",
+        ]
+    lines += ["    POP", "    HALT", "helper:", "    PUSH 3", "    ADD", "    RET"]
+    return "\n".join(lines) + "\n"
+
+
+class TestVerifierCost:
+    def test_cost_grows_linearly_with_code_size(self):
+        per_instruction = []
+        for blocks in (4, 32, 128, 512):
+            binary = compiled(blocky_source(blocks))
+            walls = []
+            for __ in range(3):
+                start = time.perf_counter()
+                report = verify_binary(binary, VerifyLimits(num_ports=4))
+                walls.append(time.perf_counter() - start)
+            assert report.ok, report.summary()
+            per_instruction.append(min(walls) / report.instruction_count)
+        # Catches a quadratic fixpoint sneaking into the verifier.
+        assert min(walls) <= 0.5, walls
+        assert per_instruction[-1] < per_instruction[0] * 50 + 1e-4
+
+
 # -- the interpreter fix the verifier mirrors ----------------------------------
 
 
@@ -438,6 +481,15 @@ class TestUploadGate:
         store = AppStore(Database())
         verification = store.verify_app(make_remote_control_app(PHONE_ADDRESS))
         assert verification.clean, verification.reasons()
+
+    def test_each_reference_plugin_is_clean_against_its_own_ports(self):
+        app = make_remote_control_app(PHONE_ADDRESS)
+        for name, descriptor in sorted(app.plugins.items()):
+            binary = unpack(descriptor.binary)
+            limits = VerifyLimits(num_ports=len(descriptor.port_names))
+            report = verify_binary(binary, limits)
+            assert report.clean, f"{name}: {report.summary()}"
+            assert report.entry_fuel, name
 
 
 class TestCampaignPreflight:
