@@ -49,12 +49,9 @@ Composing your own scenario::
 
 # fes first: api imports the fes substrate; fes.example_platform imports api.
 from repro.fes import (
-    ExamplePlatform,
-    Fleet,
     Smartphone,
     build_example_platform,
     build_fleet,
-    build_fleet_from_specs,
 )
 from repro.api import (
     ApiError,
@@ -122,12 +119,9 @@ __all__ = [
     "RollbackPolicy",
     "SoakPolicy",
     # demonstrator + fleets
-    "ExamplePlatform",
-    "Fleet",
     "Smartphone",
     "build_example_platform",
     "build_fleet",
-    "build_fleet_from_specs",
     # time units
     "MS",
     "SECOND",

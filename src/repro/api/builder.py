@@ -34,7 +34,7 @@ declaration time where possible and at ``build()`` otherwise.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Type, Union
+from typing import Optional, Sequence, Union
 
 from repro.api.platform import Platform
 from repro.autosar.swc import ComponentType
@@ -545,7 +545,7 @@ class ScenarioBuilder:
             for entry in self._vehicles.values()
         ]
 
-    def build(self, platform_cls: Type[Platform] = Platform) -> Platform:
+    def build(self) -> Platform:
         """Assemble everything on one simulator; returns the platform.
 
         Construction order mirrors the hand-written assembly the
@@ -598,7 +598,7 @@ class ScenarioBuilder:
         for entry in self._apps:
             app = entry.to_app() if isinstance(entry, AppBuilder) else entry
             server.api.store.upload(app).unwrap()
-        return platform_cls(
+        return Platform(
             sim, tracer, fabric, server,
             vehicles=vehicles, phones=phones, user_id=owner,
         )

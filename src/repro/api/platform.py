@@ -2,10 +2,12 @@
 
 A :class:`Platform` is what :meth:`~repro.api.builder.ScenarioBuilder.build`
 returns: every declared vehicle, phone, and app assembled on one shared
-discrete-event simulator and wide-area network fabric.  It generalizes
-the old hard-coded ``ExamplePlatform`` (one car) and ``Fleet`` (N clones
-of that car) — both are now thin subclasses — and supports heterogeneous
-vehicle populations (mixed ECU counts, different models) in one build.
+discrete-event simulator and wide-area network fabric.  It is the one
+platform type: the paper's one-car demonstrator
+(:func:`~repro.fes.example_platform.build_example_platform`), fleets of
+that car (:func:`~repro.fes.fleet.build_fleet`) and heterogeneous
+vehicle populations (mixed ECU counts, different models) are all
+``Platform`` instances.
 
 Operationally the platform is a thin client over the server's
 :class:`~repro.server.services.fleetapi.FleetAPI` control plane:
@@ -75,8 +77,8 @@ class Platform:
     def vins(self) -> list[str]:
         return [vehicle.vin for vehicle in self.vehicles]
 
-    def _vehicle(self, vin: Optional[str] = None) -> Vehicle:
-        """Internal lookup (subclasses may shadow :meth:`vehicle`)."""
+    def vehicle(self, vin: Optional[str] = None) -> Vehicle:
+        """A built vehicle by VIN (the first one when ``vin`` is None)."""
         if vin is None:
             if not self.vehicles:
                 raise ConfigurationError("platform has no vehicles")
@@ -85,10 +87,6 @@ class Platform:
             if vehicle.vin == vin:
                 return vehicle
         raise UnknownEntityError(f"platform has no vehicle {vin!r}")
-
-    def vehicle(self, vin: Optional[str] = None) -> Vehicle:
-        """A built vehicle by VIN (the first one when ``vin`` is None)."""
-        return self._vehicle(vin)
 
     def phone(self, address: Optional[str] = None) -> Smartphone:
         """A phone by address (the first one when ``address`` is None)."""
@@ -149,7 +147,7 @@ class Platform:
         With ``vin`` the request targets one vehicle; without it, every
         vehicle on the platform (a fleet campaign).
         """
-        vins = [self._vehicle(vin).vin] if vin is not None else self.vins
+        vins = [self.vehicle(vin).vin] if vin is not None else self.vins
         return self.deploy_to(app_name, vins, user_id=user_id)
 
     def deploy_to(
@@ -195,18 +193,19 @@ class Platform:
         The campaign is registered with the server's
         :class:`~repro.server.services.campaigns.CampaignService` — it
         gets a ``cmp-NNNN`` id, a database record that survives a
-        simulated restart (when the spec is serializable), and admission
-        control against concurrent campaigns.  Use this when a test or
-        experiment wants to interleave its own simulated-time control
-        with the campaign; most callers want :meth:`run_campaign`.
+        simulated restart, and admission control against concurrent
+        campaigns.  A wave policy or selector without ``to_dict`` makes
+        it raise :class:`~repro.server.services.envelope.ApiError`
+        (``NOT_PERSISTABLE``).  Use this when a test or experiment wants
+        to interleave its own simulated-time control with the campaign;
+        most callers want :meth:`run_campaign`.
         """
         record = self.api.campaigns.create(
             spec, faults=faults, user_id=spec.user_id or self.user_id,
             created_us=self.sim.now,
         ).unwrap()
         return CampaignEngine(
-            self, spec, faults=faults,
-            campaign_id=record.campaign_id, service=self.api.campaigns,
+            self, spec, record.campaign_id, self.api.campaigns, faults=faults
         )
 
     def run_campaign(
@@ -241,8 +240,7 @@ class Platform:
         """
         spec, faults = self.api.campaigns.restage(campaign_id).unwrap()
         engine = CampaignEngine(
-            self, spec, faults=faults,
-            campaign_id=campaign_id, service=self.api.campaigns,
+            self, spec, campaign_id, self.api.campaigns, faults=faults
         )
         return engine.run(timeout_us=timeout_us)
 
@@ -253,7 +251,7 @@ class Platform:
         user_id: Optional[str] = None,
     ):
         """Request removal of ``app_name`` from one vehicle."""
-        target = self._vehicle(vin).vin
+        target = self.vehicle(vin).vin
         return self.api.deployments.uninstall(
             user_id or self.user_id, target, app_name
         )
@@ -279,11 +277,11 @@ class Platform:
         self, instance: str = "actuators", vin: Optional[str] = None
     ) -> dict:
         """The state dict of a legacy component on one vehicle."""
-        return self._vehicle(vin).system.instance(instance).state
+        return self.vehicle(vin).system.instance(instance).state
 
     def __repr__(self) -> str:
         return (
-            f"<{type(self).__name__} vehicles={len(self.vehicles)} "
+            f"<Platform vehicles={len(self.vehicles)} "
             f"phones={len(self.phones)} booted={self._booted}>"
         )
 

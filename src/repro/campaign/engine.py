@@ -9,13 +9,14 @@ control plane's installation events (see
 or by scheduled wave/rollback timeout timers.  ``run()`` simply steps
 the kernel until the campaign reaches a terminal status.
 
-Engines created through ``Platform.stage_campaign`` are registered with
-the server's :class:`~repro.server.services.campaigns.CampaignService`:
-the campaign is persisted as a database entity, its status and report
-are written back as it runs, and wave dispatch passes **admission
-control** — VINs held by another concurrent campaign (being updated or,
-critically, mid-rollback) are excluded up front with an
-``admission_denied`` event instead of being fought over.
+Every engine belongs to a campaign registered with the server's
+:class:`~repro.server.services.campaigns.CampaignService` (see
+``Platform.stage_campaign``): the campaign is persisted as a database
+entity, its status and report are written back as it runs, and wave
+dispatch passes **admission control** — VINs held by another
+concurrent campaign (being updated or, critically, mid-rollback) are
+excluded up front with an ``admission_denied`` event instead of being
+fought over.
 
 Life cycle of one wave::
 
@@ -71,9 +72,9 @@ class CampaignEngine:
         self,
         platform: "Platform",
         spec: CampaignSpec,
+        campaign_id: str,
+        service: CampaignService,
         faults: Optional[FaultPlan] = None,
-        campaign_id: str = "",
-        service: Optional[CampaignService] = None,
     ) -> None:
         self.platform = platform
         self.spec = spec
@@ -100,9 +101,8 @@ class CampaignEngine:
         self._rollback_pending: set[str] = set()
         self._timer: Optional[EventHandle] = None
         self._timer_generation = 0
-        #: Telemetry plumbing: the control plane's bounded event bus
-        #: (None only for exotic server stand-ins without one).
-        self._bus = getattr(self._api, "telemetry", None)
+        #: The control plane's bounded event bus.
+        self._bus = self._api.telemetry
         self._baseline: dict[str, VehicleBaseline] = {}
         self._soak_monitor: Optional[SoakMonitor] = None
         self._soak_generation = 0
@@ -130,8 +130,7 @@ class CampaignEngine:
             self.done = True
             self._disarm_timer()
             self._api.deployments.remove_listener(self._on_server_event)
-            if self._bus is not None:
-                self._bus.unsubscribe(self._on_telemetry)
+            self._bus.unsubscribe(self._on_telemetry)
             self._soak_monitor = None
             self.report.status = "orphaned"
             self._log("campaign_orphaned", detail="server restarted")
@@ -145,14 +144,13 @@ class CampaignEngine:
         self.report.events.append(
             CampaignEvent(self._sim.now, kind, self._wave_index, vin, detail)
         )
-        if self._bus is not None:
-            # Mirror the timeline onto the observability pipeline: the
-            # feed for the future live event-stream endpoint.
-            self._bus.publish(
-                "campaign", kind, self._sim.now, vin=vin,
-                campaign_id=self.campaign_id, wave=self._wave_index,
-                detail=detail,
-            )
+        # Mirror the timeline onto the observability pipeline, which
+        # feeds the gateway's live event stream.
+        self._bus.publish(
+            "campaign", kind, self._sim.now, vin=vin,
+            campaign_id=self.campaign_id, wave=self._wave_index,
+            detail=detail,
+        )
 
     def _arm_timer(self, delay_us: int, callback) -> None:
         self._timer_generation += 1
@@ -173,16 +171,6 @@ class CampaignEngine:
             self._sim.cancel(self._timer)
             self._timer = None
 
-    # -- admission plumbing ----------------------------------------------------
-
-    def _claim(self, vins) -> None:
-        if self.service is not None:
-            self.service.claim(self.campaign_id, vins)
-
-    def _release(self, vins) -> None:
-        if self.service is not None:
-            self.service.release(self.campaign_id, vins)
-
     # -- life cycle ------------------------------------------------------------
 
     def start(self) -> None:
@@ -197,10 +185,9 @@ class CampaignEngine:
             self.injector.attach()
         resolve = self.platform.server.api.vehicles.resolve
         targets = self.spec.resolve_targets(self.platform.vins, resolve)
-        waves = self.spec.partition_targets(targets, resolve)
+        waves = self.spec.waves.partition(targets, resolve)
         self.report.started_us = self._sim.now
-        if self._bus is not None:
-            self._bus_t0 = (self._bus.published(), self._bus.dropped())
+        self._bus_t0 = (self._bus.published(), self._bus.dropped())
         pusher = self._api.pusher
         self._pusher_t0 = (pusher.pushed, pusher.dropped_messages)
         # Pre-flight: statically verify the target APP before wave 1.
@@ -221,8 +208,7 @@ class CampaignEngine:
                 "baseline_captured",
                 detail=f"{len(self._baseline)} vehicles",
             )
-            if self._bus is not None:
-                self._bus.subscribe(self._on_telemetry, categories=("diag",))
+            self._bus.subscribe(self._on_telemetry, categories=("diag",))
         self.report.waves = [
             WaveReport(
                 index=index,
@@ -232,8 +218,7 @@ class CampaignEngine:
             for index, wave in enumerate(waves)
         ]
         self._deployments.add_listener(self._on_server_event)
-        if self.service is not None:
-            self.service.on_started(self.campaign_id, self._sim.now)
+        self.service.on_started(self.campaign_id, self._sim.now)
         if not waves:
             self._finish(SUCCEEDED)
             return
@@ -287,11 +272,7 @@ class CampaignEngine:
         wave = self.report.waves[index]
         wave.started_us = self._sim.now
         self._log("wave_started", detail=f"{len(wave.vins)} vehicles")
-        denied = (
-            self.service.admit(self.campaign_id, wave.vins)
-            if self.service is not None
-            else {}
-        )
+        denied = self.service.admit(self.campaign_id, wave.vins)
         for vin in sorted(denied):
             wave.excluded += 1
             self._set_disposition(vin, Disposition.EXCLUDED)
@@ -313,7 +294,7 @@ class CampaignEngine:
                     "deploy_rejected", vin,
                     result.reasons[0] if result.reasons else "",
                 )
-        self._claim(sorted(self._pending))
+        self.service.claim(self.campaign_id, sorted(self._pending))
         wave.attempted = len(self._pending)
         if self._pending:
             self._arm_timer(
@@ -356,7 +337,7 @@ class CampaignEngine:
         wave = self.report.waves[self._wave_index]
         if status is InstallStatus.ACTIVE:
             self._pending.discard(vin)
-            self._release([vin])
+            self.service.release(self.campaign_id, [vin])
             wave.updated += 1
             self._set_disposition(vin, Disposition.UPDATED)
             self._log("updated", vin)
@@ -378,7 +359,7 @@ class CampaignEngine:
         """Final failure of one VIN: count it, clean the server record,
         flag the vehicle for the workshop."""
         self._pending.discard(vin)
-        self._release([vin])
+        self.service.release(self.campaign_id, [vin])
         if kind == "timed_out":
             wave.timed_out += 1
         else:
@@ -587,16 +568,8 @@ class CampaignEngine:
             return
         monitored = set(self._soak_monitor.vins)
         for vehicle in self.platform.vehicles:
-            if vehicle.vin not in monitored:
-                continue
-            emit = getattr(vehicle, "emit_diagnostics", None)
-            if emit is not None:
-                # Statistical-fidelity members report directly (no
-                # PIRTE to poll); full vehicles report per SW-C below.
-                emit()
-                continue
-            for placement in vehicle.spec.all_placements():
-                vehicle.pirte_of(placement.instance_name).emit_diagnostics()
+            if vehicle.vin in monitored:
+                vehicle.emit_diagnostics()
 
     def _resolve_soak(self, index: int) -> None:
         policy = self.spec.soak
@@ -654,19 +627,18 @@ class CampaignEngine:
         # to waves whose claims were released on success) is still
         # rolled back — the records are this campaign's own — but the
         # contention is recorded in the report.
-        if self.service is not None:
-            claimed = set(
-                self.service.claim(
-                    self.campaign_id, targets, phase=PHASE_ROLLING_BACK
-                )
+        claimed = set(
+            self.service.claim(
+                self.campaign_id, targets, phase=PHASE_ROLLING_BACK
             )
-            for vin in targets:
-                if vin not in claimed:
-                    holder = self.service.claimed_by(vin)
-                    self._log(
-                        "rollback_contended", vin,
-                        f"held by campaign {holder[0]}" if holder else "",
-                    )
+        )
+        for vin in targets:
+            if vin not in claimed:
+                holder = self.service.claimed_by(vin)
+                self._log(
+                    "rollback_contended", vin,
+                    f"held by campaign {holder[0]}" if holder else "",
+                )
         self._rollback_pending = set()
         for vin in targets:
             result = self._deployments.uninstall(
@@ -677,7 +649,7 @@ class CampaignEngine:
                 self._rollback_pending.add(vin)
                 self._log("rollback_started", vin)
             else:
-                self._release([vin])
+                self.service.release(self.campaign_id, [vin])
                 self._set_disposition(vin, Disposition.NEEDS_WORKSHOP)
                 self._log(
                     "rollback_failed", vin,
@@ -692,7 +664,7 @@ class CampaignEngine:
         if vin not in self._rollback_pending:
             return
         self._rollback_pending.discard(vin)
-        self._release([vin])
+        self.service.release(self.campaign_id, [vin])
         if kind == "uninstall_done":
             self._set_disposition(vin, Disposition.ROLLED_BACK)
             self._log("rolled_back", vin)
@@ -731,16 +703,14 @@ class CampaignEngine:
         self.report.finished_us = self._sim.now
         self._log("campaign_done", detail=status)
         self._soak_monitor = None
-        if self._bus is not None:
-            self._bus.unsubscribe(self._on_telemetry)
+        self._bus.unsubscribe(self._on_telemetry)
         # Snapshot metrics before the service persists the report so the
         # database copy carries them too.
         self.report.metrics = self._snapshot_metrics()
         self._deployments.remove_listener(self._on_server_event)
         if self.injector is not None:
             self.injector.detach()
-        if self.service is not None:
-            self.service.on_finished(self.campaign_id, self.report)
+        self.service.on_finished(self.campaign_id, self.report)
 
     def _snapshot_metrics(self) -> dict:
         """Deterministic per-campaign metric snapshot for the report.
@@ -795,14 +765,6 @@ class CampaignEngine:
                 }
             )
         pusher = self._api.pusher
-        telemetry = (
-            {
-                "published": self._bus.published() - self._bus_t0[0],
-                "dropped": self._bus.dropped() - self._bus_t0[1],
-            }
-            if self._bus is not None
-            else {"published": 0, "dropped": 0}
-        )
         return {
             "campaign_duration_us": finished - report.started_us,
             "rollback_latency_us": rollback_latency,
@@ -814,7 +776,10 @@ class CampaignEngine:
                 ),
                 "outbox_bytes": pusher.outbox_bytes,
             },
-            "telemetry": telemetry,
+            "telemetry": {
+                "published": self._bus.published() - self._bus_t0[0],
+                "dropped": self._bus.dropped() - self._bus_t0[1],
+            },
         }
 
 

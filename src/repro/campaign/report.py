@@ -120,9 +120,9 @@ class CampaignReport:
     """Everything that happened during one campaign run."""
 
     app_name: str
-    #: Persistent control-plane id (``cmp-NNNN``); empty for engines
-    #: constructed outside the campaign service.
-    campaign_id: str = ""
+    #: Persistent control-plane id (``cmp-NNNN``) the campaign service
+    #: assigned.
+    campaign_id: str
     status: str = "running"
     started_us: int = 0
     finished_us: Optional[int] = None

@@ -7,18 +7,19 @@ exponential growth), whether the first wave is a canary with its own
 health thresholds, how many retries a stuck vehicle gets, and what
 happens when a wave breaches its health gate.
 
-Wave policies are pure functions of the target VIN list, so the same
-spec partitions the same fleet identically on every run — the
-property the partition tests and the deterministic-replay tests pin.
+Wave policies are pure functions of the target VIN list (selector
+waves also of the vehicle records), so the same spec partitions the
+same fleet identically on every run — the property the partition
+tests and the deterministic-replay tests pin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
-from repro.errors import ConfigurationError, PersistenceError
+from repro.errors import ConfigurationError
 from repro.server.services.selector import FleetSelector
 from repro.sim.kernel import MS, SECOND
 from repro.telemetry.soak import SoakPolicy
@@ -30,15 +31,20 @@ from repro.telemetry.soak import SoakPolicy
 class WavePolicy:
     """Strategy that partitions an ordered VIN list into rollout waves.
 
-    ``partition`` must cover every VIN at most once and preserve order.
-    Count-based policies never emit an empty wave; attribute-based ones
-    (:class:`SelectorWaves`) may, to keep wave indices aligned with the
-    declared selectors — the engine handles empty waves.  Policies
-    serialize to plain dicts (:meth:`to_dict` / :meth:`from_dict`) so
-    campaign specs can be persisted as database entities.
+    ``partition(vins, resolve)`` must cover every VIN at most once and
+    preserve order.  ``resolve(vin)`` returns the server's vehicle
+    record; count-based policies ignore it.  They never emit an empty
+    wave; attribute-based ones (:class:`SelectorWaves`) may, to keep
+    wave indices aligned with the declared selectors — the engine
+    handles empty waves.  Policies serialize to plain dicts
+    (:meth:`to_dict` / :meth:`from_dict`) so campaign specs can be
+    persisted as database entities; a policy without ``to_dict``
+    cannot be staged.
     """
 
-    def partition(self, vins: Sequence[str]) -> list[list[str]]:
+    def partition(
+        self, vins: Sequence[str], resolve: Callable[[str], object]
+    ) -> list[list[str]]:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -93,7 +99,9 @@ class FixedWaves(WavePolicy):
                 f"fixed wave size must be positive (got {self.size})"
             )
 
-    def partition(self, vins: Sequence[str]) -> list[list[str]]:
+    def partition(
+        self, vins: Sequence[str], resolve: Callable[[str], object]
+    ) -> list[list[str]]:
         return self._chunks(
             vins, [self.size] * math.ceil(len(vins) / self.size)
         )
@@ -127,7 +135,9 @@ class PercentageWaves(WavePolicy):
                 )
             previous = fraction
 
-    def partition(self, vins: Sequence[str]) -> list[list[str]]:
+    def partition(
+        self, vins: Sequence[str], resolve: Callable[[str], object]
+    ) -> list[list[str]]:
         n = len(vins)
         waves: list[list[str]] = []
         start = 0
@@ -165,7 +175,9 @@ class ExponentialWaves(WavePolicy):
                 f"exponential wave factor must be >= 2 (got {self.factor})"
             )
 
-    def partition(self, vins: Sequence[str]) -> list[list[str]]:
+    def partition(
+        self, vins: Sequence[str], resolve: Callable[[str], object]
+    ) -> list[list[str]]:
         sizes = []
         size, remaining = self.initial, len(vins)
         while remaining > 0:
@@ -196,10 +208,6 @@ class SelectorWaves(WavePolicy):
     (and therefore canary semantics and per-wave health policies) stay
     aligned with the declared selectors, and the report shows that the
     intended wave had no vehicles.
-
-    Needs vehicle attributes to evaluate, so plain :meth:`partition`
-    refuses; the campaign engine calls :meth:`partition_resolved` with
-    the server's vehicle resolver.
     """
 
     selectors: tuple[FleetSelector, ...]
@@ -215,13 +223,7 @@ class SelectorWaves(WavePolicy):
                 )
         object.__setattr__(self, "selectors", tuple(self.selectors))
 
-    def partition(self, vins: Sequence[str]) -> list[list[str]]:
-        raise ConfigurationError(
-            "SelectorWaves partitions by vehicle attributes; run the "
-            "campaign through the engine (partition_resolved)"
-        )
-
-    def partition_resolved(
+    def partition(
         self, vins: Sequence[str], resolve: Callable[[str], object]
     ) -> list[list[str]]:
         remaining = list(vins)
@@ -356,18 +358,17 @@ class CampaignSpec:
     """One staged fleet rollout, fully declared up front.
 
     ``selector`` filters the targeted fleet (None targets every
-    vehicle): either a serializable
+    vehicle): a serializable
     :class:`~repro.server.services.selector.FleetSelector` evaluated
-    against server vehicle records, or a legacy ``vin -> bool``
-    callable (which keeps working but makes the spec non-persistable).
-    With ``canary`` True the first wave is the canary: it soaks for
-    ``canary_soak_us`` after resolving and may use the stricter
-    ``canary_health`` thresholds.
+    against server vehicle records, so every spec survives a server
+    restart.  With ``canary`` True the first wave is the canary: it
+    soaks for ``canary_soak_us`` after resolving and may use the
+    stricter ``canary_health`` thresholds.
     """
 
     app_name: str
     waves: WavePolicy = field(default_factory=PercentageWaves)
-    selector: Optional[Union[FleetSelector, Callable[[str], bool]]] = None
+    selector: Optional[FleetSelector] = None
     canary: bool = True
     health: HealthPolicy = field(default_factory=HealthPolicy)
     canary_health: Optional[HealthPolicy] = None
@@ -392,6 +393,13 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.app_name:
             raise ConfigurationError("campaign needs an app_name")
+        if self.selector is not None and not isinstance(
+            self.selector, FleetSelector
+        ):
+            raise ConfigurationError(
+                f"campaign selector must be a FleetSelector "
+                f"(got {self.selector!r})"
+            )
         if self.retry_budget < 0:
             raise ConfigurationError(
                 f"retry budget must be >= 0 (got {self.retry_budget})"
@@ -422,64 +430,31 @@ class CampaignSpec:
         return self.health
 
     def resolve_targets(
-        self,
-        vins: Sequence[str],
-        resolve: Optional[Callable[[str], object]] = None,
+        self, vins: Sequence[str], resolve: Callable[[str], object]
     ) -> list[str]:
-        """Targeted VINs, evaluating FleetSelectors via ``resolve``.
+        """Targeted VINs, evaluating the selector via ``resolve``.
 
         ``resolve(vin)`` returns the server's vehicle record (the
-        engine passes ``api.vehicles.resolve``); legacy callable
-        selectors only see the VIN string.
+        engine passes ``api.vehicles.resolve``).
         """
         if self.selector is None:
             return list(vins)
-        if isinstance(self.selector, FleetSelector):
-            if resolve is None:
-                raise ConfigurationError(
-                    "FleetSelector targeting needs a vehicle resolver"
-                )
-            return [
-                vin for vin in vins if self.selector.matches(resolve(vin))
-            ]
-        return [vin for vin in vins if self.selector(vin)]
-
-    def partition_targets(
-        self,
-        targets: Sequence[str],
-        resolve: Optional[Callable[[str], object]] = None,
-    ) -> list[list[str]]:
-        """Cut the targeted VINs into waves, resolving selector waves."""
-        if isinstance(self.waves, SelectorWaves):
-            if resolve is None:
-                raise ConfigurationError(
-                    "SelectorWaves needs a vehicle resolver"
-                )
-            return self.waves.partition_resolved(targets, resolve)
-        return self.waves.partition(targets)
+        return [vin for vin in vins if self.selector.matches(resolve(vin))]
 
     # -- persistence -----------------------------------------------------------
 
     def to_dict(self) -> dict:
         """Serialize for database persistence.
 
-        Raises :class:`~repro.errors.PersistenceError` when the spec
-        carries an opaque callable selector — only declarative
-        :class:`FleetSelector` trees survive a server restart.
+        Raises ``NotImplementedError`` when the wave policy or a
+        selector does not implement ``to_dict``.
         """
-        if self.selector is None:
-            selector = None
-        elif isinstance(self.selector, FleetSelector):
-            selector = self.selector.to_dict()
-        else:
-            raise PersistenceError(
-                f"campaign {self.app_name!r} uses an opaque callable "
-                f"selector; use a FleetSelector to make it persistent"
-            )
         return {
             "app_name": self.app_name,
             "waves": self.waves.to_dict(),
-            "selector": selector,
+            "selector": (
+                self.selector.to_dict() if self.selector is not None else None
+            ),
             "canary": self.canary,
             "health": self.health.to_dict(),
             "canary_health": (

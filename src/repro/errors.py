@@ -137,9 +137,5 @@ class CompatibilityError(ServerError):
     """The compatibility check between an APP and a vehicle failed."""
 
 
-class PersistenceError(ServerError):
-    """An object cannot be serialized into a database entity."""
-
-
 class DeploymentTimeout(ReproError):
     """A deployment did not resolve within the simulated time budget."""

@@ -21,7 +21,6 @@ from repro.fes.vehicle import (
 )
 from repro.fes.statistical import StatisticalModel, StatisticalVehicle
 from repro.fes.example_platform import (
-    ExamplePlatform,
     build_example_platform,
     declare_example_vehicle,
     declare_remote_control_app,
@@ -29,23 +28,18 @@ from repro.fes.example_platform import (
     make_remote_control_app,
 )
 from repro.fes.fleet import (
-    Fleet,
     build_fleet,
-    build_fleet_from_specs,
     calibrate_model,
     canary_campaign,
 )
 
 __all__ = [
-    "ExamplePlatform",
     "build_example_platform",
     "declare_example_vehicle",
     "declare_remote_control_app",
     "make_example_vehicle_spec",
     "make_remote_control_app",
-    "Fleet",
     "build_fleet",
-    "build_fleet_from_specs",
     "calibrate_model",
     "canary_campaign",
     "ReceivedValue",

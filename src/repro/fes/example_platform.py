@@ -180,29 +180,18 @@ def make_remote_control_app(
     return declare_remote_control_app(builder, phone_address).to_app()
 
 
-class ExamplePlatform(Platform):
-    """The full Fig. 3 federated system, assembled and bootable.
-
-    A single-vehicle :class:`~repro.api.Platform`: ``vehicle()`` and
-    ``phone()`` (no arguments) return the one car and the one phone.
-    """
-
-    def deploy_remote_control(self):
-        """Trigger the install through the fleet control plane."""
-        return self.api.deployments.deploy(
-            self.user_id, self.vehicle().vin, "remote-control"
-        )
-
-
 def build_example_platform(
     seed: int = 0,
     phone_address: str = PHONE_ADDRESS,
     cellular_profile: Optional[ChannelProfile] = None,
     trace: bool = True,
-) -> ExamplePlatform:
+) -> Platform:
     """Build the complete demonstrator: server + phone + vehicle.
 
-    Thin wrapper over :class:`~repro.api.ScenarioBuilder`.
+    Thin wrapper over :class:`~repro.api.ScenarioBuilder`.  The result
+    is a single-vehicle :class:`~repro.api.Platform`: ``vehicle()`` and
+    ``phone()`` (no arguments) return the one car and the one phone,
+    and ``deploy("remote-control")`` installs the APP on it.
     """
     scenario = ScenarioBuilder(
         seed=seed, default_profile=cellular_profile, trace=trace
@@ -214,7 +203,7 @@ def build_example_platform(
     declare_remote_control_app(
         scenario.app("remote-control", MODEL), phone_address
     )
-    return scenario.build(platform_cls=ExamplePlatform)
+    return scenario.build()
 
 
 __all__ = [
@@ -227,6 +216,5 @@ __all__ = [
     "make_example_vehicle_spec",
     "declare_remote_control_app",
     "make_remote_control_app",
-    "ExamplePlatform",
     "build_example_platform",
 ]

@@ -1,18 +1,19 @@
 """Fleets: many vehicles federated through one trusted server.
 
-Used by the OTA-deployment experiments: declare N vehicles (identical
-or heterogeneous — mixed ECU counts and models are fine) on one
-simulator, deploy an APP to all of them, and track the per-vehicle
-completion through the returned
-:class:`~repro.api.deployment.Deployment` handle.
-
-Built on :class:`~repro.api.ScenarioBuilder`; :func:`build_fleet` keeps
-the historical convenience signature (size + optional spec factory).
+Used by the OTA-deployment experiments: :func:`build_fleet` declares N
+vehicles (identical or heterogeneous — a spec factory may mix ECU
+counts and models) on one simulator through
+:class:`~repro.api.ScenarioBuilder` and returns a plain
+:class:`~repro.api.Platform`; deploy an APP to all of them and track the
+per-vehicle completion through the returned
+:class:`~repro.api.deployment.Deployment` handle, or stage a rollout
+with :func:`canary_campaign`.  :func:`calibrate_model` fits the
+statistical-fidelity model that large fleets use for their tail.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.api.builder import ScenarioBuilder
 from repro.api.platform import Platform
@@ -26,17 +27,6 @@ from repro.fes.vehicle import VehicleSpec
 from repro.network.channel import ChannelProfile
 from repro.server.server import DEFAULT_ADDRESS
 from repro.sim.kernel import SECOND
-
-
-class Fleet(Platform):
-    """N vehicles + one trusted server on one simulator.
-
-    ``run()`` boots lazily and exactly once (the ``_booted`` guard in
-    :class:`Platform`), so repeated ``run()`` calls never re-boot
-    already-running vehicles.  Staged rollouts ride on the inherited
-    :meth:`~repro.api.platform.Platform.run_campaign`; see
-    :func:`canary_campaign` for the canonical spec shape.
-    """
 
 
 def canary_campaign(
@@ -73,7 +63,7 @@ def build_fleet(
     regions: Optional[Sequence[str]] = None,
     full_vehicles: Optional[int] = None,
     statistical_model: Optional[StatisticalModel] = None,
-) -> Fleet:
+) -> Platform:
     """Build ``size`` example vehicles registered on one server.
 
     ``spec_factory(vin, server_address)`` may return a different
@@ -114,26 +104,7 @@ def build_fleet(
         if full_vehicles is not None and index >= full_vehicles:
             spec.fidelity = "statistical"
         scenario.add_vehicle_spec(spec)
-    return scenario.build(platform_cls=Fleet)
-
-
-def build_fleet_from_specs(
-    specs: Iterable[VehicleSpec],
-    seed: int = 0,
-    cellular_profile: Optional[ChannelProfile] = None,
-    trace: bool = False,
-) -> Fleet:
-    """Build a (possibly heterogeneous) fleet from explicit specs."""
-    scenario = ScenarioBuilder(
-        seed=seed,
-        server_address=DEFAULT_ADDRESS,
-        default_profile=cellular_profile,
-        trace=trace,
-    )
-    scenario.user("fleet-admin", "Fleet Admin")
-    for spec in specs:
-        scenario.add_vehicle_spec(spec)
-    return scenario.build(platform_cls=Fleet)
+    return scenario.build()
 
 
 def calibrate_model(
@@ -187,9 +158,7 @@ def calibrate_model(
 
 
 __all__ = [
-    "Fleet",
     "build_fleet",
-    "build_fleet_from_specs",
     "calibrate_model",
     "canary_campaign",
 ]

@@ -12,7 +12,7 @@ vehicle and its server-side description consistent by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.autosar.generator import BuiltSystem, build_system
 from repro.autosar.swc import ComponentType
@@ -149,6 +149,12 @@ class Vehicle:
 
     def run(self, duration_us: int) -> None:
         self.system.run(duration_us)
+
+    def emit_diagnostics(self) -> None:
+        """Have every plug-in-hosting SW-C (the ECM included) send one
+        DiagMessage toward the trusted server."""
+        for placement in self.spec.all_placements():
+            self.pirte_of(placement.instance_name).emit_diagnostics()
 
 
 def build_vehicle(

@@ -39,16 +39,14 @@ class PortIdAllocator:
     """Allocates SW-C-scope unique plug-in port ids per SW-C."""
 
     def __init__(self, vehicle: Vehicle) -> None:
+        self._conf = vehicle.conf
         self._used: dict[str, set[int]] = {}
-        for app in vehicle.conf.installed.values():
-            for record in app.plugins:
-                self._used.setdefault(record.swc_name, set()).update(
-                    record.port_ids
-                )
         self._cursor: dict[str, int] = {}
 
     def allocate(self, swc_name: str) -> int:
-        used = self._used.setdefault(swc_name, set())
+        used = self._used.get(swc_name)
+        if used is None:
+            used = self._used[swc_name] = self._conf.used_port_ids(swc_name)
         cursor = self._cursor.get(swc_name, 0)
         while cursor in used:
             cursor += 1

@@ -44,12 +44,15 @@ from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ConfigurationError
-from repro.server.gateway.pump import CommandPump, GatewayTimeout
+from repro.server.gateway.pump import (
+    DEFAULT_INTERVAL_US,
+    CommandPump,
+    GatewayTimeout,
+)
 from repro.server.gateway.routes import ROUTE_NAMES, build_router
 from repro.server.gateway.stream import StreamBroker
 from repro.server.gateway.wire import STATUS_GATEWAY_BUSY, encode
 from repro.server.services.envelope import ApiError, ErrorCode, Response
-from repro.sim.kernel import MS
 
 #: Longest the driver blocks while a pumped request is in flight: a
 #: guard against a missed wakeup, not a pacing knob.
@@ -182,8 +185,7 @@ class _Handler(BaseHTTPRequestHandler):
                     response = gateway.commands.submit(
                         lambda: _run_handler(
                             route.handler, gateway, params, query, body
-                        ),
-                        timeout_s=gateway.command_timeout_s,
+                        )
                     )
                 else:
                     response = _run_handler(
@@ -257,27 +259,15 @@ class FleetGateway:
     """
 
     def __init__(
-        self,
-        platform,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        pump_interval_us: int = 5 * MS,
-        command_timeout_s: float = 30.0,
-        stream_buffer: int = 256,
+        self, platform, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.platform = platform
         self.host = host
         self.port = port
-        self.command_timeout_s = command_timeout_s
         self.router = build_router()
         metrics = self.api.metrics
-        self.commands = CommandPump(
-            platform.sim, interval_us=pump_interval_us, metrics=metrics
-        )
-        self.broker = StreamBroker(
-            self.api.telemetry, metrics=metrics,
-            default_capacity=stream_buffer,
-        )
+        self.commands = CommandPump(platform.sim, metrics=metrics)
+        self.broker = StreamBroker(self.api.telemetry, metrics=metrics)
         #: Engines staged over HTTP, by campaign id (sim-thread state).
         self.engines: dict = {}
         self._httpd: Optional[_GatewayHTTPServer] = None
@@ -383,10 +373,9 @@ class FleetGateway:
         briefly to every other thread (see the module docstring).
         """
         sim = self.platform.sim
-        interval = self.commands.interval_us
         released = time.perf_counter()
         while self._running:
-            sim.run_for(interval)
+            sim.run_for(DEFAULT_INTERVAL_US)
             # Read without the lock: a response written after this read
             # leaves a notification, so the wait returns at once.
             if self._in_flight:

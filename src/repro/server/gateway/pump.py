@@ -72,16 +72,8 @@ class CommandPump:
     before the pump reached it is skipped and counted in neither.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        interval_us: int = DEFAULT_INTERVAL_US,
-        metrics=None,
-    ) -> None:
-        if interval_us <= 0:
-            raise ValueError(f"interval_us must be positive (got {interval_us})")
+    def __init__(self, sim: Simulator, metrics=None) -> None:
         self.sim = sim
-        self.interval_us = interval_us
         self.metrics = metrics
         self._queue: "queue.SimpleQueue[_Command]" = queue.SimpleQueue()
         #: Notified on every submission and by :meth:`notify`; a driver
@@ -118,7 +110,6 @@ class CommandPump:
     def _schedule_batch(self) -> None:
         if not self._attached:
             return
-        interval = self.interval_us
 
         def tick(last: bool):
             def _tick() -> None:
@@ -130,7 +121,7 @@ class CommandPump:
             return _tick
 
         items = [
-            ((k + 1) * interval, tick(last=k == TICK_BATCH - 1))
+            ((k + 1) * DEFAULT_INTERVAL_US, tick(last=k == TICK_BATCH - 1))
             for k in range(TICK_BATCH)
         ]
         self._handles = self.sim.schedule_many(items, "gateway:pump")

@@ -142,17 +142,9 @@ class StreamClient:
 class StreamBroker:
     """Sequences bus events and fans them out to stream clients."""
 
-    def __init__(
-        self,
-        bus: TelemetryBus,
-        metrics=None,
-        default_capacity: int = DEFAULT_CLIENT_BUFFER,
-        idle_ttl_s: float = CLIENT_IDLE_TTL_S,
-    ) -> None:
+    def __init__(self, bus: TelemetryBus, metrics=None) -> None:
         self.bus = bus
         self.metrics = metrics
-        self.default_capacity = default_capacity
-        self.idle_ttl_s = idle_ttl_s
         self._lock = threading.Lock()
         self._clients: dict[str, StreamClient] = {}
         self._seq = 0
@@ -217,14 +209,14 @@ class StreamBroker:
                 self._next_client += 1
                 client_id = f"c-{self._next_client}"
             for stale_id, stale in list(self._clients.items()):
-                if now - stale.last_poll_wall > self.idle_ttl_s:
+                if now - stale.last_poll_wall > CLIENT_IDLE_TTL_S:
                     del self._clients[stale_id]
             client = StreamClient(
                 client_id,
                 categories=(
                     None if categories is None else frozenset(categories)
                 ),
-                capacity=capacity or self.default_capacity,
+                capacity=capacity or DEFAULT_CLIENT_BUFFER,
             )
             self._clients[client_id] = client
             if self.metrics is not None:

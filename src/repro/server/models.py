@@ -120,7 +120,9 @@ class InstalledPlugin:
     ``acked`` records a positive installation acknowledgement;
     ``nacked`` a negative one.  Both False means the vehicle has not
     answered yet (in flight, offline, or lost) — campaign health gates
-    need that three-way distinction.
+    need that three-way distinction.  ``package`` is the encoded install
+    message that retry, restore and reconcile resend; ``footprint`` the
+    binary size the SW-C memory budget counts.
     """
 
     plugin_name: str
@@ -129,6 +131,8 @@ class InstalledPlugin:
     port_ids: tuple[int, ...]
     acked: bool = False
     nacked: bool = False
+    package: bytes = b""
+    footprint: int = 0
 
 
 @dataclass
@@ -196,13 +200,14 @@ class CampaignRecord:
 
     Persists everything the control plane needs to list, query, and —
     after a simulated server restart — resume a campaign: the
-    serialized spec and fault plan (``None`` when the spec used an
-    opaque callable selector and could not be serialized), the
-    lifecycle status, and the final report rendering.
+    serialized spec and fault plan (``faults`` is None when the
+    campaign runs without one), the lifecycle status, and the final
+    report rendering.
     """
 
     campaign_id: str
     app_name: str
+    spec: dict
     owner: str = ""
     #: staged | running | interrupted | succeeded | rolled_back |
     #: halted | timed_out
@@ -210,14 +215,9 @@ class CampaignRecord:
     created_us: int = 0
     started_us: Optional[int] = None
     finished_us: Optional[int] = None
-    spec: Optional[dict] = None
     faults: Optional[dict] = None
     report: Optional[dict] = None
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def persistable(self) -> bool:
-        return self.spec is not None
 
     def to_dict(self) -> dict:
         return {

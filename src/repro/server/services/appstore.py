@@ -274,7 +274,7 @@ class AppStore:
             for installed in vehicle.conf.installed.values():
                 for record in installed.plugins:
                     if record.swc_name == swc_name:
-                        used += getattr(record, "footprint", 0)
+                        used += record.footprint
             if used + needed > swc.vm_memory_bytes:
                 report.add_failure(
                     f"SW-C {swc_name} memory budget exceeded: "

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import PersistenceError, UnknownEntityError
+from repro.errors import UnknownEntityError
 from repro.server.database import Database
 from repro.server.models import CampaignRecord
 from repro.server.services.deployments import DeploymentService
@@ -44,8 +44,9 @@ class CampaignService:
     def __init__(self, db: Database, deployments: DeploymentService) -> None:
         self.db = db
         self.deployments = deployments
-        #: Live (spec, faults) objects for campaigns created this process —
-        #: lets non-persistable specs (opaque callable selectors) still run.
+        #: Live (spec, faults) pairs: campaigns created in this process
+        #: (their engine may be running here) and records revived by
+        #: :meth:`_revive`, so each record is deserialized once.
         self._live: dict[str, tuple] = {}
         #: vin -> (campaign_id, phase): VINs actively held by an engine.
         self._claims: dict[str, tuple[str, str]] = {}
@@ -70,33 +71,28 @@ class CampaignService:
         """Stage a campaign: persist it and return its record.
 
         The spec (and optional fault plan) are serialized into the
-        record so the campaign can be resumed after a restart; a spec
-        with an opaque callable selector still runs in-process, but the
-        record is marked non-persistable.
+        record so the campaign can be resumed after a restart.  A spec
+        whose wave policy or selector lacks ``to_dict`` is refused with
+        ``NOT_PERSISTABLE``; nothing is recorded.
         """
+        try:
+            data = spec.to_dict()
+        except NotImplementedError:
+            return Response.failure(
+                ErrorCode.NOT_PERSISTABLE,
+                f"campaign for {spec.app_name} cannot be staged: a spec "
+                f"component (wave policy or selector) does not implement "
+                f"to_dict()",
+            )
         record = CampaignRecord(
             campaign_id=self._next_id(),
             app_name=spec.app_name,
+            spec=data,
             owner=user_id or spec.user_id or "",
             status="staged",
             created_us=created_us,
+            faults=faults.to_dict() if faults is not None else None,
         )
-        try:
-            record.spec = spec.to_dict()
-        except PersistenceError as exc:
-            record.spec = None
-            record.notes.append(f"not persistable: {exc}")
-        except NotImplementedError:
-            # A user-defined wave policy or selector implementing only
-            # the runtime contract: runs fine in-process, just cannot
-            # be serialized.
-            record.spec = None
-            record.notes.append(
-                "not persistable: a spec component (wave policy or "
-                "selector) does not implement to_dict()"
-            )
-        if faults is not None:
-            record.faults = faults.to_dict()
         self.db.add_campaign(record)
         self._live[record.campaign_id] = (spec, faults)
         return Response.success(record)
@@ -142,7 +138,7 @@ class CampaignService:
             revived = self._revive(record)
             if revived.ok:
                 resumable.append(record)
-            elif record.spec is not None:
+            else:
                 # One corrupt or unregistered record must not abort
                 # recovery of the healthy campaigns around it; flag it
                 # on the record instead.
@@ -175,12 +171,6 @@ class CampaignService:
         pair = self._live.get(record.campaign_id)
         if pair is not None:
             return Response.success(pair)
-        if record.spec is None:
-            return Response.failure(
-                ErrorCode.NOT_PERSISTABLE,
-                f"campaign {record.campaign_id} was staged with a "
-                f"non-serializable spec and cannot be resumed",
-            )
         try:
             pair = (
                 self._deserialize_spec(record.spec),

@@ -30,14 +30,7 @@ from repro.server.contextgen import generate_packages
 from repro.server.pusher import Pusher
 from repro.server.services.appstore import AppStore
 from repro.server.services.envelope import ErrorCode, Response
-
-
-@dataclass
-class _PluginRecord(InstalledPlugin):
-    """Installed-plugin record extended with the resend package."""
-
-    package: bytes = b""
-    footprint: int = 0
+from repro.telemetry.bus import TelemetryBus
 
 
 class InstallProgress(NamedTuple):
@@ -84,14 +77,13 @@ class DeploymentService:
         db: Database,
         pusher: Pusher,
         store: AppStore,
-        telemetry=None,
+        telemetry: TelemetryBus,
     ) -> None:
         self.db = db
         self.pusher = pusher
         self.store = store
-        #: Optional :class:`~repro.telemetry.TelemetryBus`; deployment
-        #: life-cycle events and relayed DiagMessage telemetry are
-        #: published onto it (duck-typed, None when unwired).
+        #: The control plane's bus: deployment life-cycle events and
+        #: relayed DiagMessage telemetry are published onto it.
         self.telemetry = telemetry
         self.deploys = 0
         self.rejected_deploys = 0
@@ -120,11 +112,10 @@ class DeploymentService:
         status: Optional[InstallStatus] = None,
     ) -> None:
         event = ServerEvent(kind, vin, app_name, status)
-        if self.telemetry is not None:
-            self.telemetry.publish(
-                "deploy", kind, self.pusher.now, vin=vin,
-                app=app_name, status=status.value if status else "",
-            )
+        self.telemetry.publish(
+            "deploy", kind, self.pusher.now, vin=vin,
+            app=app_name, status=status.value if status else "",
+        )
         for callback in list(self._listeners):
             callback(event)
 
@@ -163,7 +154,7 @@ class DeploymentService:
         for package in packages:
             raw = package.message.encode()
             installed.plugins.append(
-                _PluginRecord(
+                InstalledPlugin(
                     plugin_name=package.message.plugin_name,
                     swc_name=package.message.target_swc,
                     ecu_name=package.message.target_ecu,
@@ -271,7 +262,7 @@ class DeploymentService:
         for record in installed.plugins:
             if record.acked:
                 continue
-            if not isinstance(record, _PluginRecord) or not record.package:
+            if not record.package:
                 raise ServerError(
                     f"no stored package for plug-in {record.plugin_name}"
                 )
@@ -367,7 +358,7 @@ class DeploymentService:
             for record in installed.plugins:
                 if record.ecu_name != ecu_name:
                     continue
-                if not isinstance(record, _PluginRecord) or not record.package:
+                if not record.package:
                     raise ServerError(
                         f"no stored package for plug-in {record.plugin_name}"
                     )
@@ -411,7 +402,7 @@ class DeploymentService:
                 }
                 if record.plugin_name in present:
                     continue
-                if not isinstance(record, _PluginRecord) or not record.package:
+                if not record.package:
                     continue
                 record.acked = False
                 record.nacked = False
@@ -429,17 +420,16 @@ class DeploymentService:
         message = msg.decode(raw)
         if isinstance(message, msg.DiagMessage):
             self.db.vehicle(vin).health[message.source_swc] = message
-            if self.telemetry is not None:
-                self.telemetry.publish(
-                    "diag", "report", self.pusher.now, vin=vin,
-                    swc=message.source_swc,
-                    traps=sum(p.traps for p in message.plugins),
-                    activations=sum(p.activations for p in message.plugins),
-                    fuel_used=sum(p.fuel_used for p in message.plugins),
-                    memory_used_blocks=message.memory_used_blocks,
-                    memory_free_blocks=message.memory_free_blocks,
-                    plugins=len(message.plugins),
-                )
+            self.telemetry.publish(
+                "diag", "report", self.pusher.now, vin=vin,
+                swc=message.source_swc,
+                traps=sum(p.traps for p in message.plugins),
+                activations=sum(p.activations for p in message.plugins),
+                fuel_used=sum(p.fuel_used for p in message.plugins),
+                memory_used_blocks=message.memory_used_blocks,
+                memory_free_blocks=message.memory_free_blocks,
+                plugins=len(message.plugins),
+            )
             return
         if not isinstance(message, msg.AckMessage):
             return

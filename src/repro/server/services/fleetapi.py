@@ -49,7 +49,7 @@ class FleetAPI:
         self.vehicles = VehicleService(db, pusher)
         self.store = AppStore(db)
         self.deployments = DeploymentService(
-            db, pusher, self.store, telemetry=self.telemetry
+            db, pusher, self.store, self.telemetry
         )
         self.campaigns = CampaignService(db, self.deployments)
         pusher.on_upstream(self.deployments.on_vehicle_message)

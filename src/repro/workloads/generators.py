@@ -47,7 +47,6 @@ class SyntheticConfig:
     ports_per_plugin: int = 4
     dependency_density: float = 0.2
     conflict_density: float = 0.05
-    binary_padding: int = 256
 
 
 def synth_model_name(index: int) -> str:
@@ -98,17 +97,15 @@ def make_synthetic_app(
     existing_apps: list[str],
 ) -> App:
     """One synthetic APP with plug-ins, descriptors, and relations."""
-    base_binary = compile_plugin(_SYNTH_SOURCE, mem_hint=16).raw
-    binary = base_binary + bytes(config.binary_padding)
+    binary = compile_plugin(_SYNTH_SOURCE, mem_hint=16).raw
     plugins = {}
     for p in range(config.plugins_per_app):
         name = f"app{index}_p{p}"
         plugins[name] = PluginDescriptor(
             name,
-            base_binary,  # must stay a valid container
+            binary,
             tuple(f"port{k}" for k in range(config.ports_per_plugin)),
         )
-    del binary
     sw_confs = []
     for m in range(config.models):
         placements = tuple(

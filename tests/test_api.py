@@ -8,8 +8,8 @@ negative tests for invalid declarations and heterogeneous fleets.
 import pytest
 
 from repro import (
-    Fleet,
     InstallStatus,
+    Platform,
     RelayLink,
     ScenarioBuilder,
     ServicePort,
@@ -277,11 +277,11 @@ class TestHeterogeneousFleet:
         app.unconnected("SRC", "cmd")
         app.wire("SRC", "out", "DST", "in")
         app.virtual("DST", "act", "V4")
-        return scenario.build(platform_cls=Fleet)
+        return scenario.build()
 
     def test_mixed_ecu_counts_deploy_everywhere(self):
         fleet = self._mixed_fleet()
-        assert isinstance(fleet, Fleet)
+        assert isinstance(fleet, Platform)
         assert [len(v.spec.ecus) for v in fleet.vehicles] == [2, 3]
         fleet.run(1 * SECOND)
         campaign = fleet.deploy_everywhere("pair")
@@ -297,7 +297,7 @@ class TestHeterogeneousFleet:
         scenario = ScenarioBuilder(seed=3, trace=False)
         declare_tri_ecu_vehicle(scenario, vin="VIN-FULL")
         declare_tri_ecu_vehicle(scenario, vin="VIN-STAT").statistical()
-        fleet = scenario.build(platform_cls=Fleet)
+        fleet = scenario.build()
         kinds = [type(vehicle).__name__ for vehicle in fleet.vehicles]
         assert kinds == ["Vehicle", "StatisticalVehicle"]
         assert sorted(fleet.server.db.vehicles) == ["VIN-FULL", "VIN-STAT"]

@@ -53,8 +53,12 @@ def vins_of(n):
     return [f"VIN-{i:04d}" for i in range(n)]
 
 
+def no_records(vin):
+    raise AssertionError("count-based wave policies never resolve a VIN")
+
+
 def assert_exact_partition(policy, vins):
-    waves = policy.partition(vins)
+    waves = policy.partition(vins, no_records)
     flattened = [vin for wave in waves for vin in wave]
     assert flattened == list(vins)  # every VIN exactly once, in order
     assert all(wave for wave in waves)  # no empty waves
@@ -87,7 +91,9 @@ class TestWavePartitioning:
         assert_exact_partition(ExponentialWaves(initial, factor), vins_of(n))
 
     def test_percentage_cuts_match_acceptance_shape(self):
-        waves = PercentageWaves((0.05, 0.25, 1.0)).partition(vins_of(100))
+        waves = PercentageWaves((0.05, 0.25, 1.0)).partition(
+            vins_of(100), no_records
+        )
         assert [len(w) for w in waves] == [5, 20, 75]
 
     def test_invalid_policies_rejected(self):

@@ -13,7 +13,7 @@ def deployed():
     p = build_example_platform()
     p.boot()
     p.run(1 * SECOND)
-    result = p.deploy_remote_control()
+    result = p.deploy("remote-control")
     assert result.ok
     p.run(3 * SECOND)
     return p

@@ -13,7 +13,7 @@ from repro.core.plugin import PluginState
 from repro.fes.example_platform import build_example_platform
 from repro.server.models import InstallStatus
 from repro.server.services import ErrorCode
-from repro.sim import MS, SECOND
+from repro.sim import SECOND
 
 
 @pytest.fixture()
@@ -26,8 +26,8 @@ def platform():
 
 @pytest.fixture()
 def deployed(platform):
-    result = platform.deploy_remote_control()
-    assert result.ok, result.reasons
+    result = platform.deploy("remote-control")
+    assert result.ok, result.results
     platform.run(3 * SECOND)
     return platform
 
@@ -146,8 +146,8 @@ class TestUninstallAndRestore:
             deployed.user_id, "VIN-0001", "remote-control"
         )
         deployed.run(3 * SECOND)
-        result = deployed.deploy_remote_control()
-        assert result.ok, result.reasons
+        result = deployed.deploy("remote-control")
+        assert result.ok, result.results
         deployed.run(3 * SECOND)
         deployed.phone().send("Speed", 77)
         deployed.run(1 * SECOND)

@@ -10,10 +10,10 @@ from repro.fes.example_platform import (
     make_example_vehicle_spec,
 )
 from repro.fes.phone import Smartphone
-from repro.fes.vehicle import PluginSwcPlacement, VehicleSpec, build_vehicle
+from repro.fes.vehicle import PluginSwcPlacement, build_vehicle
 from repro.network.channel import ChannelProfile
 from repro.network.sockets import NetworkFabric
-from repro.sim import MS, SECOND, Simulator, StreamFactory
+from repro.sim import MS, SECOND, Simulator
 
 
 class TestVehicleSpecValidation:
@@ -84,7 +84,7 @@ class TestLossyWireless:
         )
         platform.boot()
         platform.run(1 * SECOND)
-        assert platform.deploy_remote_control().ok
+        assert platform.deploy("remote-control").ok
         platform.run(3 * SECOND)
         sent = 60
         for angle in range(sent):
@@ -102,7 +102,7 @@ class TestLossyWireless:
         platform = build_example_platform(seed=21, cellular_profile=jittery)
         platform.boot()
         platform.run(2 * SECOND)
-        assert platform.deploy_remote_control().ok
+        assert platform.deploy("remote-control").ok
         platform.run(5 * SECOND)
         assert platform.vehicle().pirte_of("swc2").plugin("OP").state is (
             PluginState.RUNNING

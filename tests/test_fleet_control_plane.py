@@ -305,19 +305,17 @@ class TestSelectorWaves:
             even_vins(6), odd_vins(6),
         ]
 
-    def test_remainder_wave_and_plain_partition_guard(self):
+    def test_remainder_wave_and_empty_selector_list_guard(self):
         waves = SelectorWaves((S.vins({"VIN-0000"}),))
-        with pytest.raises(ConfigurationError):
-            waves.partition(["VIN-0000"])
         with pytest.raises(ConfigurationError):
             SelectorWaves(())
         fleet = make_fleet(4)
         resolve = fleet.api.vehicles.resolve
-        assert waves.partition_resolved(fleet.vins, resolve) == [
+        assert waves.partition(fleet.vins, resolve) == [
             ["VIN-0000"], ["VIN-0001", "VIN-0002", "VIN-0003"],
         ]
         no_remainder = SelectorWaves((S.vins({"VIN-0000"}),), remainder=False)
-        assert no_remainder.partition_resolved(fleet.vins, resolve) == [
+        assert no_remainder.partition(fleet.vins, resolve) == [
             ["VIN-0000"],
         ]
 
@@ -327,7 +325,7 @@ class TestSelectorWaves:
         fleet = make_fleet(4)
         resolve = fleet.api.vehicles.resolve
         waves = SelectorWaves((S.region("mars"), S.vins({"VIN-0000"})))
-        assert waves.partition_resolved(fleet.vins, resolve) == [
+        assert waves.partition(fleet.vins, resolve) == [
             [], ["VIN-0000"], ["VIN-0001", "VIN-0002", "VIN-0003"],
         ]
         report = fleet.run_campaign(
@@ -595,7 +593,8 @@ class TestCampaignPersistence:
         engine = fleet.stage_campaign(spec, faults=faults)
         campaign_id = engine.campaign_id
         record = fleet.api.campaigns.get(campaign_id).unwrap()
-        assert record.status == "staged" and record.persistable
+        assert record.status == "staged"
+        assert CampaignSpec.from_dict(record.spec) == spec
 
         fleet.server.restart()  # process state gone, database survives
         resumable = fleet.api.campaigns.load().unwrap()
@@ -674,48 +673,38 @@ class TestCampaignPersistence:
                 InstallStatus.ACTIVE
             )
 
-    def test_opaque_callable_selector_is_not_persistable(self):
-        fleet = make_fleet(2)
-        spec = CampaignSpec(
-            APP, waves=FixedWaves(2), canary=False,
-            selector=lambda vin: vin.endswith("0"),
-        )
-        engine = fleet.stage_campaign(spec)
-        record = fleet.api.campaigns.get(engine.campaign_id).unwrap()
-        assert not record.persistable
-        assert any("not persistable" in note for note in record.notes)
-        # It still runs fine in-process ...
-        report = engine.run()
-        assert report.status == "succeeded" and report.updated == 1
-        # ... but a staged one cannot be revived after a restart.
-        staged = fleet.stage_campaign(spec)
-        fleet.server.restart()
-        fleet.api.campaigns.load()
-        response = fleet.api.campaigns.restage(staged.campaign_id)
-        assert not response.ok
-        assert response.code is ErrorCode.NOT_PERSISTABLE
+    def test_callable_selector_is_refused(self):
+        """Only FleetSelectors target campaigns: a VIN predicate could
+        not be stored, so the campaign could not survive a restart."""
+        with pytest.raises(ConfigurationError, match="FleetSelector"):
+            CampaignSpec(
+                APP, waves=FixedWaves(2), canary=False,
+                selector=lambda vin: vin.endswith("0"),
+            )
 
-    def test_custom_wave_policy_runs_as_non_persistable(self):
-        """A user WavePolicy implementing only partition() must stage
-        and run; it just cannot survive a restart."""
+    def test_wave_policy_without_to_dict_is_not_staged(self):
+        """A user WavePolicy implementing only partition() is refused
+        before any campaign id or record exists."""
         from repro.campaign.spec import WavePolicy
 
         class EveryOtherWaves(WavePolicy):
-            def partition(self, vins):
+            def partition(self, vins, resolve):
                 return [list(vins[0::2]), list(vins[1::2])]
 
         fleet = make_fleet(4)
-        engine = fleet.stage_campaign(
-            CampaignSpec(APP, waves=EveryOtherWaves(), canary=False)
-        )
-        record = fleet.api.campaigns.get(engine.campaign_id).unwrap()
-        assert not record.persistable
-        assert any("to_dict" in note for note in record.notes)
-        report = engine.run()
-        assert report.status == "succeeded" and report.updated == 4
-        assert [wave.vins for wave in report.waves] == [
-            even_vins(4), odd_vins(4),
-        ]
+        spec = CampaignSpec(APP, waves=EveryOtherWaves(), canary=False)
+        response = fleet.api.campaigns.create(spec)
+        assert not response.ok
+        assert response.code is ErrorCode.NOT_PERSISTABLE
+        assert any("to_dict" in reason for reason in response.reasons)
+        assert fleet.api.campaigns.list().unwrap() == []
+        with pytest.raises(ApiError) as refused:
+            fleet.stage_campaign(spec)
+        assert refused.value.code is ErrorCode.NOT_PERSISTABLE
+        assert fleet.api.campaigns.list().unwrap() == []
+        # The next persistable campaign still gets the first id.
+        engine = fleet.stage_campaign(persistent_spec())
+        assert engine.campaign_id == "cmp-0001"
 
     def test_terminal_campaigns_cannot_be_resumed(self):
         fleet = make_fleet(2)

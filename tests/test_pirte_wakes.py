@@ -160,7 +160,7 @@ def deployed():
     platform = build_example_platform()
     platform.boot()
     platform.run(1 * SECOND)
-    assert platform.deploy_remote_control().ok
+    assert platform.deploy("remote-control").ok
     platform.run(3 * SECOND)
     return platform
 

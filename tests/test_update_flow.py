@@ -48,7 +48,7 @@ def deployed():
     p = build_example_platform()
     p.boot()
     p.run(1 * SECOND)
-    assert p.deploy_remote_control().ok
+    assert p.deploy("remote-control").ok
     p.run(3 * SECOND)
     return p
 
