@@ -17,13 +17,10 @@ from repro.autosar import (
     SystemDescription,
     INT16,
     build_system,
-    provided_port,
     required_port,
 )
 from repro.core import (
     EMPTY_ECC,
-    Ecc,
-    EccEntry,
     InstallMessage,
     LinkKind,
     Pic,
@@ -36,7 +33,7 @@ from repro.core import (
     get_pirte,
 )
 from repro.core.plugin_swc import make_plugin_swc_type
-from repro.sim import MS, SECOND
+from repro.sim import MS
 from repro.vm.loader import compile_plugin
 
 FORWARD_SOURCE = """

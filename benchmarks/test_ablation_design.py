@@ -16,7 +16,6 @@ from benchmarks._scenarios import (
     install_message,
     sink_latencies,
 )
-from benchmarks.conftest import ROOT  # noqa: F401
 from repro.analysis import print_table
 from repro.autosar import SystemDescription, build_system
 from repro.core import LinkKind, PlcLink, PluginSwcSpec, ServicePort, get_pirte

@@ -13,7 +13,6 @@ reboot (tens of seconds OTA, a day via workshop) — a multiple-order-of-
 magnitude gap that widens with image size.
 """
 
-from benchmarks.conftest import ROOT  # noqa: F401
 from repro.analysis import print_table, speedup
 from repro.baselines import (
     ReflashParameters,
@@ -90,7 +89,7 @@ def test_deploy_dynamic_vs_reflash(benchmark):
 
 def test_deploy_scales_with_package_size(benchmark):
     """Install time grows with binary size (CAN transfer dominated)."""
-    from repro.server.models import App, PluginDescriptor
+    from repro.server.models import PluginDescriptor
 
     rows = []
     times = []

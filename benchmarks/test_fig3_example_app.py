@@ -12,7 +12,6 @@ traverse phone -> COM -> type II -> OP -> type III in a few
 dispatch periods plus one CAN hop (milliseconds, not seconds).
 """
 
-from benchmarks.conftest import ROOT  # noqa: F401 (path setup)
 from repro.analysis import print_table, us_to_ms
 from repro.fes.example_platform import build_example_platform
 from repro.sim import MS, SECOND

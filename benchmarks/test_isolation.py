@@ -14,7 +14,6 @@ the fuel quota bounds each activation), while the plug-in's own
 activations trap on fuel exhaustion.
 """
 
-from benchmarks.conftest import ROOT  # noqa: F401
 from repro.analysis import print_table
 from repro.autosar import (
     ComponentType,
@@ -23,7 +22,7 @@ from repro.autosar import (
     TimingEvent,
     build_system,
 )
-from repro.core import LinkKind, PluginSwcSpec, get_pirte
+from repro.core import PluginSwcSpec, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type
 from repro.sim import MS
 from repro.telemetry.metrics import summarize

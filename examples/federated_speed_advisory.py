@@ -22,13 +22,13 @@ Run:  python examples/federated_speed_advisory.py
 """
 
 from repro import (
+    AppBuilder,
     RelayLink,
-    ScenarioBuilder,
     ServicePort,
     Smartphone,
+    VehicleBuilder,
     build_fleet,
 )
-from repro.api.builder import AppBuilder
 from repro.autosar.events import DataReceivedEvent, TimingEvent
 from repro.autosar.interfaces import DataElement, SenderReceiverInterface
 from repro.autosar.ports import provided_port, required_port
@@ -92,11 +92,11 @@ def make_drivetrain_type(initial_speed: int) -> ComponentType:
     )
 
 
-def make_fes_vehicle_spec(vin: str, server_address: str) -> VehicleSpec:
+def make_fes_vehicle_spec(vin: str) -> VehicleSpec:
     """A vehicle whose drivetrain speed is exposed on V6 (declarative)."""
     # Heterogeneous but deterministic initial speeds (30..70 km/h).
     initial = 30 + (sum(ord(c) for c in vin) % 5) * 10
-    sedan = ScenarioBuilder(server_address=server_address).vehicle(vin, MODEL)
+    sedan = VehicleBuilder(vin, MODEL)
     sedan.ecus("ECU1", "ECU2")
     sedan.ecm(
         "swc1", on="ECU1", type_name="FesEcm",
@@ -117,7 +117,7 @@ def make_fes_vehicle_spec(vin: str, server_address: str) -> VehicleSpec:
 
 
 def make_advisory_app() -> App:
-    app = AppBuilder(None, "speed-advisory", MODEL)
+    app = AppBuilder("speed-advisory", MODEL)
     app.plugin("PROBE", source=FORWARD, mem_hint=8, on="swc2",
                ports=("speed_in", "report_out"))
     app.plugin("REP", source=FORWARD, mem_hint=8, on="swc1",

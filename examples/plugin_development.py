@@ -102,7 +102,7 @@ def bench_phase() -> bytes:
 
 
 def make_cruise_app(binary_raw: bytes) -> App:
-    app = AppBuilder(None, "cruise-filter", "model-car-rpi")
+    app = AppBuilder("cruise-filter", "model-car-rpi")
     app.plugin("CRUISE", binary=binary_raw, on="swc2",
                ports=("speed_in", "speed_out"))
     app.unconnected("CRUISE", "speed_in")

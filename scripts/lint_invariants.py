@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""AST linter for the repo's two hand-defended invariants.
+"""AST linter for the repo's hand-defended invariants.
 
-Every PR so far has protected the same two properties by review alone;
-this makes them machine-checked:
+These properties were long protected by review alone; this makes them
+machine-checked:
 
 1. **Byte-identical replay** — everything that runs inside the
    replayed simulation must draw all randomness from the seeded kernel
@@ -14,6 +14,13 @@ this makes them machine-checked:
    the simulator only through the command pump (``pump.py``).  A direct
    ``.sim`` attribute access anywhere else in
    ``src/repro/server/gateway`` is a thread-safety hazard.
+3. **No unused imports** — every name a module imports is used in it,
+   in ``src``, ``tests``, ``benchmarks``, ``bench``, ``examples`` and
+   ``scripts``.  A name counts as used when it is read as a name,
+   listed in ``__all__`` or named inside a quoted annotation.  Package
+   ``__init__.py`` files import to re-export and are not checked, and
+   an import inside a ``try`` that catches ``ImportError`` is a probe
+   whose success is its use.
 
 Violations are keyed ``relpath::scope::rule`` (scope = enclosing
 function qualname), so entries survive line drift.  Existing,
@@ -58,6 +65,15 @@ WALL_CLOCK_CALLS = {
 RULE_RANDOM = "unseeded-random"
 RULE_WALL_CLOCK = "wall-clock"
 RULE_SIM_ACCESS = "sim-access"
+RULE_UNUSED_IMPORT = "unused-import"
+
+#: Directories the unused-import rule scans.
+IMPORT_SCAN_DIRS = (
+    "src", "tests", "benchmarks", "bench", "examples", "scripts",
+)
+
+#: Exceptions whose handler makes the imports of a ``try`` body probes.
+IMPORT_PROBE_ERRORS = {"ImportError", "ModuleNotFoundError"}
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -118,6 +134,109 @@ class Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+class ImportUses(ast.NodeVisitor):
+    """Collects the names one module imports and the names it uses."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.imports: list[tuple[str, str, int]] = []  # scope, name, line
+        self.used: set[str] = set()
+        self._probing = False
+
+    def _scoped(self, node) -> None:
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def _bind(self, name: str, node: ast.stmt) -> None:
+        if not self._probing:
+            scope = ".".join(self.scope) if self.scope else "<module>"
+            self.imports.append((scope, name, node.lineno))
+
+    def _quoted(self, annotation: ast.AST | None) -> None:
+        """Count the names inside string parts of an annotation."""
+        if annotation is None:
+            return
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    expr = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                self.used.update(
+                    n.id for n in ast.walk(expr) if isinstance(n, ast.Name)
+                )
+
+    def visit_FunctionDef(self, node) -> None:
+        self._quoted(node.returns)
+        self._scoped(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_ClassDef = _scoped
+
+    def visit_arg(self, node: ast.arg) -> None:
+        self._quoted(node.annotation)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._quoted(node.annotation)
+        self.generic_visit(node)
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            self._bind(alias.asname or alias.name.split(".")[0], node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "__future__":
+            return
+        for alias in node.names:
+            if alias.name != "*":
+                self._bind(alias.asname or alias.name, node)
+
+    def visit_Try(self, node: ast.Try) -> None:
+        caught: set[str] = set()
+        for handler in node.handlers:
+            types = handler.type
+            items = types.elts if isinstance(types, ast.Tuple) else [types]
+            caught.update(i.id for i in items if isinstance(i, ast.Name))
+        outer = self._probing
+        self._probing = outer or bool(caught & IMPORT_PROBE_ERRORS)
+        for stmt in node.body:
+            self.visit(stmt)
+        self._probing = outer
+        for part in (node.handlers, node.orelse, node.finalbody):
+            for child in part:
+                self.visit(child)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if not isinstance(node.ctx, ast.Store):
+            self.used.add(node.id)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            self.used.update(
+                n.value for n in ast.walk(node.value)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
+        self.generic_visit(node)
+
+
+def unused_imports(path: Path) -> list[tuple[str, str, int, str]]:
+    """The imports of ``path`` that nothing in the module uses (none for
+    a package ``__init__.py``, which imports to re-export)."""
+    if path.name == "__init__.py":
+        return []
+    visitor = ImportUses()
+    visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+    return [
+        (scope, RULE_UNUSED_IMPORT, lineno, name)
+        for scope, name, lineno in visitor.imports
+        if name not in visitor.used
+    ]
+
+
 def lint_file(path: Path) -> list[tuple[str, str, int, str]]:
     rel = path.relative_to(ROOT).as_posix()
     in_gateway = rel.startswith(GATEWAY_DIR + "/")
@@ -146,8 +265,17 @@ def main() -> int:
     allowed = load_allowlist()
     used: set[str] = set()
     failures: list[str] = []
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
-        for scope, rule, lineno, detail in lint_file(path):
+    checks = [
+        (path, lint_file)
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+    ]
+    for directory in IMPORT_SCAN_DIRS:
+        checks += [
+            (path, unused_imports)
+            for path in sorted((ROOT / directory).rglob("*.py"))
+        ]
+    for path, check in checks:
+        for scope, rule, lineno, detail in check(path):
             rel = path.relative_to(ROOT).as_posix()
             key = f"{rel}::{scope}::{rule}"
             if key in allowed:

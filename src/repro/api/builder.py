@@ -5,8 +5,7 @@ system — vehicles with any number of ECUs, plug-in SW-C placements and
 their virtual-port tables, legacy components, apps compiled from plug-in
 assembly source, phones, and network profiles — and ``build()`` it into
 a running :class:`~repro.api.platform.Platform`.  The paper's two-ECU
-model car becomes a ~40-line declaration instead of a hard-coded module
-(see :mod:`repro.fes.example_platform`, now a thin wrapper).
+model car is one such declaration (see :mod:`repro.fes.example_platform`).
 
 Typical use::
 
@@ -26,10 +25,14 @@ Typical use::
     platform.boot()
     platform.deploy("my-app").wait()
 
-All declaration errors (duplicate VINs, placements onto missing ECUs,
-connections to undeclared plug-ins, ...) raise
-:class:`~repro.errors.ConfigurationError` with a precise message, at
-declaration time where possible and at ``build()`` otherwise.
+All declaration errors raise :class:`~repro.errors.ConfigurationError`
+with a precise message.  Errors about the scenario or an APP (duplicate
+VINs, connections to undeclared plug-ins, ...) raise as they are
+declared; a vehicle is judged whole by :meth:`VehicleSpec.validate
+<repro.fes.vehicle.VehicleSpec.validate>` (placements onto missing ECUs,
+duplicate instances, missing back-relays, ...), which ``build()`` runs
+on every vehicle, declared or added as a spec, before it constructs
+anything.
 """
 
 from __future__ import annotations
@@ -68,10 +71,7 @@ from repro.vm.loader import compile_plugin
 class VehicleBuilder:
     """Declares one vehicle platform: ECUs, SW-Cs, legacy components."""
 
-    def __init__(
-        self, scenario: "ScenarioBuilder", vin: str, model: str
-    ) -> None:
-        self._scenario = scenario
+    def __init__(self, vin: str, model: str) -> None:
         self.vin = vin
         self.model = model
         self._region = ""
@@ -81,7 +81,6 @@ class VehicleBuilder:
         self._plugin_swcs: list[PluginSwcPlacement] = []
         self._legacy: list[LegacyComponent] = []
         self._connectors: list[tuple[str, str, str, str]] = []
-        self._can_bitrate = 500_000
 
     def region(self, name: str) -> "VehicleBuilder":
         """Declare the deployment region the vehicle registers under.
@@ -110,10 +109,6 @@ class VehicleBuilder:
 
     def ecu(self, name: str) -> "VehicleBuilder":
         """Declare one ECU."""
-        if name in self._ecus:
-            raise ConfigurationError(
-                f"vehicle {self.vin}: duplicate ECU {name!r}"
-            )
         self._ecus.append(name)
         return self
 
@@ -123,56 +118,21 @@ class VehicleBuilder:
             self.ecu(name)
         return self
 
-    def can_bitrate(self, bits_per_second: int) -> "VehicleBuilder":
-        self._can_bitrate = bits_per_second
-        return self
-
     # -- plug-in SW-Cs -------------------------------------------------------
-
-    def _check_instance_free(self, instance: str) -> None:
-        taken = {p.instance_name for p in self._all_placements()}
-        taken.update(c.instance_name for c in self._legacy)
-        if instance in taken:
-            raise ConfigurationError(
-                f"vehicle {self.vin}: duplicate component instance "
-                f"{instance!r}"
-            )
-
-    def _all_placements(self) -> list[PluginSwcPlacement]:
-        placements = list(self._plugin_swcs)
-        if self._ecm is not None:
-            placements.insert(0, self._ecm)
-        return placements
 
     def _make_spec(
         self,
         instance: str,
-        spec: Optional[PluginSwcSpec],
         relays: Sequence[RelayLink],
         services: Sequence[ServicePort],
         type_name: Optional[str],
         has_mgmt: bool,
-        spec_kwargs: dict,
     ) -> PluginSwcSpec:
-        if spec is not None:
-            if relays or services or type_name is not None or spec_kwargs:
-                raise ConfigurationError(
-                    f"SW-C {instance}: pass either a prebuilt spec or "
-                    f"relays/services/type_name/options, not both"
-                )
-            if spec.has_mgmt != has_mgmt:
-                role = "ECM" if not has_mgmt else "plug-in SW-C"
-                raise ConfigurationError(
-                    f"SW-C {instance}: a {role} spec must have "
-                    f"has_mgmt={has_mgmt} (got {spec.has_mgmt})"
-                )
-            return spec.validate()
         return PluginSwcSpec(
             type_name or f"{instance.capitalize()}Type",
             relays=list(relays),
             services=list(services),
             has_mgmt=has_mgmt,
-            **spec_kwargs,
         ).validate()
 
     def ecm(
@@ -181,9 +141,7 @@ class VehicleBuilder:
         on: str,
         relays: Sequence[RelayLink] = (),
         services: Sequence[ServicePort] = (),
-        spec: Optional[PluginSwcSpec] = None,
         type_name: Optional[str] = None,
-        **spec_kwargs,
     ) -> "VehicleBuilder":
         """Place the ECM SW-C (exactly one per vehicle) on ECU ``on``.
 
@@ -195,10 +153,8 @@ class VehicleBuilder:
                 f"vehicle {self.vin}: ECM already declared "
                 f"({self._ecm.instance_name!r})"
             )
-        self._check_instance_free(instance)
         built = self._make_spec(
-            instance, spec, relays, services, type_name,
-            has_mgmt=False, spec_kwargs=spec_kwargs,
+            instance, relays, services, type_name, has_mgmt=False
         )
         self._ecm = PluginSwcPlacement(instance, on, built)
         return self
@@ -209,22 +165,16 @@ class VehicleBuilder:
         on: str,
         relays: Sequence[RelayLink] = (),
         services: Sequence[ServicePort] = (),
-        spec: Optional[PluginSwcSpec] = None,
         type_name: Optional[str] = None,
-        **spec_kwargs,
     ) -> "VehicleBuilder":
         """Place one plug-in SW-C on ECU ``on``.
 
         ``relays`` declare the type II virtual-port pairs toward peer
         SW-Cs; ``services`` the type III virtual ports into the built-in
-        software.  Extra keyword options (``vm_memory_blocks``,
-        ``dispatch_period_us``, ``fuel_per_activation``, ...) forward to
-        :class:`~repro.core.plugin_swc.PluginSwcSpec`.
+        software.
         """
-        self._check_instance_free(instance)
         built = self._make_spec(
-            instance, spec, relays, services, type_name,
-            has_mgmt=True, spec_kwargs=spec_kwargs,
+            instance, relays, services, type_name, has_mgmt=True
         )
         self._plugin_swcs.append(PluginSwcPlacement(instance, on, built))
         return self
@@ -237,7 +187,6 @@ class VehicleBuilder:
         priority: int = 6,
     ) -> "VehicleBuilder":
         """Place a built-in (non-plug-in) component on ECU ``on``."""
-        self._check_instance_free(instance)
         self._legacy.append(LegacyComponent(instance, ctype, on, priority))
         return self
 
@@ -250,45 +199,15 @@ class VehicleBuilder:
         )
         return self
 
-    def done(self) -> "ScenarioBuilder":
-        """Return to the parent scenario builder."""
-        return self._scenario
-
     # -- assembly ------------------------------------------------------------
 
-    def to_spec(self, server_address: Optional[str] = None) -> VehicleSpec:
-        """Validate the declaration and produce a :class:`VehicleSpec`."""
-        if not self._ecus:
-            raise ConfigurationError(
-                f"vehicle {self.vin} declares no ECUs"
-            )
+    def to_spec(self) -> VehicleSpec:
+        """The declaration as a :class:`VehicleSpec`, not yet validated
+        (:meth:`VehicleSpec.validate` judges it)."""
         if self._ecm is None:
             raise ConfigurationError(
                 f"vehicle {self.vin} declares no ECM placement"
             )
-        placements = self._all_placements()
-        names = {p.instance_name for p in placements}
-        for placement in placements:
-            if placement.ecu_name not in self._ecus:
-                raise ConfigurationError(
-                    f"vehicle {self.vin}: SW-C "
-                    f"{placement.instance_name!r} placed on unknown ECU "
-                    f"{placement.ecu_name!r}"
-                )
-            for relay in placement.spec.relays:
-                if relay.peer not in names:
-                    raise ConfigurationError(
-                        f"vehicle {self.vin}: SW-C "
-                        f"{placement.instance_name!r} relays to "
-                        f"undeclared peer {relay.peer!r}"
-                    )
-        for legacy in self._legacy:
-            if legacy.ecu_name not in self._ecus:
-                raise ConfigurationError(
-                    f"vehicle {self.vin}: legacy component "
-                    f"{legacy.instance_name!r} placed on unknown ECU "
-                    f"{legacy.ecu_name!r}"
-                )
         return VehicleSpec(
             vin=self.vin,
             model=self.model,
@@ -299,22 +218,13 @@ class VehicleBuilder:
             plugin_swcs=list(self._plugin_swcs),
             legacy=list(self._legacy),
             connectors=list(self._connectors),
-            server_address=server_address or self._scenario._server_address,
-            can_bitrate=self._can_bitrate,
         )
 
 
 class AppBuilder:
     """Declares one APP: plug-ins from source plus its deployment wiring."""
 
-    def __init__(
-        self,
-        scenario: Optional["ScenarioBuilder"],
-        name: str,
-        model: str,
-        version: str = "1.0",
-    ) -> None:
-        self._scenario = scenario
+    def __init__(self, name: str, model: str, version: str = "1.0") -> None:
         self.name = name
         self.model = model
         self.version = version
@@ -415,14 +325,6 @@ class AppBuilder:
         )
         return self
 
-    def done(self) -> "ScenarioBuilder":
-        """Finish the APP and return to the parent scenario builder."""
-        if self._scenario is None:
-            raise ConfigurationError(
-                f"APP {self.name} was built standalone; use to_app()"
-            )
-        return self._scenario
-
     def to_app(self) -> App:
         """Validate the declaration and produce a server :class:`App`."""
         if not self._plugins:
@@ -465,11 +367,6 @@ class ScenarioBuilder:
 
     # -- infrastructure ------------------------------------------------------
 
-    def server(self, address: str) -> "ScenarioBuilder":
-        """Set the trusted server's pre-defined address."""
-        self._server_address = address
-        return self
-
     def statistical_model(
         self, model: "StatisticalModel"
     ) -> "ScenarioBuilder":
@@ -506,7 +403,7 @@ class ScenarioBuilder:
         """Start declaring one vehicle; returns its sub-builder."""
         if vin in self._vehicles:
             raise ConfigurationError(f"duplicate VIN {vin!r}")
-        builder = VehicleBuilder(self, vin, model)
+        builder = VehicleBuilder(vin, model)
         self._vehicles[vin] = builder
         return builder
 
@@ -523,7 +420,7 @@ class ScenarioBuilder:
         """Start declaring one APP; returns its sub-builder."""
         if any(existing.name == name for existing in self._apps):
             raise ConfigurationError(f"duplicate APP {name!r}")
-        builder = AppBuilder(self, name, model, version)
+        builder = AppBuilder(name, model, version)
         self._apps.append(builder)
         return builder
 
@@ -536,15 +433,6 @@ class ScenarioBuilder:
 
     # -- build ---------------------------------------------------------------
 
-    def vehicle_specs(self) -> list[VehicleSpec]:
-        """All declared vehicles as validated :class:`VehicleSpec`s."""
-        return [
-            entry.to_spec(self._server_address)
-            if isinstance(entry, VehicleBuilder)
-            else entry
-            for entry in self._vehicles.values()
-        ]
-
     def build(self) -> Platform:
         """Assemble everything on one simulator; returns the platform.
 
@@ -553,8 +441,15 @@ class ScenarioBuilder:
         vehicles (each registered and bound to the owning user as it is
         built), then APP uploads.  Nothing is booted — call
         ``platform.boot()`` (or ``Deployment.wait``, which boots).
+        Every vehicle spec is validated before anything is constructed,
+        and each vehicle dials this scenario's server address.
         """
-        specs = self.vehicle_specs()  # validate before constructing
+        specs = [
+            entry.to_spec() if isinstance(entry, VehicleBuilder) else entry
+            for entry in self._vehicles.values()
+        ]
+        for spec in specs:
+            spec.validate()
         sim = Simulator()
         tracer = TelemetryBus() if self._trace else None
         fabric = NetworkFabric(
@@ -577,11 +472,12 @@ class ScenarioBuilder:
         for spec in specs:
             if spec.fidelity == "statistical":
                 vehicle = StatisticalVehicle(
-                    spec, fabric, sim, model=self._statistical_model
+                    spec, fabric, sim, self._server_address,
+                    model=self._statistical_model,
                 )
             else:
                 vehicle = build_vehicle(
-                    spec, fabric, sim=sim, tracer=tracer
+                    spec, fabric, self._server_address, sim=sim, tracer=tracer
                 )
             vehicles.append(vehicle)
             hw, system_sw = spec.describe_for_server()

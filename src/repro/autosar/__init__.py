@@ -28,7 +28,6 @@ from repro.autosar.runnable import Runnable
 from repro.autosar.swc import (
     ComponentInstance,
     ComponentType,
-    CompositionType,
 )
 from repro.autosar.system import (
     EcuDescription,
@@ -76,7 +75,6 @@ __all__ = [
     "Runnable",
     "ComponentInstance",
     "ComponentType",
-    "CompositionType",
     "EcuDescription",
     "InstancePlacement",
     "SystemDescription",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.autosar.bsw.pdur import PduRouter
 from repro.autosar.bsw.tp import Reassembler, segment

@@ -10,7 +10,6 @@ installed binary and per VM instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import MemoryPoolError
 

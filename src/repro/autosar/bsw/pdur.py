@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.autosar.bsw.canif import CanInterface
-from repro.errors import ComError
 
 
 class PduRouter:

@@ -19,7 +19,7 @@ dropped message — exercised by the failure-injection tests.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import ComError
 

@@ -8,7 +8,7 @@ between component types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.autosar.types import DataType

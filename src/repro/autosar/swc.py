@@ -1,23 +1,18 @@
-"""Software components: types, compositions, and runtime instances.
+"""Software components: atomic types and their runtime instances.
 
 A :class:`ComponentType` is the reusable design-time artefact (ports,
-runnables, events).  A :class:`CompositionType` nests component
-prototypes and re-exports inner ports through delegation.  A
-:class:`ComponentInstance` is the runtime object living on one ECU,
-holding port instances and the hook to the ECU's RTE.
+runnables, events).  A :class:`ComponentInstance` is the runtime object
+living on one ECU, holding port instances and the hook to the ECU's RTE.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.autosar.events import (
     DataReceivedEvent,
-    InitEvent,
     OperationInvokedEvent,
     RteEvent,
-    TimingEvent,
 )
 from repro.autosar.ports import PortInstance, PortPrototype
 from repro.autosar.runnable import Runnable
@@ -140,121 +135,6 @@ class ComponentType:
         return f"<ComponentType {self.name}>"
 
 
-@dataclass(frozen=True)
-class DelegationPort:
-    """Composition boundary port delegating to an inner prototype port."""
-
-    outer_name: str
-    inner_component: str
-    inner_port: str
-
-
-class CompositionType:
-    """A composite component: prototypes of inner components plus
-    assembly connectors between them and delegation ports outward.
-
-    Compositions are flattened at system-build time; the RTE only ever
-    sees atomic instances, matching how AUTOSAR tooling flattens the
-    VFB view into the ECU extract.
-    """
-
-    def __init__(self, name: str) -> None:
-        if not name:
-            raise ConfigurationError("composition needs a non-empty name")
-        self.name = name
-        self.prototypes: dict[str, ComponentType] = {}
-        self.assembly_connectors: list[tuple[str, str, str, str]] = []
-        self.delegation_ports: list[DelegationPort] = []
-
-    def add_prototype(self, prototype_name: str, ctype: ComponentType) -> None:
-        """Embed a component type under a local prototype name."""
-        if prototype_name in self.prototypes:
-            raise ConfigurationError(
-                f"duplicate prototype {prototype_name!r} in {self.name}"
-            )
-        self.prototypes[prototype_name] = ctype
-
-    def connect(
-        self, from_proto: str, from_port: str, to_proto: str, to_port: str
-    ) -> None:
-        """Assembly connector between two inner prototypes."""
-        for proto, port in ((from_proto, from_port), (to_proto, to_port)):
-            if proto not in self.prototypes:
-                raise ConfigurationError(
-                    f"composition {self.name} has no prototype {proto!r}"
-                )
-            self.prototypes[proto].port(port)
-        src = self.prototypes[from_proto].port(from_port)
-        dst = self.prototypes[to_proto].port(to_port)
-        if not src.is_provided or not dst.is_required:
-            raise ConfigurationError(
-                f"assembly connector must run provided->required "
-                f"({from_proto}.{from_port} -> {to_proto}.{to_port})"
-            )
-        if not src.interface.compatible_with(dst.interface):
-            raise ConfigurationError(
-                f"incompatible interfaces on connector "
-                f"{from_proto}.{from_port} -> {to_proto}.{to_port}"
-            )
-        self.assembly_connectors.append(
-            (from_proto, from_port, to_proto, to_port)
-        )
-
-    def delegate(
-        self, outer_name: str, inner_component: str, inner_port: str
-    ) -> None:
-        """Expose an inner port on the composition boundary."""
-        if inner_component not in self.prototypes:
-            raise ConfigurationError(
-                f"composition {self.name} has no prototype {inner_component!r}"
-            )
-        self.prototypes[inner_component].port(inner_port)
-        if any(d.outer_name == outer_name for d in self.delegation_ports):
-            raise ConfigurationError(
-                f"duplicate delegation port {outer_name!r} on {self.name}"
-            )
-        self.delegation_ports.append(
-            DelegationPort(outer_name, inner_component, inner_port)
-        )
-
-    def flatten(
-        self, instance_prefix: str
-    ) -> tuple[list[tuple[str, ComponentType]], list[tuple[str, str, str, str]]]:
-        """Expand into atomic instances and instance-level connectors.
-
-        Returns ``(instances, connectors)`` where instance names are
-        ``prefix.prototype`` and connectors reference those names.
-        """
-        instances = [
-            (f"{instance_prefix}.{proto}", ctype)
-            for proto, ctype in self.prototypes.items()
-        ]
-        connectors = [
-            (
-                f"{instance_prefix}.{a}",
-                ap,
-                f"{instance_prefix}.{b}",
-                bp,
-            )
-            for a, ap, b, bp in self.assembly_connectors
-        ]
-        return instances, connectors
-
-    def resolve_delegation(
-        self, instance_prefix: str, outer_name: str
-    ) -> tuple[str, str]:
-        """Map a boundary port to its inner ``(instance, port)`` pair."""
-        for delegation in self.delegation_ports:
-            if delegation.outer_name == outer_name:
-                return (
-                    f"{instance_prefix}.{delegation.inner_component}",
-                    delegation.inner_port,
-                )
-        raise PortError(
-            f"composition {self.name} has no delegation port {outer_name!r}"
-        )
-
-
 class ComponentInstance:
     """A runtime instance of an atomic component type on one ECU."""
 
@@ -317,7 +197,5 @@ class ComponentInstance:
 
 __all__ = [
     "ComponentType",
-    "CompositionType",
-    "DelegationPort",
     "ComponentInstance",
 ]

@@ -10,9 +10,8 @@ AUTOSAR description files feed the RTE generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.autosar.swc import ComponentType, CompositionType
+from repro.autosar.swc import ComponentType
 from repro.autosar.vfb import Connector, validate_connector
 from repro.errors import ConfigurationError
 
@@ -101,23 +100,6 @@ class SystemDescription:
         )
         self.placements[instance_name] = placement
         return placement
-
-    def add_composition(
-        self,
-        instance_prefix: str,
-        composition: CompositionType,
-        ecu_name: str,
-        priority: int = 5,
-    ) -> list[InstancePlacement]:
-        """Place a composition; it is flattened into atomic instances."""
-        instances, connectors = composition.flatten(instance_prefix)
-        placements = [
-            self.add_component(name, ctype, ecu_name, priority=priority)
-            for name, ctype in instances
-        ]
-        for from_i, from_p, to_i, to_p in connectors:
-            self.connect(from_i, from_p, to_i, to_p)
-        return placements
 
     def placement(self, instance_name: str) -> InstancePlacement:
         """Look up a placement by instance name."""

@@ -9,7 +9,7 @@ serialization delays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import CanFrameError
 

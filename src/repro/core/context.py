@@ -23,7 +23,7 @@ All three have exact byte encodings used inside installation packages.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.wire import Reader, Writer

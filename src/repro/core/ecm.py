@@ -64,7 +64,7 @@ class EcmSpec:
     """
 
     base: PluginSwcSpec
-    server_address: str = "trusted-server:7000"
+    server_address: str
     routes: list[SwcRoute] = field(default_factory=list)
 
     def route_for_ecu(self, ecu: str) -> Optional[SwcRoute]:

@@ -36,13 +36,12 @@ from typing import Any, Deque, Optional
 from repro.autosar.bsw.memory import Allocation, MemoryPool
 from repro.autosar.swc import ComponentInstance
 from repro.core import messages as msg
-from repro.core.context import LinkKind, PlcLink
+from repro.core.context import LinkKind
 from repro.core.plugin import (
     ENTRY_ON_INIT,
     ENTRY_ON_MESSAGE,
     ENTRY_ON_TIMER,
     Plugin,
-    PluginState,
 )
 from repro.core.virtual_ports import (
     VirtualPortKind,
@@ -53,7 +52,6 @@ from repro.core.virtual_ports import (
 from repro.errors import (
     BinaryFormatError,
     ContextError,
-    InstallationError,
     LifecycleError,
     MemoryPoolError,
     RoutingError,

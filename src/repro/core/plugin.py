@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.core.context import Ecc, Pic, Plc
 from repro.errors import LifecycleError

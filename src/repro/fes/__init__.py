@@ -22,8 +22,6 @@ from repro.fes.vehicle import (
 from repro.fes.statistical import StatisticalModel, StatisticalVehicle
 from repro.fes.example_platform import (
     build_example_platform,
-    declare_example_vehicle,
-    declare_remote_control_app,
     make_example_vehicle_spec,
     make_remote_control_app,
 )
@@ -35,8 +33,6 @@ from repro.fes.fleet import (
 
 __all__ = [
     "build_example_platform",
-    "declare_example_vehicle",
-    "declare_remote_control_app",
     "make_example_vehicle_spec",
     "make_remote_control_app",
     "build_fleet",

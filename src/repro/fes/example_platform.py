@@ -13,10 +13,11 @@ hardware.  The remote-control APP consists of two plug-ins:
   (SpeedReq); V6 (SpeedProv) is provisioned but unused, exactly as in
   the paper.
 
-Since the introduction of :mod:`repro.api`, this module is a thin
-declaration on top of :class:`~repro.api.ScenarioBuilder` — the car is
-~40 lines of declarative spec rather than hand assembly, and the same
-builder composes arbitrary other vehicles and fleets.
+The car and the APP are declared with :mod:`repro.api`'s
+:class:`~repro.api.VehicleBuilder` and :class:`~repro.api.AppBuilder`;
+:func:`build_example_platform` adds both to a
+:class:`~repro.api.ScenarioBuilder`, as :func:`~repro.fes.build_fleet`
+does with many copies of the car.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from repro.core.plugin_swc import RelayLink, ServicePort
 from repro.fes.vehicle import VehicleSpec
 from repro.network.channel import WIFI, ChannelProfile
 from repro.server.models import App
-from repro.server.server import DEFAULT_ADDRESS
 
 MODEL = "model-car-rpi"
 PHONE_ADDRESS = "111.22.33.44:56789"
@@ -115,10 +115,9 @@ def _clamp_int16(value: int) -> int:
     return max(-32768, min(32767, value))
 
 
-def declare_example_vehicle(
-    builder: VehicleBuilder,
-) -> VehicleBuilder:
-    """The Fig. 3 car as a declaration: ECM on ECU1, plug-in SW-C on ECU2."""
+def make_example_vehicle_spec(vin: str = "VIN-0001") -> VehicleSpec:
+    """The Fig. 3 car: ECM on ECU1, plug-in SW-C on ECU2."""
+    builder = VehicleBuilder(vin, MODEL)
     builder.ecus("ECU1", "ECU2")
     builder.ecm(
         "swc1", on="ECU1", type_name="EcmSwc",
@@ -137,22 +136,14 @@ def declare_example_vehicle(
     builder.connect("swc2", "wheels_req", "actuators", "wheels_in")
     builder.connect("swc2", "speed_req", "actuators", "speed_in")
     builder.connect("actuators", "speed_out", "swc2", "speed_prov")
-    return builder
+    return builder.to_spec()
 
 
-def make_example_vehicle_spec(
-    vin: str = "VIN-0001",
-    server_address: str = DEFAULT_ADDRESS,
-) -> VehicleSpec:
-    """The Fig. 3 vehicle spec, produced through the declarative builder."""
-    scenario = ScenarioBuilder(server_address=server_address)
-    return declare_example_vehicle(scenario.vehicle(vin, MODEL)).to_spec()
-
-
-def declare_remote_control_app(
-    builder: AppBuilder, phone_address: str = PHONE_ADDRESS
-) -> AppBuilder:
-    """The two-plug-in remote-control APP as a declaration."""
+def make_remote_control_app(
+    phone_address: str = PHONE_ADDRESS, version: str = "1.0"
+) -> App:
+    """The two-plug-in remote-control APP with its deployment descriptor."""
+    builder = AppBuilder("remote-control", MODEL, version)
     builder.plugin(
         "COM", source=COM_SOURCE, mem_hint=8, on="swc1",
         ports=("cmd_wheels", "cmd_speed", "out_wheels", "out_speed"),
@@ -169,40 +160,28 @@ def declare_remote_control_app(
     builder.virtual("OP", "act_speed", "V5")
     builder.external(phone_address, "Wheels", "COM", "cmd_wheels")
     builder.external(phone_address, "Speed", "COM", "cmd_speed")
-    return builder
-
-
-def make_remote_control_app(
-    phone_address: str = PHONE_ADDRESS, version: str = "1.0"
-) -> App:
-    """The remote-control APP with its deployment descriptor."""
-    builder = AppBuilder(None, "remote-control", MODEL, version)
-    return declare_remote_control_app(builder, phone_address).to_app()
+    return builder.to_app()
 
 
 def build_example_platform(
     seed: int = 0,
-    phone_address: str = PHONE_ADDRESS,
     cellular_profile: Optional[ChannelProfile] = None,
     trace: bool = True,
 ) -> Platform:
     """Build the complete demonstrator: server + phone + vehicle.
 
-    Thin wrapper over :class:`~repro.api.ScenarioBuilder`.  The result
-    is a single-vehicle :class:`~repro.api.Platform`: ``vehicle()`` and
-    ``phone()`` (no arguments) return the one car and the one phone,
-    and ``deploy("remote-control")`` installs the APP on it.
+    The result is a single-vehicle :class:`~repro.api.Platform`:
+    ``vehicle()`` and ``phone()`` (no arguments) return the one car and
+    the phone at :data:`PHONE_ADDRESS`, and
+    ``deploy("remote-control")`` installs the APP on it.
     """
     scenario = ScenarioBuilder(
         seed=seed, default_profile=cellular_profile, trace=trace
     )
-    scenario.server(DEFAULT_ADDRESS)
     scenario.user("user-1", "Example User")
-    scenario.phone(phone_address, WIFI)
-    declare_example_vehicle(scenario.vehicle("VIN-0001", MODEL))
-    declare_remote_control_app(
-        scenario.app("remote-control", MODEL), phone_address
-    )
+    scenario.phone(PHONE_ADDRESS, WIFI)
+    scenario.add_vehicle_spec(make_example_vehicle_spec("VIN-0001"))
+    scenario.add_app(make_remote_control_app())
     return scenario.build()
 
 
@@ -212,9 +191,7 @@ __all__ = [
     "COM_SOURCE",
     "OP_SOURCE",
     "make_car_actuators_type",
-    "declare_example_vehicle",
     "make_example_vehicle_spec",
-    "declare_remote_control_app",
     "make_remote_control_app",
     "build_example_platform",
 ]

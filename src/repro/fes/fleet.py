@@ -24,8 +24,6 @@ from repro.fes.example_platform import (
 )
 from repro.fes.statistical import StatisticalModel
 from repro.fes.vehicle import VehicleSpec
-from repro.network.channel import ChannelProfile
-from repro.server.server import DEFAULT_ADDRESS
 from repro.sim.kernel import SECOND
 
 
@@ -57,8 +55,7 @@ def canary_campaign(
 def build_fleet(
     size: int,
     seed: int = 0,
-    spec_factory: Optional[Callable[[str, str], VehicleSpec]] = None,
-    cellular_profile: Optional[ChannelProfile] = None,
+    spec_factory: Optional[Callable[[str], VehicleSpec]] = None,
     trace: bool = False,
     regions: Optional[Sequence[str]] = None,
     full_vehicles: Optional[int] = None,
@@ -66,10 +63,11 @@ def build_fleet(
 ) -> Platform:
     """Build ``size`` example vehicles registered on one server.
 
-    ``spec_factory(vin, server_address)`` may return a different
-    :class:`VehicleSpec` per VIN, so one fleet can mix vehicle models
-    and ECU counts.  ``regions`` assigns deployment regions round-robin
-    (e.g. ``("eu-north", "na-east")``) so FleetSelector queries and
+    ``spec_factory(vin)`` may return a different :class:`VehicleSpec`
+    per VIN, so one fleet can mix vehicle models and ECU counts; the
+    default is :func:`~repro.fes.example_platform.make_example_vehicle_spec`.
+    ``regions`` assigns deployment regions round-robin (e.g.
+    ``("eu-north", "na-east")``) so FleetSelector queries and
     selector-based campaign waves have attributes to shard on.
 
     ``full_vehicles`` makes the fleet multi-fidelity: the first that
@@ -81,15 +79,8 @@ def build_fleet(
     real plug-in behaviour while the bulk fleet scales to 100k VINs.
     ``None`` (the default) keeps every vehicle full-fidelity.
     """
-    factory = spec_factory or (
-        lambda vin, addr: make_example_vehicle_spec(vin, server_address=addr)
-    )
-    scenario = ScenarioBuilder(
-        seed=seed,
-        server_address=DEFAULT_ADDRESS,
-        default_profile=cellular_profile,
-        trace=trace,
-    )
+    factory = spec_factory or make_example_vehicle_spec
+    scenario = ScenarioBuilder(seed=seed, trace=trace)
     if statistical_model is not None:
         scenario.statistical_model(statistical_model)
     # 100k-vehicle campaigns need stable VIN ordering for wave
@@ -98,7 +89,7 @@ def build_fleet(
     digits = max(4, len(str(max(size - 1, 0))))
     scenario.user("fleet-admin", "Fleet Admin")
     for index in range(size):
-        spec = factory(f"VIN-{index:0{digits}d}", DEFAULT_ADDRESS)
+        spec = factory(f"VIN-{index:0{digits}d}")
         if regions:
             spec.region = regions[index % len(regions)]
         if full_vehicles is not None and index >= full_vehicles:

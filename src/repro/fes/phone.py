@@ -9,7 +9,7 @@ receives values the vehicle sends outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.external import decode_external, encode_external

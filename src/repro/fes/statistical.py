@@ -89,11 +89,13 @@ class StatisticalVehicle:
         spec: VehicleSpec,
         fabric: NetworkFabric,
         sim: Simulator,
+        server_address: str,
         model: Optional[StatisticalModel] = None,
     ) -> None:
         self.spec = spec
         self.fabric = fabric
         self._sim = sim
+        self.server_address = server_address
         self.model = model or StatisticalModel()
         self._stream = fabric.streams.stream(f"{STREAM_PREFIX}:{spec.vin}")
         self._endpoint: Optional[Endpoint] = None
@@ -126,9 +128,7 @@ class StatisticalVehicle:
         if self._booted:
             return
         self._booted = True
-        self.fabric.connect(
-            self.spec.server_address, self.vin, self._on_connected
-        )
+        self.fabric.connect(self.server_address, self.vin, self._on_connected)
 
     def run(self, duration_us: int) -> None:
         self.boot()

@@ -2,7 +2,9 @@
 
 A :class:`VehicleSpec` declares the OEM-provided platform: ECUs, the
 plug-in SW-Cs with their virtual-port APIs, the ECM placement, and any
-legacy components.  :func:`build_vehicle` turns it into a running
+legacy components.  :meth:`VehicleSpec.validate` is the one judge of
+whether a spec describes a buildable vehicle, at either simulation
+fidelity.  :func:`build_vehicle` turns a valid spec into a running
 AUTOSAR system wired to the wide-area network, and
 :meth:`VehicleSpec.describe_for_server` produces exactly the HW conf and
 SystemSW conf the OEM would upload to the trusted server — keeping the
@@ -38,6 +40,10 @@ from repro.server.models import (
 from repro.sim.kernel import Simulator
 from repro.telemetry.bus import TelemetryBus
 
+#: OS task priorities of the ECM and of the other plug-in SW-Cs.
+ECM_PRIORITY = 4
+PLUGIN_PRIORITY = 2
+
 
 @dataclass
 class PluginSwcPlacement:
@@ -60,7 +66,12 @@ class LegacyComponent:
 
 @dataclass
 class VehicleSpec:
-    """Static description of one vehicle platform."""
+    """Static description of one vehicle platform.
+
+    The spec says what the vehicle is, not where it runs: the trusted
+    server's address belongs to the deployment and is handed to
+    :func:`build_vehicle` (or the statistical vehicle) separately.
+    """
 
     vin: str
     model: str
@@ -69,10 +80,6 @@ class VehicleSpec:
     plugin_swcs: list[PluginSwcPlacement] = field(default_factory=list)
     legacy: list[LegacyComponent] = field(default_factory=list)
     connectors: list[tuple[str, str, str, str]] = field(default_factory=list)
-    server_address: str = "trusted-server.oem.example:7000"
-    ecm_priority: int = 4
-    plugin_priority: int = 2
-    can_bitrate: int = 500_000
     #: Deployment region the OEM registers the vehicle under (empty =
     #: undeclared); a FleetSelector/wave-scheduling sharding attribute.
     region: str = ""
@@ -85,6 +92,72 @@ class VehicleSpec:
 
     def all_placements(self) -> list[PluginSwcPlacement]:
         return [self.ecm] + list(self.plugin_swcs)
+
+    def validate(self) -> "VehicleSpec":
+        """Check that the spec describes a buildable vehicle; returns self.
+
+        Raises :class:`~repro.errors.ConfigurationError` for: no ECUs, a
+        duplicate ECU or component instance, a SW-C or legacy component
+        on an unknown ECU, an ECM with ``has_mgmt=True`` or a plug-in
+        SW-C without it, and a relay to an undeclared peer or one whose
+        peer lacks the back-relay.  The same rules hold at either
+        fidelity, so a statistical vehicle is only ever a stand-in for
+        one that :func:`build_vehicle` could build.
+        """
+        where = f"vehicle {self.vin}"
+        if not self.ecus:
+            raise ConfigurationError(f"{where} declares no ECUs")
+        ecus: set[str] = set()
+        for name in self.ecus:
+            if name in ecus:
+                raise ConfigurationError(f"{where}: duplicate ECU {name!r}")
+            ecus.add(name)
+        placements = self.all_placements()
+        instances: set[str] = set()
+        for name in [p.instance_name for p in placements] + [
+            c.instance_name for c in self.legacy
+        ]:
+            if name in instances:
+                raise ConfigurationError(
+                    f"{where}: duplicate component instance {name!r}"
+                )
+            instances.add(name)
+        by_name = {p.instance_name: p for p in placements}
+        for placement in placements:
+            name = placement.instance_name
+            if placement.ecu_name not in ecus:
+                raise ConfigurationError(
+                    f"{where}: SW-C {name!r} placed on unknown ECU "
+                    f"{placement.ecu_name!r}"
+                )
+            if placement is self.ecm and placement.spec.has_mgmt:
+                raise ConfigurationError(
+                    f"{where}: ECM {name!r} base spec must have "
+                    f"has_mgmt=False"
+                )
+            if placement is not self.ecm and not placement.spec.has_mgmt:
+                raise ConfigurationError(
+                    f"{where}: plug-in SW-C {name!r} needs has_mgmt=True"
+                )
+            for relay in placement.spec.relays:
+                peer = by_name.get(relay.peer)
+                if peer is None:
+                    raise ConfigurationError(
+                        f"{where}: SW-C {name!r} relays to undeclared "
+                        f"peer {relay.peer!r}"
+                    )
+                if not any(r.peer == name for r in peer.spec.relays):
+                    raise ConfigurationError(
+                        f"{where}: SW-C {relay.peer!r} lacks the "
+                        f"back-relay toward {name!r}"
+                    )
+        for legacy in self.legacy:
+            if legacy.ecu_name not in ecus:
+                raise ConfigurationError(
+                    f"{where}: legacy component {legacy.instance_name!r} "
+                    f"placed on unknown ECU {legacy.ecu_name!r}"
+                )
+        return self
 
     def describe_for_server(self) -> tuple[HwConf, SystemSwConf]:
         """The HW conf + SystemSW conf the OEM uploads for this model."""
@@ -160,20 +233,18 @@ class Vehicle:
 def build_vehicle(
     spec: VehicleSpec,
     fabric: NetworkFabric,
+    server_address: str,
     sim: Optional[Simulator] = None,
     tracer: Optional[TelemetryBus] = None,
 ) -> Vehicle:
-    """Assemble and build one vehicle connected to ``fabric``.
+    """Validate ``spec`` and build the vehicle connected to ``fabric``.
 
-    The vehicle's substrate publishes its events into ``tracer`` when
-    one is given.
+    Its ECM dials the trusted server at ``server_address``.  The
+    vehicle's substrate publishes its events into ``tracer`` when one
+    is given.
     """
-    if spec.ecm.ecu_name not in spec.ecus:
-        raise ConfigurationError(
-            f"ECM placed on unknown ECU {spec.ecm.ecu_name!r}"
-        )
+    spec.validate()
     desc = SystemDescription(f"vehicle-{spec.vin}")
-    desc.can_bitrate = spec.can_bitrate
     for ecu_name in spec.ecus:
         desc.add_ecu(ecu_name)
 
@@ -187,32 +258,21 @@ def build_vehicle(
         )
         for p in spec.plugin_swcs
     ]
-    if spec.ecm.spec.has_mgmt:
-        raise ConfigurationError("ECM base spec must have has_mgmt=False")
     ecm_spec = EcmSpec(
-        base=spec.ecm.spec, server_address=spec.server_address, routes=routes
+        base=spec.ecm.spec, server_address=server_address, routes=routes
     )
     ecm_type = make_ecm_swc_type(ecm_spec, fabric, client_name=spec.vin)
     desc.add_component(
         spec.ecm.instance_name, ecm_type, spec.ecm.ecu_name,
-        priority=spec.ecm_priority,
+        priority=ECM_PRIORITY,
     )
 
     # Plug-in SW-Cs.
     for placement in spec.plugin_swcs:
-        if placement.ecu_name not in spec.ecus:
-            raise ConfigurationError(
-                f"SW-C {placement.instance_name} on unknown ECU "
-                f"{placement.ecu_name!r}"
-            )
-        if not placement.spec.has_mgmt:
-            raise ConfigurationError(
-                f"plug-in SW-C {placement.instance_name} needs has_mgmt=True"
-            )
         ctype = make_plugin_swc_type(placement.spec)
         desc.add_component(
             placement.instance_name, ctype, placement.ecu_name,
-            priority=spec.plugin_priority,
+            priority=PLUGIN_PRIORITY,
         )
         # Type I pair ECM <-> SW-C.
         desc.connect(
@@ -234,25 +294,11 @@ def build_vehicle(
     by_name = {p.instance_name: p for p in spec.all_placements()}
     for placement in spec.all_placements():
         for relay in placement.spec.relays:
-            peer = by_name.get(relay.peer)
-            if peer is None:
-                raise ConfigurationError(
-                    f"SW-C {placement.instance_name} declares a relay to "
-                    f"unknown peer {relay.peer!r}"
-                )
+            peer = by_name[relay.peer]
             peer_relay = next(
-                (
-                    r
-                    for r in peer.spec.relays
-                    if r.peer == placement.instance_name
-                ),
-                None,
+                r for r in peer.spec.relays
+                if r.peer == placement.instance_name
             )
-            if peer_relay is None:
-                raise ConfigurationError(
-                    f"SW-C {relay.peer} lacks the back-relay toward "
-                    f"{placement.instance_name}"
-                )
             desc.connect(
                 placement.instance_name,
                 relay.resolved_out_port(),

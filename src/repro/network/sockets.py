@@ -15,12 +15,11 @@ bytes; see ``repro.core.packaging``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import (
     AddressInUseError,
-    ChannelClosedError,
     ConnectionRefusedError_,
 )
 from repro.network.channel import ChannelProfile, DuplexLink, WIRED

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.virtual_ports import VirtualPortKind
 from repro.server.models import (
     App,
     ConnectionKind,

@@ -32,7 +32,7 @@ GET    /v1/events                       long-poll event stream
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.campaign.faults import FaultPlan
 from repro.campaign.spec import CampaignSpec

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.errors import SimTimeError
 

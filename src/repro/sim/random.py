@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 

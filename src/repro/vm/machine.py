@@ -35,7 +35,7 @@ from typing import Optional, Protocol
 from repro.errors import FuelExhaustedError, VmMemoryError, VmTrap
 from repro.vm.isa import (
     ADD, AND, AVAIL, CALL, DIV, DUP, EMIT, EQ, GE, GT, HALT, JMP, JNZ, JZ,
-    LE, LOAD, LOADI, LT, MOD, MUL, NE, NEG, NOP, NOT, OR, OVER, POP, PUSH,
+    LE, LOAD, LOADI, LT, MOD, MUL, NE, NEG, NOP, OR, OVER, POP, PUSH,
     RDPORT, RECV, RET, SHL, SHR, STORE, STOREI, SUB, SWAP, TIME, WRPORT,
     XOR, INT32_MAX, INT32_MIN, decode_at, wrap32,
 )

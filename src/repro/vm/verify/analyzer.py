@@ -25,7 +25,7 @@ against the live interpreter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.errors import BinaryFormatError

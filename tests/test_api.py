@@ -5,8 +5,11 @@ build -> boot -> deploy -> Deployment.wait -> actuator assertions; plus
 negative tests for invalid declarations and heterogeneous fleets.
 """
 
+from dataclasses import replace
+
 import pytest
 
+import repro.api.builder
 from repro import (
     InstallStatus,
     Platform,
@@ -21,6 +24,8 @@ from repro.autosar.runnable import Runnable
 from repro.autosar.swc import ComponentType
 from repro.autosar.types import INT16
 from repro.errors import ConfigurationError, DeploymentTimeout
+from repro.fes import make_example_vehicle_spec
+from repro.fes.vehicle import LegacyComponent, PluginSwcPlacement
 from repro.sim import MS, SECOND
 
 PHONE = "9.9.9.9:9999"
@@ -219,8 +224,9 @@ class TestInvalidDeclarations:
         car = scenario.vehicle("VIN-X", "m")
         car.ecus("ECU1", "ECU2")
         car.ecm("swc1", on="ECU1")
+        car.plugin_swc("swc1", on="ECU2")
         with pytest.raises(ConfigurationError, match="duplicate component"):
-            car.plugin_swc("swc1", on="ECU2")
+            scenario.build()
 
     def test_app_connection_to_undeclared_plugin_rejected(self):
         scenario = ScenarioBuilder()
@@ -249,6 +255,76 @@ class TestInvalidDeclarations:
             scenario.app("a", "m")
         with pytest.raises(ConfigurationError, match="duplicate phone"):
             scenario.phone(PHONE)
+
+
+def _swc_on_unknown_ecu(spec):
+    swc2 = spec.plugin_swcs[0]
+    spec.plugin_swcs[0] = PluginSwcPlacement("swc2", "ECU9", swc2.spec)
+    return "unknown ECU 'ECU9'"
+
+
+def _missing_back_relay(spec):
+    swc2 = spec.plugin_swcs[0]
+    spec.plugin_swcs[0] = PluginSwcPlacement(
+        "swc2", "ECU2", replace(swc2.spec, relays=[])
+    )
+    return "lacks the back-relay toward 'swc1'"
+
+
+def _ecm_with_mgmt(spec):
+    spec.ecm = PluginSwcPlacement(
+        "swc1", "ECU1", replace(spec.ecm.spec, has_mgmt=True)
+    )
+    return "has_mgmt=False"
+
+
+def _duplicate_instance(spec):
+    spec.legacy.append(LegacyComponent("swc2", make_sink_type(), "ECU1"))
+    return "duplicate component instance 'swc2'"
+
+
+class TestSpecValidatedAtEitherFidelity:
+    """A spec added with ``add_vehicle_spec`` is judged by the same
+    rules at full and statistical fidelity, before anything is built."""
+
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            _swc_on_unknown_ecu,
+            _missing_back_relay,
+            _ecm_with_mgmt,
+            _duplicate_instance,
+        ],
+        ids=["unknown-ecu", "missing-back-relay", "ecm-with-mgmt",
+             "duplicate-instance"],
+    )
+    def test_invalid_spec_refused_before_construction(
+        self, breakage, monkeypatch
+    ):
+        def constructed(*args, **kwargs):
+            raise AssertionError("build() constructed a simulator")
+
+        monkeypatch.setattr(repro.api.builder, "Simulator", constructed)
+        messages = []
+        for fidelity in ("full", "statistical"):
+            spec = make_example_vehicle_spec("VIN-A")
+            expected = breakage(spec)
+            spec.fidelity = fidelity
+            scenario = ScenarioBuilder().add_vehicle_spec(spec)
+            with pytest.raises(ConfigurationError, match=expected) as raised:
+                scenario.build()
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+
+class TestServerAddress:
+    def test_added_spec_dials_the_scenarios_server(self):
+        scenario = ScenarioBuilder(server_address="srv.example:1")
+        scenario.add_vehicle_spec(make_example_vehicle_spec("VIN-A"))
+        platform = scenario.build()
+        platform.boot()
+        platform.run(3 * SECOND)
+        assert platform.vehicle("VIN-A").ecm_pirte.connected
 
 
 class TestHeterogeneousFleet:

@@ -7,7 +7,6 @@ from repro.autosar import (
     UINT16,
     ClientServerInterface,
     ComponentType,
-    CompositionType,
     DataElement,
     DataReceivedEvent,
     InitEvent,
@@ -269,33 +268,6 @@ class TestClientServer:
         server = ComponentType("S", ports=[provided_port("out", SPEED_IF)])
         with pytest.raises(ConfigurationError):
             server.add_operation_handler("out", "add", lambda i: None)
-
-
-class TestComposition:
-    def test_composition_flattens_and_connects(self):
-        comp = CompositionType("Pair")
-        comp.add_prototype("snd", make_sender())
-        comp.add_prototype("rcv", make_receiver())
-        comp.connect("snd", "out", "rcv", "in")
-        desc = SystemDescription()
-        desc.add_ecu("e1")
-        desc.add_composition("pair", comp, "e1")
-        system = build_system(desc)
-        system.run(15 * MS)
-        assert system.instance("pair.rcv").state["got"] == [0, 1]
-
-    def test_delegation_resolution(self):
-        comp = CompositionType("Wrap")
-        comp.add_prototype("snd", make_sender())
-        comp.delegate("speed_out", "snd", "out")
-        assert comp.resolve_delegation("w", "speed_out") == ("w.snd", "out")
-
-    def test_bad_assembly_connector_rejected(self):
-        comp = CompositionType("Bad")
-        comp.add_prototype("a", make_receiver())
-        comp.add_prototype("b", make_sender())
-        with pytest.raises(ConfigurationError):
-            comp.connect("a", "in", "b", "out")
 
 
 class TestBootSemantics:

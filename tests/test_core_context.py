@@ -8,10 +8,8 @@ from repro.core import (
     AckMessage,
     AckStatus,
     DataMessage,
-    EMPTY_ECC,
     Ecc,
     EccEntry,
-    InstallMessage,
     LifecycleMessage,
     LinkKind,
     MessageType,

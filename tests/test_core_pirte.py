@@ -9,7 +9,6 @@ import pytest
 from repro.autosar import (
     ComponentType,
     DataReceivedEvent,
-    InitEvent,
     Runnable,
     SenderReceiverInterface,
     SystemDescription,

@@ -13,6 +13,7 @@ from repro.fes.phone import Smartphone
 from repro.fes.vehicle import PluginSwcPlacement, build_vehicle
 from repro.network.channel import ChannelProfile
 from repro.network.sockets import NetworkFabric
+from repro.server.server import DEFAULT_ADDRESS
 from repro.sim import MS, SECOND, Simulator
 
 
@@ -24,7 +25,7 @@ class TestVehicleSpecValidation:
         spec = self._base_spec()
         spec.ecm = PluginSwcPlacement("swc1", "ECU9", spec.ecm.spec)
         with pytest.raises(ConfigurationError):
-            build_vehicle(spec, NetworkFabric(Simulator()))
+            build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
     def test_plugin_swc_on_unknown_ecu_rejected(self):
         spec = self._base_spec()
@@ -33,7 +34,7 @@ class TestVehicleSpecValidation:
             bad.instance_name, "ECU9", bad.spec
         )
         with pytest.raises(ConfigurationError):
-            build_vehicle(spec, NetworkFabric(Simulator()))
+            build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
     def test_ecm_with_mgmt_rejected(self):
         spec = self._base_spec()
@@ -41,14 +42,14 @@ class TestVehicleSpecValidation:
             "swc1", "ECU1", PluginSwcSpec("BadEcm", has_mgmt=True)
         )
         with pytest.raises(ConfigurationError):
-            build_vehicle(spec, NetworkFabric(Simulator()))
+            build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
     def test_plugin_swc_without_mgmt_rejected(self):
         spec = self._base_spec()
         no_mgmt = PluginSwcSpec("NoMgmt", has_mgmt=False)
         spec.plugin_swcs[0] = PluginSwcPlacement("swc2", "ECU2", no_mgmt)
         with pytest.raises(ConfigurationError):
-            build_vehicle(spec, NetworkFabric(Simulator()))
+            build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
     def test_relay_to_unknown_peer_rejected(self):
         from repro.core.plugin_swc import RelayLink
@@ -60,7 +61,7 @@ class TestVehicleSpecValidation:
         )
         spec.plugin_swcs.append(PluginSwcPlacement("swc3", "ECU2", lonely))
         with pytest.raises(ConfigurationError):
-            build_vehicle(spec, NetworkFabric(Simulator()))
+            build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
     def test_describe_for_server_covers_all_swcs(self):
         spec = self._base_spec()

@@ -11,7 +11,6 @@ invariants that must hold in every reachable state:
 * no unbounded backlog growth past the queue caps.
 """
 
-import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (

@@ -1,13 +1,10 @@
 """Stress and churn tests for the PIRTE's dynamic part."""
 
-import pytest
-
 from repro.autosar import UINT16, SystemDescription, build_system
 from repro.core import PluginSwcSpec, ServicePort, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type
 from repro.sim import MS
 from tests.helpers import (
-    FORWARD_SOURCE,
     link_plugin,
     link_virtual,
     make_install,

@@ -1,7 +1,5 @@
 """Plug-ins without ``on_message``: the RECV/on_timer polling style."""
 
-import pytest
-
 from repro.autosar import INT16, SystemDescription, build_system
 from repro.core import PluginSwcSpec, ServicePort, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type

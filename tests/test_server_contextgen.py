@@ -1,7 +1,5 @@
 """Unit tests for server-side context generation."""
 
-import pytest
-
 from repro.core.context import LinkKind
 from repro.server import (
     App,

@@ -21,7 +21,6 @@ from repro.server.server import TrustedServer
 from repro.sim import SECOND, Simulator
 from repro.workloads import SyntheticConfig, populate_server
 from tests.helpers import make_binary, make_fat_binary
-from tests.test_server_models import make_test_app
 
 
 @pytest.fixture()

@@ -27,6 +27,7 @@ from repro.fes import (
 )
 from repro.network.sockets import NetworkFabric
 from repro.server.models import InstallStatus
+from repro.server.server import DEFAULT_ADDRESS
 from repro.sim.kernel import MS, SECOND, Simulator
 from repro.telemetry.soak import SoakPolicy
 
@@ -52,9 +53,11 @@ class TestStatisticalVehicle:
             server_ends[name] = endpoint
             endpoint.on_receive(lambda raw: inbox.append(raw))
 
-        fabric.listen("trusted-server.oem.example:7000", on_connect)
+        fabric.listen(DEFAULT_ADDRESS, on_connect)
         spec = make_example_vehicle_spec("VIN-0000")
-        vehicle = StatisticalVehicle(spec, fabric, sim, model=model)
+        vehicle = StatisticalVehicle(
+            spec, fabric, sim, DEFAULT_ADDRESS, model=model
+        )
         return sim, vehicle, server_ends, inbox
 
     def _install_raw(self, plugin="COM", swc="swc1", ecu="ECU1"):

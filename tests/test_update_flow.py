@@ -126,7 +126,7 @@ def make_swapped_externals_app():
     from repro.api.builder import AppBuilder
     from repro.fes.example_platform import COM_SOURCE, MODEL, OP_SOURCE
 
-    builder = AppBuilder(None, "remote-control", MODEL, "2.0")
+    builder = AppBuilder("remote-control", MODEL, "2.0")
     builder.plugin(
         "COM", source=COM_SOURCE, mem_hint=8, on="swc1",
         ports=("cmd_wheels", "cmd_speed", "out_wheels", "out_speed"),

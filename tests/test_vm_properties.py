@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vm import NullBridge, Vm, assemble, compile_plugin, pack, unpack
+from repro.vm import NullBridge, Vm, assemble, compile_plugin, unpack
 from repro.vm.disasm import decode_all, disassemble
 from repro.vm.isa import INT32_MAX, INT32_MIN, wrap32
 

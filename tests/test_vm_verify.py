@@ -39,7 +39,7 @@ from repro.server.models import (
     SwConf,
 )
 from repro.server.services.appstore import AppStore, AppVerification
-from repro.server.services.envelope import ErrorCode, Response
+from repro.server.services.envelope import ErrorCode
 from repro.vm import NullBridge, Vm, isa
 from repro.vm.assembler import Assembled
 from repro.vm.loader import compile_plugin, pack, unpack
