@@ -32,7 +32,7 @@ def deploy_fleet(size, seed=0):
     ).unwrap()
     fleet.boot()
     fleet.sim.run_for(1 * SECOND)  # ECMs connect
-    campaign = fleet.deploy_everywhere("remote-control")
+    campaign = fleet.deploy("remote-control")
     assert campaign.ok  # every VIN accepted, not just the survivors
     elapsed = campaign.wait(120 * SECOND)
     assert campaign.all_active
@@ -106,7 +106,7 @@ def test_deploy_scales_with_package_size(benchmark):
         fleet.server.api.store.upload(padded).unwrap()
         fleet.boot()
         fleet.sim.run_for(1 * SECOND)
-        campaign = fleet.deploy_everywhere(padded.name)
+        campaign = fleet.deploy(padded.name)
         assert campaign.ok
         elapsed = campaign.wait(300 * SECOND)
         assert campaign.all_active

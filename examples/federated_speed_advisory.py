@@ -144,7 +144,7 @@ def main() -> None:
     fleet.sim.run_for(1 * SECOND)
 
     print("== deploying the speed-advisory APP fleet-wide ==")
-    campaign = fleet.deploy_everywhere("speed-advisory")
+    campaign = fleet.deploy("speed-advisory")
     print(f"   accepted: {sum(r.ok for r in campaign)}/{fleet_size}")
     elapsed = campaign.wait(30 * SECOND)
     print(f"   fleet ACTIVE after {format_time(elapsed)}")

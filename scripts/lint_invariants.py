@@ -25,15 +25,17 @@ machine-checked:
 Violations are keyed ``relpath::scope::rule`` (scope = enclosing
 function qualname), so entries survive line drift.  Existing,
 reviewed-and-accepted occurrences live in ``scripts/lint_allowlist.txt``;
-anything not listed there fails the build.  Stale allowlist entries are
-reported as warnings so the list shrinks as code is cleaned up.
+anything not listed there fails the build.  So does a stale allowlist
+entry, so the list shrinks as code is cleaned up.
 
-Usage: ``python scripts/lint_invariants.py`` (exit 1 on new violations).
+Usage: ``python scripts/lint_invariants.py`` (exit 1 on new violations
+or stale allowlist entries).
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import sys
 from pathlib import Path
 
@@ -282,17 +284,23 @@ def main() -> int:
                 used.add(key)
                 continue
             failures.append(f"{rel}:{lineno}: [{rule}] {detail} in {scope}")
+    stale = sorted(allowed - used)
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
-    for stale in sorted(allowed - used):
-        print(f"warn: stale allowlist entry {stale}", file=sys.stderr)
+    for entry in stale:
+        print(f"FAIL stale allowlist entry {entry}", file=sys.stderr)
+    allowlist = os.path.relpath(ALLOWLIST, ROOT)
     if failures:
         print(
             f"\n{len(failures)} invariant violation(s). Either fix them or, "
-            f"for reviewed exceptions, add the printed key to "
-            f"{ALLOWLIST.relative_to(ROOT)}.",
+            f"for reviewed exceptions, add the printed key to {allowlist}.",
             file=sys.stderr,
         )
+    if stale:
+        print(
+            f"\nDelete the stale entries from {allowlist}.", file=sys.stderr
+        )
+    if failures or stale:
         return 1
     print(
         f"ok   lint_invariants: no new violations "

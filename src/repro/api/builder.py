@@ -30,9 +30,9 @@ with a precise message.  Errors about the scenario or an APP (duplicate
 VINs, connections to undeclared plug-ins, ...) raise as they are
 declared; a vehicle is judged whole by :meth:`VehicleSpec.validate
 <repro.fes.vehicle.VehicleSpec.validate>` (placements onto missing ECUs,
-duplicate instances, missing back-relays, ...), which ``build()`` runs
-on every vehicle, declared or added as a spec, before it constructs
-anything.
+duplicate instances or virtual ports, missing back-relays, ...), which
+``build()`` runs on every vehicle, declared or added as a spec, before
+it constructs anything.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class VehicleBuilder:
             relays=list(relays),
             services=list(services),
             has_mgmt=has_mgmt,
-        ).validate()
+        )
 
     def ecm(
         self,

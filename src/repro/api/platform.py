@@ -155,7 +155,6 @@ class Platform:
         app_name: str,
         targets: Union[Iterable[str], FleetSelector],
         user_id: Optional[str] = None,
-        campaign: str = "",
     ) -> Deployment:
         """Request installation of ``app_name`` on a target set.
 
@@ -165,21 +164,16 @@ class Platform:
         targeted — use ``api.vehicles.query`` for registry-wide reads).
         One batch server pass (the campaign engine's wave dispatch);
         returns the same unified :class:`Deployment` handle as
-        :meth:`deploy`.  ``campaign`` tags the pushed packages for the
-        pusher's per-campaign outbox accounting.
+        :meth:`deploy`.
         """
         if isinstance(targets, FleetSelector):
             vins = self.select_vins(targets)
         else:
             vins = list(targets)
         results = self.api.deployments.deploy_batch(
-            user_id or self.user_id, vins, app_name, campaign=campaign
+            user_id or self.user_id, vins, app_name
         )
         return Deployment(self, app_name, results)
-
-    def deploy_everywhere(self, app_name: str) -> Deployment:
-        """Request installation of ``app_name`` on every vehicle."""
-        return self.deploy(app_name)
 
     # -- campaigns -----------------------------------------------------------
 

@@ -4,18 +4,11 @@ from repro.autosar.ecu import Ecu
 from repro.autosar.events import (
     DataReceivedEvent,
     InitEvent,
-    OperationInvokedEvent,
     RteEvent,
     TimingEvent,
 )
 from repro.autosar.generator import BuiltSystem, SystemBuilder, build_system
-from repro.autosar.interfaces import (
-    ClientServerInterface,
-    DataElement,
-    Operation,
-    PortInterface,
-    SenderReceiverInterface,
-)
+from repro.autosar.interfaces import DataElement, SenderReceiverInterface
 from repro.autosar.ports import (
     PortDirection,
     PortInstance,
@@ -55,13 +48,9 @@ __all__ = [
     "Ecu",
     "DataReceivedEvent",
     "InitEvent",
-    "OperationInvokedEvent",
     "RteEvent",
     "TimingEvent",
-    "ClientServerInterface",
     "DataElement",
-    "Operation",
-    "PortInterface",
     "SenderReceiverInterface",
     "PortDirection",
     "PortInstance",

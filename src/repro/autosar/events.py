@@ -2,7 +2,7 @@
 
 AUTOSAR binds runnables to events; the RTE generator turns these
 declarations into OS alarms (timing events) and delivery hooks
-(data-received events, operation-invoked events).
+(data-received events).
 """
 
 from __future__ import annotations
@@ -59,22 +59,6 @@ class DataReceivedEvent(RteEvent):
 
 
 @dataclass(frozen=True)
-class OperationInvokedEvent(RteEvent):
-    """Activation when a client calls an operation on a provided port."""
-
-    port: str = ""
-    operation: str = ""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.port or not self.operation:
-            raise ConfigurationError(
-                f"operation-invoked event on {self.runnable} must name "
-                f"port and operation"
-            )
-
-
-@dataclass(frozen=True)
 class InitEvent(RteEvent):
     """Activation once at ECU start-up, before any other event."""
 
@@ -83,6 +67,5 @@ __all__ = [
     "RteEvent",
     "TimingEvent",
     "DataReceivedEvent",
-    "OperationInvokedEvent",
     "InitEvent",
 ]

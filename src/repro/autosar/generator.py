@@ -14,16 +14,10 @@ from functools import partial
 from typing import Optional
 
 from repro.autosar.ecu import Ecu
-from repro.autosar.events import (
-    DataReceivedEvent,
-    InitEvent,
-    OperationInvokedEvent,
-    TimingEvent,
-)
+from repro.autosar.events import DataReceivedEvent, InitEvent, TimingEvent
 from repro.autosar.bsw.com import SignalConfig
-from repro.autosar.interfaces import SenderReceiverInterface
 from repro.autosar.os.task import Task, WorkItem
-from repro.autosar.rte.rte import ComRoute, LocalRoute, ServerRoute
+from repro.autosar.rte.rte import ComRoute, LocalRoute
 from repro.autosar.swc import ComponentInstance
 from repro.autosar.system import SystemDescription
 from repro.can.bus import CanBus
@@ -96,7 +90,6 @@ class SystemBuilder:
         built = BuiltSystem(description, self.sim, ecus, bus, self.tracer)
         self._instantiate_components(built)
         self._wire_sr_routes(built)
-        self._wire_cs_routes(built)
         self._install_events(built)
         return built
 
@@ -136,11 +129,6 @@ class SystemBuilder:
                 placement.task.preemptable,
             )
             ecu.add_instance(instance, task)
-            # Register the component author's operation handlers.
-            for (port, op), handler in placement.ctype.operation_handlers.items():
-                ecu.rte.register_operation_handler(
-                    instance.name, port, op, handler
-                )
 
     def _allocate_signal(self) -> tuple[int, int]:
         """Allocate a fresh (signal_id, can_id) pair."""
@@ -158,11 +146,7 @@ class SystemBuilder:
         description = self.description
         for connector in description.connectors:
             from_place = description.placement(connector.from_instance)
-            proto = from_place.ctype.port(connector.from_port)
-            if not proto.is_sender_receiver:
-                continue
-            iface = proto.interface
-            assert isinstance(iface, SenderReceiverInterface)
+            iface = from_place.ctype.port(connector.from_port).interface
             src_ecu = built.ecu(from_place.ecu_name)
             if not description.is_cross_ecu(connector):
                 for element in iface.elements:
@@ -227,24 +211,6 @@ class SystemBuilder:
 
         return deliver
 
-    def _wire_cs_routes(self, built: BuiltSystem) -> None:
-        description = self.description
-        for connector in description.connectors:
-            from_place = description.placement(connector.from_instance)
-            proto = from_place.ctype.port(connector.from_port)
-            if proto.is_sender_receiver:
-                continue
-            # validate() already rejected cross-ECU C/S connectors.
-            ecu = built.ecu(from_place.ecu_name)
-            iface = proto.interface
-            for operation in iface.operations:  # type: ignore[union-attr]
-                ecu.rte.add_cs_route(
-                    connector.from_instance,
-                    connector.from_port,
-                    operation.name,
-                    ServerRoute(connector.to_instance, connector.to_port),
-                )
-
     def _install_events(self, built: BuiltSystem) -> None:
         for placement in self.description.placements.values():
             ecu = built.ecu(placement.ecu_name)
@@ -257,10 +223,6 @@ class SystemBuilder:
                     self._install_data_event(ecu, instance, task, event)
                 elif isinstance(event, InitEvent):
                     self._install_init_event(ecu, instance, task, event)
-                elif isinstance(event, OperationInvokedEvent):
-                    # Operation-invoked runnables execute synchronously
-                    # through the registered handler; nothing to install.
-                    continue
 
     @staticmethod
     def _activation_item(

@@ -41,10 +41,11 @@ and ``dispatch`` events at the tick, but its ``complete`` event only
 when it settles, usually at the CPU's next tick.  That event carries
 the completion's timestamp and lands behind events published in
 between, so ``tracer.events("os")`` is in publish order, not time
-order (``pair_latencies`` sorts by time).  Until each CPU has settled,
-``published("os")`` may trail the ticking scheduler's count by one
-``complete`` per CPU; reading any settled counter (``busy_time``,
-``utilization()``, a task's ``state`` ...) settles that CPU.
+order; sort by ``time_us`` where time order matters.  Until each CPU
+has settled, ``published("os")`` may trail the ticking scheduler's
+count by one ``complete`` per CPU; reading any settled counter
+(``busy_time``, ``utilization()``, a task's ``state`` ...) settles that
+CPU.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """SW-C port prototypes and runtime port instances.
 
 Design time: a :class:`PortPrototype` (provided or required) on a
-component *type*, referencing a :class:`PortInterface`.
+component *type*, referencing a
+:class:`~repro.autosar.interfaces.SenderReceiverInterface`.
 
 Run time: a :class:`PortInstance` on a component *instance*, holding the
 receive buffers/queues that the RTE reads and fills.
@@ -14,12 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Optional
 
-from repro.autosar.interfaces import (
-    ClientServerInterface,
-    DataElement,
-    PortInterface,
-    SenderReceiverInterface,
-)
+from repro.autosar.interfaces import DataElement, SenderReceiverInterface
 from repro.errors import PortError
 
 
@@ -36,7 +32,7 @@ class PortPrototype:
 
     name: str
     direction: PortDirection
-    interface: PortInterface
+    interface: SenderReceiverInterface
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -49,14 +45,6 @@ class PortPrototype:
     @property
     def is_required(self) -> bool:
         return self.direction is PortDirection.REQUIRED
-
-    @property
-    def is_sender_receiver(self) -> bool:
-        return isinstance(self.interface, SenderReceiverInterface)
-
-    @property
-    def is_client_server(self) -> bool:
-        return isinstance(self.interface, ClientServerInterface)
 
 
 class _ElementBuffer:
@@ -124,10 +112,8 @@ class PortInstance:
         self.owner_name = owner_name
         self.prototype = prototype
         self._buffers: dict[str, _ElementBuffer] = {}
-        if prototype.is_required and prototype.is_sender_receiver:
-            iface = prototype.interface
-            assert isinstance(iface, SenderReceiverInterface)
-            for element in iface.elements:
+        if prototype.is_required:
+            for element in prototype.interface.elements:
                 self._buffers[element.name] = _ElementBuffer(element)
         self.writes = 0
         self.reads = 0
@@ -179,12 +165,16 @@ class PortInstance:
         return f"<PortInstance {self.full_name} {self.prototype.direction.value}>"
 
 
-def provided_port(name: str, interface: PortInterface) -> PortPrototype:
+def provided_port(
+    name: str, interface: SenderReceiverInterface
+) -> PortPrototype:
     """Shorthand for a provided port prototype."""
     return PortPrototype(name, PortDirection.PROVIDED, interface)
 
 
-def required_port(name: str, interface: PortInterface) -> PortPrototype:
+def required_port(
+    name: str, interface: SenderReceiverInterface
+) -> PortPrototype:
     """Shorthand for a required port prototype."""
     return PortPrototype(name, PortDirection.REQUIRED, interface)
 

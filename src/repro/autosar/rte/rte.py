@@ -1,7 +1,7 @@
 """The runtime environment: realisation of the VFB on one ECU.
 
 The RTE holds the routing tables produced by the generator and
-implements the component-facing API (``write``/``read``/``call`` via
+implements the component-facing API (``write``/``read`` via
 :class:`~repro.autosar.swc.ComponentInstance`).  Local routes copy data
 directly into the receiver's port buffer and fire data-received
 activations through the OS; cross-ECU routes hand the encoded value to
@@ -35,14 +35,6 @@ class ComRoute:
     signal_id: int
 
 
-@dataclass(frozen=True)
-class ServerRoute:
-    """Local C/S route to a server instance's operation handler."""
-
-    server_instance: str
-    server_port: str
-
-
 class Rte:
     """Per-ECU runtime environment."""
 
@@ -58,12 +50,6 @@ class Rte:
         self.instances: dict[str, ComponentInstance] = {}
         # (instance, port, element) -> routes
         self._sr_routes: dict[tuple[str, str, str], list[Any]] = {}
-        # (client_instance, client_port, operation) -> server route
-        self._cs_routes: dict[tuple[str, str, str], ServerRoute] = {}
-        # (server_instance, server_port, operation) -> handler
-        self._cs_handlers: dict[
-            tuple[str, str, str], Callable[..., Any]
-        ] = {}
         # (instance, port, element) -> activation hooks
         self._delivery_hooks: dict[
             tuple[str, str, str], list[Callable[[], None]]
@@ -72,7 +58,6 @@ class Rte:
         self.writes = 0
         self.local_deliveries = 0
         self.com_transmissions = 0
-        self.calls = 0
 
     # -- wiring (generator-facing) ---------------------------------------
 
@@ -100,29 +85,6 @@ class Rte:
         """Install a sender-receiver route for a provided port element."""
         self._sr_routes.setdefault((instance, port, element), []).append(route)
 
-    def add_cs_route(
-        self,
-        client_instance: str,
-        client_port: str,
-        operation: str,
-        route: ServerRoute,
-    ) -> None:
-        """Install a client-server route."""
-        key = (client_instance, client_port, operation)
-        if key in self._cs_routes:
-            raise RteError(f"duplicate C/S route for {key}")
-        self._cs_routes[key] = route
-
-    def register_operation_handler(
-        self,
-        server_instance: str,
-        server_port: str,
-        operation: str,
-        handler: Callable[..., Any],
-    ) -> None:
-        """Register the server-side implementation of an operation."""
-        self._cs_handlers[(server_instance, server_port, operation)] = handler
-
     def add_delivery_hook(
         self, instance: str, port: str, element: str, hook: Callable[[], None]
     ) -> None:
@@ -148,13 +110,12 @@ class Rte:
     ) -> None:
         """Rte_Write: fan ``value`` out to every configured route."""
         prototype = instance.ctype.port(port)
-        if not prototype.is_provided or not prototype.is_sender_receiver:
+        if not prototype.is_provided:
             raise PortError(
                 f"write needs a provided S/R port; {instance.name}.{port} "
                 f"is {prototype.direction.value}"
             )
-        iface = prototype.interface
-        iface.element(element)  # type: ignore[union-attr]
+        prototype.interface.element(element)
         self.writes += 1
         if self.tracer is not None:
             self.tracer.publish(
@@ -205,41 +166,5 @@ class Rte:
         ):
             hook()
 
-    def call(
-        self,
-        instance: ComponentInstance,
-        port: str,
-        operation: str,
-        arguments: dict[str, Any],
-    ) -> Any:
-        """Rte_Call: synchronous local client-server invocation.
 
-        The server's handler executes immediately in the caller's
-        context; AUTOSAR's direct invocation of a server runnable on the
-        caller's task.  Cross-ECU C/S is rejected at build time.
-        """
-        key = (instance.name, port, operation)
-        route = self._cs_routes.get(key)
-        if route is None:
-            raise RteError(
-                f"no C/S route for {instance.name}.{port}.{operation}"
-            )
-        handler = self._cs_handlers.get(
-            (route.server_instance, route.server_port, operation)
-        )
-        if handler is None:
-            raise RteError(
-                f"server {route.server_instance}.{route.server_port} has no "
-                f"handler for operation {operation!r}"
-            )
-        self.calls += 1
-        if self.tracer is not None:
-            self.tracer.publish(
-                "rte", "call", self.sim.now, ecu=self.ecu_name,
-                op=f"{route.server_instance}.{route.server_port}.{operation}",
-            )
-        server = self.instance(route.server_instance)
-        return handler(server, **arguments)
-
-
-__all__ = ["Rte", "LocalRoute", "ComRoute", "ServerRoute"]
+__all__ = ["Rte", "LocalRoute", "ComRoute"]

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from repro.autosar.events import (
-    DataReceivedEvent,
-    OperationInvokedEvent,
-    RteEvent,
-)
+from repro.autosar.events import DataReceivedEvent, RteEvent
 from repro.autosar.ports import PortInstance, PortPrototype
 from repro.autosar.runnable import Runnable
 from repro.errors import ConfigurationError, PortError
@@ -45,9 +41,6 @@ class ComponentType:
         self.events: list[RteEvent] = []
         for event in events:
             self.add_event(event)
-        #: (port, operation) -> server implementation, registered by the
-        #: component author and installed into the RTE at build time.
-        self.operation_handlers: dict[tuple[str, str], Any] = {}
 
     @property
     def ports(self) -> list[PortPrototype]:
@@ -80,34 +73,14 @@ class ComponentType:
                 f"event references unknown runnable {event.runnable!r} "
                 f"on component {self.name}"
             )
-        if isinstance(event, (DataReceivedEvent,)):
+        if isinstance(event, DataReceivedEvent):
             port = self.port(event.port)
-            if not port.is_required or not port.is_sender_receiver:
+            if not port.is_required:
                 raise ConfigurationError(
                     f"data-received event needs a required S/R port, "
                     f"got {event.port!r} on {self.name}"
                 )
-        if isinstance(event, OperationInvokedEvent):
-            port = self.port(event.port)
-            if not port.is_provided or not port.is_client_server:
-                raise ConfigurationError(
-                    f"operation-invoked event needs a provided C/S port, "
-                    f"got {event.port!r} on {self.name}"
-                )
         self.events.append(event)
-
-    def add_operation_handler(
-        self, port: str, operation: str, handler: Any
-    ) -> None:
-        """Register the implementation of a provided C/S operation."""
-        prototype = self.port(port)
-        if not prototype.is_provided or not prototype.is_client_server:
-            raise ConfigurationError(
-                f"operation handler needs a provided C/S port; "
-                f"{self.name}.{port} is not one"
-            )
-        prototype.interface.operation(operation)  # type: ignore[union-attr]
-        self.operation_handlers[(port, operation)] = handler
 
     def port(self, name: str) -> PortPrototype:
         """Look up a port prototype by name."""
@@ -182,14 +155,6 @@ class ComponentInstance:
     def pending(self, port: str, element: str) -> int:
         """Unconsumed values on a required port element."""
         return self.port(port).pending(element)
-
-    def call(self, port: str, operation: str, **arguments: Any) -> Any:
-        """Rte_Call: synchronous client-server invocation."""
-        if self.rte is None:
-            raise ConfigurationError(
-                f"instance {self.name} is not bound to an RTE"
-            )
-        return self.rte.call(self, port, operation, arguments)
 
     def __repr__(self) -> str:
         return f"<ComponentInstance {self.name} of {self.ctype.name}>"

@@ -117,11 +117,7 @@ class SystemDescription:
         to_instance: str,
         to_port: str,
     ) -> Connector:
-        """Add a VFB connector between two instance ports.
-
-        For sender-receiver, ``from`` is the provider.  For
-        client-server, ``from`` is the client (required port).
-        """
+        """Add a VFB connector from a provided to a required port."""
         from_proto = self.placement(from_instance).ctype.port(from_port)
         to_proto = self.placement(to_instance).ctype.port(to_port)
         connector = Connector(from_instance, from_port, to_instance, to_port)
@@ -149,11 +145,6 @@ class SystemDescription:
             to_proto = to_place.ctype.port(connector.to_port)
             validate_connector(connector, from_proto, to_proto)
             if self.is_cross_ecu(connector):
-                if not from_proto.is_sender_receiver:
-                    raise ConfigurationError(
-                        f"cross-ECU client-server connector {connector} "
-                        f"is not supported; use sender-receiver"
-                    )
                 ecus = (self.ecus[from_place.ecu_name], self.ecus[to_place.ecu_name])
                 if not all(e.on_bus for e in ecus):
                     raise ConfigurationError(
@@ -164,11 +155,6 @@ class SystemDescription:
         # element; multiple receivers of one provider are fine.
         seen_receivers: dict[tuple[str, str], str] = {}
         for connector in self.connectors:
-            to_proto = self.placement(connector.to_instance).ctype.port(
-                connector.to_port
-            )
-            if not to_proto.is_sender_receiver:
-                continue
             key = (connector.to_instance, connector.to_port)
             if key in seen_receivers:
                 raise ConfigurationError(

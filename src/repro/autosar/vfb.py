@@ -39,25 +39,12 @@ def validate_connector(
 ) -> None:
     """Check direction and interface compatibility of a connector.
 
-    Sender-receiver connectors run provided -> required.  Client-server
-    connectors run required (client) -> provided (server); we normalise
-    them in the system description so ``from`` is always the client.
+    Sender-receiver connectors run provided -> required.
     """
-    if from_proto.is_sender_receiver != to_proto.is_sender_receiver:
+    if not (from_proto.is_provided and to_proto.is_required):
         raise ConfigurationError(
-            f"connector {connector}: mixed interface kinds"
+            f"S/R connector {connector} must run provided -> required"
         )
-    if from_proto.is_sender_receiver:
-        if not (from_proto.is_provided and to_proto.is_required):
-            raise ConfigurationError(
-                f"S/R connector {connector} must run provided -> required"
-            )
-    else:
-        if not (from_proto.is_required and to_proto.is_provided):
-            raise ConfigurationError(
-                f"C/S connector {connector} must run client(required) -> "
-                f"server(provided)"
-            )
     if not from_proto.interface.compatible_with(to_proto.interface):
         raise ConfigurationError(
             f"connector {connector}: incompatible interfaces "

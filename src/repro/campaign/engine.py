@@ -254,8 +254,7 @@ class CampaignEngine:
             # rollbacks) so a late ack cannot contradict the report.
             for vin in sorted(self._pending | self._rollback_pending):
                 self._deployments.abandon(
-                    self._user_id, vin, self.spec.app_name,
-                    campaign=self.campaign_id,
+                    self._user_id, vin, self.spec.app_name
                 )
                 self._set_disposition(vin, Disposition.NEEDS_WORKSHOP)
             self._pending.clear()
@@ -279,8 +278,7 @@ class CampaignEngine:
             self._log("admission_denied", vin, denied[vin])
         targets = [vin for vin in wave.vins if vin not in denied]
         deployment = self.platform.deploy_to(
-            self.spec.app_name, targets,
-            user_id=self._user_id, campaign=self.campaign_id,
+            self.spec.app_name, targets, user_id=self._user_id
         )
         self._pending = set()
         for vin, result in deployment.results.items():
@@ -364,9 +362,7 @@ class CampaignEngine:
             wave.timed_out += 1
         else:
             wave.failed += 1
-        self._deployments.abandon(
-            self._user_id, vin, self.spec.app_name, campaign=self.campaign_id
-        )
+        self._deployments.abandon(self._user_id, vin, self.spec.app_name)
         self._set_disposition(vin, Disposition.NEEDS_WORKSHOP)
         self._log(kind, vin, detail)
         if check_complete:
@@ -398,7 +394,7 @@ class CampaignEngine:
         if self.done or self._check_orphaned() or vin not in self._pending:
             return
         result = self._deployments.retry_install(
-            self._user_id, vin, self.spec.app_name, campaign=self.campaign_id
+            self._user_id, vin, self.spec.app_name
         )
         if not result.ok:
             self._give_up(
@@ -642,8 +638,7 @@ class CampaignEngine:
         self._rollback_pending = set()
         for vin in targets:
             result = self._deployments.uninstall(
-                self._user_id, vin, self.spec.app_name,
-                campaign=self.campaign_id,
+                self._user_id, vin, self.spec.app_name
             )
             if result.ok:
                 self._rollback_pending.add(vin)
@@ -678,8 +673,7 @@ class CampaignEngine:
     def _on_rollback_timeout(self) -> None:
         for vin in sorted(self._rollback_pending):
             self._deployments.abandon(
-                self._user_id, vin, self.spec.app_name,
-                campaign=self.campaign_id,
+                self._user_id, vin, self.spec.app_name
             )
             self._set_disposition(vin, Disposition.NEEDS_WORKSHOP)
             self._log("rollback_failed", vin, "rollback timed out")

@@ -109,10 +109,6 @@ class LifecycleError(PluginError):
     """An operation was attempted in an invalid plug-in life-cycle state."""
 
 
-class InstallationError(PluginError):
-    """Installation or uninstallation of a plug-in failed on the vehicle."""
-
-
 class RoutingError(PluginError):
     """PIRTE could not route a message to a plug-in or virtual port."""
 

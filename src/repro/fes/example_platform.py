@@ -22,8 +22,6 @@ does with many copies of the car.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.api.builder import AppBuilder, ScenarioBuilder, VehicleBuilder
 from repro.api.platform import Platform
 from repro.autosar.events import DataReceivedEvent
@@ -34,7 +32,7 @@ from repro.autosar.swc import ComponentType
 from repro.autosar.types import INT16
 from repro.core.plugin_swc import RelayLink, ServicePort
 from repro.fes.vehicle import VehicleSpec
-from repro.network.channel import WIFI, ChannelProfile
+from repro.network.channel import WIFI
 from repro.server.models import App
 
 MODEL = "model-car-rpi"
@@ -163,11 +161,7 @@ def make_remote_control_app(
     return builder.to_app()
 
 
-def build_example_platform(
-    seed: int = 0,
-    cellular_profile: Optional[ChannelProfile] = None,
-    trace: bool = True,
-) -> Platform:
+def build_example_platform(seed: int = 0, trace: bool = True) -> Platform:
     """Build the complete demonstrator: server + phone + vehicle.
 
     The result is a single-vehicle :class:`~repro.api.Platform`:
@@ -175,9 +169,7 @@ def build_example_platform(
     the phone at :data:`PHONE_ADDRESS`, and
     ``deploy("remote-control")`` installs the APP on it.
     """
-    scenario = ScenarioBuilder(
-        seed=seed, default_profile=cellular_profile, trace=trace
-    )
+    scenario = ScenarioBuilder(seed=seed, trace=trace)
     scenario.user("user-1", "Example User")
     scenario.phone(PHONE_ADDRESS, WIFI)
     scenario.add_vehicle_spec(make_example_vehicle_spec("VIN-0001"))

@@ -99,10 +99,12 @@ class VehicleSpec:
         Raises :class:`~repro.errors.ConfigurationError` for: no ECUs, a
         duplicate ECU or component instance, a SW-C or legacy component
         on an unknown ECU, an ECM with ``has_mgmt=True`` or a plug-in
-        SW-C without it, and a relay to an undeclared peer or one whose
-        peer lacks the back-relay.  The same rules hold at either
-        fidelity, so a statistical vehicle is only ever a stand-in for
-        one that :func:`build_vehicle` could build.
+        SW-C without it, a SW-C spec with a duplicate virtual or SW-C
+        port name, a relay to an undeclared peer or one whose peer lacks
+        the back-relay, and a connector to an undeclared component
+        instance.  The same rules hold at either fidelity, so a
+        statistical vehicle is only ever a stand-in for one that
+        :func:`build_vehicle` could build.
         """
         where = f"vehicle {self.vin}"
         if not self.ecus:
@@ -139,6 +141,7 @@ class VehicleSpec:
                 raise ConfigurationError(
                     f"{where}: plug-in SW-C {name!r} needs has_mgmt=True"
                 )
+            placement.spec.validate()
             for relay in placement.spec.relays:
                 peer = by_name.get(relay.peer)
                 if peer is None:
@@ -157,6 +160,12 @@ class VehicleSpec:
                     f"{where}: legacy component {legacy.instance_name!r} "
                     f"placed on unknown ECU {legacy.ecu_name!r}"
                 )
+        for from_instance, _, to_instance, _ in self.connectors:
+            for name in (from_instance, to_instance):
+                if name not in instances:
+                    raise ConfigurationError(
+                        f"{where}: unknown component instance {name!r}"
+                    )
         return self
 
     def describe_for_server(self) -> tuple[HwConf, SystemSwConf]:

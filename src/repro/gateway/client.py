@@ -154,17 +154,11 @@ class FleetClient:
         app: str,
         vins: Iterable[str],
         user_id: Optional[str] = None,
-        campaign: str = "",
     ) -> dict:
         return self.call(
             "POST",
             "/v1/deployments",
-            body={
-                "app": app,
-                "vins": list(vins),
-                "user_id": user_id,
-                "campaign": campaign,
-            },
+            body={"app": app, "vins": list(vins), "user_id": user_id},
         )
 
     def deployment_status(self, vin: str, app: str) -> dict:

@@ -29,6 +29,7 @@ from typing import Callable, Optional
 from repro.errors import ServerError
 from repro.server.services.envelope import Response
 from repro.sim.kernel import MS, Simulator
+from repro.telemetry.metrics import MetricsRegistry
 
 #: Sim-time spacing between pump ticks.
 DEFAULT_INTERVAL_US = 5 * MS
@@ -72,7 +73,7 @@ class CommandPump:
     before the pump reached it is skipped and counted in neither.
     """
 
-    def __init__(self, sim: Simulator, metrics=None) -> None:
+    def __init__(self, sim: Simulator, metrics: MetricsRegistry) -> None:
         self.sim = sim
         self.metrics = metrics
         self._queue: "queue.SimpleQueue[_Command]" = queue.SimpleQueue()
@@ -149,9 +150,8 @@ class CommandPump:
             command.done.set()
         if drained:
             self.executed += drained
-            if self.metrics is not None:
-                self.metrics.inc("gateway.commands", drained)
-                self.metrics.set_gauge("gateway.queue.depth", drained)
+            self.metrics.inc("gateway.commands", drained)
+            self.metrics.set_gauge("gateway.queue.depth", drained)
         return drained
 
     def _reject_pending(self, reason: str) -> None:

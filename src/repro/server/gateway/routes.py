@@ -188,9 +188,7 @@ def _deploy(gateway, params, query, body) -> Response:
             "deploy needs an app name and a list of VIN strings",
         )
     user_id = body.get("user_id") or gateway.platform.user_id
-    results = gateway.api.deployments.deploy_batch(
-        user_id, vins, app_name, campaign=body.get("campaign", "")
-    )
+    results = gateway.api.deployments.deploy_batch(user_id, vins, app_name)
     ok = all(response.ok for response in results.values())
     return Response(
         ok=True,
@@ -252,7 +250,7 @@ def _metrics(gateway, params, query, body) -> Response:
     api = gateway.api
     return Response.success(
         {
-            "metrics": api.metrics.snapshot(now_us=gateway.platform.sim.now),
+            "metrics": api.metrics.snapshot(),
             "bus": api.telemetry.snapshot(),
             "stream": gateway.broker.stats(),
         }

@@ -23,6 +23,7 @@ from collections import deque
 from typing import Iterable, Optional
 
 from repro.telemetry.bus import TelemetryBus, TelemetryEvent
+from repro.telemetry.metrics import MetricsRegistry
 
 #: Per-client buffer capacity unless the client asks otherwise.
 DEFAULT_CLIENT_BUFFER = 256
@@ -142,7 +143,7 @@ class StreamClient:
 class StreamBroker:
     """Sequences bus events and fans them out to stream clients."""
 
-    def __init__(self, bus: TelemetryBus, metrics=None) -> None:
+    def __init__(self, bus: TelemetryBus, metrics: MetricsRegistry) -> None:
         self.bus = bus
         self.metrics = metrics
         self._lock = threading.Lock()
@@ -181,7 +182,7 @@ class StreamBroker:
             ]
         for client in clients:
             client.offer(item)
-        if self.metrics is not None and clients:
+        if clients:
             self.metrics.inc("gateway.stream.fanout", len(clients))
 
     # -- HTTP worker side ------------------------------------------------------
@@ -219,10 +220,9 @@ class StreamBroker:
                 capacity=capacity or DEFAULT_CLIENT_BUFFER,
             )
             self._clients[client_id] = client
-            if self.metrics is not None:
-                self.metrics.set_gauge(
-                    "gateway.stream.clients", len(self._clients)
-                )
+            self.metrics.set_gauge(
+                "gateway.stream.clients", len(self._clients)
+            )
             return client
 
     @property

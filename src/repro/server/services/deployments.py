@@ -121,14 +121,8 @@ class DeploymentService:
 
     # -- deployment -----------------------------------------------------------
 
-    def deploy(
-        self, user_id: str, vin: str, app_name: str, campaign: str = ""
-    ) -> Response:
-        """Install an APP on a vehicle (the paper's install operation).
-
-        ``campaign`` tags the pushed packages so the pusher's global
-        outbox budget can evict oldest-campaign-first under pressure.
-        """
+    def deploy(self, user_id: str, vin: str, app_name: str) -> Response:
+        """Install an APP on a vehicle (the paper's install operation)."""
         vehicle, error = self._vehicle_for(user_id, vin)
         if error is not None:
             return error
@@ -164,15 +158,13 @@ class DeploymentService:
                 )
             )
             raws.append(raw)
-        self.pusher.push_many(vin, raws, campaign=campaign)
+        self.pusher.push_many(vin, raws)
         vehicle.conf.installed[app.name] = installed
         vehicle.update_failures.pop(app.name, None)
         self.deploys += 1
         return Response.success(report, pushed_messages=len(packages))
 
-    def uninstall(
-        self, user_id: str, vin: str, app_name: str, campaign: str = ""
-    ) -> Response:
+    def uninstall(self, user_id: str, vin: str, app_name: str) -> Response:
         """Remove an APP, refusing while dependents remain installed."""
         vehicle, error = self._vehicle_for(user_id, vin)
         if error is not None:
@@ -210,31 +202,22 @@ class DeploymentService:
                     record.plugin_name, record.ecu_name, record.swc_name
                 ).encode()
             )
-        self.pusher.push_many(vin, raws, campaign=campaign)
+        self.pusher.push_many(vin, raws)
         return Response.success(pushed_messages=len(raws))
 
     # -- batch / campaign operations ------------------------------------------
 
     def deploy_batch(
-        self,
-        user_id: str,
-        vins: Iterable[str],
-        app_name: str,
-        campaign: str = "",
+        self, user_id: str, vins: Iterable[str], app_name: str
     ) -> dict[str, Response]:
         """Install an APP on many vehicles; per-VIN acceptance envelopes.
 
         The campaign engine's wave dispatch: one server pass pushes a
         whole wave's packages instead of N independent portal requests.
         """
-        return {
-            vin: self.deploy(user_id, vin, app_name, campaign=campaign)
-            for vin in vins
-        }
+        return {vin: self.deploy(user_id, vin, app_name) for vin in vins}
 
-    def retry_install(
-        self, user_id: str, vin: str, app_name: str, campaign: str = ""
-    ) -> Response:
+    def retry_install(self, user_id: str, vin: str, app_name: str) -> Response:
         """Re-push the unacknowledged plug-ins of a stuck installation.
 
         Valid while the install is PENDING (acks lost / vehicle offline)
@@ -267,7 +250,7 @@ class DeploymentService:
                     f"no stored package for plug-in {record.plugin_name}"
                 )
             record.nacked = False
-            self.pusher.push(vin, record.package, campaign=campaign)
+            self.pusher.push(vin, record.package)
             pushed += 1
         if pushed == 0:
             return Response.failure(
@@ -277,9 +260,7 @@ class DeploymentService:
         installed.status = InstallStatus.PENDING
         return Response.success(pushed_messages=pushed)
 
-    def abandon(
-        self, user_id: str, vin: str, app_name: str, campaign: str = ""
-    ) -> Response:
+    def abandon(self, user_id: str, vin: str, app_name: str) -> Response:
         """Drop a failed/stuck installation record (rollback cleanup).
 
         Unlike :meth:`uninstall`, the record is removed immediately and
@@ -305,7 +286,7 @@ class DeploymentService:
             raw = msg.UninstallMessage(
                 record.plugin_name, record.ecu_name, record.swc_name
             ).encode()
-            self.pusher.push(vin, raw, campaign=campaign)
+            self.pusher.push(vin, raw)
             pushed += 1
         return Response.success(pushed_messages=pushed)
 

@@ -41,10 +41,9 @@ class FleetAPI:
         #: state: a simulated server restart rebuilds the API and starts
         #: a fresh (empty) bus, exactly like a real in-memory pipeline.
         self.telemetry = TelemetryBus()
-        #: Control-plane metrics (counters/gauges/histograms).  The
-        #: network gateway registers its request/stream/queue metrics
-        #: here so ``GET /v1/metrics`` and CI snapshot artifacts read
-        #: the same registry.
+        #: Control-plane metrics (counters and gauges).  The network
+        #: gateway registers its request/stream/queue metrics here, and
+        #: ``GET /v1/metrics`` serves them.
         self.metrics = MetricsRegistry()
         self.vehicles = VehicleService(db, pusher)
         self.store = AppStore(db)

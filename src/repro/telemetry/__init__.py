@@ -12,8 +12,7 @@ package provides the three pieces:
   pusher back-pressure, and campaign timeline entries; a traced
   scenario's substrate (OS, RTE, CAN, channels, PIRTEs) publishes
   into another.
-* :class:`MetricsRegistry` — counters, gauges, and windowed quantile
-  histograms.
+* :class:`MetricsRegistry` — counters and gauges.
 * :class:`SoakPolicy` — the telemetry-driven wave gate: sample the
   updated vehicles' :class:`~repro.core.messages.DiagMessage` telemetry
   over a soak window, compare against the pre-update baseline, and
@@ -25,13 +24,7 @@ from repro.telemetry.bus import (
     TelemetryBus,
     TelemetryEvent,
 )
-from repro.telemetry.metrics import (
-    DEFAULT_MAX_SAMPLES,
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    WindowedHistogram,
-)
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.soak import (
     SoakMonitor,
     SoakPolicy,
@@ -41,12 +34,8 @@ from repro.telemetry.soak import (
 
 __all__ = [
     "DEFAULT_CATEGORY_CAPACITY",
-    "DEFAULT_MAX_SAMPLES",
     "TelemetryBus",
     "TelemetryEvent",
-    "Counter",
-    "Gauge",
-    "WindowedHistogram",
     "MetricsRegistry",
     "SoakMonitor",
     "SoakPolicy",

@@ -17,8 +17,8 @@ Design points:
 * **Per-category ring buffers.**  Categories (``"diag"``, ``"deploy"``,
   ``"campaign"``, ``"pusher"``, ``"os"``, ``"rte"``, ``"can"``,
   ``"net"``, ``"pirte"``, ...) are independent; a dispatch storm can
-  never evict deployment events.  Capacities are per-category with a
-  shared default; a capacity of 0 turns a category into a pure
+  never evict deployment events.  Every category's ring has the bus's
+  one capacity; a capacity of 0 makes every category a pure
   tap-through (counted, never retained).
 * **Exact drop accounting.**  ``published == retained + dropped`` holds
   per category at all times; the property tests pin it.
@@ -36,7 +36,7 @@ tests.  A bus defines ``__len__``, so an empty one is falsy: hold it as
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Iterable, Optional
 
@@ -78,51 +78,19 @@ class TelemetryBus:
     """Bounded, tap-able, per-category event pipeline."""
 
     def __init__(
-        self,
-        default_capacity: int = DEFAULT_CATEGORY_CAPACITY,
-        capacities: Optional[dict[str, int]] = None,
+        self, default_capacity: int = DEFAULT_CATEGORY_CAPACITY
     ) -> None:
         if default_capacity < 0:
             raise ValueError(
                 f"default capacity must be >= 0 (got {default_capacity})"
             )
-        for category, capacity in (capacities or {}).items():
-            if capacity < 0:
-                raise ValueError(
-                    f"capacity for {category!r} must be >= 0 (got {capacity})"
-                )
         self._default_capacity = default_capacity
-        self._capacities = dict(capacities or {})
         self._buffers: dict[str, Deque[TelemetryEvent]] = {}
         self._published: dict[str, int] = {}
         self._dropped: dict[str, int] = {}
         self._taps: list[
             tuple[Callable[[TelemetryEvent], None], Optional[frozenset]]
         ] = []
-
-    # -- configuration ---------------------------------------------------------
-
-    def capacity(self, category: str) -> int:
-        """Ring capacity in effect for ``category``."""
-        return self._capacities.get(category, self._default_capacity)
-
-    def set_capacity(self, category: str, capacity: int) -> None:
-        """Override one category's capacity (affects future publishes).
-
-        Shrinking below the current retained count evicts (and counts)
-        the oldest events immediately.
-        """
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0 (got {capacity})")
-        self._capacities[category] = capacity
-        buffer = self._buffers.get(category)
-        if buffer is not None:
-            resized: Deque[TelemetryEvent] = deque(maxlen=capacity or None)
-            while len(buffer) > capacity:
-                buffer.popleft()
-                self._dropped[category] = self._dropped.get(category, 0) + 1
-            resized.extend(buffer)
-            self._buffers[category] = resized
 
     # -- publishing ------------------------------------------------------------
 
@@ -142,9 +110,9 @@ class TelemetryBus:
     def publish_event(self, event: TelemetryEvent) -> TelemetryEvent:
         category = event.category
         self._published[category] = self._published.get(category, 0) + 1
-        capacity = self.capacity(category)
+        capacity = self._default_capacity
         if capacity == 0:
-            # Pure tap-through category: counted, never retained.
+            # Pure tap-through bus: counted, never retained.
             self._dropped[category] = self._dropped.get(category, 0) + 1
         else:
             buffer = self._buffers.get(category)
@@ -219,34 +187,6 @@ class TelemetryBus:
                 out.append(event)
         return out
 
-    def pair_latencies(
-        self,
-        start: tuple[str, str],
-        end: tuple[str, str],
-        key: str,
-    ) -> list[int]:
-        """Latencies between matching retained start and end events.
-
-        ``start`` and ``end`` are ``(category, name)`` pairs.  Their
-        events are merged by time, starts first on ties, and each end
-        is paired with the oldest waiting start whose ``data[key]`` is
-        equal (FIFO matching, which suits message pipelines).
-        """
-        merged = sorted(
-            [(event.time_us, 0, event) for event in self.events(*start)]
-            + [(event.time_us, 1, event) for event in self.events(*end)],
-            key=lambda item: item[:2],
-        )
-        waiting: dict[Any, Deque[int]] = defaultdict(deque)
-        latencies: list[int] = []
-        for time_us, is_end, event in merged:
-            value = event.data.get(key)
-            if not is_end:
-                waiting[value].append(time_us)
-            elif waiting[value]:
-                latencies.append(time_us - waiting[value].popleft())
-        return latencies
-
     def published(self, category: Optional[str] = None) -> int:
         """Events ever published (to one category, or in total)."""
         if category is not None:
@@ -279,7 +219,7 @@ class TelemetryBus:
                 "published": self._published.get(category, 0),
                 "retained": len(self._buffers.get(category, ())),
                 "dropped": self._dropped.get(category, 0),
-                "capacity": self.capacity(category),
+                "capacity": self._default_capacity,
             }
             for category in self.categories()
         }

@@ -206,18 +206,19 @@ class TestInvalidDeclarations:
         with pytest.raises(ConfigurationError, match="undeclared peer"):
             scenario.build()
 
-    def test_duplicate_virtual_port_rejected_at_declaration(self):
+    def test_duplicate_virtual_port_rejected_at_build(self):
         scenario = ScenarioBuilder()
         car = scenario.vehicle("VIN-X", "m")
         car.ecus("ECU1")
+        car.ecm(
+            "swc1", on="ECU1",
+            services=[
+                ServicePort("V4", "a_out", "out", INT16),
+                ServicePort("V4", "b_out", "out", INT16),
+            ],
+        )
         with pytest.raises(ConfigurationError, match="duplicate virtual"):
-            car.ecm(
-                "swc1", on="ECU1",
-                services=[
-                    ServicePort("V4", "a_out", "out", INT16),
-                    ServicePort("V4", "b_out", "out", INT16),
-                ],
-            )
+            scenario.build()
 
     def test_duplicate_component_instance_rejected(self):
         scenario = ScenarioBuilder()
@@ -283,6 +284,21 @@ def _duplicate_instance(spec):
     return "duplicate component instance 'swc2'"
 
 
+def _connector_to_ghost(spec):
+    spec.connectors.append(("ghost", "out", "actuators", "wheels_in"))
+    return "unknown component instance 'ghost'"
+
+
+def _duplicate_virtual_port(spec):
+    swc2 = spec.plugin_swcs[0]
+    extra = ServicePort("V4", "wheels_req2", "out", INT16)
+    spec.plugin_swcs[0] = PluginSwcPlacement(
+        "swc2", "ECU2",
+        replace(swc2.spec, services=[*swc2.spec.services, extra]),
+    )
+    return "duplicate virtual port 'V4'"
+
+
 class TestSpecValidatedAtEitherFidelity:
     """A spec added with ``add_vehicle_spec`` is judged by the same
     rules at full and statistical fidelity, before anything is built."""
@@ -294,9 +310,12 @@ class TestSpecValidatedAtEitherFidelity:
             _missing_back_relay,
             _ecm_with_mgmt,
             _duplicate_instance,
+            _connector_to_ghost,
+            _duplicate_virtual_port,
         ],
         ids=["unknown-ecu", "missing-back-relay", "ecm-with-mgmt",
-             "duplicate-instance"],
+             "duplicate-instance", "connector-to-ghost",
+             "duplicate-virtual-port"],
     )
     def test_invalid_spec_refused_before_construction(
         self, breakage, monkeypatch
@@ -360,7 +379,7 @@ class TestHeterogeneousFleet:
         assert isinstance(fleet, Platform)
         assert [len(v.spec.ecus) for v in fleet.vehicles] == [2, 3]
         fleet.run(1 * SECOND)
-        campaign = fleet.deploy_everywhere("pair")
+        campaign = fleet.deploy("pair")
         assert campaign.ok
         campaign.wait(30 * SECOND)
         assert campaign.statuses() == {
@@ -393,11 +412,11 @@ class TestHeterogeneousFleet:
     def test_rejected_vehicle_tracked_per_vin(self):
         fleet = self._mixed_fleet()
         fleet.run(1 * SECOND)
-        campaign = fleet.deploy_everywhere("pair")
+        campaign = fleet.deploy("pair")
         campaign.wait(30 * SECOND)
         # Second campaign: already installed everywhere -> all rejected,
         # wait() resolves immediately with nothing pending.
-        again = fleet.deploy_everywhere("pair")
+        again = fleet.deploy("pair")
         assert not again.ok
         assert sorted(again.rejected_vins) == ["VIN-BIG", "VIN-SMALL"]
         assert "already installed" in again.reasons("VIN-SMALL")[0]

@@ -5,12 +5,10 @@ import pytest
 from repro.autosar import (
     BYTES,
     UINT16,
-    ClientServerInterface,
     ComponentType,
     DataElement,
     DataReceivedEvent,
     InitEvent,
-    Operation,
     Runnable,
     SenderReceiverInterface,
     SystemDescription,
@@ -19,7 +17,7 @@ from repro.autosar import (
     provided_port,
     required_port,
 )
-from repro.errors import ConfigurationError, RteError
+from repro.errors import ConfigurationError
 from repro.sim import MS
 from repro.telemetry import TelemetryBus
 
@@ -105,19 +103,6 @@ class TestDescriptionValidation:
     def test_empty_system_rejected(self):
         with pytest.raises(ConfigurationError):
             SystemDescription().validate()
-
-    def test_cross_ecu_cs_rejected(self):
-        cs = ClientServerInterface("Svc", [Operation("ping")])
-        client = ComponentType("Client", ports=[required_port("svc", cs)])
-        server = ComponentType("Server", ports=[provided_port("svc", cs)])
-        desc = SystemDescription()
-        desc.add_ecu("e1")
-        desc.add_ecu("e2")
-        desc.add_component("c", client, "e1")
-        desc.add_component("s", server, "e2")
-        desc.connect("c", "svc", "s", "svc")
-        with pytest.raises(ConfigurationError):
-            desc.validate()
 
 
 class TestLocalRouting:
@@ -220,54 +205,6 @@ class TestCrossEcuRouting:
         system = build_system(desc)
         system.run(100 * MS)
         assert system.instance("c").state["blobs"] == [b"x" * 500]
-
-
-class TestClientServer:
-    def _cs_system(self):
-        cs = ClientServerInterface(
-            "Calc", [Operation("add", (("a", UINT16), ("b", UINT16)), UINT16)]
-        )
-        server = ComponentType("Server", ports=[provided_port("calc", cs)])
-        server.add_operation_handler(
-            "calc", "add", lambda inst, a, b: a + b
-        )
-
-        def do_call(instance):
-            instance.state["result"] = instance.call("calc", "add", a=2, b=40)
-
-        client = ComponentType(
-            "Client",
-            ports=[required_port("calc", cs)],
-            runnables=[Runnable("kick", do_call)],
-            events=[InitEvent("kick")],
-        )
-        desc = SystemDescription()
-        desc.add_ecu("e1")
-        desc.add_component("srv", server, "e1")
-        desc.add_component("cli", client, "e1")
-        desc.connect("cli", "calc", "srv", "calc")
-        return desc
-
-    def test_local_call_returns_result(self):
-        system = build_system(self._cs_system())
-        system.run(1 * MS)
-        assert system.instance("cli").state["result"] == 42
-
-    def test_unrouted_call_raises(self):
-        cs = ClientServerInterface("Svc", [Operation("ping")])
-        client = ComponentType("Client", ports=[required_port("svc", cs)])
-        desc = SystemDescription()
-        desc.add_ecu("e1")
-        desc.add_component("cli", client, "e1")
-        system = build_system(desc)
-        system.boot_all()
-        with pytest.raises(RteError):
-            system.instance("cli").call("svc", "ping")
-
-    def test_handler_registration_validates_port(self):
-        server = ComponentType("S", ports=[provided_port("out", SPEED_IF)])
-        with pytest.raises(ConfigurationError):
-            server.add_operation_handler("out", "add", lambda i: None)
 
 
 class TestBootSemantics:

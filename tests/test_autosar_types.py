@@ -11,10 +11,8 @@ from repro.autosar import (
     UINT16,
     UINT32,
     BytesType,
-    ClientServerInterface,
     DataElement,
     IntegerType,
-    Operation,
     SenderReceiverInterface,
     lookup_type,
     provided_port,
@@ -119,32 +117,6 @@ class TestInterfaces:
     def test_sr_incompatible_queueing(self):
         assert not sr_iface(queued=False).compatible_with(sr_iface("B", queued=True))
 
-    def test_sr_not_compatible_with_cs(self):
-        cs = ClientServerInterface("C", [Operation("op")])
-        assert not sr_iface().compatible_with(cs)
-
-    def test_cs_compatibility(self):
-        a = ClientServerInterface(
-            "A", [Operation("get", (("id", UINT8),), UINT16)]
-        )
-        b = ClientServerInterface(
-            "B", [Operation("get", (("id", UINT8),), UINT16)]
-        )
-        c = ClientServerInterface(
-            "C", [Operation("get", (("id", UINT16),), UINT16)]
-        )
-        assert a.compatible_with(b)
-        assert not a.compatible_with(c)
-
-    def test_cs_result_mismatch(self):
-        a = ClientServerInterface("A", [Operation("get", (), UINT16)])
-        b = ClientServerInterface("B", [Operation("get", (), None)])
-        assert not a.compatible_with(b)
-
-    def test_duplicate_operations_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ClientServerInterface("X", [Operation("a"), Operation("a")])
-
 
 class TestPorts:
     def test_port_direction_predicates(self):
@@ -152,7 +124,6 @@ class TestPorts:
         r = required_port("in", sr_iface())
         assert p.is_provided and not p.is_required
         assert r.is_required and not r.is_provided
-        assert p.is_sender_receiver and not p.is_client_server
 
     def test_required_port_has_buffers(self):
         inst = PortInstance("comp", required_port("in", sr_iface()))

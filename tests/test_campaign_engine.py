@@ -426,6 +426,41 @@ class TestPusherRobustness:
         assert pusher.pending_for(vin) == 1
         assert not pusher.is_connected(vin)
 
+    def test_backlog_flushes_in_push_order_on_redial(self):
+        sim = Simulator()
+        fabric = NetworkFabric(sim)
+        pusher = Pusher(fabric, "flush-test:1")
+        received = []
+        for index in range(5):
+            pusher.push("VIN-X", bytes([index]) * 100)
+        assert pusher.pending_for("VIN-X") == 5
+        fabric.connect(
+            "flush-test:1",
+            client_name="VIN-X",
+            on_connected=lambda end: end.on_receive(received.append),
+        )
+        sim.run_for(1 * SECOND)  # handshake + flush
+        assert received == [bytes([index]) * 100 for index in range(5)]
+        assert pusher.pending_for("VIN-X") == 0
+        assert pusher.outbox_bytes == 0
+
+    def test_flush_onto_closed_endpoint_requeues_everything(self):
+        class DeadEndpoint:
+            closed = True
+
+            def on_receive(self, callback):
+                pass
+
+        pusher = Pusher(NetworkFabric(Simulator()), "dead-test:1")
+        payloads = [b"a" * 60, b"b" * 40]
+        for raw in payloads:
+            pusher.push("VIN-X", raw)
+        pusher._on_connect(DeadEndpoint(), "VIN-X")
+        assert pusher.pushed == 0  # nothing was delivered on a dead link
+        assert pusher.pending_for("VIN-X") == len(payloads)
+        assert pusher.outbox_bytes == sum(map(len, payloads))
+        assert not pusher.is_connected("VIN-X")
+
 
 # -- installation_progress fix (satellite) -------------------------------------
 

@@ -2,16 +2,19 @@
 
 import pytest
 
+from repro.api import ScenarioBuilder
 from repro.core.plugin import PluginState
 from repro.core.plugin_swc import PluginSwcSpec
 from repro.errors import ConfigurationError
 from repro.fes.example_platform import (
+    PHONE_ADDRESS,
     build_example_platform,
     make_example_vehicle_spec,
+    make_remote_control_app,
 )
 from repro.fes.phone import Smartphone
 from repro.fes.vehicle import PluginSwcPlacement, build_vehicle
-from repro.network.channel import ChannelProfile
+from repro.network.channel import WIFI, ChannelProfile
 from repro.network.sockets import NetworkFabric
 from repro.server.server import DEFAULT_ADDRESS
 from repro.sim import MS, SECOND, Simulator
@@ -100,7 +103,12 @@ class TestLossyWireless:
         jittery = ChannelProfile(
             latency_us=45_000, jitter_us=30_000, bytes_per_us=1.25
         )
-        platform = build_example_platform(seed=21, cellular_profile=jittery)
+        scenario = ScenarioBuilder(seed=21, default_profile=jittery)
+        scenario.user("user-1", "Example User")
+        scenario.phone(PHONE_ADDRESS, WIFI)
+        scenario.add_vehicle_spec(make_example_vehicle_spec("VIN-0001"))
+        scenario.add_app(make_remote_control_app())
+        platform = scenario.build()
         platform.boot()
         platform.run(2 * SECOND)
         assert platform.deploy("remote-control").ok
@@ -114,10 +122,6 @@ class TestMultiPeerPhone:
     def test_one_phone_many_vehicles(self):
         """One controller endpoint serving two cars (a small FES)."""
         from repro.fes.fleet import build_fleet
-        from repro.fes.example_platform import (
-            PHONE_ADDRESS,
-            make_remote_control_app,
-        )
 
         fleet = build_fleet(2, seed=17)
         phone = Smartphone(fleet.fabric, PHONE_ADDRESS, fleet.sim)
@@ -126,7 +130,7 @@ class TestMultiPeerPhone:
         ).unwrap()
         fleet.boot()
         fleet.sim.run_for(1 * SECOND)
-        deployment = fleet.deploy_everywhere("remote-control")
+        deployment = fleet.deploy("remote-control")
         deployment.wait(30 * SECOND)
         assert deployment.all_active
         assert len(phone.connected_peers) == 2
@@ -138,10 +142,6 @@ class TestMultiPeerPhone:
 
     def test_targeted_send(self):
         from repro.fes.fleet import build_fleet
-        from repro.fes.example_platform import (
-            PHONE_ADDRESS,
-            make_remote_control_app,
-        )
 
         fleet = build_fleet(2, seed=19)
         phone = Smartphone(fleet.fabric, PHONE_ADDRESS, fleet.sim)
@@ -150,7 +150,7 @@ class TestMultiPeerPhone:
         ).unwrap()
         fleet.boot()
         fleet.sim.run_for(1 * SECOND)
-        deployment = fleet.deploy_everywhere("remote-control")
+        deployment = fleet.deploy("remote-control")
         deployment.wait(30 * SECOND)
         assert deployment.all_active
         target = phone.connected_peers[0]

@@ -10,9 +10,7 @@ Covers the resource-oriented server API end to end:
 * concurrent campaigns with cross-campaign admission control — a VIN
   mid-rollback for one campaign cannot be targeted by another;
 * campaign persistence: stage -> simulated server restart -> resume
-  produces a byte-identical report;
-* the pusher's global outbox memory budget with oldest-campaign-first
-  eviction and a per-campaign drop breakdown.
+  produces a byte-identical report.
 """
 
 import json
@@ -39,11 +37,9 @@ from repro.fes.example_platform import (
     PHONE_ADDRESS,
     make_remote_control_app,
 )
-from repro.network.sockets import NetworkFabric
-from repro.server.pusher import Pusher
 from repro.server.services import FleetSelector as S
 from repro.server.services import PHASE_ROLLING_BACK, PHASE_UPDATING
-from repro.sim import SECOND, Simulator
+from repro.sim import SECOND
 
 APP = "remote-control"
 
@@ -741,162 +737,3 @@ class TestCampaignPersistence:
         record = fleet.api.campaigns.list().unwrap()[0]
         rendered = json.dumps(record.to_dict())
         assert record.campaign_id in rendered
-
-
-# -- pusher outbox: global memory budget (satellite) ---------------------------
-
-
-class TestPusherMemoryBudget:
-    def _pusher(self, budget):
-        return Pusher(
-            NetworkFabric(Simulator()), "budget-test:1",
-            outbox_limit=100, memory_budget_bytes=budget,
-        )
-
-    def test_oldest_campaign_evicted_first(self):
-        pusher = self._pusher(100)
-        pusher.push("V1", b"a" * 40, campaign="cmp-0001")
-        pusher.push("V2", b"b" * 40, campaign="cmp-0001")
-        pusher.push("V3", b"c" * 40, campaign="cmp-0002")
-        # 120 bytes > 100: the oldest cmp-0001 message goes, the newer
-        # campaign's traffic is untouched.
-        assert pusher.outbox_bytes == 80
-        assert pusher.dropped_messages == 1
-        assert pusher.dropped_by_campaign == {"cmp-0001": 1}
-        assert pusher.pending_for("V1") == 0
-        assert pusher.pending_for("V2") == 1
-        assert pusher.pending_for("V3") == 1
-
-    def test_untagged_traffic_ranks_oldest(self):
-        pusher = self._pusher(100)
-        pusher.push("V1", b"x" * 40, campaign="cmp-0001")
-        pusher.push("V2", b"y" * 40)  # portal one-off, untagged
-        pusher.push("V3", b"z" * 40, campaign="cmp-0002")
-        assert pusher.dropped_by_campaign == {"": 1}
-        assert pusher.pending_for("V1") == 1 and pusher.pending_for("V2") == 0
-
-    def test_eviction_drains_one_campaign_before_the_next(self):
-        pusher = self._pusher(90)
-        for index in range(3):
-            pusher.push(f"V{index}", b"o" * 30, campaign="cmp-0001")
-        for index in range(3):
-            pusher.push(f"V{index}", b"n" * 30, campaign="cmp-0002")
-        # 180 bytes over a 90-byte budget: exactly the whole first
-        # campaign is evicted, in push order.
-        assert pusher.outbox_bytes == 90
-        assert pusher.dropped_by_campaign == {"cmp-0001": 3}
-        assert all(pusher.pending_for(f"V{i}") == 1 for i in range(3))
-
-    def test_per_vin_cap_still_applies_and_is_attributed(self):
-        pusher = Pusher(
-            NetworkFabric(Simulator()), "cap-test:1", outbox_limit=2
-        )
-        for index in range(4):
-            pusher.push("V1", bytes([index]), campaign="cmp-0009")
-        assert pusher.pending_for("V1") == 2
-        assert pusher.dropped_messages == 2
-        assert pusher.dropped_by_campaign == {"cmp-0009": 2}
-
-    def test_dead_endpoint_requeue_keeps_campaign_tag(self):
-        """A push onto a connection that died vehicle-side re-queues
-        with its campaign tag intact, so budget eviction attributes the
-        drop to the right campaign (not to untagged traffic)."""
-        fleet = make_fleet(1)
-        vin = fleet.vins[0]
-        fleet.run(1 * SECOND)  # ECM dials in
-        pusher = fleet.server.pusher
-        pusher._connections[vin].close()  # vehicle side dies under us
-        pusher.memory_budget_bytes = 0
-        pusher.push(vin, b"payload", campaign="cmp-0042")
-        assert pusher.dropped_by_campaign == {"cmp-0042": 1}
-
-    def test_no_budget_means_no_global_eviction(self):
-        pusher = self._pusher(None)
-        for index in range(50):
-            pusher.push("V1", b"m" * 100, campaign="cmp-0001")
-        assert pusher.pending_for("V1") == 50
-        assert pusher.dropped_messages == 0
-
-    def test_flush_skips_entries_evicted_mid_flush(self):
-        """Re-queueing against a dead endpoint mid-flush can trigger
-        budget eviction of a not-yet-flushed entry; the flush must skip
-        it instead of delivering an empty payload."""
-
-        class DeadEndpoint:
-            closed = True
-
-            def on_receive(self, callback):
-                pass
-
-        pusher = self._pusher(100)
-        pusher.push("VIN-X", b"a" * 60, campaign="cmp-0001")
-        pusher.push("VIN-X", b"b" * 60, campaign="cmp-0001")
-        pusher._on_connect(DeadEndpoint(), "VIN-X")
-        assert pusher.pushed == 0  # nothing was delivered on a dead link
-        remaining = list(pusher._outboxes.get("VIN-X", ()))
-        assert all(entry.raw for entry in remaining)  # no b"" fabricated
-        assert pusher.outbox_bytes == sum(
-            len(entry.raw) for entry in remaining
-        )
-        assert pusher.dropped_by_campaign.get("cmp-0001", 0) >= 1
-
-    def test_reclaimed_batches_evict_oldest_disconnect_first(self):
-        """In-flight traffic reclaimed by an earlier disconnect ranks
-        older than a later disconnect's under budget pressure."""
-        sim = Simulator()
-        fabric = NetworkFabric(sim)
-        pusher = Pusher(
-            fabric, "fifo-test:1", memory_budget_bytes=60
-        )
-        for vin in ("V1", "V2"):
-            fabric.connect(
-                "fifo-test:1", client_name=vin, on_connected=lambda end: None
-            )
-        sim.run_for(1 * SECOND)  # handshakes
-        pusher.push("V1", b"a" * 60)
-        pusher.push("V2", b"b" * 60)  # both in flight, unsent
-        assert pusher.disconnect("V1") == 1
-        assert pusher.outbox_bytes == 60
-        assert pusher.disconnect("V2") == 1
-        # 120 bytes over a 60-byte budget: the batch reclaimed FIRST
-        # (V1's) is the older one and goes first.
-        assert pusher.pending_for("V1") == 0
-        assert pusher.pending_for("V2") == 1
-
-    def test_flush_prunes_index_and_ranks_without_budget(self):
-        """A drained campaign leaves no payloads, index queues, or rank
-        entries behind even when no memory budget is configured."""
-        sim = Simulator()
-        fabric = NetworkFabric(sim)
-        pusher = Pusher(fabric, "prune-test:1")
-        received = []
-        for index in range(5):
-            pusher.push("VIN-X", b"m" * 100, campaign="cmp-0042")
-        assert pusher.pending_for("VIN-X") == 5
-        fabric.connect(
-            "prune-test:1",
-            client_name="VIN-X",
-            on_connected=lambda end: end.on_receive(received.append),
-        )
-        sim.run_for(1 * SECOND)  # handshake + flush
-        assert pusher.pending_for("VIN-X") == 0
-        assert len(received) == 5
-        assert "cmp-0042" not in pusher._by_campaign
-        assert "cmp-0042" not in pusher._campaign_rank
-        assert pusher.outbox_bytes == 0
-        # Reclaimed in-flight traffic is pruned on flush too: sever the
-        # link with messages in flight, redial, and the reclaim index
-        # queue must not keep dead shells around.
-        pusher.push("VIN-X", b"n" * 100)
-        assert pusher.disconnect("VIN-X") == 1
-        fabric.connect(
-            "prune-test:1",
-            client_name="VIN-X",
-            on_connected=lambda end: end.on_receive(received.append),
-        )
-        sim.run_for(1 * SECOND)
-        assert pusher.pending_for("VIN-X") == 0
-        from repro.server.pusher import _RECLAIM_KEY
-
-        assert _RECLAIM_KEY not in pusher._by_campaign
-        assert pusher.outbox_bytes == 0

@@ -232,7 +232,7 @@ class TestStreamClient:
 class TestStreamBroker:
     def test_sequence_is_globally_monotonic(self):
         bus = TelemetryBus()
-        broker = StreamBroker(bus)
+        broker = StreamBroker(bus, MetricsRegistry())
         broker.attach()
         client = broker.client()
         _publish(bus, 3, category="campaign")
@@ -246,7 +246,7 @@ class TestStreamBroker:
 
     def test_category_filter(self):
         bus = TelemetryBus()
-        broker = StreamBroker(bus)
+        broker = StreamBroker(bus, MetricsRegistry())
         broker.attach()
         campaigns = broker.client(categories=["campaign"])
         everything = broker.client()
@@ -257,7 +257,7 @@ class TestStreamBroker:
 
     def test_slow_consumer_accounting_is_exact(self):
         bus = TelemetryBus()
-        broker = StreamBroker(bus)
+        broker = StreamBroker(bus, MetricsRegistry())
         broker.attach()
         slow = broker.client(capacity=2)
         fast = broker.client(capacity=64)
@@ -271,7 +271,7 @@ class TestStreamBroker:
         assert stats["dropped"] == 18
 
     def test_unknown_client_id_reregisters(self):
-        broker = StreamBroker(TelemetryBus())
+        broker = StreamBroker(TelemetryBus(), MetricsRegistry())
         first = broker.client()
         assert first.client_id == "c-1"
         # Same id after eviction/restart: a fresh buffer, no error.
@@ -286,7 +286,7 @@ class TestStreamBroker:
 class TestCommandPump:
     def test_submissions_execute_fifo_on_the_pumping_thread(self):
         fleet = make_fleet(size=1)
-        pump = CommandPump(fleet.sim)
+        pump = CommandPump(fleet.sim, MetricsRegistry())
         order = []
 
         def submit(tag):
@@ -313,7 +313,7 @@ class TestCommandPump:
         from repro.sim.kernel import SECOND
 
         fleet = make_fleet(size=1)
-        pump = CommandPump(fleet.sim)
+        pump = CommandPump(fleet.sim, MetricsRegistry())
         pump.attach()
         result = {}
 
@@ -335,7 +335,7 @@ class TestCommandPump:
 
     def test_submit_times_out_when_nothing_pumps(self):
         fleet = make_fleet(size=1)
-        pump = CommandPump(fleet.sim)
+        pump = CommandPump(fleet.sim, MetricsRegistry())
         with pytest.raises(GatewayTimeout, match="advancing the simulator"):
             pump.submit(lambda: Response.success(), timeout_s=0.05)
 
@@ -357,7 +357,7 @@ class TestCommandPump:
 
     def test_command_started_before_the_deadline_is_awaited(self):
         fleet = make_fleet(size=1)
-        pump = CommandPump(fleet.sim)
+        pump = CommandPump(fleet.sim, MetricsRegistry())
         outcome = {}
 
         def slow():
@@ -381,7 +381,7 @@ class TestCommandPump:
         # Waiters with 0-2 ms deadlines race the pump for every claim,
         # interleaved finely by a shortened switch interval.
         fleet = make_fleet(size=1)
-        pump = CommandPump(fleet.sim)
+        pump = CommandPump(fleet.sim, MetricsRegistry())
         runs = collections.Counter()
         outcomes = {}
 
@@ -422,7 +422,7 @@ class TestCommandPump:
 
     def test_detach_rejects_queued_commands(self):
         fleet = make_fleet(size=1)
-        pump = CommandPump(fleet.sim)
+        pump = CommandPump(fleet.sim, MetricsRegistry())
         pump.attach()
         errors = []
 
@@ -441,7 +441,7 @@ class TestCommandPump:
 
     def test_handler_exceptions_propagate_to_the_submitter(self):
         fleet = make_fleet(size=1)
-        pump = CommandPump(fleet.sim)
+        pump = CommandPump(fleet.sim, MetricsRegistry())
 
         def submit():
             with pytest.raises(RuntimeError, match="boom"):
@@ -751,6 +751,7 @@ class TestGatewayHTTP:
         client.health()
         client.vehicles()
         snapshot = client.metrics()
+        assert set(snapshot["metrics"]) == {"counters", "gauges"}
         counters = snapshot["metrics"]["counters"]
         assert counters["gateway.requests"] >= 2
         assert counters["gateway.requests.GET /v1/health.200"] >= 1
@@ -780,7 +781,7 @@ class TestGatewayHTTP:
     def test_vehicle_health_serves_the_latest_diagnostics(self):
         fleet = make_fleet(size=1)
         fleet.run(1 * SECOND)
-        fleet.deploy_everywhere(APP).wait(20 * SECOND)
+        fleet.deploy(APP).wait(20 * SECOND)
         vehicle = fleet.vehicles[0]
         for swc in ("swc1", "swc2"):
             vehicle.pirte_of(swc).emit_diagnostics()

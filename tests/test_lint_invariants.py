@@ -1,4 +1,4 @@
-"""The unused-import rule of ``scripts/lint_invariants.py``."""
+"""``scripts/lint_invariants.py``: the unused-import rule, the allowlist."""
 
 import importlib.util
 from pathlib import Path
@@ -59,3 +59,16 @@ def test_an_import_probe_is_not_flagged(tmp_path):
         "    json_missing = True\n"
     )
     assert unused(tmp_path, source) == []
+
+
+def test_a_stale_allowlist_entry_fails(tmp_path, monkeypatch, capsys):
+    allowlist = tmp_path / "allowlist.txt"
+    allowlist.write_text(
+        lint.ALLOWLIST.read_text() + "src/repro/gone.py::f::sim-access\n"
+    )
+    monkeypatch.setattr(lint, "ALLOWLIST", allowlist)
+    assert lint.main() == 1
+    errors = capsys.readouterr().err
+    assert "FAIL stale allowlist entry src/repro/gone.py::f::sim-access" in (
+        errors
+    )

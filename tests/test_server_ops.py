@@ -36,7 +36,7 @@ def fleet3():
 
 class TestFleetDeployment:
     def test_deploy_everywhere(self, fleet3):
-        deployment = fleet3.deploy_everywhere("remote-control")
+        deployment = fleet3.deploy("remote-control")
         assert all(r.ok for r in deployment)
         elapsed = deployment.wait(20 * SECOND)
         assert elapsed > 0
@@ -53,7 +53,7 @@ class TestFleetDeployment:
         assert "COM" not in fleet3.vehicles[1].ecm_pirte.plugins
 
     def test_port_ids_independent_per_vehicle(self, fleet3):
-        deployment = fleet3.deploy_everywhere("remote-control")
+        deployment = fleet3.deploy("remote-control")
         deployment.wait(20 * SECOND)
         assert deployment.all_active
         for vehicle in fleet3.vehicles:

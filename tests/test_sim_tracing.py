@@ -39,36 +39,6 @@ class TestTracer:
         assert tracer.published("a") == 0
         assert tracer.events() == []
 
-    def test_pair_latencies_fifo_matching(self):
-        tracer = TelemetryBus()
-        tracer.publish("net", "send", 100, msg=1)
-        tracer.publish("net", "send", 150, msg=2)
-        tracer.publish("net", "deliver", 300, msg=1)
-        tracer.publish("net", "deliver", 500, msg=2)
-        lats = tracer.pair_latencies(
-            ("net", "send"), ("net", "deliver"), key="msg"
-        )
-        assert lats == [200, 350]
-
-    def test_pair_latencies_across_categories(self):
-        tracer = TelemetryBus()
-        tracer.publish("rte", "deliver", 40, port="p")
-        tracer.publish("rte", "deliver", 90, port="p")
-        tracer.publish("net", "send", 40, port="p")
-        tracer.publish("net", "send", 60, port="p")
-        # The tie at t=40 pairs (start first); the end at 90 takes the
-        # oldest waiting start.
-        assert tracer.pair_latencies(
-            ("net", "send"), ("rte", "deliver"), key="port"
-        ) == [0, 30]
-
-    def test_pair_latencies_unmatched_end_ignored(self):
-        tracer = TelemetryBus()
-        tracer.publish("net", "deliver", 300, msg=9)
-        assert tracer.pair_latencies(
-            ("net", "send"), ("net", "deliver"), key="msg"
-        ) == []
-
 
 class TestSummarize:
     def test_basic_statistics(self):
