@@ -53,6 +53,11 @@ class SwcRoute:
     out_port: str
     in_port: str
 
+    def ports(self) -> tuple[tuple[str, bool], tuple[str, bool]]:
+        """``(name, provided)`` of the ECM's type I port pair: it writes
+        the out port and reads the in port."""
+        return (self.out_port, True), (self.in_port, False)
+
 
 @dataclass
 class EcmSpec:
@@ -384,8 +389,9 @@ def make_ecm_swc_type(
     from repro.autosar.events import DataReceivedEvent
 
     for route in spec.routes:
-        ctype.add_port(provided_port(route.out_port, MGMT_IF))
-        ctype.add_port(required_port(route.in_port, MGMT_IF))
+        for name, provided in route.ports():
+            make = provided_port if provided else required_port
+            ctype.add_port(make(name, MGMT_IF))
         ctype.add_event(
             DataReceivedEvent("dispatch", port=route.in_port, element="mgmt")
         )

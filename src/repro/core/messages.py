@@ -7,11 +7,17 @@ cover the life-cycle operations and the external data relay.
 
 Every message encodes to bytes (see :mod:`repro.core.wire`), so link
 latency models operate on true message sizes.
+
+Messages are frozen dataclasses whose containers are tuples, so equal
+messages are interchangeable: :func:`decode` hands every receiver of
+equal bytes the same message object, and the acknowledgements a fleet
+repeats are encoded once per distinct value.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -20,6 +26,11 @@ from repro.core.wire import Reader, Writer
 from repro.errors import PackagingError
 
 PROTOCOL_VERSION = 1
+
+# Entries each codec memo keeps (distinct byte strings :func:`decode`
+# parsed, distinct ACK messages encoded), least recently used dropped
+# first.  A campaign needs a handful at a time.
+_CODEC_CACHE_SIZE = 32
 
 
 class MessageType(enum.Enum):
@@ -109,6 +120,7 @@ class AckMessage:
     def ok(self) -> bool:
         return self.status is AckStatus.OK
 
+    @functools.lru_cache(maxsize=_CODEC_CACHE_SIZE)
     def encode(self) -> bytes:
         writer = Writer()
         writer.u8(self.msg_type.value).u8(PROTOCOL_VERSION)
@@ -294,8 +306,14 @@ Message = Union[
 ]
 
 
+@functools.lru_cache(maxsize=_CODEC_CACHE_SIZE)
 def decode(raw: bytes) -> Message:
-    """Parse any management message from its wire form."""
+    """Parse any management message from its wire form.
+
+    Memoized on the bytes: the result is a frozen value, so receivers
+    of equal bytes share one message.  Malformed input raises on every
+    call, because an exception is never cached.
+    """
     reader = Reader(raw)
     try:
         msg_type = MessageType(reader.u8())

@@ -11,7 +11,7 @@ ECU start-up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from repro.autosar.events import DataReceivedEvent, InitEvent, TimingEvent
 from repro.autosar.interfaces import DataElement, SenderReceiverInterface
@@ -102,6 +102,28 @@ class PluginSwcSpec:
     vm_block_size: int = 64
     fuel_per_activation: int = 20_000
 
+    def swc_ports(
+        self,
+    ) -> list[tuple[str, bool, Union[SenderReceiverInterface, ServicePort]]]:
+        """``(name, provided, interface)`` of every SW-C port, in
+        declaration order: what :func:`build_ports` builds and what a
+        vehicle spec's connectors are checked against.  A port that is
+        not provided is required.  A type III port gives its
+        :class:`ServicePort`, whose interface :func:`build_ports`
+        derives."""
+        ports: list[
+            tuple[str, bool, Union[SenderReceiverInterface, ServicePort]]
+        ] = []
+        if self.has_mgmt:
+            ports.append(("mgmt_in", False, MGMT_IF))
+            ports.append(("mgmt_out", True, MGMT_IF))
+        for relay in self.relays:
+            ports.append((relay.resolved_out_port(), True, RELAY_IF))
+            ports.append((relay.resolved_in_port(), False, RELAY_IF))
+        for service in self.services:
+            ports.append((service.swc_port, service.direction == "out", service))
+        return ports
+
     def validate(self) -> "PluginSwcSpec":
         """Reject colliding virtual-port or SW-C port names eagerly.
 
@@ -188,20 +210,13 @@ def build_virtual_port_specs(spec: PluginSwcSpec) -> list[VirtualPortSpec]:
 
 
 def build_ports(spec: PluginSwcSpec) -> list[PortPrototype]:
-    """The SW-C port prototypes for a spec."""
+    """The SW-C port prototypes of :meth:`PluginSwcSpec.swc_ports`."""
     ports: list[PortPrototype] = []
-    if spec.has_mgmt:
-        ports.append(required_port("mgmt_in", MGMT_IF))
-        ports.append(provided_port("mgmt_out", MGMT_IF))
-    for relay in spec.relays:
-        ports.append(provided_port(relay.resolved_out_port(), RELAY_IF))
-        ports.append(required_port(relay.resolved_in_port(), RELAY_IF))
-    for service in spec.services:
-        iface = _service_interface(service)
-        if service.direction == "out":
-            ports.append(provided_port(service.swc_port, iface))
-        else:
-            ports.append(required_port(service.swc_port, iface))
+    for name, provided, iface in spec.swc_ports():
+        if isinstance(iface, ServicePort):
+            iface = _service_interface(iface)
+        make = provided_port if provided else required_port
+        ports.append(make(name, iface))
     return ports
 
 

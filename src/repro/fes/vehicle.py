@@ -102,9 +102,10 @@ class VehicleSpec:
         SW-C without it, a SW-C spec with a duplicate virtual or SW-C
         port name, a relay to an undeclared peer or one whose peer lacks
         the back-relay, and a connector to an undeclared component
-        instance.  The same rules hold at either fidelity, so a
-        statistical vehicle is only ever a stand-in for one that
-        :func:`build_vehicle` could build.
+        instance or port, from a required or to a provided port, or into
+        a port another connector already writes.  The same rules hold at
+        either fidelity, so a statistical vehicle is only ever a
+        stand-in for one that :func:`build_vehicle` could build.
         """
         where = f"vehicle {self.vin}"
         if not self.ecus:
@@ -160,13 +161,108 @@ class VehicleSpec:
                     f"{where}: legacy component {legacy.instance_name!r} "
                     f"placed on unknown ECU {legacy.ecu_name!r}"
                 )
-        for from_instance, _, to_instance, _ in self.connectors:
-            for name in (from_instance, to_instance):
-                if name not in instances:
-                    raise ConfigurationError(
-                        f"{where}: unknown component instance {name!r}"
-                    )
+        self._validate_connectors(where, instances, by_name)
         return self
+
+    def _validate_connectors(
+        self,
+        where: str,
+        instances: set[str],
+        by_name: dict[str, PluginSwcPlacement],
+    ) -> None:
+        """The VFB rules of :func:`build_vehicle`'s system description,
+        checked on the spec: a connector names declared instances and
+        ports, runs from a provided port to a required one, and is the
+        only writer of that port, the connectors of :meth:`wiring`
+        included.  Interface compatibility is checked at full fidelity
+        only, by the system description."""
+        writers = {
+            (to_instance, to_port): (from_instance, from_port)
+            for from_instance, from_port, to_instance, to_port
+            in self.wiring()
+        }
+        legacy = {c.instance_name: c.ctype for c in self.legacy}
+        # instance -> port name -> provided (else required), filled on use.
+        roles: dict[str, dict[str, bool]] = {}
+
+        def provided(instance: str, port: str) -> bool:
+            if instance not in instances:
+                raise ConfigurationError(
+                    f"{where}: unknown component instance {instance!r}"
+                )
+            ports = roles.get(instance)
+            if ports is None:
+                if instance in legacy:
+                    ports = {
+                        p.name: p.is_provided for p in legacy[instance].ports
+                    }
+                else:
+                    ports = {
+                        name: is_provided for name, is_provided, __
+                        in by_name[instance].spec.swc_ports()
+                    }
+                    if instance == self.ecm.instance_name:
+                        for route in self.ecm_routes():
+                            ports.update(route.ports())
+                roles[instance] = ports
+            if port not in ports:
+                raise ConfigurationError(
+                    f"{where}: component instance {instance!r} has no "
+                    f"port {port!r}"
+                )
+            return ports[port]
+
+        for from_instance, from_port, to_instance, to_port in self.connectors:
+            from_provided = provided(from_instance, from_port)
+            to_provided = provided(to_instance, to_port)
+            if not from_provided or to_provided:
+                raise ConfigurationError(
+                    f"{where}: connector {from_instance}.{from_port} -> "
+                    f"{to_instance}.{to_port} must run provided -> required"
+                )
+            key = (to_instance, to_port)
+            if key in writers:
+                writer_instance, writer_port = writers[key]
+                raise ConfigurationError(
+                    f"{where}: port {to_instance}.{to_port} has multiple "
+                    f"writers ({writer_instance}.{writer_port} and "
+                    f"{from_instance}.{from_port})"
+                )
+            writers[key] = (from_instance, from_port)
+
+    def ecm_routes(self) -> list[SwcRoute]:
+        """The ECM's type I port pair toward each other plug-in SW-C."""
+        return [
+            SwcRoute(
+                p.ecu_name, p.instance_name,
+                f"mgmt_{p.instance_name}_out", f"mgmt_{p.instance_name}_in",
+            )
+            for p in self.plugin_swcs
+        ]
+
+    def wiring(self) -> list[tuple[str, str, str, str]]:
+        """The connectors :func:`build_vehicle` adds on its own: a type I
+        pair between the ECM and each plug-in SW-C, then one connector
+        per relay, into the matching in port of the peer's back-relay."""
+        ecm = self.ecm.instance_name
+        connectors = []
+        for route in self.ecm_routes():
+            swc = route.target_swc
+            connectors.append((ecm, route.out_port, swc, "mgmt_in"))
+            connectors.append((swc, "mgmt_out", ecm, route.in_port))
+        placements = self.all_placements()
+        by_name = {p.instance_name: p for p in placements}
+        for placement in placements:
+            name = placement.instance_name
+            for relay in placement.spec.relays:
+                for back in by_name[relay.peer].spec.relays:
+                    if back.peer == name:
+                        connectors.append(
+                            (name, relay.resolved_out_port(),
+                             relay.peer, back.resolved_in_port())
+                        )
+                        break
+        return connectors
 
     def describe_for_server(self) -> tuple[HwConf, SystemSwConf]:
         """The HW conf + SystemSW conf the OEM uploads for this model."""
@@ -257,18 +353,10 @@ def build_vehicle(
     for ecu_name in spec.ecus:
         desc.add_ecu(ecu_name)
 
-    # ECM routes: one type I port pair per other plug-in SW-C.
-    routes = [
-        SwcRoute(
-            target_ecu=p.ecu_name,
-            target_swc=p.instance_name,
-            out_port=f"mgmt_{p.instance_name}_out",
-            in_port=f"mgmt_{p.instance_name}_in",
-        )
-        for p in spec.plugin_swcs
-    ]
     ecm_spec = EcmSpec(
-        base=spec.ecm.spec, server_address=server_address, routes=routes
+        base=spec.ecm.spec,
+        server_address=server_address,
+        routes=spec.ecm_routes(),
     )
     ecm_type = make_ecm_swc_type(ecm_spec, fabric, client_name=spec.vin)
     desc.add_component(
@@ -276,53 +364,22 @@ def build_vehicle(
         priority=ECM_PRIORITY,
     )
 
-    # Plug-in SW-Cs.
+    # Plug-in SW-Cs and legacy components, then the vehicle's own
+    # wiring and the declared connectors.
     for placement in spec.plugin_swcs:
-        ctype = make_plugin_swc_type(placement.spec)
         desc.add_component(
-            placement.instance_name, ctype, placement.ecu_name,
+            placement.instance_name,
+            make_plugin_swc_type(placement.spec),
+            placement.ecu_name,
             priority=PLUGIN_PRIORITY,
         )
-        # Type I pair ECM <-> SW-C.
-        desc.connect(
-            spec.ecm.instance_name,
-            f"mgmt_{placement.instance_name}_out",
-            placement.instance_name,
-            "mgmt_in",
-        )
-        desc.connect(
-            placement.instance_name,
-            "mgmt_out",
-            spec.ecm.instance_name,
-            f"mgmt_{placement.instance_name}_in",
-        )
-
-    # Type II pairs between plug-in SW-Cs (including the ECM), derived
-    # from the relay declarations: for each relay on SW-C a peering b,
-    # connect a's out port to b's matching in port.
-    by_name = {p.instance_name: p for p in spec.all_placements()}
-    for placement in spec.all_placements():
-        for relay in placement.spec.relays:
-            peer = by_name[relay.peer]
-            peer_relay = next(
-                r for r in peer.spec.relays
-                if r.peer == placement.instance_name
-            )
-            desc.connect(
-                placement.instance_name,
-                relay.resolved_out_port(),
-                peer.instance_name,
-                peer_relay.resolved_in_port(),
-            )
-
-    # Legacy components and their connectors.
     for legacy in spec.legacy:
         desc.add_component(
             legacy.instance_name, legacy.ctype, legacy.ecu_name,
             priority=legacy.priority,
         )
-    for from_i, from_p, to_i, to_p in spec.connectors:
-        desc.connect(from_i, from_p, to_i, to_p)
+    for connector in spec.wiring() + spec.connectors:
+        desc.connect(*connector)
 
     system = build_system(desc, sim=sim, tracer=tracer)
     return Vehicle(spec, system)

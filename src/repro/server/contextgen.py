@@ -7,11 +7,16 @@ the SW conf into a PLC, taking "special care with the plug-in ports
 that will be connected to plug-ins located in other SW-Cs" (the
 recipient's port ids are embedded into the sender's context), and
 finally prepares an ECC package for externally communicating plug-ins.
+
+A package set is a pure function of those inputs.  :class:`PackagePlans`
+derives and encodes each distinct set once and shares it among the
+vehicles it fits; :func:`generate_packages` is the derivation itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.core.context import (
     Ecc,
@@ -27,12 +32,25 @@ from repro.errors import CompatibilityError
 from repro.server.models import App, ConnectionKind, SwConf, Vehicle
 
 
-@dataclass
+# Distinct package sets one :class:`PackagePlans` keeps; the oldest is
+# dropped first.
+_PLAN_CACHE_SIZE = 128
+
+
+@dataclass(frozen=True)
 class GeneratedPackage:
-    """One install message plus its allocation bookkeeping."""
+    """One install message plus its allocation bookkeeping.
+
+    Immutable, so one package can go to every vehicle whose plan key is
+    equal.  :attr:`raw` is the encoded message, built on first use.
+    """
 
     message: InstallMessage
     port_ids: tuple[int, ...]
+
+    @cached_property
+    def raw(self) -> bytes:
+        return self.message.encode()
 
 
 class PortIdAllocator:
@@ -165,4 +183,57 @@ def generate_packages(
     return packages
 
 
-__all__ = ["GeneratedPackage", "PortIdAllocator", "generate_packages"]
+def plan_key(app: App, conf: SwConf, vehicle: Vehicle) -> tuple:
+    """Every value :func:`generate_packages` reads, as one hashable key.
+
+    Equal keys give equal packages, so a plan never needs invalidating:
+    a new version, another binary, another installed APP or another
+    vehicle description makes another key.
+    """
+    used_port_ids = vehicle.conf.used_port_ids
+    return (
+        # Ids are allocated in plug-in order, so the order is part of it.
+        tuple(
+            (name, descriptor.binary, descriptor.port_names)
+            for name, descriptor in app.plugins.items()
+        ),
+        app.version,
+        conf,
+        vehicle.conf.system_sw,
+        tuple(
+            (swc_name, frozenset(used_port_ids(swc_name)))
+            for swc_name in sorted({swc for __, swc in conf.placements})
+        ),
+    )
+
+
+class PackagePlans:
+    """:func:`generate_packages` memoized on :func:`plan_key`.
+
+    Vehicles with equal keys share one tuple of packages, so each
+    distinct package is derived and encoded once.
+    """
+
+    def __init__(self) -> None:
+        self._plans: dict[tuple, tuple[GeneratedPackage, ...]] = {}
+
+    def packages(
+        self, app: App, conf: SwConf, vehicle: Vehicle
+    ) -> tuple[GeneratedPackage, ...]:
+        key = plan_key(app, conf, vehicle)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = tuple(generate_packages(app, conf, vehicle))
+            if len(self._plans) >= _PLAN_CACHE_SIZE:
+                del self._plans[next(iter(self._plans))]
+            self._plans[key] = plan
+        return plan
+
+
+__all__ = [
+    "GeneratedPackage",
+    "PackagePlans",
+    "PortIdAllocator",
+    "generate_packages",
+    "plan_key",
+]

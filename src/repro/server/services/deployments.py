@@ -26,7 +26,7 @@ from repro.server.models import (
     InstalledPlugin,
     Vehicle,
 )
-from repro.server.contextgen import generate_packages
+from repro.server.contextgen import PackagePlans
 from repro.server.pusher import Pusher
 from repro.server.services.appstore import AppStore
 from repro.server.services.envelope import ErrorCode, Response
@@ -88,6 +88,7 @@ class DeploymentService:
         self.deploys = 0
         self.rejected_deploys = 0
         self.acks_processed = 0
+        self._plans = PackagePlans()
         # (vin, app_name) -> user_id: update waiting for uninstall acks.
         self._pending_updates: dict[tuple[str, str], str] = {}
         self._listeners: list[Callable[[ServerEvent], None]] = []
@@ -142,23 +143,23 @@ class DeploymentService:
                 ErrorCode.INCOMPATIBLE, *report.reasons, value=report
             )
         assert report.sw_conf is not None
-        packages = generate_packages(app, report.sw_conf, vehicle)
+        # Every vehicle with the same plan gets the same package objects
+        # and so shares one encoded message per plug-in.
+        packages = self._plans.packages(app, report.sw_conf, vehicle)
         installed = InstalledApp(app.name, app.version, InstallStatus.PENDING)
-        raws = []
         for package in packages:
-            raw = package.message.encode()
+            message = package.message
             installed.plugins.append(
                 InstalledPlugin(
-                    plugin_name=package.message.plugin_name,
-                    swc_name=package.message.target_swc,
-                    ecu_name=package.message.target_ecu,
+                    plugin_name=message.plugin_name,
+                    swc_name=message.target_swc,
+                    ecu_name=message.target_ecu,
                     port_ids=package.port_ids,
-                    package=raw,
-                    footprint=len(package.message.binary),
+                    package=package.raw,
+                    footprint=len(message.binary),
                 )
             )
-            raws.append(raw)
-        self.pusher.push_many(vin, raws)
+        self.pusher.push_many(vin, [package.raw for package in packages])
         vehicle.conf.installed[app.name] = installed
         vehicle.update_failures.pop(app.name, None)
         self.deploys += 1

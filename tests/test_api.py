@@ -289,6 +289,29 @@ def _connector_to_ghost(spec):
     return "unknown component instance 'ghost'"
 
 
+def _connector_to_missing_port(spec):
+    spec.connectors.append(("swc2", "nope", "actuators", "wheels_in"))
+    return "component instance 'swc2' has no port 'nope'"
+
+
+def _connector_into_provided_port(spec):
+    spec.connectors.append(("swc2", "wheels_req", "actuators", "speed_out"))
+    return "must run provided -> required"
+
+
+def _second_writer(spec):
+    spec.connectors.append(("swc2", "speed_req", "actuators", "wheels_in"))
+    return (
+        r"port actuators\.wheels_in has multiple writers "
+        r"\(swc2\.wheels_req and swc2\.speed_req\)"
+    )
+
+
+def _writer_into_derived_pair(spec):
+    spec.connectors.append(("swc2", "speed_req", "swc2", "mgmt_in"))
+    return r"port swc2\.mgmt_in has multiple writers \(swc1\.mgmt_swc2_out"
+
+
 def _duplicate_virtual_port(spec):
     swc2 = spec.plugin_swcs[0]
     extra = ServicePort("V4", "wheels_req2", "out", INT16)
@@ -311,10 +334,16 @@ class TestSpecValidatedAtEitherFidelity:
             _ecm_with_mgmt,
             _duplicate_instance,
             _connector_to_ghost,
+            _connector_to_missing_port,
+            _connector_into_provided_port,
+            _second_writer,
+            _writer_into_derived_pair,
             _duplicate_virtual_port,
         ],
         ids=["unknown-ecu", "missing-back-relay", "ecm-with-mgmt",
              "duplicate-instance", "connector-to-ghost",
+             "connector-to-missing-port", "connector-into-provided-port",
+             "second-writer", "writer-into-derived-pair",
              "duplicate-virtual-port"],
     )
     def test_invalid_spec_refused_before_construction(

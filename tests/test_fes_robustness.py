@@ -66,6 +66,36 @@ class TestVehicleSpecValidation:
         with pytest.raises(ConfigurationError):
             build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
+    def test_spec_ports_and_wiring_are_what_the_build_declares(self):
+        # validate() judges connectors on PluginSwcSpec.swc_ports(), the
+        # ECM's routes and VehicleSpec.wiring() without building
+        # component types; together they must be exactly what
+        # build_vehicle declares.
+        spec = self._base_spec()
+        desc = build_vehicle(
+            spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS
+        ).system.description
+        for placement in spec.all_placements():
+            built = [
+                (port.name, port.is_provided)
+                for port in desc.placement(placement.instance_name).ctype.ports
+            ]
+            declared = [
+                (name, provided)
+                for name, provided, __ in placement.spec.swc_ports()
+            ]
+            if placement is spec.ecm:
+                declared += [
+                    port for route in spec.ecm_routes()
+                    for port in route.ports()
+                ]
+            assert built == declared
+        connectors = [
+            (c.from_instance, c.from_port, c.to_instance, c.to_port)
+            for c in desc.connectors
+        ]
+        assert connectors == spec.wiring() + spec.connectors
+
     def test_describe_for_server_covers_all_swcs(self):
         spec = self._base_spec()
         __, system_sw = spec.describe_for_server()
