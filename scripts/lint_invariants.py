@@ -21,9 +21,16 @@ machine-checked:
    ``__init__.py`` files import to re-export and are not checked, and
    an import inside a ``try`` that catches ``ImportError`` is a probe
    whose success is its use.
+4. **No unreferenced definitions** — every function, method and class
+   under ``src/repro`` has its name read somewhere in those six
+   directories: as a name, as an attribute or as a keyword argument
+   (f-strings included, since their fields are expressions).  Dunder
+   methods are called by Python itself and are not checked.  A def
+   that only its own body names still counts as read.
 
 Violations are keyed ``relpath::scope::rule`` (scope = enclosing
-function qualname), so entries survive line drift.  Existing,
+function qualname; for rule 4, the definition's own qualname), so
+entries survive line drift.  Existing,
 reviewed-and-accepted occurrences live in ``scripts/lint_allowlist.txt``;
 anything not listed there fails the build.  So does a stale allowlist
 entry, so the list shrinks as code is cleaned up.
@@ -68,8 +75,10 @@ RULE_RANDOM = "unseeded-random"
 RULE_WALL_CLOCK = "wall-clock"
 RULE_SIM_ACCESS = "sim-access"
 RULE_UNUSED_IMPORT = "unused-import"
+RULE_UNREFERENCED_DEF = "unreferenced-def"
 
-#: Directories the unused-import rule scans.
+#: Directories the unused-import rule checks and the unreferenced-def
+#: rule reads names in.
 IMPORT_SCAN_DIRS = (
     "src", "tests", "benchmarks", "bench", "examples", "scripts",
 )
@@ -239,6 +248,64 @@ def unused_imports(path: Path) -> list[tuple[str, str, int, str]]:
     ]
 
 
+class DefsAndReads(ast.NodeVisitor):
+    """Collects the functions and classes one module defines and every
+    name it reads as a name, an attribute or a keyword argument."""
+
+    def __init__(self) -> None:
+        self.scope: list[str] = []
+        self.defs: list[tuple[str, str, int]] = []  # qualname, name, line
+        self.read: set[str] = set()
+
+    def _define(self, node) -> None:
+        self.scope.append(node.name)
+        self.defs.append((".".join(self.scope), node.name, node.lineno))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = _define
+    visit_AsyncFunctionDef = _define
+    visit_ClassDef = _define
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if not isinstance(node.ctx, ast.Store):
+            self.read.add(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if not isinstance(node.ctx, ast.Store):
+            self.read.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_keyword(self, node: ast.keyword) -> None:
+        if node.arg is not None:
+            self.read.add(node.arg)
+        self.generic_visit(node)
+
+
+def unreferenced_defs(
+    defining: list[Path], reading: list[Path]
+) -> dict[Path, list[tuple[str, str, int, str]]]:
+    """Per file of ``defining``, the non-dunder functions, methods and
+    classes whose name no file of ``reading`` reads."""
+    read: set[str] = set()
+    defs: dict[Path, list[tuple[str, str, int]]] = {}
+    for path in dict.fromkeys(reading + defining):
+        visitor = DefsAndReads()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        read |= visitor.read
+        if path in defining:
+            defs[path] = visitor.defs
+    return {
+        path: [
+            (qualname, RULE_UNREFERENCED_DEF, lineno, name)
+            for qualname, name, lineno in found
+            if name not in read
+            and not (name.startswith("__") and name.endswith("__"))
+        ]
+        for path, found in defs.items()
+    }
+
+
 def lint_file(path: Path) -> list[tuple[str, str, int, str]]:
     rel = path.relative_to(ROOT).as_posix()
     in_gateway = rel.startswith(GATEWAY_DIR + "/")
@@ -267,15 +334,15 @@ def main() -> int:
     allowed = load_allowlist()
     used: set[str] = set()
     failures: list[str] = []
-    checks = [
-        (path, lint_file)
-        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+    sources = sorted((ROOT / "src" / "repro").rglob("*.py"))
+    scanned = [
+        path for directory in IMPORT_SCAN_DIRS
+        for path in sorted((ROOT / directory).rglob("*.py"))
     ]
-    for directory in IMPORT_SCAN_DIRS:
-        checks += [
-            (path, unused_imports)
-            for path in sorted((ROOT / directory).rglob("*.py"))
-        ]
+    unreferenced = unreferenced_defs(sources, scanned)
+    checks = [(path, lint_file) for path in sources]
+    checks += [(path, unused_imports) for path in scanned]
+    checks += [(path, unreferenced.__getitem__) for path in sources]
     for path, check in checks:
         for scope, rule, lineno, detail in check(path):
             rel = path.relative_to(ROOT).as_posix()

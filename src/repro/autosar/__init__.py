@@ -22,12 +22,7 @@ from repro.autosar.swc import (
     ComponentInstance,
     ComponentType,
 )
-from repro.autosar.system import (
-    EcuDescription,
-    InstancePlacement,
-    SystemDescription,
-    TaskMapping,
-)
+from repro.autosar.system import InstancePlacement, SystemDescription
 from repro.autosar.types import (
     BOOL,
     BYTES,
@@ -64,10 +59,8 @@ __all__ = [
     "Runnable",
     "ComponentInstance",
     "ComponentType",
-    "EcuDescription",
     "InstancePlacement",
     "SystemDescription",
-    "TaskMapping",
     "BOOL",
     "BYTES",
     "INT8",

@@ -1,9 +1,12 @@
-"""Basic software: COM stack, PDU router, CAN interface, memory pools."""
+"""Basic software: the COM stack over the CAN interface, TP, memory pools.
+
+COM hands each cross-ECU signal write straight to CanIf, segmented
+through TP when the signal has a variable size.
+"""
 
 from repro.autosar.bsw.canif import CanInterface
 from repro.autosar.bsw.com import ComStack, SignalConfig
 from repro.autosar.bsw.memory import Allocation, MemoryManager, MemoryPool
-from repro.autosar.bsw.pdur import PduRouter
 from repro.autosar.bsw.tp import MAX_TP_PAYLOAD, Reassembler, roundtrip, segment
 
 __all__ = [
@@ -13,7 +16,6 @@ __all__ = [
     "Allocation",
     "MemoryManager",
     "MemoryPool",
-    "PduRouter",
     "MAX_TP_PAYLOAD",
     "Reassembler",
     "roundtrip",

@@ -22,8 +22,6 @@ class CanInterface:
         self._tx_map: dict[int, int] = {}
         self._rx_map: dict[int, int] = {}
         self._upper: Optional[Callable[[int, bytes], None]] = None
-        self.tx_requests = 0
-        self.tx_rejects = 0
 
     def configure_tx(self, pdu_id: int, can_id: int) -> None:
         """Route transmit PDU ``pdu_id`` onto CAN identifier ``can_id``."""
@@ -39,7 +37,7 @@ class CanInterface:
         self.controller.subscribe(can_id, self._on_frame)
 
     def set_upper_layer(self, callback: Callable[[int, bytes], None]) -> None:
-        """Install the RX indication callback (PduR)."""
+        """Install the RX indication callback (COM)."""
         self._upper = callback
 
     def transmit(self, pdu_id: int, payload: bytes) -> bool:
@@ -47,11 +45,7 @@ class CanInterface:
         can_id = self._tx_map.get(pdu_id)
         if can_id is None:
             raise ComError(f"no tx route for PDU {pdu_id}")
-        self.tx_requests += 1
-        ok = self.controller.transmit(CanFrame(can_id, payload))
-        if not ok:
-            self.tx_rejects += 1
-        return ok
+        return self.controller.transmit(CanFrame(can_id, payload))
 
     def _on_frame(self, frame: CanFrame) -> None:
         pdu_id = self._rx_map.get(frame.can_id)

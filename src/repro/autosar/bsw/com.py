@@ -2,11 +2,11 @@
 
 COM is where the RTE's inter-ECU writes become bus traffic.  Each signal
 is configured with a data type and a PDU id (allocated by the RTE
-generator so that sender and receiver agree).  Fixed-size signals are
-transmitted directly in one PDU; variable-size byte signals are
-segmented through the transport protocol (``repro.autosar.bsw.tp``),
-which is how multi-kilobyte plug-in installation packages traverse the
-in-vehicle network.
+generator so that sender and receiver agree), and every write is sent
+at once.  Fixed-size signals are transmitted directly in one PDU;
+variable-size byte signals are segmented through the transport protocol
+(``repro.autosar.bsw.tp``), which is how multi-kilobyte plug-in
+installation packages traverse the in-vehicle network.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.autosar.bsw.pdur import PduRouter
+from repro.autosar.bsw.canif import CanInterface
 from repro.autosar.bsw.tp import Reassembler, segment
 from repro.autosar.types import DataType
 from repro.errors import ComError
@@ -23,48 +23,26 @@ from repro.errors import ComError
 
 @dataclass(frozen=True)
 class SignalConfig:
-    """Static configuration of one COM signal.
-
-    ``period_us`` > 0 selects AUTOSAR's periodic transmission mode: COM
-    re-transmits the last written value on that cycle (used for state
-    signals like vehicle speed); 0 means direct transmission on every
-    write (events, commands).  Periodic mode requires a fixed-size type.
-    """
+    """Static configuration of one COM signal."""
 
     name: str
     signal_id: int
     dtype: DataType
     pdu_id: int
-    period_us: int = 0
-
-    def __post_init__(self) -> None:
-        if self.period_us < 0:
-            raise ComError(f"signal {self.name}: negative period")
-        if self.period_us > 0 and not self.dtype.fixed_size:
-            raise ComError(
-                f"signal {self.name}: periodic transmission requires a "
-                f"fixed-size type"
-            )
 
     @property
     def uses_tp(self) -> bool:
         """Variable-size signals travel segmented over TP."""
         return not self.dtype.fixed_size
 
-    @property
-    def periodic(self) -> bool:
-        return self.period_us > 0
-
 
 class ComStack:
-    """Per-ECU COM module."""
+    """Per-ECU COM module over the ECU's CAN interface."""
 
-    def __init__(self, pdur: PduRouter, name: str = "com", sim=None) -> None:
-        self.name = name
-        self.sim = sim
-        self.pdur = pdur
-        self.pdur.set_upper_layer(self._on_pdu)
-        self.pdur.canif.controller.add_tx_confirm_hook(self._on_tx_confirm)
+    def __init__(self, canif: CanInterface) -> None:
+        self.canif = canif
+        canif.set_upper_layer(self._on_pdu)
+        canif.controller.add_tx_confirm_hook(self._on_tx_confirm)
         self._tx_signals: dict[int, SignalConfig] = {}
         self._rx_signals_by_pdu: dict[int, SignalConfig] = {}
         self._reassemblers: dict[int, Reassembler] = {}
@@ -72,45 +50,14 @@ class ComStack:
         # Software transmit backlog: segments the controller could not
         # take yet.  Drained on every TX confirmation (flow control).
         self._tx_backlog: deque[tuple[int, bytes]] = deque()
-        self._periodic_values: dict[int, Any] = {}
         self.signals_sent = 0
         self.signals_received = 0
-        self.tx_failures = 0
-        self.backlog_peak = 0
-        self.periodic_transmissions = 0
 
     def configure_tx_signal(self, config: SignalConfig) -> None:
-        """Register a transmit signal; periodic mode starts its cycle."""
+        """Register a transmit signal."""
         if config.signal_id in self._tx_signals:
             raise ComError(f"tx signal {config.signal_id} already configured")
         self._tx_signals[config.signal_id] = config
-        if config.periodic:
-            if self.sim is None:
-                raise ComError(
-                    f"signal {config.name}: periodic transmission needs a "
-                    f"simulator-bound COM stack"
-                )
-            self._periodic_values[config.signal_id] = config.dtype.initial_value()
-            self.sim.schedule(
-                config.period_us,
-                lambda: self._periodic_tick(config),
-                f"com:{self.name}:{config.name}",
-            )
-
-    def _periodic_tick(self, config: SignalConfig) -> None:
-        if config.signal_id not in self._tx_signals:
-            return
-        value = self._periodic_values.get(config.signal_id)
-        payload = config.dtype.encode(value)
-        self._tx_backlog.append((config.pdu_id, payload))
-        self._pump()
-        self.periodic_transmissions += 1
-        assert self.sim is not None
-        self.sim.schedule(
-            config.period_us,
-            lambda: self._periodic_tick(config),
-            f"com:{self.name}:{config.name}",
-        )
 
     def configure_rx_signal(self, config: SignalConfig) -> None:
         """Register a receive signal (keyed by its PDU)."""
@@ -138,11 +85,6 @@ class ComStack:
             raise ComError(f"unknown tx signal {signal_id}")
         payload = config.dtype.encode(value)
         self.signals_sent += 1
-        if config.periodic:
-            # Periodic mode: writes update the signal buffer; the cycle
-            # timer does the transmitting.
-            self._periodic_values[signal_id] = value
-            return True
         if config.uses_tp:
             for chunk in segment(payload):
                 self._tx_backlog.append((config.pdu_id, chunk))
@@ -153,7 +95,6 @@ class ComStack:
                     f"bytes; classical CAN PDUs carry at most 8"
                 )
             self._tx_backlog.append((config.pdu_id, payload))
-        self.backlog_peak = max(self.backlog_peak, len(self._tx_backlog))
         self._pump()
         return True
 
@@ -161,8 +102,7 @@ class ComStack:
         """Feed backlog segments into the controller until it refuses."""
         while self._tx_backlog:
             pdu_id, chunk = self._tx_backlog[0]
-            if not self.pdur.transmit(pdu_id, chunk):
-                self.tx_failures += 1
+            if not self.canif.transmit(pdu_id, chunk):
                 return
             self._tx_backlog.popleft()
 

@@ -2,7 +2,9 @@
 
 An :class:`Ecu` is assembled by the system builder; application code
 interacts with it through its component instances and, for the dynamic
-component model, through the PIRTE living inside a plug-in SW-C.
+component model, through the PIRTE living inside a plug-in SW-C.  Every
+ECU sits on the system's CAN bus, so its RTE reaches the other ECUs
+through COM and CanIf.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from typing import Optional
 from repro.autosar.bsw.canif import CanInterface
 from repro.autosar.bsw.com import ComStack
 from repro.autosar.bsw.memory import MemoryManager
-from repro.autosar.bsw.pdur import PduRouter
 from repro.autosar.os.alarm import AlarmManager
 from repro.autosar.os.scheduler import Cpu
 from repro.autosar.os.task import Task
@@ -32,9 +33,8 @@ class Ecu:
         self,
         name: str,
         sim: Simulator,
+        bus: CanBus,
         tracer: Optional[TelemetryBus] = None,
-        memory_block_size: int = 256,
-        memory_block_count: int = 4096,
     ) -> None:
         self.name = name
         self.sim = sim
@@ -42,27 +42,16 @@ class Ecu:
         self.cpu = Cpu(sim, f"{name}.cpu", tracer)
         self.alarms = AlarmManager(sim)
         self.memory = MemoryManager()
-        self.memory.create_pool("app", memory_block_size, memory_block_count)
-        self.rte = Rte(name, sim, tracer)
-        self.controller: Optional[CanController] = None
-        self.canif: Optional[CanInterface] = None
-        self.pdur: Optional[PduRouter] = None
-        self.com: Optional[ComStack] = None
+        self.memory.create_pool("app", 256, 4096)
+        self.controller = CanController(f"{name}.can")
+        bus.attach(self.controller)
+        self.canif = CanInterface(self.controller)
+        self.com = ComStack(self.canif)
+        self.rte = Rte(name, sim, self.com.send_signal, tracer)
         self.instances: dict[str, ComponentInstance] = {}
         self.tasks: dict[str, Task] = {}
         self._boot_actions: list = []
         self.booted = False
-
-    def attach_bus(self, bus: CanBus) -> None:
-        """Create the communication stack and join the CAN bus."""
-        if self.controller is not None:
-            raise ConfigurationError(f"ECU {self.name} already on a bus")
-        self.controller = CanController(f"{self.name}.can")
-        bus.attach(self.controller)
-        self.canif = CanInterface(self.controller)
-        self.pdur = PduRouter(self.canif)
-        self.com = ComStack(self.pdur, f"{self.name}.com", sim=self.sim)
-        self.rte.set_com_sender(self.com.send_signal)
 
     def add_instance(
         self, instance: ComponentInstance, task: Task

@@ -38,7 +38,7 @@ class BuiltSystem:
     description: SystemDescription
     sim: Simulator
     ecus: dict[str, Ecu]
-    bus: Optional[CanBus]
+    bus: CanBus
     tracer: Optional[TelemetryBus]
     signal_allocation: dict[tuple[str, str, str, str, str], int] = field(
         default_factory=dict
@@ -85,49 +85,27 @@ class SystemBuilder:
         """Validate the description and construct the runtime system."""
         description = self.description
         description.validate()
-        bus = self._build_bus()
-        ecus = self._build_ecus(bus)
+        bus = CanBus(
+            self.sim,
+            "can0",
+            bitrate=description.can_bitrate,
+            tracer=self.tracer,
+        )
+        ecus = {
+            name: Ecu(name, self.sim, bus, self.tracer)
+            for name in description.ecus
+        }
         built = BuiltSystem(description, self.sim, ecus, bus, self.tracer)
         self._instantiate_components(built)
         self._wire_sr_routes(built)
         self._install_events(built)
         return built
 
-    def _build_bus(self) -> Optional[CanBus]:
-        if any(e.on_bus for e in self.description.ecus.values()):
-            return CanBus(
-                self.sim,
-                "can0",
-                bitrate=self.description.can_bitrate,
-                tracer=self.tracer,
-            )
-        return None
-
-    def _build_ecus(self, bus: Optional[CanBus]) -> dict[str, Ecu]:
-        ecus: dict[str, Ecu] = {}
-        for desc in self.description.ecus.values():
-            ecu = Ecu(
-                desc.name,
-                self.sim,
-                self.tracer,
-                memory_block_size=desc.memory_block_size,
-                memory_block_count=desc.memory_block_count,
-            )
-            if desc.on_bus:
-                assert bus is not None
-                ecu.attach_bus(bus)
-            ecus[desc.name] = ecu
-        return ecus
-
     def _instantiate_components(self, built: BuiltSystem) -> None:
         for placement in self.description.placements.values():
             ecu = built.ecu(placement.ecu_name)
             instance = placement.ctype.instantiate(placement.instance_name)
-            task = Task(
-                placement.task.task_name,
-                placement.task.priority,
-                placement.task.preemptable,
-            )
+            task = Task(f"task_{placement.instance_name}", placement.priority)
             ecu.add_instance(instance, task)
 
     def _allocate_signal(self) -> tuple[int, int]:
@@ -159,11 +137,6 @@ class SystemBuilder:
                 continue
             to_place = description.placement(connector.to_instance)
             dst_ecu = built.ecu(to_place.ecu_name)
-            if src_ecu.com is None or dst_ecu.com is None:
-                raise ConfigurationError(
-                    f"cross-ECU connector {connector} needs both ECUs on "
-                    f"the bus"
-                )
             for element in iface.elements:
                 signal_id, can_id = self._allocate_signal()
                 built.signal_allocation[
@@ -185,9 +158,9 @@ class SystemBuilder:
                     pdu_id=signal_id,
                 )
                 src_ecu.com.configure_tx_signal(config)
-                src_ecu.canif.configure_tx(signal_id, can_id)  # type: ignore[union-attr]
+                src_ecu.canif.configure_tx(signal_id, can_id)
                 dst_ecu.com.configure_rx_signal(config)
-                dst_ecu.canif.configure_rx(can_id, signal_id)  # type: ignore[union-attr]
+                dst_ecu.canif.configure_rx(can_id, signal_id)
                 src_ecu.rte.add_sr_route(
                     connector.from_instance,
                     connector.from_port,

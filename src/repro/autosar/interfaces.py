@@ -65,18 +65,13 @@ class SenderReceiverInterface:
                 f"interface {self.name} has no element {name!r}"
             ) from None
 
-    def has_element(self, name: str) -> bool:
-        return name in self._by_name
-
     def compatible_with(self, other: SenderReceiverInterface) -> bool:
         """Same element names, types, and queueing discipline."""
         if len(self.elements) != len(other.elements):
             return False
         for mine in self.elements:
-            if not other.has_element(mine.name):
-                return False
-            theirs = other.element(mine.name)
-            if mine.dtype.name != theirs.dtype.name:
+            theirs = other._by_name.get(mine.name)
+            if theirs is None or mine.dtype.name != theirs.dtype.name:
                 return False
             if mine.queued != theirs.queued:
                 return False

@@ -42,11 +42,13 @@ class Rte:
         self,
         ecu_name: str,
         sim: Simulator,
+        com_send: Callable[[int, Any], bool],
         tracer: Optional[TelemetryBus] = None,
     ) -> None:
         self.ecu_name = ecu_name
         self.sim = sim
         self.tracer = tracer
+        self._com_send = com_send
         self.instances: dict[str, ComponentInstance] = {}
         # (instance, port, element) -> routes
         self._sr_routes: dict[tuple[str, str, str], list[Any]] = {}
@@ -54,7 +56,6 @@ class Rte:
         self._delivery_hooks: dict[
             tuple[str, str, str], list[Callable[[], None]]
         ] = {}
-        self._com_send: Optional[Callable[[int, Any], bool]] = None
         self.writes = 0
         self.local_deliveries = 0
         self.com_transmissions = 0
@@ -95,10 +96,6 @@ class Rte:
         """
         self._delivery_hooks.setdefault((instance, port, element), []).append(hook)
 
-    def set_com_sender(self, sender: Callable[[int, Any], bool]) -> None:
-        """Install the COM transmit function for cross-ECU routes."""
-        self._com_send = sender
-
     # -- component-facing API --------------------------------------------
 
     def write(
@@ -127,11 +124,6 @@ class Rte:
             if isinstance(route, LocalRoute):
                 self.deliver_local(route.to_instance, route.to_port, element, value)
             elif isinstance(route, ComRoute):
-                if self._com_send is None:
-                    raise RteError(
-                        f"cross-ECU route from {instance.name}.{port} but "
-                        f"ECU {self.ecu_name} has no COM stack"
-                    )
                 self.com_transmissions += 1
                 self._com_send(route.signal_id, value)
             else:  # pragma: no cover - defensive

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.autosar.ports import PortPrototype
+from repro.autosar.interfaces import SenderReceiverInterface
 from repro.errors import ConfigurationError
 
 
@@ -34,21 +34,26 @@ class Connector:
 
 def validate_connector(
     connector: Connector,
-    from_proto: PortPrototype,
-    to_proto: PortPrototype,
+    from_end: tuple[bool, SenderReceiverInterface],
+    to_end: tuple[bool, SenderReceiverInterface],
 ) -> None:
     """Check direction and interface compatibility of a connector.
 
-    Sender-receiver connectors run provided -> required.
+    Each end is its port's ``(provided, interface)``, so a vehicle spec
+    is checked by the same rule as a system description without
+    building component types.  Sender-receiver connectors run
+    provided -> required.
     """
-    if not (from_proto.is_provided and to_proto.is_required):
+    from_provided, from_interface = from_end
+    to_provided, to_interface = to_end
+    if not from_provided or to_provided:
         raise ConfigurationError(
             f"S/R connector {connector} must run provided -> required"
         )
-    if not from_proto.interface.compatible_with(to_proto.interface):
+    if not from_interface.compatible_with(to_interface):
         raise ConfigurationError(
             f"connector {connector}: incompatible interfaces "
-            f"({from_proto.interface.name} vs {to_proto.interface.name})"
+            f"({from_interface.name} vs {to_interface.name})"
         )
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Optional
 
 from repro.autosar.events import InitEvent
+from repro.autosar.interfaces import SenderReceiverInterface
 from repro.autosar.swc import ComponentInstance, ComponentType
 from repro.core import messages as msg
 from repro.core.context import EccEntry
@@ -53,10 +54,10 @@ class SwcRoute:
     out_port: str
     in_port: str
 
-    def ports(self) -> tuple[tuple[str, bool], tuple[str, bool]]:
-        """``(name, provided)`` of the ECM's type I port pair: it writes
-        the out port and reads the in port."""
-        return (self.out_port, True), (self.in_port, False)
+    def ports(self) -> list[tuple[str, bool, SenderReceiverInterface]]:
+        """``(name, provided, interface)`` of the ECM's type I port pair:
+        it writes the out port and reads the in port."""
+        return [(self.out_port, True, MGMT_IF), (self.in_port, False, MGMT_IF)]
 
 
 @dataclass
@@ -389,9 +390,9 @@ def make_ecm_swc_type(
     from repro.autosar.events import DataReceivedEvent
 
     for route in spec.routes:
-        for name, provided in route.ports():
+        for name, provided, iface in route.ports():
             make = provided_port if provided else required_port
-            ctype.add_port(make(name, MGMT_IF))
+            ctype.add_port(make(name, iface))
         ctype.add_event(
             DataReceivedEvent("dispatch", port=route.in_port, element="mgmt")
         )

@@ -23,7 +23,7 @@ from typing import Union
 
 from repro.core.context import Ecc, Pic, Plc
 from repro.core.wire import Reader, Writer
-from repro.errors import PackagingError
+from repro.errors import ContextError, PackagingError
 
 PROTOCOL_VERSION = 1
 
@@ -311,14 +311,19 @@ def decode(raw: bytes) -> Message:
     """Parse any management message from its wire form.
 
     Memoized on the bytes: the result is a frozen value, so receivers
-    of equal bytes share one message.  Malformed input raises on every
-    call, because an exception is never cached.
+    of equal bytes share one message.  Malformed input raises
+    :class:`PackagingError` on every call (an exception is never
+    cached), whether a length, an enum code, a string's UTF-8 or a
+    context entry is bad.
     """
-    reader = Reader(raw)
     try:
-        msg_type = MessageType(reader.u8())
-    except ValueError as exc:
-        raise PackagingError(f"unknown message type: {exc}") from None
+        return _decode(Reader(raw))
+    except (ValueError, ContextError) as exc:
+        raise PackagingError(f"malformed message: {exc}") from exc
+
+
+def _decode(reader: Reader) -> Message:
+    msg_type = MessageType(reader.u8())
     version = reader.u8()
     if version != PROTOCOL_VERSION:
         raise PackagingError(f"unsupported protocol version {version}")

@@ -10,8 +10,9 @@ ECU start-up.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.autosar.events import DataReceivedEvent, InitEvent, TimingEvent
 from repro.autosar.interfaces import DataElement, SenderReceiverInterface
@@ -102,18 +103,12 @@ class PluginSwcSpec:
     vm_block_size: int = 64
     fuel_per_activation: int = 20_000
 
-    def swc_ports(
-        self,
-    ) -> list[tuple[str, bool, Union[SenderReceiverInterface, ServicePort]]]:
+    def swc_ports(self) -> list[tuple[str, bool, SenderReceiverInterface]]:
         """``(name, provided, interface)`` of every SW-C port, in
         declaration order: what :func:`build_ports` builds and what a
         vehicle spec's connectors are checked against.  A port that is
-        not provided is required.  A type III port gives its
-        :class:`ServicePort`, whose interface :func:`build_ports`
-        derives."""
-        ports: list[
-            tuple[str, bool, Union[SenderReceiverInterface, ServicePort]]
-        ] = []
+        not provided is required."""
+        ports: list[tuple[str, bool, SenderReceiverInterface]] = []
         if self.has_mgmt:
             ports.append(("mgmt_in", False, MGMT_IF))
             ports.append(("mgmt_out", True, MGMT_IF))
@@ -121,7 +116,14 @@ class PluginSwcSpec:
             ports.append((relay.resolved_out_port(), True, RELAY_IF))
             ports.append((relay.resolved_in_port(), False, RELAY_IF))
         for service in self.services:
-            ports.append((service.swc_port, service.direction == "out", service))
+            ports.append((
+                service.swc_port,
+                service.direction == "out",
+                _service_interface(
+                    service.virtual, service.swc_port, service.element,
+                    service.dtype,
+                ),
+            ))
         return ports
 
     def validate(self) -> "PluginSwcSpec":
@@ -153,19 +155,17 @@ class PluginSwcSpec:
         return self
 
 
-def _service_interface(service: ServicePort) -> SenderReceiverInterface:
+@functools.lru_cache(maxsize=256)
+def _service_interface(
+    virtual: str, swc_port: str, element: str, dtype: DataType
+) -> SenderReceiverInterface:
+    """The interface of one type III port, built once per distinct
+    declaration: every vehicle of a fleet shares its model's."""
     # Queued semantics in both directions: provided ports hold no buffer
     # anyway, and receivers must not lose back-to-back plug-in values.
     return SenderReceiverInterface(
-        f"{service.virtual}_{service.swc_port}_if",
-        [
-            DataElement(
-                service.element,
-                service.dtype,
-                queued=True,
-                queue_length=32,
-            )
-        ],
+        f"{virtual}_{swc_port}_if",
+        [DataElement(element, dtype, queued=True, queue_length=32)],
     )
 
 
@@ -211,13 +211,10 @@ def build_virtual_port_specs(spec: PluginSwcSpec) -> list[VirtualPortSpec]:
 
 def build_ports(spec: PluginSwcSpec) -> list[PortPrototype]:
     """The SW-C port prototypes of :meth:`PluginSwcSpec.swc_ports`."""
-    ports: list[PortPrototype] = []
-    for name, provided, iface in spec.swc_ports():
-        if isinstance(iface, ServicePort):
-            iface = _service_interface(iface)
-        make = provided_port if provided else required_port
-        ports.append(make(name, iface))
-    return ports
+    return [
+        (provided_port if provided else required_port)(name, iface)
+        for name, provided, iface in spec.swc_ports()
+    ]
 
 
 def get_pirte(instance: ComponentInstance) -> Pirte:

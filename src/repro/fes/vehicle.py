@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.autosar.generator import BuiltSystem, build_system
+from repro.autosar.interfaces import SenderReceiverInterface
 from repro.autosar.swc import ComponentType
 from repro.autosar.system import SystemDescription
+from repro.autosar.vfb import Connector, validate_connector
 from repro.core.ecm import EcmPirte, EcmSpec, SwcRoute, make_ecm_swc_type
 from repro.core.pirte import Pirte
 from repro.core.plugin_swc import (
@@ -102,10 +104,11 @@ class VehicleSpec:
         SW-C without it, a SW-C spec with a duplicate virtual or SW-C
         port name, a relay to an undeclared peer or one whose peer lacks
         the back-relay, and a connector to an undeclared component
-        instance or port, from a required or to a provided port, or into
-        a port another connector already writes.  The same rules hold at
-        either fidelity, so a statistical vehicle is only ever a
-        stand-in for one that :func:`build_vehicle` could build.
+        instance or port, into a port another connector already writes,
+        from a required or to a provided port, or between incompatible
+        interfaces.  The same rules hold at either fidelity, so a
+        statistical vehicle is only ever a stand-in for one that
+        :func:`build_vehicle` could build.
         """
         where = f"vehicle {self.vin}"
         if not self.ecus:
@@ -172,20 +175,22 @@ class VehicleSpec:
     ) -> None:
         """The VFB rules of :func:`build_vehicle`'s system description,
         checked on the spec: a connector names declared instances and
-        ports, runs from a provided port to a required one, and is the
-        only writer of that port, the connectors of :meth:`wiring`
-        included.  Interface compatibility is checked at full fidelity
-        only, by the system description."""
+        ports, is the only writer of its target port, the connectors of
+        :meth:`wiring` included, and passes
+        :func:`~repro.autosar.vfb.validate_connector` (provided ->
+        required, compatible interfaces)."""
         writers = {
             (to_instance, to_port): (from_instance, from_port)
             for from_instance, from_port, to_instance, to_port
             in self.wiring()
         }
         legacy = {c.instance_name: c.ctype for c in self.legacy}
-        # instance -> port name -> provided (else required), filled on use.
-        roles: dict[str, dict[str, bool]] = {}
+        # instance -> port name -> (provided, interface), filled on use.
+        roles: dict[str, dict[str, tuple[bool, SenderReceiverInterface]]] = {}
 
-        def provided(instance: str, port: str) -> bool:
+        def end(
+            instance: str, port: str
+        ) -> tuple[bool, SenderReceiverInterface]:
             if instance not in instances:
                 raise ConfigurationError(
                     f"{where}: unknown component instance {instance!r}"
@@ -193,17 +198,19 @@ class VehicleSpec:
             ports = roles.get(instance)
             if ports is None:
                 if instance in legacy:
-                    ports = {
-                        p.name: p.is_provided for p in legacy[instance].ports
-                    }
+                    declared = [
+                        (p.name, p.is_provided, p.interface)
+                        for p in legacy[instance].ports
+                    ]
                 else:
-                    ports = {
-                        name: is_provided for name, is_provided, __
-                        in by_name[instance].spec.swc_ports()
-                    }
+                    declared = by_name[instance].spec.swc_ports()
                     if instance == self.ecm.instance_name:
                         for route in self.ecm_routes():
-                            ports.update(route.ports())
+                            declared += route.ports()
+                ports = {
+                    name: (provided, interface)
+                    for name, provided, interface in declared
+                }
                 roles[instance] = ports
             if port not in ports:
                 raise ConfigurationError(
@@ -212,14 +219,10 @@ class VehicleSpec:
                 )
             return ports[port]
 
-        for from_instance, from_port, to_instance, to_port in self.connectors:
-            from_provided = provided(from_instance, from_port)
-            to_provided = provided(to_instance, to_port)
-            if not from_provided or to_provided:
-                raise ConfigurationError(
-                    f"{where}: connector {from_instance}.{from_port} -> "
-                    f"{to_instance}.{to_port} must run provided -> required"
-                )
+        for connector in self.connectors:
+            from_instance, from_port, to_instance, to_port = connector
+            from_end = end(from_instance, from_port)
+            to_end = end(to_instance, to_port)
             key = (to_instance, to_port)
             if key in writers:
                 writer_instance, writer_port = writers[key]
@@ -229,6 +232,10 @@ class VehicleSpec:
                     f"{from_instance}.{from_port})"
                 )
             writers[key] = (from_instance, from_port)
+            try:
+                validate_connector(Connector(*connector), from_end, to_end)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from None
 
     def ecm_routes(self) -> list[SwcRoute]:
         """The ECM's type I port pair toward each other plug-in SW-C."""

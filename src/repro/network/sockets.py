@@ -7,10 +7,11 @@ string addresses (``"server.oem.example:7000"``) and clients
 :meth:`~NetworkFabric.connect`, yielding a pair of :class:`Endpoint`
 objects over a :class:`DuplexLink`.
 
-Messages are arbitrary picklable objects plus an explicit ``size`` so the
-latency model can account for serialization without the overhead of real
-byte encoding for every hop (installation packages *are* shipped as real
-bytes; see ``repro.core.packaging``).
+Each message travels with an explicit ``size``, the byte count the
+latency model charges for.  Every sender in the platform passes real
+encoded bytes and their length: the server, the ECMs and the
+statistical vehicles exchange :mod:`repro.core.messages` encodings, and
+the phone sends :mod:`repro.core.external` frames.
 """
 
 from __future__ import annotations

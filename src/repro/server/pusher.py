@@ -164,27 +164,14 @@ class Pusher:
 
     def push(self, vin: str, raw: bytes) -> None:
         """Send bytes to a vehicle, queueing while it is offline."""
-        if self._push_filter is not None:
-            verdict = self._push_filter(vin, raw)
-            if not verdict.deliver:
-                self.filtered_messages += 1
-                return
-            if verdict.delay_us > 0:
-                self._sim.schedule(
-                    verdict.delay_us,
-                    lambda: self._push_unfiltered(vin, raw),
-                    f"pusher:delayed:{vin}",
-                )
-                return
-        self._push_unfiltered(vin, raw)
+        self.push_many(vin, (raw,))
 
     def push_many(self, vin: str, raws: Sequence[bytes]) -> None:
-        """Push a batch of messages to one vehicle in one call.
+        """Push messages to one vehicle, in order, in one call.
 
-        Message-for-message equivalent to looping :meth:`push` (the
-        filter still rules on each payload, offline messages still
-        queue individually), but a connected vehicle receives the whole
-        batch through one :meth:`Endpoint.send_many`, so a multi-plugin
+        The push filter rules on each payload, and an offline vehicle's
+        messages queue one by one.  A connected vehicle receives the
+        rest through one :meth:`Endpoint.send_many`, so a multi-plugin
         APP deployment costs one kernel batch insert instead of one
         sift-up per package.
         """
@@ -198,32 +185,30 @@ class Pusher:
                 if verdict.delay_us > 0:
                     self._sim.schedule(
                         verdict.delay_us,
-                        lambda r=raw: self._push_unfiltered(vin, r),
+                        lambda r=raw: self._send_or_queue(vin, (r,)),
                         f"pusher:delayed:{vin}",
                     )
                     continue
                 ready.append(raw)
         else:
             ready.extend(raws)
-        if not ready:
-            return
+        if ready:
+            self._send_or_queue(vin, ready)
+
+    def _send_or_queue(self, vin: str, raws: Sequence[bytes]) -> None:
+        """Send ``raws`` if ``vin`` is connected, else queue them for its
+        reconnection."""
         endpoint = self._connections.get(vin)
         if endpoint is None or endpoint.closed:
             if endpoint is not None:
-                # The connection died under us: same bookkeeping as
-                # _send_now's offline fallback.
+                # The connection died under us (vehicle side closed):
+                # forget it and keep the messages for the reconnection.
                 self._connections.pop(vin, None)
-            for raw in ready:
+            for raw in raws:
                 self._queue_offline(vin, raw)
             return
-        endpoint.send_many([(raw, len(raw)) for raw in ready])
-        self.pushed += len(ready)
-
-    def _push_unfiltered(self, vin: str, raw: bytes) -> None:
-        if self.is_connected(vin):
-            self._send_now(vin, raw)
-        else:
-            self._queue_offline(vin, raw)
+        endpoint.send_many([(raw, len(raw)) for raw in raws])
+        self.pushed += len(raws)
 
     def _queue_offline(self, vin: str, raw: bytes) -> None:
         outbox = self._outboxes.setdefault(vin, deque())
@@ -241,17 +226,6 @@ class Pusher:
                     "pusher", "message_dropped", self._sim.now,
                     vin=vin, bytes=len(raw),
                 )
-
-    def _send_now(self, vin: str, raw: bytes) -> None:
-        endpoint = self._connections.get(vin)
-        if endpoint is None or endpoint.closed:
-            # The connection died under us (vehicle side closed): treat
-            # as offline and keep the message for the reconnection.
-            self._connections.pop(vin, None)
-            self._queue_offline(vin, raw)
-            return
-        endpoint.send(raw, size=len(raw))
-        self.pushed += 1
 
     def pending_for(self, vin: str) -> int:
         """Messages queued for an offline vehicle."""

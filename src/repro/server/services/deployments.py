@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.core import messages as msg
-from repro.errors import ServerError, UnknownEntityError
+from repro.errors import PackagingError, ServerError, UnknownEntityError
 from repro.server.database import Database
 from repro.server.models import (
     InstallStatus,
@@ -88,6 +88,7 @@ class DeploymentService:
         self.deploys = 0
         self.rejected_deploys = 0
         self.acks_processed = 0
+        self.malformed_upstream = 0
         self._plans = PackagePlans()
         # (vin, app_name) -> user_id: update waiting for uninstall acks.
         self._pending_updates: dict[tuple[str, str], str] = {}
@@ -398,8 +399,21 @@ class DeploymentService:
     # -- ack processing --------------------------------------------------------
 
     def on_vehicle_message(self, vin: str, raw: bytes) -> None:
-        """Handle one upstream message (ack/diag) from a vehicle's ECM."""
-        message = msg.decode(raw)
+        """Handle one upstream message (ack/diag) from a vehicle's ECM.
+
+        Bytes that do not decode are dropped, counted in
+        :attr:`malformed_upstream` and published as one ``deploy``
+        event; the vehicle's later messages are handled as usual.
+        """
+        try:
+            message = msg.decode(raw)
+        except PackagingError as exc:
+            self.malformed_upstream += 1
+            self.telemetry.publish(
+                "deploy", "malformed_upstream", self.pusher.now, vin=vin,
+                bytes=len(raw), error=str(exc),
+            )
+            return
         if isinstance(message, msg.DiagMessage):
             self.db.vehicle(vin).health[message.source_swc] = message
             self.telemetry.publish(

@@ -312,6 +312,14 @@ def _writer_into_derived_pair(spec):
     return r"port swc2\.mgmt_in has multiple writers \(swc1\.mgmt_swc2_out"
 
 
+def _incompatible_interfaces(spec):
+    wheels = spec.connectors.index(
+        ("swc2", "wheels_req", "actuators", "wheels_in")
+    )
+    spec.connectors[wheels] = ("swc2", "mgmt_out", "actuators", "wheels_in")
+    return r"incompatible interfaces \(PluginMgmtIf vs MotionIf\)"
+
+
 def _duplicate_virtual_port(spec):
     swc2 = spec.plugin_swcs[0]
     extra = ServicePort("V4", "wheels_req2", "out", INT16)
@@ -338,13 +346,14 @@ class TestSpecValidatedAtEitherFidelity:
             _connector_into_provided_port,
             _second_writer,
             _writer_into_derived_pair,
+            _incompatible_interfaces,
             _duplicate_virtual_port,
         ],
         ids=["unknown-ecu", "missing-back-relay", "ecm-with-mgmt",
              "duplicate-instance", "connector-to-ghost",
              "connector-to-missing-port", "connector-into-provided-port",
              "second-writer", "writer-into-derived-pair",
-             "duplicate-virtual-port"],
+             "incompatible-interfaces", "duplicate-virtual-port"],
     )
     def test_invalid_spec_refused_before_construction(
         self, breakage, monkeypatch

@@ -6,7 +6,6 @@ from repro.autosar.bsw import (
     ComStack,
     MemoryManager,
     MemoryPool,
-    PduRouter,
     Reassembler,
     SignalConfig,
     roundtrip,
@@ -140,8 +139,7 @@ def build_com_pair():
         controller = CanController(name)
         bus.attach(controller)
         canif = CanInterface(controller)
-        pdur = PduRouter(canif)
-        com = ComStack(pdur, name)
+        com = ComStack(canif)
         stacks.append((com, canif))
     return sim, bus, stacks
 

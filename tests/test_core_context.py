@@ -233,6 +233,19 @@ class TestContextEncodingRoundtrips:
         assert Ecc.decode(Reader(writer.getvalue())) == ecc
 
 
+#: Message bodies made of wire-shaped pieces: length-prefixed strings
+#: (UTF-8 or not), single bytes and loose bytes, so the decoder gets
+#: past the length checks into enum codes, text and context entries.
+wire_bodies = st.lists(
+    st.one_of(
+        st.binary(max_size=6).map(lambda b: len(b).to_bytes(2, "little") + b),
+        st.integers(0, 255).map(lambda v: bytes([v])),
+        st.binary(max_size=4),
+    ),
+    max_size=12,
+).map(b"".join)
+
+
 class TestMessages:
     def test_install_roundtrip(self):
         message = make_install(
@@ -297,5 +310,29 @@ class TestMessages:
     def test_decode_never_crashes_unexpectedly(self, raw):
         try:
             decode(raw)
+        except PackagingError:
+            pass  # the only acceptable failure mode
+
+    @pytest.mark.parametrize("raw", [
+        # An ACK whose acknowledged op is 99, no MessageType.
+        bytes([1, 1, 0, 0, 0, 0, 99, 0, 0, 0]),
+        # An ACK whose plug-in name is not UTF-8.
+        bytes([1, 1, 2, 0]) + b"\xff\xfe",
+        # An INSTALL whose one PIC entry has an empty port name.
+        Writer().u8(0).u8(1).string("OP").string("1.0").string("ECU2")
+        .string("swc2").u16(1).string("").u16(0).getvalue(),
+    ], ids=["bad-enum", "bad-utf8", "bad-context"])
+    def test_malformed_body_raises_packaging_error(self, raw):
+        with pytest.raises(PackagingError, match="malformed message"):
+            decode(raw)
+
+    @pytest.mark.parametrize("msg_type", list(MessageType), ids=str)
+    @given(body=wire_bodies)
+    @settings(max_examples=100)
+    def test_any_body_behind_a_valid_header_decodes_or_is_rejected(
+        self, msg_type, body
+    ):
+        try:
+            decode(bytes([msg_type.value, 1]) + body)
         except PackagingError:
             pass  # the only acceptable failure mode

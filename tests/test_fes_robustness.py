@@ -70,20 +70,17 @@ class TestVehicleSpecValidation:
         # validate() judges connectors on PluginSwcSpec.swc_ports(), the
         # ECM's routes and VehicleSpec.wiring() without building
         # component types; together they must be exactly what
-        # build_vehicle declares.
+        # build_vehicle declares, down to the interface objects.
         spec = self._base_spec()
         desc = build_vehicle(
             spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS
         ).system.description
         for placement in spec.all_placements():
             built = [
-                (port.name, port.is_provided)
+                (port.name, port.is_provided, port.interface)
                 for port in desc.placement(placement.instance_name).ctype.ports
             ]
-            declared = [
-                (name, provided)
-                for name, provided, __ in placement.spec.swc_ports()
-            ]
+            declared = placement.spec.swc_ports()
             if placement is spec.ecm:
                 declared += [
                     port for route in spec.ecm_routes()

@@ -1,4 +1,5 @@
-"""``scripts/lint_invariants.py``: the unused-import rule, the allowlist."""
+"""``scripts/lint_invariants.py``: the unused-import and unreferenced-def
+rules, the allowlist."""
 
 import importlib.util
 from pathlib import Path
@@ -71,4 +72,55 @@ def test_a_stale_allowlist_entry_fails(tmp_path, monkeypatch, capsys):
     errors = capsys.readouterr().err
     assert "FAIL stale allowlist entry src/repro/gone.py::f::sim-access" in (
         errors
+    )
+
+
+def unreferenced(tmp_path, source, reader=""):
+    defining = tmp_path / "defs.py"
+    defining.write_text(source)
+    reading = tmp_path / "uses.py"
+    reading.write_text(reader)
+    found = lint.unreferenced_defs([defining], [defining, reading])
+    return [(scope, detail) for scope, __, __, detail in found[defining]]
+
+
+def test_flags_a_def_nothing_reads(tmp_path):
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.size = 0\n"
+        "\n"
+        "    def grow(self):\n"
+        "        return self.size + 1\n"
+        "\n"
+        "    def shrink(self):\n"
+        "        return self.size - 1\n"
+        "\n"
+        "def make(size):\n"
+        "    return Box()\n"
+    )
+    assert unreferenced(tmp_path, source, "Box().grow()\n") == [
+        ("Box.shrink", "shrink"), ("make", "make"),
+    ]
+    assert unreferenced(tmp_path, source, "Box().grow(make=1)\n") == [
+        ("Box.shrink", "shrink"),
+    ]
+
+
+def test_a_read_inside_an_f_string_counts(tmp_path):
+    source = "def label():\n    return 'x'\n"
+    assert unreferenced(tmp_path, source) == [("label", "label")]
+    assert unreferenced(tmp_path, source, "print(f'{label()}!')\n") == []
+
+
+def test_an_allowlisted_def_passes(tmp_path, monkeypatch, capsys):
+    key = "src/repro/server/gateway/http.py::_Handler.do_GET::unreferenced-def"
+    assert key in lint.load_allowlist()
+    assert lint.main() == 0
+    allowlist = tmp_path / "allowlist.txt"
+    allowlist.write_text(lint.ALLOWLIST.read_text().replace(key, ""))
+    monkeypatch.setattr(lint, "ALLOWLIST", allowlist)
+    assert lint.main() == 1
+    assert "[unreferenced-def] do_GET in _Handler.do_GET" in (
+        capsys.readouterr().err
     )

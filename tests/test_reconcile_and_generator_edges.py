@@ -92,30 +92,6 @@ class TestGeneratorEdges:
         with pytest.raises(ConfigurationError, match="exhausted"):
             build_system(desc)
 
-    def test_cross_ecu_connector_needs_bus(self):
-        desc = SystemDescription()
-        desc.add_ecu("e1", on_bus=False)
-        desc.add_ecu("e2")
-        sender = ComponentType("S", ports=[provided_port("out", SPEED_IF)])
-        receiver = ComponentType("R", ports=[required_port("in", SPEED_IF)])
-        desc.add_component("s", sender, "e1")
-        desc.add_component("r", receiver, "e2")
-        desc.connect("s", "out", "r", "in")
-        with pytest.raises(ConfigurationError):
-            build_system(desc)
-
-    def test_bus_free_system_builds(self):
-        desc = SystemDescription()
-        desc.add_ecu("e1", on_bus=False)
-        comp = ComponentType(
-            "Lone",
-            runnables=[Runnable("r", lambda i: None)],
-        )
-        desc.add_component("c", comp, "e1")
-        system = build_system(desc)
-        assert system.bus is None
-        system.run(1000)
-
     def test_unconnected_provided_port_write_is_noop(self):
         """Writes to ports without connectors vanish harmlessly
         (the paper's unused virtual ports rely on this)."""

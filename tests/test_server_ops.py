@@ -192,6 +192,28 @@ class TestAckHandling:
         )
         assert api.deployments.acks_processed == before
 
+    def test_malformed_upstream_is_dropped_and_later_acks_apply(self, fleet3):
+        """Bytes that do not decode are dropped, counted and published
+        once, and the vehicle's next ACK is still applied."""
+        api = fleet3.server.api
+        vin = fleet3.vehicles[0].vin
+        api.deployments.deploy(fleet3.user_id, vin, "remote-control").unwrap()
+        record = fleet3.server.db.installation(vin, "remote-control")
+        bad = bytes([1, 1, 0, 0, 0, 0, 99, 0, 0, 0])  # ACK of op 99
+        fleet3.server.pusher.inject_upstream(vin, bad)
+        assert api.deployments.malformed_upstream == 1
+        events = api.deployments.telemetry.events("deploy", "malformed_upstream")
+        assert [(e.vin, e.data["bytes"]) for e in events] == [(vin, len(bad))]
+        plugin = record.plugins[0]
+        assert not plugin.acked
+        ack = msg.AckMessage(
+            plugin.plugin_name, plugin.swc_name,
+            msg.MessageType.INSTALL, msg.AckStatus.OK,
+        )
+        fleet3.server.pusher.inject_upstream(vin, ack.encode())
+        assert plugin.acked
+        assert api.deployments.acks_processed == 1
+
 
 def synthetic_server(n_vehicles):
     """A server over a conflict-free synthetic fleet with five APPs."""
