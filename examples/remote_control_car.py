@@ -32,7 +32,7 @@ def main() -> None:
     vehicle = platform.vehicle()
 
     print("== the platform (paper Fig. 3) ==")
-    print(f"   ECUs: {vehicle.spec.ecus}")
+    print(f"   ECUs: {list(vehicle.spec.ecus)}")
     print(f"   ECM SW-C '{vehicle.spec.ecm.instance_name}' on ECU1 (PIRTE1)")
     print(f"   plug-in SW-C 'swc2' on ECU2 (PIRTE2)")
     print("   virtual ports on swc2: V2/V3 (type II relay), V4=WheelsReq,")

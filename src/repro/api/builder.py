@@ -31,8 +31,8 @@ VINs, connections to undeclared plug-ins, ...) raise as they are
 declared; a vehicle is judged whole by :meth:`VehicleSpec.validate
 <repro.fes.vehicle.VehicleSpec.validate>` (placements onto missing ECUs,
 duplicate instances or virtual ports, missing back-relays, ...), which
-``build()`` runs on every vehicle, declared or added as a spec, before
-it constructs anything.
+``build()`` runs once per distinct vehicle description, declared or
+added as a spec, before it constructs anything.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ from repro.server.models import (
     ConnectionKind,
     ConnectionSpec,
     ExternalSpec,
+    HwConf,
     PluginDescriptor,
     SwConf,
+    SystemSwConf,
 )
 from repro.server.server import DEFAULT_ADDRESS, TrustedServer
 from repro.sim.kernel import Simulator
@@ -130,8 +132,8 @@ class VehicleBuilder:
     ) -> PluginSwcSpec:
         return PluginSwcSpec(
             type_name or f"{instance.capitalize()}Type",
-            relays=list(relays),
-            services=list(services),
+            relays=relays,
+            services=services,
             has_mgmt=has_mgmt,
         )
 
@@ -213,11 +215,11 @@ class VehicleBuilder:
             model=self.model,
             region=self._region,
             fidelity=self._fidelity,
-            ecus=list(self._ecus),
+            ecus=tuple(self._ecus),
             ecm=self._ecm,
-            plugin_swcs=list(self._plugin_swcs),
-            legacy=list(self._legacy),
-            connectors=list(self._connectors),
+            plugin_swcs=tuple(self._plugin_swcs),
+            legacy=tuple(self._legacy),
+            connectors=tuple(self._connectors),
         )
 
 
@@ -438,18 +440,33 @@ class ScenarioBuilder:
 
         Construction order mirrors the hand-written assembly the
         builder replaces: fabric and server first, then phones, then
-        vehicles (each registered and bound to the owning user as it is
-        built), then APP uploads.  Nothing is booted — call
+        vehicles (registered and bound to the owning user in one bulk
+        pass), then APP uploads.  Nothing is booted — call
         ``platform.boot()`` (or ``Deployment.wait``, which boots).
         Every vehicle spec is validated before anything is constructed,
         and each vehicle dials this scenario's server address.
+
+        Validity and the server's HW conf and SystemSW conf depend on a
+        spec's :meth:`~repro.fes.vehicle.VehicleSpec.description` alone,
+        so each distinct description is validated and described once,
+        by the first spec that has it, and every vehicle with it is
+        registered with the same frozen confs.  Declaration order is
+        kept, so the first invalid spec still raises, naming its VIN.
+        Statistical vehicles share one response model.
         """
         specs = [
             entry.to_spec() if isinstance(entry, VehicleBuilder) else entry
             for entry in self._vehicles.values()
         ]
+        confs: dict[tuple, tuple[HwConf, SystemSwConf]] = {}
+        registry_rows = []
         for spec in specs:
-            spec.validate()
+            key = spec.description()
+            conf = confs.get(key)
+            if conf is None:
+                conf = confs[key] = spec.validate().describe_for_server()
+            registry_rows.append((spec.vin, spec.model, *conf, spec.region))
+        statistical_model = self._statistical_model or StatisticalModel()
         sim = Simulator()
         tracer = TelemetryBus() if self._trace else None
         fabric = NetworkFabric(
@@ -468,22 +485,17 @@ class ScenarioBuilder:
             phones[address] = Smartphone(fabric, address, sim)
             fabric.set_listener_profile(address, profile)
         vehicles = []
-        registry_rows = []
         for spec in specs:
             if spec.fidelity == "statistical":
                 vehicle = StatisticalVehicle(
                     spec, fabric, sim, self._server_address,
-                    model=self._statistical_model,
+                    model=statistical_model,
                 )
             else:
                 vehicle = build_vehicle(
                     spec, fabric, self._server_address, sim=sim, tracer=tracer
                 )
             vehicles.append(vehicle)
-            hw, system_sw = spec.describe_for_server()
-            registry_rows.append(
-                (spec.vin, spec.model, hw, system_sw, spec.region)
-            )
         # One bulk registry pass instead of 2N envelope round-trips —
         # at 10k+ statistical vehicles the per-VIN register/bind calls
         # dominated fleet build time.

@@ -6,7 +6,7 @@ through TP when the signal has a variable size.
 
 from repro.autosar.bsw.canif import CanInterface
 from repro.autosar.bsw.com import ComStack, SignalConfig
-from repro.autosar.bsw.memory import Allocation, MemoryManager, MemoryPool
+from repro.autosar.bsw.memory import Allocation, MemoryPool
 from repro.autosar.bsw.tp import MAX_TP_PAYLOAD, Reassembler, roundtrip, segment
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "ComStack",
     "SignalConfig",
     "Allocation",
-    "MemoryManager",
     "MemoryPool",
     "MAX_TP_PAYLOAD",
     "Reassembler",

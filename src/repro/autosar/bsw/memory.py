@@ -49,10 +49,6 @@ class MemoryPool:
     def used_blocks(self) -> int:
         return self.block_count - self._free
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.block_size * self.block_count
-
     def blocks_for(self, size_bytes: int) -> int:
         """Blocks needed to hold ``size_bytes``."""
         if size_bytes < 0:
@@ -99,32 +95,4 @@ class MemoryPool:
         return list(self._live.values())
 
 
-class MemoryManager:
-    """Named registry of pools on one ECU."""
-
-    def __init__(self) -> None:
-        self.pools: dict[str, MemoryPool] = {}
-
-    def create_pool(
-        self, name: str, block_size: int, block_count: int
-    ) -> MemoryPool:
-        """Create a pool; names are unique per ECU."""
-        if name in self.pools:
-            raise MemoryPoolError(f"duplicate pool {name!r}")
-        pool = MemoryPool(name, block_size, block_count)
-        self.pools[name] = pool
-        return pool
-
-    def pool(self, name: str) -> MemoryPool:
-        """Look up a pool by name."""
-        try:
-            return self.pools[name]
-        except KeyError:
-            raise MemoryPoolError(f"no pool named {name!r}") from None
-
-    def total_capacity(self) -> int:
-        """Sum of all pool capacities in bytes."""
-        return sum(p.capacity_bytes for p in self.pools.values())
-
-
-__all__ = ["Allocation", "MemoryPool", "MemoryManager"]
+__all__ = ["Allocation", "MemoryPool"]

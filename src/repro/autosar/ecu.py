@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.autosar.bsw.canif import CanInterface
 from repro.autosar.bsw.com import ComStack
-from repro.autosar.bsw.memory import MemoryManager
 from repro.autosar.os.alarm import AlarmManager
 from repro.autosar.os.scheduler import Cpu
 from repro.autosar.os.task import Task
@@ -41,8 +40,6 @@ class Ecu:
         self.tracer = tracer
         self.cpu = Cpu(sim, f"{name}.cpu", tracer)
         self.alarms = AlarmManager(sim)
-        self.memory = MemoryManager()
-        self.memory.create_pool("app", 256, 4096)
         self.controller = CanController(f"{name}.can")
         bus.attach(self.controller)
         self.canif = CanInterface(self.controller)

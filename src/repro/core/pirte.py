@@ -44,6 +44,7 @@ from repro.core.plugin import (
     Plugin,
 )
 from repro.core.virtual_ports import (
+    GuardState,
     VirtualPortKind,
     VirtualPortSpec,
     decode_relay,
@@ -115,6 +116,13 @@ class Pirte:
             if spec.name in self.virtual_ports:
                 raise ContextError(f"duplicate virtual port {spec.name!r}")
             self.virtual_ports[spec.name] = spec
+        #: This PIRTE's own enforcement state per guarded virtual port;
+        #: the specs' guards are shared policies.
+        self.guards: dict[str, GuardState] = {
+            spec.name: GuardState(spec.guard)
+            for spec in virtual_ports
+            if spec.guard is not None
+        }
         self.mgmt_in = mgmt_in
         self.mgmt_out = mgmt_out
         self.mgmt_element = mgmt_element
@@ -365,7 +373,7 @@ class Pirte:
             return
         spec = self.virtual_port(link.target_virtual)
         if spec.kind is VirtualPortKind.SERVICE_OUT:
-            if spec.guard is not None and not spec.guard.check(
+            if spec.guard is not None and not self.guards[spec.name].check(
                 value, self._now()
             ):
                 # Fault protection (paper Sec. 3.1.1): the critical

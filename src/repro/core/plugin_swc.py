@@ -11,7 +11,7 @@ ECU start-up.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.autosar.events import DataReceivedEvent, InitEvent, TimingEvent
@@ -88,13 +88,19 @@ class ServicePort:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PluginSwcSpec:
-    """Declarative description of one plug-in SW-C type."""
+    """Declarative description of one plug-in SW-C type.
+
+    Immutable and hashable, so every vehicle of one model can share its
+    spec: ``relays`` and ``services`` are tuples (lists passed in are
+    converted).  To vary a spec, make a new one
+    (:func:`dataclasses.replace`).
+    """
 
     type_name: str
-    relays: list[RelayLink] = field(default_factory=list)
-    services: list[ServicePort] = field(default_factory=list)
+    relays: tuple[RelayLink, ...] = ()
+    services: tuple[ServicePort, ...] = ()
     has_mgmt: bool = True
     dispatch_period_us: int = 2_000
     timer_period_us: int = 10_000
@@ -102,6 +108,10 @@ class PluginSwcSpec:
     vm_memory_blocks: int = 512
     vm_block_size: int = 64
     fuel_per_activation: int = 20_000
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "relays", tuple(self.relays))
+        object.__setattr__(self, "services", tuple(self.services))
 
     def swc_ports(self) -> list[tuple[str, bool, SenderReceiverInterface]]:
         """``(name, provided, interface)`` of every SW-C port, in

@@ -34,9 +34,9 @@ class VirtualPortKind(enum.Enum):
     SERVICE_IN = "service_in"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PortGuard:
-    """Fault protection on a critical outbound signal.
+    """Fault protection policy on a critical outbound signal.
 
     The paper (Sec. 3.1.1) requires the built-in software to "monitor
     the exposed API and provide fault protection mechanisms for the
@@ -44,28 +44,43 @@ class PortGuard:
     inter-write interval on one SERVICE_OUT virtual port; violating
     writes are rejected (and counted by the PIRTE) instead of reaching
     the built-in software.
+
+    The guard is only the policy.  Each PIRTE enforces it with its own
+    :class:`GuardState`, so one declaration shared by every vehicle of a
+    model rate-limits each vehicle's port independently.
     """
 
     min_value: Optional[int] = None
     max_value: Optional[int] = None
     min_interval_us: int = 0
-    _last_accept: int = -(1 << 62)
-    range_violations: int = 0
-    rate_violations: int = 0
+
+
+class GuardState:
+    """One PIRTE's enforcement of one :class:`PortGuard`: the time of
+    the last admitted write and the violations counted so far."""
+
+    __slots__ = ("guard", "last_accept", "range_violations", "rate_violations")
+
+    def __init__(self, guard: PortGuard) -> None:
+        self.guard = guard
+        self.last_accept = -(1 << 62)
+        self.range_violations = 0
+        self.rate_violations = 0
 
     def check(self, value: int, now: int) -> bool:
         """Whether a write of ``value`` at time ``now`` is admissible."""
-        if self.min_value is not None and value < self.min_value:
+        guard = self.guard
+        if guard.min_value is not None and value < guard.min_value:
             self.range_violations += 1
             return False
-        if self.max_value is not None and value > self.max_value:
+        if guard.max_value is not None and value > guard.max_value:
             self.range_violations += 1
             return False
-        if self.min_interval_us > 0:
-            if now - self._last_accept < self.min_interval_us:
+        if guard.min_interval_us > 0:
+            if now - self.last_accept < guard.min_interval_us:
                 self.rate_violations += 1
                 return False
-        self._last_accept = now
+        self.last_accept = now
         return True
 
     @property
@@ -137,6 +152,7 @@ __all__ = [
     "VirtualPortKind",
     "VirtualPortSpec",
     "PortGuard",
+    "GuardState",
     "encode_relay",
     "decode_relay",
     "RELAY_MESSAGE_SIZE",

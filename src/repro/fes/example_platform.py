@@ -22,6 +22,8 @@ does with many copies of the car.
 
 from __future__ import annotations
 
+import functools
+
 from repro.api.builder import AppBuilder, ScenarioBuilder, VehicleBuilder
 from repro.api.platform import Platform
 from repro.autosar.events import DataReceivedEvent
@@ -114,8 +116,22 @@ def _clamp_int16(value: int) -> int:
 
 
 def make_example_vehicle_spec(vin: str = "VIN-0001") -> VehicleSpec:
-    """The Fig. 3 car: ECM on ECU1, plug-in SW-C on ECU2."""
-    builder = VehicleBuilder(vin, MODEL)
+    """The Fig. 3 car: ECM on ECU1, plug-in SW-C on ECU2.
+
+    Each call returns a new :class:`VehicleSpec` for ``vin``, but every
+    car shares one description, built once per process: its ECU names,
+    placements, connectors and one ``CarActuators`` component type.
+    Reassigning a field of the result changes that car only.
+    """
+    ecus, ecm, plugin_swcs, legacy, connectors = _example_parts()
+    return VehicleSpec(vin, MODEL, ecus, ecm, plugin_swcs, legacy, connectors)
+
+
+@functools.cache
+def _example_parts() -> tuple:
+    """The immutable parts of the Fig. 3 car's spec, which every example
+    car shares: ECUs, ECM, plug-in SW-Cs, legacy and connectors."""
+    builder = VehicleBuilder("VIN-0001", MODEL)
     builder.ecus("ECU1", "ECU2")
     builder.ecm(
         "swc1", on="ECU1", type_name="EcmSwc",
@@ -134,7 +150,8 @@ def make_example_vehicle_spec(vin: str = "VIN-0001") -> VehicleSpec:
     builder.connect("swc2", "wheels_req", "actuators", "wheels_in")
     builder.connect("swc2", "speed_req", "actuators", "speed_in")
     builder.connect("actuators", "speed_out", "swc2", "speed_prov")
-    return builder.to_spec()
+    spec = builder.to_spec()
+    return spec.ecus, spec.ecm, spec.plugin_swcs, spec.legacy, spec.connectors
 
 
 def make_remote_control_app(

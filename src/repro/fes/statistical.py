@@ -80,6 +80,12 @@ class StatisticalVehicle:
     ``sim``, ``boot()``, ``run()``, and ``emit_diagnostics()`` (the
     soak path).  ``pirte_of`` raises — there is no PIRTE to introspect,
     which the campaign engine's baseline capture already tolerates.
+
+    What a vehicle owns is its identity and its state: the spec (whose
+    description it shares with its model), its ``statvehicle:<VIN>``
+    stream, its connection and outbox, and its installed plug-ins.  The
+    ``model`` is shared too: :meth:`ScenarioBuilder.build
+    <repro.api.builder.ScenarioBuilder.build>` passes one per scenario.
     """
 
     fidelity = "statistical"
@@ -90,13 +96,13 @@ class StatisticalVehicle:
         fabric: NetworkFabric,
         sim: Simulator,
         server_address: str,
-        model: Optional[StatisticalModel] = None,
+        model: StatisticalModel,
     ) -> None:
         self.spec = spec
         self.fabric = fabric
         self._sim = sim
         self.server_address = server_address
-        self.model = model or StatisticalModel()
+        self.model = model
         self._stream = fabric.streams.stream(f"{STREAM_PREFIX}:{spec.vin}")
         self._endpoint: Optional[Endpoint] = None
         self._outbox: list[bytes] = []

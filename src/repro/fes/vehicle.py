@@ -13,7 +13,7 @@ vehicle and its server-side description consistent by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.autosar.generator import BuiltSystem, build_system
@@ -47,7 +47,7 @@ ECM_PRIORITY = 4
 PLUGIN_PRIORITY = 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class PluginSwcPlacement:
     """One plug-in SW-C on one ECU."""
 
@@ -56,9 +56,13 @@ class PluginSwcPlacement:
     spec: PluginSwcSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class LegacyComponent:
-    """A built-in (non-plug-in) component placed on an ECU."""
+    """A built-in (non-plug-in) component placed on an ECU.
+
+    Component types compare by identity: two legacy components are
+    equal only when they place the same :class:`ComponentType` object.
+    """
 
     instance_name: str
     ctype: ComponentType
@@ -73,15 +77,22 @@ class VehicleSpec:
     The spec says what the vehicle is, not where it runs: the trusted
     server's address belongs to the deployment and is handed to
     :func:`build_vehicle` (or the statistical vehicle) separately.
+
+    A spec is per vehicle (its VIN, region and fidelity), but its
+    description of the model — ECUs, placements, legacy components and
+    connectors — is made of tuples and frozen parts that every vehicle
+    of the model may share (see :meth:`description`).  Vary a spec by
+    reassigning a field (``spec.connectors = (*spec.connectors,
+    extra)``), never by changing a shared part in place.
     """
 
     vin: str
     model: str
-    ecus: list[str]
+    ecus: tuple[str, ...]
     ecm: PluginSwcPlacement
-    plugin_swcs: list[PluginSwcPlacement] = field(default_factory=list)
-    legacy: list[LegacyComponent] = field(default_factory=list)
-    connectors: list[tuple[str, str, str, str]] = field(default_factory=list)
+    plugin_swcs: tuple[PluginSwcPlacement, ...] = ()
+    legacy: tuple[LegacyComponent, ...] = ()
+    connectors: tuple[tuple[str, str, str, str], ...] = ()
     #: Deployment region the OEM registers the vehicle under (empty =
     #: undeclared); a FleetSelector/wave-scheduling sharding attribute.
     region: str = ""
@@ -94,6 +105,17 @@ class VehicleSpec:
 
     def all_placements(self) -> list[PluginSwcPlacement]:
         return [self.ecm] + list(self.plugin_swcs)
+
+    def description(self) -> tuple:
+        """Everything :meth:`validate` and :meth:`describe_for_server`
+        read, as one hashable value: the model, ECUs, ECM, plug-in
+        SW-Cs, legacy components and connectors.  The VIN only appears
+        in error messages; region and fidelity are not read.  Vehicles
+        whose descriptions are equal are judged and described alike."""
+        return (
+            self.model, tuple(self.ecus), self.ecm, tuple(self.plugin_swcs),
+            tuple(self.legacy), tuple(self.connectors),
+        )
 
     def validate(self) -> "VehicleSpec":
         """Check that the spec describes a buildable vehicle; returns self.
@@ -385,7 +407,7 @@ def build_vehicle(
             legacy.instance_name, legacy.ctype, legacy.ecu_name,
             priority=legacy.priority,
         )
-    for connector in spec.wiring() + spec.connectors:
+    for connector in (*spec.wiring(), *spec.connectors):
         desc.connect(*connector)
 
     system = build_system(desc, sim=sim, tracer=tracer)

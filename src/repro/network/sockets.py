@@ -25,7 +25,7 @@ from repro.errors import (
 )
 from repro.network.channel import ChannelProfile, DuplexLink, WIRED
 from repro.sim.kernel import Simulator
-from repro.sim.random import StreamFactory
+from repro.sim.random import SeededStream, StreamFactory
 from repro.telemetry.bus import TelemetryBus
 
 
@@ -111,7 +111,6 @@ class NetworkFabric:
         self.tracer = tracer
         self.default_profile = default_profile
         self._listeners: dict[str, _Listener] = {}
-        self._connections: list[DuplexLink] = []
         #: Dials per client name: link (and RNG stream) names carry the
         #: per-client attempt index, NOT the global connection count —
         #: so one vehicle's jitter draws never depend on how many other
@@ -169,15 +168,17 @@ class NetworkFabric:
         dial = self._dials.get(client_name, 0)
         self._dials[client_name] = dial + 1
         link_name = f"{client_name}->{address}#{dial}"
+        # Each link name is unique, so its streams are made here and
+        # die with the link instead of living in the factory's cache.
+        root_seed = self.streams.root_seed
         link = DuplexLink(
             self.sim,
             chosen,
             link_name,
-            rng_a=self.streams.stream(f"{link_name}:a"),
-            rng_b=self.streams.stream(f"{link_name}:b"),
+            rng_a=SeededStream(root_seed, f"{link_name}:a"),
+            rng_b=SeededStream(root_seed, f"{link_name}:b"),
             tracer=self.tracer,
         )
-        self._connections.append(link)
         client_end = Endpoint(f"{link_name}:client", link.a_to_b, link.b_to_a)
         server_end = Endpoint(f"{link_name}:server", link.b_to_a, link.a_to_b)
         # Model connection establishment as one round trip before either
@@ -193,8 +194,8 @@ class NetworkFabric:
 
     @property
     def connection_count(self) -> int:
-        """Total connections ever established on this fabric."""
-        return len(self._connections)
+        """Total connections ever dialled on this fabric."""
+        return sum(self._dials.values())
 
 
 __all__ = ["Endpoint", "NetworkFabric"]

@@ -260,14 +260,14 @@ class TestInvalidDeclarations:
 
 def _swc_on_unknown_ecu(spec):
     swc2 = spec.plugin_swcs[0]
-    spec.plugin_swcs[0] = PluginSwcPlacement("swc2", "ECU9", swc2.spec)
+    spec.plugin_swcs = (PluginSwcPlacement("swc2", "ECU9", swc2.spec),)
     return "unknown ECU 'ECU9'"
 
 
 def _missing_back_relay(spec):
     swc2 = spec.plugin_swcs[0]
-    spec.plugin_swcs[0] = PluginSwcPlacement(
-        "swc2", "ECU2", replace(swc2.spec, relays=[])
+    spec.plugin_swcs = (
+        PluginSwcPlacement("swc2", "ECU2", replace(swc2.spec, relays=())),
     )
     return "lacks the back-relay toward 'swc1'"
 
@@ -280,27 +280,33 @@ def _ecm_with_mgmt(spec):
 
 
 def _duplicate_instance(spec):
-    spec.legacy.append(LegacyComponent("swc2", make_sink_type(), "ECU1"))
+    spec.legacy = (
+        *spec.legacy, LegacyComponent("swc2", make_sink_type(), "ECU1"),
+    )
     return "duplicate component instance 'swc2'"
 
 
+def _add_connector(spec, connector):
+    spec.connectors = (*spec.connectors, connector)
+
+
 def _connector_to_ghost(spec):
-    spec.connectors.append(("ghost", "out", "actuators", "wheels_in"))
+    _add_connector(spec, ("ghost", "out", "actuators", "wheels_in"))
     return "unknown component instance 'ghost'"
 
 
 def _connector_to_missing_port(spec):
-    spec.connectors.append(("swc2", "nope", "actuators", "wheels_in"))
+    _add_connector(spec, ("swc2", "nope", "actuators", "wheels_in"))
     return "component instance 'swc2' has no port 'nope'"
 
 
 def _connector_into_provided_port(spec):
-    spec.connectors.append(("swc2", "wheels_req", "actuators", "speed_out"))
+    _add_connector(spec, ("swc2", "wheels_req", "actuators", "speed_out"))
     return "must run provided -> required"
 
 
 def _second_writer(spec):
-    spec.connectors.append(("swc2", "speed_req", "actuators", "wheels_in"))
+    _add_connector(spec, ("swc2", "speed_req", "actuators", "wheels_in"))
     return (
         r"port actuators\.wheels_in has multiple writers "
         r"\(swc2\.wheels_req and swc2\.speed_req\)"
@@ -308,24 +314,26 @@ def _second_writer(spec):
 
 
 def _writer_into_derived_pair(spec):
-    spec.connectors.append(("swc2", "speed_req", "swc2", "mgmt_in"))
+    _add_connector(spec, ("swc2", "speed_req", "swc2", "mgmt_in"))
     return r"port swc2\.mgmt_in has multiple writers \(swc1\.mgmt_swc2_out"
 
 
 def _incompatible_interfaces(spec):
-    wheels = spec.connectors.index(
-        ("swc2", "wheels_req", "actuators", "wheels_in")
-    )
-    spec.connectors[wheels] = ("swc2", "mgmt_out", "actuators", "wheels_in")
+    connectors = list(spec.connectors)
+    wheels = connectors.index(("swc2", "wheels_req", "actuators", "wheels_in"))
+    connectors[wheels] = ("swc2", "mgmt_out", "actuators", "wheels_in")
+    spec.connectors = tuple(connectors)
     return r"incompatible interfaces \(PluginMgmtIf vs MotionIf\)"
 
 
 def _duplicate_virtual_port(spec):
     swc2 = spec.plugin_swcs[0]
     extra = ServicePort("V4", "wheels_req2", "out", INT16)
-    spec.plugin_swcs[0] = PluginSwcPlacement(
-        "swc2", "ECU2",
-        replace(swc2.spec, services=[*swc2.spec.services, extra]),
+    spec.plugin_swcs = (
+        PluginSwcPlacement(
+            "swc2", "ECU2",
+            replace(swc2.spec, services=(*swc2.spec.services, extra)),
+        ),
     )
     return "duplicate virtual port 'V4'"
 

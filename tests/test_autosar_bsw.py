@@ -4,7 +4,6 @@ import pytest
 
 from repro.autosar.bsw import (
     ComStack,
-    MemoryManager,
     MemoryPool,
     Reassembler,
     SignalConfig,
@@ -66,16 +65,6 @@ class TestMemoryPool:
     def test_negative_size_rejected(self):
         with pytest.raises(MemoryPoolError):
             MemoryPool("p", 64, 4).allocate(-1)
-
-    def test_manager(self):
-        manager = MemoryManager()
-        manager.create_pool("app", 64, 8)
-        assert manager.pool("app").capacity_bytes == 512
-        assert manager.total_capacity() == 512
-        with pytest.raises(MemoryPoolError):
-            manager.create_pool("app", 64, 8)
-        with pytest.raises(MemoryPoolError):
-            manager.pool("missing")
 
 
 class TestTp:

@@ -33,8 +33,8 @@ class TestVehicleSpecValidation:
     def test_plugin_swc_on_unknown_ecu_rejected(self):
         spec = self._base_spec()
         bad = spec.plugin_swcs[0]
-        spec.plugin_swcs[0] = PluginSwcPlacement(
-            bad.instance_name, "ECU9", bad.spec
+        spec.plugin_swcs = (
+            PluginSwcPlacement(bad.instance_name, "ECU9", bad.spec),
         )
         with pytest.raises(ConfigurationError):
             build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
@@ -50,7 +50,7 @@ class TestVehicleSpecValidation:
     def test_plugin_swc_without_mgmt_rejected(self):
         spec = self._base_spec()
         no_mgmt = PluginSwcSpec("NoMgmt", has_mgmt=False)
-        spec.plugin_swcs[0] = PluginSwcPlacement("swc2", "ECU2", no_mgmt)
+        spec.plugin_swcs = (PluginSwcPlacement("swc2", "ECU2", no_mgmt),)
         with pytest.raises(ConfigurationError):
             build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
@@ -62,7 +62,9 @@ class TestVehicleSpecValidation:
             "Lonely",
             relays=[RelayLink(peer="ghost", out_virtual="V0", in_virtual="V1")],
         )
-        spec.plugin_swcs.append(PluginSwcPlacement("swc3", "ECU2", lonely))
+        spec.plugin_swcs = (
+            *spec.plugin_swcs, PluginSwcPlacement("swc3", "ECU2", lonely),
+        )
         with pytest.raises(ConfigurationError):
             build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
@@ -91,7 +93,7 @@ class TestVehicleSpecValidation:
             (c.from_instance, c.from_port, c.to_instance, c.to_port)
             for c in desc.connectors
         ]
-        assert connectors == spec.wiring() + spec.connectors
+        assert connectors == [*spec.wiring(), *spec.connectors]
 
     def test_describe_for_server_covers_all_swcs(self):
         spec = self._base_spec()

@@ -1,5 +1,8 @@
 """Unit tests for simulated channels and the socket fabric."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import (
@@ -226,3 +229,24 @@ class TestNetworkFabric:
         assert clients[0].closed
         with pytest.raises(ChannelClosedError):
             clients[0].send("x")
+
+    def test_closed_connection_becomes_garbage(self):
+        # The fabric counts dials but keeps no link, and a link's RNG
+        # streams die with it: a vehicle redialling after faults leaves
+        # nothing of its dead connections behind.
+        sim, fabric = self._fabric()
+        fabric.listen("srv:1", lambda ep, who: None)
+        refs = []
+        for __ in range(3):
+            clients = []
+            fabric.connect("srv:1", "veh", clients.append)
+            sim.run()
+            channel = clients[0]._tx
+            channel.send("x")
+            sim.run()
+            refs += [weakref.ref(channel), weakref.ref(channel.rng)]
+            clients[0].close()
+        del clients, channel
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert fabric.connection_count == 3

@@ -6,16 +6,22 @@
 is its oracle: over random fleets, whose install histories make the
 used port ids overlap and collide, every memoized package must equal a
 fresh derivation.  The campaign test checks the sharing itself.
+
+The vehicle descriptions these packages are derived for are shared the
+same way: the tests at the end check that a fleet build judges and
+describes each distinct description once.
 """
 
 from collections import defaultdict
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PercentageWaves
 from repro.core.virtual_ports import VirtualPortKind
+from repro.errors import ConfigurationError
 from repro.fes import canary_campaign
 from repro.fes.example_platform import (
     PHONE_ADDRESS,
@@ -23,6 +29,7 @@ from repro.fes.example_platform import (
     make_remote_control_app,
 )
 from repro.fes.fleet import build_fleet
+from repro.fes.vehicle import VehicleSpec
 from repro.server import contextgen
 from repro.server.contextgen import PackagePlans, generate_packages, plan_key
 from repro.server.models import (
@@ -281,11 +288,11 @@ def _two_variant_spec(vin: str):
     """The example car; every odd VIN has its plug-in SW-C on ECU3."""
     spec = make_example_vehicle_spec(vin)
     if _variant(vin):
-        spec.ecus = ["ECU1", "ECU3"]
-        spec.plugin_swcs = [
+        spec.ecus = ("ECU1", "ECU3")
+        spec.plugin_swcs = tuple(
             replace(p, ecu_name="ECU3") for p in spec.plugin_swcs
-        ]
-        spec.legacy = [replace(c, ecu_name="ECU3") for c in spec.legacy]
+        )
+        spec.legacy = tuple(replace(c, ecu_name="ECU3") for c in spec.legacy)
     return spec
 
 
@@ -317,3 +324,62 @@ def test_campaign_ships_each_package_once(monkeypatch):
     assert sorted(len(packages) for packages in shipped.values()) == [25] * 4
     for packages in shipped.values():
         assert all(package is packages[0] for package in packages)
+
+
+# -- a fleet judges and describes each distinct description once --------------
+
+
+def test_each_distinct_description_is_validated_once(monkeypatch):
+    validated = []
+    validate = VehicleSpec.validate
+
+    def counting(spec):
+        validated.append(spec.vin)
+        return validate(spec)
+
+    monkeypatch.setattr(VehicleSpec, "validate", counting)
+    build_fleet(20, spec_factory=_two_variant_spec, full_vehicles=0)
+    assert validated == ["VIN-0000", "VIN-0001"]
+
+
+def test_vehicles_of_one_description_share_its_server_confs():
+    fleet = build_fleet(6, spec_factory=_two_variant_spec, full_vehicles=0)
+    confs = [fleet.server.db.vehicle(vin).conf for vin in fleet.vins]
+    for index, conf in enumerate(confs):
+        first = confs[index % 2]
+        assert conf.hw is first.hw
+        assert conf.system_sw is first.system_sw
+    assert confs[0].hw != confs[1].hw
+    # The VehicleConf, with its installed-APP records, stays per vehicle.
+    assert len({id(conf) for conf in confs}) == len(confs)
+
+
+@pytest.mark.parametrize("full_vehicles", [0, None], ids=["stat", "full"])
+def test_first_invalid_vin_is_named(full_vehicles):
+    # Three descriptions: even VINs, VIN-0001, and the odd VINs from
+    # VIN-0003 on, which are broken.  VIN-0003 is the first spec of the
+    # broken one, so it is the first invalid spec in declaration order.
+    def factory(vin):
+        spec = _two_variant_spec(vin)
+        if _variant(vin) and vin >= "VIN-0003":
+            spec.connectors = (
+                *spec.connectors, ("ghost", "out", "actuators", "wheels_in"),
+            )
+        return spec
+
+    with pytest.raises(
+        ConfigurationError,
+        match="^vehicle VIN-0003: unknown component instance 'ghost'$",
+    ):
+        build_fleet(8, spec_factory=factory, full_vehicles=full_vehicles)
+
+
+def test_reassigning_a_field_changes_one_example_car_only():
+    first = make_example_vehicle_spec("VIN-A")
+    first.connectors = ()
+    first.ecus = ("ECU1",)
+    second = make_example_vehicle_spec("VIN-B")
+    assert second.ecus == ("ECU1", "ECU2")
+    assert len(second.connectors) == 3
+    assert second.description() != first.description()
+    assert second.description() == make_example_vehicle_spec().description()

@@ -5,7 +5,7 @@ import pytest
 from repro.autosar import INT16, SystemDescription, build_system
 from repro.core import PluginSwcSpec, PortGuard, ServicePort, get_pirte
 from repro.core.plugin_swc import make_plugin_swc_type
-from repro.core.virtual_ports import VirtualPortKind, VirtualPortSpec
+from repro.core.virtual_ports import GuardState, VirtualPortKind, VirtualPortSpec
 from repro.errors import ConfigurationError, ContextError
 from repro.sim import MS
 from repro.telemetry import TelemetryBus
@@ -14,31 +14,31 @@ from tests.helpers import FORWARD_SOURCE, link_virtual, make_install
 
 class TestPortGuardUnit:
     def test_range_enforced(self):
-        guard = PortGuard(min_value=0, max_value=100)
-        assert guard.check(50, now=0)
-        assert not guard.check(-1, now=1)
-        assert not guard.check(101, now=2)
-        assert guard.range_violations == 2
+        state = GuardState(PortGuard(min_value=0, max_value=100))
+        assert state.check(50, now=0)
+        assert not state.check(-1, now=1)
+        assert not state.check(101, now=2)
+        assert state.range_violations == 2
 
     def test_rate_enforced(self):
-        guard = PortGuard(min_interval_us=1000)
-        assert guard.check(1, now=0)
-        assert not guard.check(2, now=500)
-        assert guard.check(3, now=1100)
-        assert guard.rate_violations == 1
+        state = GuardState(PortGuard(min_interval_us=1000))
+        assert state.check(1, now=0)
+        assert not state.check(2, now=500)
+        assert state.check(3, now=1100)
+        assert state.rate_violations == 1
 
     def test_rejected_write_does_not_reset_rate_window(self):
-        guard = PortGuard(min_interval_us=1000)
-        assert guard.check(1, now=0)
-        assert not guard.check(2, now=900)
-        assert guard.check(3, now=1000)
+        state = GuardState(PortGuard(min_interval_us=1000))
+        assert state.check(1, now=0)
+        assert not state.check(2, now=900)
+        assert state.check(3, now=1000)
 
     def test_violations_total(self):
-        guard = PortGuard(min_value=0, min_interval_us=10)
-        guard.check(5, 0)
-        guard.check(-1, 1)
-        guard.check(5, 2)
-        assert guard.violations == 2
+        state = GuardState(PortGuard(min_value=0, min_interval_us=10))
+        state.check(5, 0)
+        state.check(-1, 1)
+        state.check(5, 2)
+        assert state.violations == 2
 
     def test_guard_only_on_service_out(self):
         with pytest.raises(ContextError):
@@ -93,7 +93,7 @@ class TestGuardedRouting:
         got = [v for __, v in system.instance("sink").state.get("got", [])]
         assert got == [42]
         assert pirte.guard_rejections == 1
-        assert guard.range_violations == 1
+        assert pirte.guards["VOUT"].range_violations == 1
 
     def test_rate_limit_blocks_flooding(self):
         guard = PortGuard(min_interval_us=50 * MS)
@@ -104,7 +104,21 @@ class TestGuardedRouting:
         system.sim.run_for(20 * MS)
         got = [v for __, v in system.instance("sink").state.get("got", [])]
         assert got == [0]  # only the first write within the window
-        assert guard.rate_violations == 9
+        assert pirte.guards["VOUT"].rate_violations == 9
+
+    def test_pirtes_sharing_a_guard_rate_limit_independently(self):
+        # One declared guard is a policy; two systems built from it
+        # (two vehicles of one model) each keep their own window.
+        guard = PortGuard(min_interval_us=50 * MS)
+        system_a, pirte_a = build_guarded_host(guard)
+        system_b, pirte_b = build_guarded_host(guard)
+        pirte_a.plugin_write(pirte_a.plugin("fwd"), 1, 1)
+        pirte_b.plugin_write(pirte_b.plugin("fwd"), 1, 2)
+        for system in (system_a, system_b):
+            system.sim.run_for(20 * MS)
+        assert pirte_a.guard_rejections == pirte_b.guard_rejections == 0
+        got_b = [v for __, v in system_b.instance("sink").state["got"]]
+        assert got_b == [2]
 
     def test_guard_rejections_traced(self):
         guard = PortGuard(max_value=10)

@@ -4,10 +4,12 @@ The statistical vehicle model (:mod:`repro.fes.statistical`) lets one
 campaign span fleet sizes the full ECU/VM simulation cannot reach.
 These tests pin its contract: protocol compatibility with the trusted
 server, byte-identical replay per seed on mixed fleets, soak-gate
-telemetry, the failure-rate knobs feeding the campaign health gate, and
-a 10,000-vehicle campaign inside a wall-clock ceiling.
+telemetry, the failure-rate knobs feeding the campaign health gate, a
+10,000-vehicle campaign inside a wall-clock ceiling, and a budget of
+GC-tracked objects per statistical vehicle.
 """
 
+import gc
 import time
 from dataclasses import replace
 
@@ -43,7 +45,7 @@ def mixed_fleet(size, full, seed=3, model=None):
 
 
 class TestStatisticalVehicle:
-    def _standalone(self, model=None):
+    def _standalone(self, model=StatisticalModel()):
         sim = Simulator()
         fabric = NetworkFabric(sim)
         inbox = []
@@ -209,6 +211,20 @@ class TestMixedFleetCampaigns:
         for wave in report.waves:
             assert wave.soak_samples > 0
             assert not wave.soak_breaches
+
+
+class TestPerVehicleCost:
+    def test_statistical_vehicle_object_budget(self):
+        # A statistical car owns its identity and per-vehicle state; its
+        # description, server confs and response model are shared.
+        # Counted, not timed: every object here is walked by each
+        # generation-2 collection of a campaign.
+        gc.collect()
+        before = len(gc.get_objects())
+        fleet = build_fleet(1_000, full_vehicles=0)
+        gc.collect()
+        per_vehicle = (len(gc.get_objects()) - before) / len(fleet.vins)
+        assert per_vehicle <= 16, f"{per_vehicle:.1f} objects per vehicle"
 
 
 class TestMixedFleetReplay:
