@@ -27,10 +27,15 @@ machine-checked:
    (f-strings included, since their fields are expressions).  Dunder
    methods are called by Python itself and are not checked.  A def
    that only its own body names still counts as read.
+5. **No unread attributes** — every ``self.<name> = ...`` assignment
+   under ``src/repro`` stores a value something reads: ``<name>`` is
+   read in one of those six directories as an attribute, a name, a
+   keyword argument or an identifier string constant (``getattr``).
+   A counter or time stamp that is only ever written is dead state.
 
 Violations are keyed ``relpath::scope::rule`` (scope = enclosing
-function qualname; for rule 4, the definition's own qualname), so
-entries survive line drift.  Existing,
+function qualname; for rule 4, the definition's own qualname; for
+rule 5, ``Class.attribute``), so entries survive line drift.  Existing,
 reviewed-and-accepted occurrences live in ``scripts/lint_allowlist.txt``;
 anything not listed there fails the build.  So does a stale allowlist
 entry, so the list shrinks as code is cleaned up.
@@ -76,9 +81,10 @@ RULE_WALL_CLOCK = "wall-clock"
 RULE_SIM_ACCESS = "sim-access"
 RULE_UNUSED_IMPORT = "unused-import"
 RULE_UNREFERENCED_DEF = "unreferenced-def"
+RULE_UNREAD_ATTRIBUTE = "unread-attribute"
 
 #: Directories the unused-import rule checks and the unreferenced-def
-#: rule reads names in.
+#: and unread-attribute rules read names in.
 IMPORT_SCAN_DIRS = (
     "src", "tests", "benchmarks", "bench", "examples", "scripts",
 )
@@ -249,13 +255,19 @@ def unused_imports(path: Path) -> list[tuple[str, str, int, str]]:
 
 
 class DefsAndReads(ast.NodeVisitor):
-    """Collects the functions and classes one module defines and every
-    name it reads as a name, an attribute or a keyword argument."""
+    """Collects the functions and classes one module defines, the
+    ``self`` attributes its classes assign, every name it reads as a
+    name, an attribute or a keyword argument, and its identifier string
+    constants."""
 
     def __init__(self) -> None:
         self.scope: list[str] = []
+        self.classes: list[str] = []  # qualnames of the enclosing classes
         self.defs: list[tuple[str, str, int]] = []  # qualname, name, line
+        # Class.attribute, attribute, line
+        self.assigned: list[tuple[str, str, int]] = []
         self.read: set[str] = set()
+        self.strings: set[str] = set()
 
     def _define(self, node) -> None:
         self.scope.append(node.name)
@@ -265,7 +277,40 @@ class DefsAndReads(ast.NodeVisitor):
 
     visit_FunctionDef = _define
     visit_AsyncFunctionDef = _define
-    visit_ClassDef = _define
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.classes.append(".".join([*self.scope, node.name]))
+        self._define(node)
+        self.classes.pop()
+
+    def _assign(self, target: ast.AST) -> None:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                self._assign(element)
+        elif (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+            and self.classes
+        ):
+            self.assigned.append(
+                (f"{self.classes[-1]}.{target.attr}", target.attr,
+                 target.lineno)
+            )
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._assign(target)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if node.value is not None:
+            self._assign(node.target)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node: ast.Constant) -> None:
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self.strings.add(node.value)
 
     def visit_Name(self, node: ast.Name) -> None:
         if not isinstance(node.ctx, ast.Store):
@@ -282,28 +327,59 @@ class DefsAndReads(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _scan(
+    defining: list[Path], reading: list[Path]
+) -> tuple[set[str], set[str], dict[Path, DefsAndReads]]:
+    """The names and identifier strings every file of ``reading``
+    reads, and the visitor of each file of ``defining``."""
+    read: set[str] = set()
+    strings: set[str] = set()
+    visitors: dict[Path, DefsAndReads] = {}
+    for path in dict.fromkeys(reading + defining):
+        visitor = DefsAndReads()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        read |= visitor.read
+        strings |= visitor.strings
+        if path in defining:
+            visitors[path] = visitor
+    return read, strings, visitors
+
+
 def unreferenced_defs(
     defining: list[Path], reading: list[Path]
 ) -> dict[Path, list[tuple[str, str, int, str]]]:
     """Per file of ``defining``, the non-dunder functions, methods and
     classes whose name no file of ``reading`` reads."""
-    read: set[str] = set()
-    defs: dict[Path, list[tuple[str, str, int]]] = {}
-    for path in dict.fromkeys(reading + defining):
-        visitor = DefsAndReads()
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
-        read |= visitor.read
-        if path in defining:
-            defs[path] = visitor.defs
+    read, __, visitors = _scan(defining, reading)
     return {
         path: [
             (qualname, RULE_UNREFERENCED_DEF, lineno, name)
-            for qualname, name, lineno in found
+            for qualname, name, lineno in visitor.defs
             if name not in read
             and not (name.startswith("__") and name.endswith("__"))
         ]
-        for path, found in defs.items()
+        for path, visitor in visitors.items()
     }
+
+
+def unread_attributes(
+    defining: list[Path], reading: list[Path]
+) -> dict[Path, list[tuple[str, str, int, str]]]:
+    """Per file of ``defining``, the ``self`` attributes its classes
+    assign that no file of ``reading`` reads as a name, an attribute, a
+    keyword argument or an identifier string; each attribute once, at
+    its first assignment."""
+    read, strings, visitors = _scan(defining, reading)
+    found: dict[Path, list[tuple[str, str, int, str]]] = {}
+    for path, visitor in visitors.items():
+        seen: set[str] = set()
+        found[path] = []
+        for owner, name, lineno in visitor.assigned:
+            if name in read or name in strings or owner in seen:
+                continue
+            seen.add(owner)
+            found[path].append((owner, RULE_UNREAD_ATTRIBUTE, lineno, name))
+    return found
 
 
 def lint_file(path: Path) -> list[tuple[str, str, int, str]]:
@@ -340,9 +416,11 @@ def main() -> int:
         for path in sorted((ROOT / directory).rglob("*.py"))
     ]
     unreferenced = unreferenced_defs(sources, scanned)
+    unread = unread_attributes(sources, scanned)
     checks = [(path, lint_file) for path in sources]
     checks += [(path, unused_imports) for path in scanned]
     checks += [(path, unreferenced.__getitem__) for path in sources]
+    checks += [(path, unread.__getitem__) for path in sources]
     for path, check in checks:
         for scope, rule, lineno, detail in check(path):
             rel = path.relative_to(ROOT).as_posix()

@@ -44,7 +44,6 @@ class Deployment:
         self._platform = platform
         self.app_name = app_name
         self.results = results
-        self.requested_at = platform.sim.now
 
     # -- acceptance (synchronous part) ---------------------------------------
 

@@ -35,7 +35,6 @@ from repro.autosar.types import (
     BytesType,
     DataType,
     IntegerType,
-    lookup_type,
 )
 from repro.autosar.vfb import Connector
 
@@ -72,6 +71,5 @@ __all__ = [
     "BytesType",
     "DataType",
     "IntegerType",
-    "lookup_type",
     "Connector",
 ]

@@ -2,12 +2,13 @@
 
 CanIf is the lowest BSW communication layer here: it owns the ECU's
 :class:`~repro.can.controller.CanController`, maps transmit PDUs onto CAN
-frames, and dispatches received frames upward by PDU id.
+frames, and dispatches received frames upward by PDU id to the COM
+module that built it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.can.controller import CanController
 from repro.can.frame import CanFrame
@@ -17,11 +18,16 @@ from repro.errors import ComError
 class CanInterface:
     """PDU <-> CAN id mapping layer over one CAN controller."""
 
-    def __init__(self, controller: CanController) -> None:
+    def __init__(
+        self,
+        controller: CanController,
+        upper: Callable[[int, bytes], None],
+    ) -> None:
         self.controller = controller
         self._tx_map: dict[int, int] = {}
         self._rx_map: dict[int, int] = {}
-        self._upper: Optional[Callable[[int, bytes], None]] = None
+        #: RX indication: called with (pdu_id, payload) per received frame.
+        self._upper = upper
 
     def configure_tx(self, pdu_id: int, can_id: int) -> None:
         """Route transmit PDU ``pdu_id`` onto CAN identifier ``can_id``."""
@@ -36,10 +42,6 @@ class CanInterface:
         self._rx_map[can_id] = pdu_id
         self.controller.subscribe(can_id, self._on_frame)
 
-    def set_upper_layer(self, callback: Callable[[int, bytes], None]) -> None:
-        """Install the RX indication callback (COM)."""
-        self._upper = callback
-
     def transmit(self, pdu_id: int, payload: bytes) -> bool:
         """Send one PDU; returns False when the controller queue is full."""
         can_id = self._tx_map.get(pdu_id)
@@ -49,7 +51,7 @@ class CanInterface:
 
     def _on_frame(self, frame: CanFrame) -> None:
         pdu_id = self._rx_map.get(frame.can_id)
-        if pdu_id is None or self._upper is None:
+        if pdu_id is None:
             return
         self._upper(pdu_id, frame.data)
 

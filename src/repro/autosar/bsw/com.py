@@ -18,6 +18,7 @@ from typing import Any, Callable
 from repro.autosar.bsw.canif import CanInterface
 from repro.autosar.bsw.tp import Reassembler, segment
 from repro.autosar.types import DataType
+from repro.can.controller import CanController
 from repro.errors import ComError
 
 
@@ -37,12 +38,15 @@ class SignalConfig:
 
 
 class ComStack:
-    """Per-ECU COM module over the ECU's CAN interface."""
+    """Per-ECU COM module over the ECU's CAN controller.
 
-    def __init__(self, canif: CanInterface) -> None:
-        self.canif = canif
-        canif.set_upper_layer(self._on_pdu)
-        canif.controller.add_tx_confirm_hook(self._on_tx_confirm)
+    It builds the ECU's CAN interface (:attr:`canif`) with itself as
+    the receiving upper layer.
+    """
+
+    def __init__(self, controller: CanController) -> None:
+        self.canif = CanInterface(controller, self._on_pdu)
+        controller.add_tx_confirm_hook(self._on_tx_confirm)
         self._tx_signals: dict[int, SignalConfig] = {}
         self._rx_signals_by_pdu: dict[int, SignalConfig] = {}
         self._reassemblers: dict[int, Reassembler] = {}

@@ -57,7 +57,6 @@ class Reassembler:
         self._expected_len: Optional[int] = None
         self._buffer = bytearray()
         self._next_seq = 1
-        self.completed = 0
         self.aborted = 0
 
     @property
@@ -83,7 +82,6 @@ class Reassembler:
             length = segment_bytes[0] & 0x0F
             if len(segment_bytes) - 1 < length:
                 raise ComError("single frame shorter than declared length")
-            self.completed += 1
             return bytes(segment_bytes[1 : 1 + length])
         if pci == _FF:
             if self.in_progress:
@@ -120,7 +118,6 @@ class Reassembler:
         self._expected_len = None
         self._buffer = bytearray()
         self._next_seq = 1
-        self.completed += 1
         return payload
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.autosar.bsw.canif import CanInterface
 from repro.autosar.bsw.com import ComStack
 from repro.autosar.os.alarm import AlarmManager
 from repro.autosar.os.scheduler import Cpu
@@ -42,8 +41,8 @@ class Ecu:
         self.alarms = AlarmManager(sim)
         self.controller = CanController(f"{name}.can")
         bus.attach(self.controller)
-        self.canif = CanInterface(self.controller)
-        self.com = ComStack(self.canif)
+        self.com = ComStack(self.controller)
+        self.canif = self.com.canif
         self.rte = Rte(name, sim, self.com.send_signal, tracer)
         self.instances: dict[str, ComponentInstance] = {}
         self.tasks: dict[str, Task] = {}

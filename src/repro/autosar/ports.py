@@ -116,7 +116,6 @@ class PortInstance:
             for element in prototype.interface.elements:
                 self._buffers[element.name] = _ElementBuffer(element)
         self.writes = 0
-        self.reads = 0
         self.overflows = 0
 
     @property
@@ -149,12 +148,10 @@ class PortInstance:
 
     def read_latest(self, element: str) -> Any:
         """Application-side last-is-best read."""
-        self.reads += 1
         return self.buffer(element).get_latest()
 
     def receive(self, element: str) -> Any:
         """Application-side queued receive."""
-        self.reads += 1
         return self.buffer(element).receive()
 
     def pending(self, element: str) -> int:

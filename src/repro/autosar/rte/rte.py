@@ -57,8 +57,6 @@ class Rte:
             tuple[str, str, str], list[Callable[[], None]]
         ] = {}
         self.writes = 0
-        self.local_deliveries = 0
-        self.com_transmissions = 0
 
     # -- wiring (generator-facing) ---------------------------------------
 
@@ -124,7 +122,6 @@ class Rte:
             if isinstance(route, LocalRoute):
                 self.deliver_local(route.to_instance, route.to_port, element, value)
             elif isinstance(route, ComRoute):
-                self.com_transmissions += 1
                 self._com_send(route.signal_id, value)
             else:  # pragma: no cover - defensive
                 raise RteError(f"unknown route type {route!r}")
@@ -147,7 +144,6 @@ class Rte:
                     dst=f"{to_instance}.{to_port}.{element}",
                 )
             return
-        self.local_deliveries += 1
         if self.tracer is not None:
             self.tracer.publish(
                 "rte", "deliver", self.sim.now, ecu=self.ecu_name,

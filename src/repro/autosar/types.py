@@ -39,10 +39,6 @@ class DataType:
         """Whether the wire representation has a constant byte length."""
         return True
 
-    def byte_length(self) -> int:
-        """Wire length in bytes (fixed-size types only)."""
-        raise NotImplementedError
-
     def initial_value(self) -> Any:
         """Default value used to initialise receiver buffers."""
         raise NotImplementedError
@@ -92,9 +88,6 @@ class IntegerType(DataType):
             )
         return int.from_bytes(data, "little", signed=self.signed)
 
-    def byte_length(self) -> int:
-        return self.bits // 8
-
     def initial_value(self) -> int:
         return 0
 
@@ -117,9 +110,6 @@ class BooleanType(DataType):
         if len(data) != 1:
             raise ValueError(f"boolean expects 1 byte, got {len(data)}")
         return data != b"\x00"
-
-    def byte_length(self) -> int:
-        return 1
 
     def initial_value(self) -> bool:
         return False
@@ -160,9 +150,6 @@ class BytesType(DataType):
     def fixed_size(self) -> bool:
         return False
 
-    def byte_length(self) -> int:
-        raise ConfigurationError(f"{self.name} has no fixed byte length")
-
     def initial_value(self) -> bytes:
         return b""
 
@@ -175,20 +162,6 @@ INT16 = IntegerType("sint16", 16, signed=True)
 INT32 = IntegerType("sint32", 32, signed=True)
 BOOL = BooleanType()
 BYTES = BytesType()
-
-#: Registry used by the configuration serializer to name types.
-STANDARD_TYPES: dict[str, DataType] = {
-    t.name: t
-    for t in (UINT8, UINT16, UINT32, INT8, INT16, INT32, BOOL, BYTES)
-}
-
-
-def lookup_type(name: str) -> DataType:
-    """Resolve a standard type by name (used by the config loader)."""
-    try:
-        return STANDARD_TYPES[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown data type {name!r}") from None
 
 
 __all__ = [
@@ -204,6 +177,4 @@ __all__ = [
     "INT32",
     "BOOL",
     "BYTES",
-    "STANDARD_TYPES",
-    "lookup_type",
 ]

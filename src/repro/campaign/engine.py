@@ -4,10 +4,18 @@ A :class:`CampaignEngine` drives one :class:`~repro.campaign.spec.CampaignSpec`
 against one :class:`~repro.api.platform.Platform`.  It never busy-waits:
 wave dispatch, health-gate evaluation, promotion, retries, and rollback
 all run as callbacks on the shared simulator, triggered either by the
-control plane's installation events (see
-:meth:`~repro.server.services.deployments.DeploymentService.add_listener`)
-or by scheduled wave/rollback timeout timers.  ``run()`` simply steps
-the kernel until the campaign reaches a terminal status.
+control plane's installation events (the ``deploy`` category of the
+API's :class:`~repro.telemetry.bus.TelemetryBus`, which
+:class:`~repro.server.services.deployments.DeploymentService`
+publishes) or by scheduled wave/rollback timeout timers.  ``run()``
+simply steps the kernel until the campaign reaches a terminal status.
+
+The engine sees the fleet only through what the control plane already
+records: installation state as ``deploy`` events, vehicle health as
+:class:`~repro.core.messages.DiagMessage` reports (the soak baseline
+sums each vehicle's ``diagnostic_reports()``; the soak window reads the
+relayed ``diag`` events).  Both vehicle fidelities answer those calls
+alike.
 
 Every engine belongs to a campaign registered with the server's
 :class:`~repro.server.services.campaigns.CampaignService` (see
@@ -46,7 +54,7 @@ from repro.campaign.report import (
     Disposition,
     WaveReport,
 )
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CANARY_SOAK_US, RETRY_BACKOFF_US, CampaignSpec
 from repro.errors import ConfigurationError
 from repro.server.models import InstallStatus
 from repro.server.services.envelope import ErrorCode
@@ -54,8 +62,8 @@ from repro.server.services.campaigns import (
     PHASE_ROLLING_BACK,
     CampaignService,
 )
-from repro.server.services.deployments import ServerEvent
 from repro.sim.kernel import SECOND, EventHandle, format_time
+from repro.telemetry.bus import TelemetryEvent
 from repro.telemetry.soak import SoakMonitor, VehicleBaseline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -118,8 +126,8 @@ class CampaignEngine:
     def _check_orphaned(self) -> bool:
         """Retire quietly if a server restart replaced the control plane.
 
-        The engine's claims, listener registration, and record ownership
-        all lived in the pre-restart services; acting on the rebuilt
+        The engine's claims, bus tap, and record ownership all lived
+        in the pre-restart services; acting on the rebuilt
         ones (abandoning records a resumed run re-created, overwriting
         the record's post-restart status) would corrupt the successor's
         state.  An orphaned engine stops without touching the database.
@@ -129,8 +137,7 @@ class CampaignEngine:
         if not self.done:
             self.done = True
             self._disarm_timer()
-            self._api.deployments.remove_listener(self._on_server_event)
-            self._bus.unsubscribe(self._on_telemetry)
+            self._bus.unsubscribe(self._on_event)
             self._soak_monitor = None
             self.report.status = "orphaned"
             self._log("campaign_orphaned", detail="server restarted")
@@ -208,7 +215,6 @@ class CampaignEngine:
                 "baseline_captured",
                 detail=f"{len(self._baseline)} vehicles",
             )
-            self._bus.subscribe(self._on_telemetry, categories=("diag",))
         self.report.waves = [
             WaveReport(
                 index=index,
@@ -217,7 +223,11 @@ class CampaignEngine:
             )
             for index, wave in enumerate(waves)
         ]
-        self._deployments.add_listener(self._on_server_event)
+        # After the injector's tap, so it reacts to an install first.
+        self._bus.subscribe(
+            self._on_event,
+            ("deploy", "diag") if self.spec.soak is not None else ("deploy",),
+        )
         self.service.on_started(self.campaign_id, self._sim.now)
         if not waves:
             self._finish(SUCCEEDED)
@@ -317,19 +327,25 @@ class CampaignEngine:
 
     # -- event handling --------------------------------------------------------
 
-    def _on_server_event(self, event: ServerEvent) -> None:
+    def _on_event(self, event: TelemetryEvent) -> None:
+        """Bus tap: installation events drive the rollout, diag
+        reports feed the open soak window."""
+        if event.category == "diag":
+            self._on_diag(event)
+            return
         if self.done or self._check_orphaned():
             return
-        if event.app_name != self.spec.app_name:
+        # Events without an app (``malformed_upstream``) are not ours.
+        if event.data.get("app") != self.spec.app_name:
             return
-        if event.kind == "install_resolved":
-            self._on_install_resolved(event.vin, event.status)
-        elif event.kind in ("uninstall_done", "uninstall_failed"):
-            self._on_uninstall_event(event.vin, event.kind)
+        if event.name == "install_resolved":
+            self._on_install_resolved(
+                event.vin, InstallStatus(event.data["status"])
+            )
+        elif event.name in ("uninstall_done", "uninstall_failed"):
+            self._on_uninstall_event(event.vin, event.name)
 
-    def _on_install_resolved(
-        self, vin: str, status: Optional[InstallStatus]
-    ) -> None:
+    def _on_install_resolved(self, vin: str, status: InstallStatus) -> None:
         if vin not in self._pending:
             return
         wave = self.report.waves[self._wave_index]
@@ -372,9 +388,10 @@ class CampaignEngine:
         """Consume one retry for ``vin``; True when a retry was arranged.
 
         The retry is not pushed immediately: it settles for
-        ``retry_backoff_us`` first, so the remaining NACKs of the failed
-        attempt land on the already-FAILED record (no status transition,
-        no event) instead of being mistaken for the retry's outcome.
+        :data:`~repro.campaign.spec.RETRY_BACKOFF_US` first, so the
+        remaining NACKs of the failed attempt land on the already-FAILED
+        record (no status transition, no event) instead of being
+        mistaken for the retry's outcome.
         """
         if vin in self._retry_scheduled:
             return True  # a retry is already waiting out its backoff
@@ -383,7 +400,7 @@ class CampaignEngine:
         self._attempts[vin] = self._attempts.get(vin, 0) + 1
         self._retry_scheduled.add(vin)
         self._sim.schedule(
-            self.spec.retry_backoff_us,
+            RETRY_BACKOFF_US,
             lambda: self._push_retry(vin, wave, cause),
             f"campaign:retry:{vin}",
         )
@@ -440,7 +457,7 @@ class CampaignEngine:
         wave.resolved_us = self._sim.now
         health = self.spec.health_for_wave(index, len(self.report.waves))
         wave.breaches = health.breaches(
-            wave.attempted, wave.updated, wave.failed, wave.timed_out
+            wave.attempted, wave.failed, wave.timed_out
         )
         if wave.breaches:
             self._log("gate_breached", detail="; ".join(wave.breaches))
@@ -455,7 +472,7 @@ class CampaignEngine:
             return
         self._schedule_promotion(
             index,
-            self.spec.canary_soak_us if wave.canary else self.spec.pause_us,
+            CANARY_SOAK_US if wave.canary else self.spec.pause_us,
         )
 
     def _schedule_promotion(self, index: int, pause_us: int) -> None:
@@ -472,9 +489,10 @@ class CampaignEngine:
     # -- soak gate -------------------------------------------------------------
 
     def _capture_baseline(self, targets) -> dict:
-        """Pre-update counters per target vehicle, summed over every
-        plug-in-hosting SW-C (the ECM included — apps may place plug-ins
-        there too).
+        """Pre-update counters per target vehicle, summed over the
+        diagnostic reports of every plug-in-hosting SW-C (the ECM
+        included — apps may place plug-ins there too): the record the
+        soak monitor compares against.
 
         Captured once, before wave 0 dispatches, so every wave's soak
         verdict compares against the same untouched fleet.
@@ -486,27 +504,20 @@ class CampaignEngine:
             if vehicle is None:
                 continue
             traps = activations = memory = fuel = 0
-            for placement in vehicle.spec.all_placements():
-                try:
-                    pirte = vehicle.pirte_of(placement.instance_name)
-                except ConfigurationError:
-                    # Freshly built platform: the ECU's init task (which
-                    # creates the PIRTE) is still queued on the kernel.
-                    # Nothing has run, so the true counters are zero.
-                    continue
-                memory += pirte.pool.used_blocks
-                for plugin in pirte.plugins.values():
-                    traps += plugin.vm.traps
-                    activations += plugin.vm.activations
-                    fuel += plugin.vm.total_fuel_used
+            for report in vehicle.diagnostic_reports():
+                memory += report.memory_used_blocks
+                for plugin in report.plugins:
+                    traps += plugin.traps
+                    activations += plugin.activations
+                    fuel += plugin.fuel_used
             baseline[vin] = VehicleBaseline(
                 vin=vin, traps=traps, activations=activations,
                 memory_used_blocks=memory, fuel_used=fuel,
             )
         return baseline
 
-    def _on_telemetry(self, event) -> None:
-        """Bus tap: feed incoming diag reports into the open soak window."""
+    def _on_diag(self, event: TelemetryEvent) -> None:
+        """Feed one relayed diag report into the open soak window."""
         monitor = self._soak_monitor
         if monitor is None or self.done:
             return
@@ -697,11 +708,10 @@ class CampaignEngine:
         self.report.finished_us = self._sim.now
         self._log("campaign_done", detail=status)
         self._soak_monitor = None
-        self._bus.unsubscribe(self._on_telemetry)
+        self._bus.unsubscribe(self._on_event)
         # Snapshot metrics before the service persists the report so the
         # database copy carries them too.
         self.report.metrics = self._snapshot_metrics()
-        self._deployments.remove_listener(self._on_server_event)
         if self.injector is not None:
             self.injector.detach()
         self.service.on_finished(self.campaign_id, self.report)

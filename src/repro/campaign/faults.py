@@ -7,17 +7,22 @@ declares those behaviours as rates and windows; a :class:`FaultInjector`
 realises them deterministically against one platform:
 
 * **offline windows** — the pusher connection is severed (in-flight
-  traffic reclaimed into the offline outbox) and the vehicle's ECM
-  redials after the window;
+  traffic reclaimed into the offline outbox) and the vehicle redials
+  after the window (``vehicle.redial()``, at either fidelity);
 * **drop / delay** — downstream pusher messages vanish or arrive late,
   via the pusher's push filter;
 * **install failures** — an installation package is swallowed and a
   negative acknowledgement is synthesised after one round trip, exactly
   as if the vehicle's PIRTE had rejected the package.
 
+The timings no plan varies are module constants: the delay range, the
+offline start range, the synthesised NACK's latency and the delay
+before a soak anomaly strikes.  Soak anomalies arm when a ``deploy``
+event on the control plane's bus reports an install resolved ACTIVE.
+
 All randomness flows from per-VIN :class:`~repro.sim.random.SeededStream`
-children of ``plan.seed``, so a campaign under faults replays
-identically for the same seed.
+children of ``plan.seed`` (``faults:<VIN>`` and ``faults:soak:<VIN>``),
+so a campaign under faults replays identically for the same seed.
 """
 
 from __future__ import annotations
@@ -30,10 +35,22 @@ from repro.errors import ConfigurationError, UnknownEntityError
 from repro.server.models import InstallStatus
 from repro.server.pusher import PushVerdict
 from repro.sim.kernel import MS, SECOND
-from repro.sim.random import SeededStream
+from repro.sim.random import StreamFactory
+from repro.telemetry.bus import TelemetryEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.platform import Platform
+
+#: Range a delayed downstream message is held back for.
+DELAY_MIN_US = 50 * MS
+DELAY_MAX_US = 500 * MS
+#: Range, from attach, in which an offline window starts.
+OFFLINE_AFTER_MIN_US = 0
+OFFLINE_AFTER_MAX_US = 2 * SECOND
+#: Time from a swallowed install package to its synthesised NACK.
+NACK_LATENCY_US = 150 * MS
+#: Time from an install resolving ACTIVE to its soak anomaly.
+SOAK_ANOMALY_AFTER_US = 200 * MS
 
 
 def _rate(name: str, value: float) -> float:
@@ -49,7 +66,11 @@ class FaultPlan:
     Rates are per-message (drop/delay/install failure) or per-vehicle
     (offline).  ``doomed_vins`` always fail their installs, independent
     of ``install_failure_rate`` — handy for scripting one deterministic
-    casualty in examples and tests.
+    casualty in examples and tests.  Delays are drawn from
+    [:data:`DELAY_MIN_US`, :data:`DELAY_MAX_US`] and offline windows
+    start within [:data:`OFFLINE_AFTER_MIN_US`,
+    :data:`OFFLINE_AFTER_MAX_US`] of attach.  :meth:`from_dict`
+    refuses a key that names no field.
     """
 
     seed: int = 0
@@ -62,38 +83,30 @@ class FaultPlan:
     flaky_install_failures: int = 2
     drop_rate: float = 0.0
     delay_rate: float = 0.0
-    delay_min_us: int = 50 * MS
-    delay_max_us: int = 500 * MS
     offline_rate: float = 0.0
-    offline_after_min_us: int = 0
-    offline_after_max_us: int = 2 * SECOND
     offline_duration_us: int = 5 * SECOND
-    nack_latency_us: int = 150 * MS
     #: Soak-window anomalies: vehicles that install *cleanly* but then
     #: misbehave — the failure shape only a telemetry-driven
-    #: :class:`~repro.telemetry.SoakPolicy` gate can catch.  Trap
+    #: :class:`~repro.telemetry.SoakPolicy` gate can catch.  Each strikes
+    #: :data:`SOAK_ANOMALY_AFTER_US` after the install resolves.  Trap
     #: anomalies burst ``soak_trap_count`` trapped activations on the
-    #: freshly installed plug-in ``soak_trap_after_us`` after its
-    #: install resolves; drain anomalies leak ``soak_drain_blocks``
-    #: from the hosting SW-C's memory pool.  ``*_vins`` script
-    #: deterministic casualties; ``*_rate`` dooms a seeded per-vehicle
-    #: fraction.
+    #: freshly installed plug-in; drain anomalies leak
+    #: ``soak_drain_blocks`` from the hosting SW-C's memory pool.
+    #: ``*_vins`` script deterministic casualties; ``*_rate`` dooms a
+    #: seeded per-vehicle fraction.
     soak_trap_vins: FrozenSet[str] = field(default_factory=frozenset)
     soak_trap_rate: float = 0.0
     soak_trap_count: int = 5
-    soak_trap_after_us: int = 200 * MS
     soak_drain_vins: FrozenSet[str] = field(default_factory=frozenset)
     soak_drain_rate: float = 0.0
     soak_drain_blocks: int = 8
-    soak_drain_after_us: int = 200 * MS
     #: Fuel anomalies: the freshly installed plug-in burns
-    #: ``soak_fuel_amount`` extra VM fuel ``soak_fuel_after_us`` after
-    #: its install resolves — a plug-in whose compute cost regressed
-    #: without trapping, caught only by the policy's fuel thresholds.
+    #: ``soak_fuel_amount`` extra VM fuel — a plug-in whose compute cost
+    #: regressed without trapping, caught only by the policy's fuel
+    #: thresholds.
     soak_fuel_vins: FrozenSet[str] = field(default_factory=frozenset)
     soak_fuel_rate: float = 0.0
     soak_fuel_amount: int = 100_000
-    soak_fuel_after_us: int = 200 * MS
 
     def __post_init__(self) -> None:
         _rate("install_failure_rate", self.install_failure_rate)
@@ -109,22 +122,6 @@ class FaultPlan:
             raise ConfigurationError("soak_drain_blocks must be >= 0")
         if self.soak_fuel_amount < 0:
             raise ConfigurationError("soak_fuel_amount must be >= 0")
-        if (
-            self.soak_trap_after_us < 0
-            or self.soak_drain_after_us < 0
-            or self.soak_fuel_after_us < 0
-        ):
-            raise ConfigurationError(
-                "soak anomaly delays must be >= 0"
-            )
-        if self.delay_min_us > self.delay_max_us:
-            raise ConfigurationError(
-                "delay_min_us must be <= delay_max_us"
-            )
-        if self.offline_after_min_us > self.offline_after_max_us:
-            raise ConfigurationError(
-                "offline_after_min_us must be <= offline_after_max_us"
-            )
         if self.flaky_install_failures < 0:
             raise ConfigurationError(
                 "flaky_install_failures must be >= 0"
@@ -170,25 +167,17 @@ class FaultPlan:
             "flaky_install_failures": self.flaky_install_failures,
             "drop_rate": self.drop_rate,
             "delay_rate": self.delay_rate,
-            "delay_min_us": self.delay_min_us,
-            "delay_max_us": self.delay_max_us,
             "offline_rate": self.offline_rate,
-            "offline_after_min_us": self.offline_after_min_us,
-            "offline_after_max_us": self.offline_after_max_us,
             "offline_duration_us": self.offline_duration_us,
-            "nack_latency_us": self.nack_latency_us,
             "soak_trap_vins": sorted(self.soak_trap_vins),
             "soak_trap_rate": self.soak_trap_rate,
             "soak_trap_count": self.soak_trap_count,
-            "soak_trap_after_us": self.soak_trap_after_us,
             "soak_drain_vins": sorted(self.soak_drain_vins),
             "soak_drain_rate": self.soak_drain_rate,
             "soak_drain_blocks": self.soak_drain_blocks,
-            "soak_drain_after_us": self.soak_drain_after_us,
             "soak_fuel_vins": sorted(self.soak_fuel_vins),
             "soak_fuel_rate": self.soak_fuel_rate,
             "soak_fuel_amount": self.soak_fuel_amount,
-            "soak_fuel_after_us": self.soak_fuel_after_us,
         }
 
     @classmethod
@@ -237,31 +226,16 @@ class FaultInjector:
         self.platform = platform
         self.plan = plan
         self.stats = FaultStats()
-        self._streams: dict[str, SeededStream] = {}
-        self._soak_streams: dict[str, SeededStream] = {}
+        # Soak-anomaly draws use their own path per vehicle, so they
+        # never perturb the drop/delay/install draws of that vehicle.
+        self._streams = StreamFactory(plan.seed)
         self._flaky_used: dict[str, int] = {}
         self._anomalies_armed: set[str] = set()
         # Live allocations modelling a resource leak; held so the
         # drained blocks stay gone for the rest of the run.
         self._drained: list = []
-        self._deployments = None
+        self._bus = None
         self._attached = False
-
-    def _stream(self, vin: str) -> SeededStream:
-        stream = self._streams.get(vin)
-        if stream is None:
-            stream = SeededStream(self.plan.seed, f"faults:{vin}")
-            self._streams[vin] = stream
-        return stream
-
-    def _soak_stream(self, vin: str) -> SeededStream:
-        # Separate path: soak-anomaly draws must never perturb the
-        # drop/delay/install draws of the same vehicle.
-        stream = self._soak_streams.get(vin)
-        if stream is None:
-            stream = SeededStream(self.plan.seed, f"faults:soak:{vin}")
-            self._soak_streams[vin] = stream
-        return stream
 
     # -- life cycle ------------------------------------------------------------
 
@@ -274,16 +248,15 @@ class FaultInjector:
         if self._faults_soak:
             # Soak anomalies arm when an install resolves ACTIVE — the
             # vehicle said yes, then misbehaves.
-            self._deployments = self.platform.server.api.deployments
-            self._deployments.add_listener(self._on_server_event)
+            self._bus = self.platform.server.api.telemetry
+            self._bus.subscribe(self._on_deploy, ("deploy",))
         if self.plan.offline_rate > 0:
             for vin in self.platform.vins:
-                stream = self._stream(vin)
+                stream = self._streams.stream(f"faults:{vin}")
                 if not stream.chance(self.plan.offline_rate):
                     continue
                 after = stream.randint(
-                    self.plan.offline_after_min_us,
-                    self.plan.offline_after_max_us,
+                    OFFLINE_AFTER_MIN_US, OFFLINE_AFTER_MAX_US
                 )
                 self.platform.sim.schedule(
                     after,
@@ -299,9 +272,9 @@ class FaultInjector:
             return
         self._attached = False
         self.platform.server.pusher.set_push_filter(None)
-        if self._deployments is not None:
-            self._deployments.remove_listener(self._on_server_event)
-            self._deployments = None
+        if self._bus is not None:
+            self._bus.unsubscribe(self._on_deploy)
+            self._bus = None
 
     # -- fault primitives ------------------------------------------------------
 
@@ -316,9 +289,7 @@ class FaultInjector:
         )
 
     def _reconnect(self, vin: str) -> None:
-        ecm = self.platform.vehicle(vin).ecm_pirte
-        if not ecm.connected:
-            ecm.connect_to_server()
+        if self.platform.vehicle(vin).redial():
             self.stats.reconnects += 1
 
     # -- soak-window anomalies -------------------------------------------------
@@ -334,47 +305,47 @@ class FaultInjector:
             or self.plan.soak_fuel_rate
         )
 
-    def _on_server_event(self, event) -> None:
-        """Arm post-install anomalies when an install resolves ACTIVE."""
-        if event.kind != "install_resolved":
+    def _on_deploy(self, event: TelemetryEvent) -> None:
+        """Bus tap: arm post-install anomalies when an install
+        resolves ACTIVE."""
+        if event.name != "install_resolved":
             return
-        if event.status is not InstallStatus.ACTIVE:
+        if InstallStatus(event.data["status"]) is not InstallStatus.ACTIVE:
             return
         vin = event.vin
+        app_name = event.data["app"]
         if vin in self._anomalies_armed:
             return
         # One decision per vehicle per run, in install-resolution order
         # — deterministic under the kernel's FIFO event ordering.
         self._anomalies_armed.add(vin)
         plan = self.plan
+        stream = self._streams.stream(f"faults:soak:{vin}")
         trap = vin in plan.soak_trap_vins or (
-            plan.soak_trap_rate > 0
-            and self._soak_stream(vin).chance(plan.soak_trap_rate)
+            plan.soak_trap_rate > 0 and stream.chance(plan.soak_trap_rate)
         )
         drain = vin in plan.soak_drain_vins or (
-            plan.soak_drain_rate > 0
-            and self._soak_stream(vin).chance(plan.soak_drain_rate)
+            plan.soak_drain_rate > 0 and stream.chance(plan.soak_drain_rate)
         )
         fuel = vin in plan.soak_fuel_vins or (
-            plan.soak_fuel_rate > 0
-            and self._soak_stream(vin).chance(plan.soak_fuel_rate)
+            plan.soak_fuel_rate > 0 and stream.chance(plan.soak_fuel_rate)
         )
         if trap:
             self.platform.sim.schedule(
-                plan.soak_trap_after_us,
-                lambda: self._inject_trap_burst(vin, event.app_name),
+                SOAK_ANOMALY_AFTER_US,
+                lambda: self._inject_trap_burst(vin, app_name),
                 f"faults:soak-trap:{vin}",
             )
         if drain:
             self.platform.sim.schedule(
-                plan.soak_drain_after_us,
-                lambda: self._inject_drain(vin, event.app_name),
+                SOAK_ANOMALY_AFTER_US,
+                lambda: self._inject_drain(vin, app_name),
                 f"faults:soak-drain:{vin}",
             )
         if fuel:
             self.platform.sim.schedule(
-                plan.soak_fuel_after_us,
-                lambda: self._inject_fuel_burn(vin, event.app_name),
+                SOAK_ANOMALY_AFTER_US,
+                lambda: self._inject_fuel_burn(vin, app_name),
                 f"faults:soak-fuel:{vin}",
             )
 
@@ -449,7 +420,7 @@ class FaultInjector:
         )
 
     def _filter(self, vin: str, raw: bytes) -> PushVerdict:
-        stream = self._stream(vin)
+        stream = self._streams.stream(f"faults:{vin}")
         # Decoding is only needed to single out install packages; skip
         # it on the hot push path when no install fault is configured.
         message = msg.decode(raw) if self._faults_installs else None
@@ -473,9 +444,7 @@ class FaultInjector:
             return PushVerdict.drop()
         if self.plan.delay_rate > 0 and stream.chance(self.plan.delay_rate):
             self.stats.messages_delayed += 1
-            return PushVerdict.delay(
-                stream.randint(self.plan.delay_min_us, self.plan.delay_max_us)
-            )
+            return PushVerdict.delay(stream.randint(DELAY_MIN_US, DELAY_MAX_US))
         return PushVerdict.allow()
 
     def _fail_install(self, vin: str, message: msg.InstallMessage) -> None:
@@ -490,10 +459,20 @@ class FaultInjector:
         ).encode()
         pusher = self.platform.server.pusher
         self.platform.sim.schedule(
-            self.plan.nack_latency_us,
+            NACK_LATENCY_US,
             lambda: pusher.inject_upstream(vin, nack),
             f"faults:nack:{vin}",
         )
 
 
-__all__ = ["FaultPlan", "FaultStats", "FaultInjector"]
+__all__ = [
+    "DELAY_MAX_US",
+    "DELAY_MIN_US",
+    "FaultInjector",
+    "FaultPlan",
+    "FaultStats",
+    "NACK_LATENCY_US",
+    "OFFLINE_AFTER_MAX_US",
+    "OFFLINE_AFTER_MIN_US",
+    "SOAK_ANOMALY_AFTER_US",
+]

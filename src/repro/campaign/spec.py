@@ -24,6 +24,16 @@ from repro.server.services.selector import FleetSelector
 from repro.sim.kernel import MS, SECOND
 from repro.telemetry.soak import SoakPolicy
 
+#: Settle time before a retry is pushed.  Must exceed the spread of one
+#: attempt's acknowledgements so stale NACKs from the failed attempt
+#: land on the already-FAILED record instead of voiding the retry (they
+#: cause no status transition, hence no event).
+RETRY_BACKOFF_US = 200 * MS
+
+#: How long a canary wave that passed its gate waits before the next
+#: wave, when the spec has no telemetry soak gate.
+CANARY_SOAK_US = 500 * MS
+
 
 # -- wave sizing ---------------------------------------------------------------
 
@@ -267,16 +277,16 @@ class HealthPolicy:
     """Thresholds a wave must satisfy before the rollout promotes.
 
     Rates are fractions of the wave's *attempted* vehicles (accepted by
-    the server; rejected VINs are excluded up front).  ``None`` disables
-    a threshold.
+    the server; rejected VINs are excluded up front): the share that
+    failed and the share that timed out.  ``None`` disables a
+    threshold.
     """
 
     max_failure_rate: Optional[float] = 0.1
     max_timeout_rate: Optional[float] = 0.1
-    min_ack_rate: Optional[float] = None
 
     def breaches(
-        self, attempted: int, updated: int, failed: int, timed_out: int
+        self, attempted: int, failed: int, timed_out: int
     ) -> list[str]:
         """Human-readable threshold violations (empty = gate passes)."""
         if attempted <= 0:
@@ -284,7 +294,6 @@ class HealthPolicy:
         problems = []
         failure_rate = failed / attempted
         timeout_rate = timed_out / attempted
-        ack_rate = updated / attempted
         if (
             self.max_failure_rate is not None
             and failure_rate > self.max_failure_rate
@@ -301,17 +310,12 @@ class HealthPolicy:
                 f"timeout rate {timeout_rate:.2f} > "
                 f"{self.max_timeout_rate:.2f}"
             )
-        if self.min_ack_rate is not None and ack_rate < self.min_ack_rate:
-            problems.append(
-                f"ack rate {ack_rate:.2f} < {self.min_ack_rate:.2f}"
-            )
         return problems
 
     def to_dict(self) -> dict:
         return {
             "max_failure_rate": self.max_failure_rate,
             "max_timeout_rate": self.max_timeout_rate,
-            "min_ack_rate": self.min_ack_rate,
         }
 
     @classmethod
@@ -319,7 +323,6 @@ class HealthPolicy:
         return cls(
             max_failure_rate=data.get("max_failure_rate"),
             max_timeout_rate=data.get("max_timeout_rate"),
-            min_ack_rate=data.get("min_ack_rate"),
         )
 
 
@@ -362,8 +365,9 @@ class CampaignSpec:
     :class:`~repro.server.services.selector.FleetSelector` evaluated
     against server vehicle records, so every spec survives a server
     restart.  With ``canary`` True the first wave is the canary: it
-    soaks for ``canary_soak_us`` after resolving and may use the
-    stricter ``canary_health`` thresholds.
+    soaks for :data:`CANARY_SOAK_US` after resolving and may use the
+    stricter ``canary_health`` thresholds.  A VIN's retries each wait
+    :data:`RETRY_BACKOFF_US` before they are pushed.
     """
 
     app_name: str
@@ -374,19 +378,13 @@ class CampaignSpec:
     canary_health: Optional[HealthPolicy] = None
     rollback: RollbackPolicy = field(default_factory=RollbackPolicy)
     retry_budget: int = 1
-    #: Settle time before a retry is pushed.  Must exceed the spread of
-    #: one attempt's acknowledgements so stale NACKs from the failed
-    #: attempt land on the already-FAILED record instead of voiding the
-    #: retry (they cause no status transition, hence no event).
-    retry_backoff_us: int = 200 * MS
     wave_timeout_us: int = 30 * SECOND
     pause_us: int = 100 * MS
-    canary_soak_us: int = 500 * MS
     #: Telemetry-driven soak gate (see :class:`repro.telemetry.SoakPolicy`).
     #: When set, every wave with updated vehicles soaks under sampled
-    #: DiagMessage telemetry before promotion; the blind ``canary_soak_us``
-    #: pause is replaced by the policy's window.  None keeps the legacy
-    #: time-only soak.
+    #: DiagMessage telemetry before promotion; the blind canary pause
+    #: (:data:`CANARY_SOAK_US`) is replaced by the policy's window.  None
+    #: keeps the time-only soak.
     soak: Optional[SoakPolicy] = None
     user_id: Optional[str] = None
 
@@ -403,10 +401,6 @@ class CampaignSpec:
         if self.retry_budget < 0:
             raise ConfigurationError(
                 f"retry budget must be >= 0 (got {self.retry_budget})"
-            )
-        if self.retry_backoff_us < 0:
-            raise ConfigurationError(
-                f"retry backoff must be >= 0 (got {self.retry_backoff_us})"
             )
         if self.wave_timeout_us <= 0:
             raise ConfigurationError(
@@ -464,10 +458,8 @@ class CampaignSpec:
             ),
             "rollback": self.rollback.to_dict(),
             "retry_budget": self.retry_budget,
-            "retry_backoff_us": self.retry_backoff_us,
             "wave_timeout_us": self.wave_timeout_us,
             "pause_us": self.pause_us,
-            "canary_soak_us": self.canary_soak_us,
             "soak": self.soak.to_dict() if self.soak is not None else None,
             "user_id": self.user_id,
         }
@@ -502,10 +494,8 @@ class CampaignSpec:
             ),
             rollback=RollbackPolicy.from_dict(data["rollback"]),
             retry_budget=data["retry_budget"],
-            retry_backoff_us=data["retry_backoff_us"],
             wave_timeout_us=data["wave_timeout_us"],
             pause_us=data["pause_us"],
-            canary_soak_us=data["canary_soak_us"],
             # .get: payloads persisted before soak gates existed lack
             # the key; they keep the legacy time-only soak.
             soak=(
@@ -518,6 +508,8 @@ class CampaignSpec:
 
 
 __all__ = [
+    "CANARY_SOAK_US",
+    "RETRY_BACKOFF_US",
     "WavePolicy",
     "FixedWaves",
     "PercentageWaves",

@@ -115,10 +115,8 @@ class EcmPirte(Pirte):
         self._externals: dict[str, Endpoint] = {}
         #: (target SW-C, plug-in) -> the ECC entries its install carried.
         self._ecc: dict[tuple[str, str], tuple[EccEntry, ...]] = {}
-        self.packages_forwarded = 0
         self.acks_forwarded = 0
         self.external_in = 0
-        self.external_out = 0
         #: Lazy (port name, buffer) cache for :meth:`_drain_remote_acks`.
         self._ack_buffers: Optional[list] = None
 
@@ -230,7 +228,6 @@ class EcmPirte(Pirte):
             return
         raw = encode_external(entry.message_name, value)
         endpoint.send(raw, size=len(raw))
-        self.external_out += 1
 
     def idle(self) -> bool:
         """:meth:`Pirte.idle`, plus empty server, external and ack inboxes."""
@@ -305,7 +302,6 @@ class EcmPirte(Pirte):
             self.send_to_server(nack.encode())
             return
         self.instance.write(route.out_port, "mgmt", raw)
-        self.packages_forwarded += 1
         self._trace("forwarded", swc=target_swc, size=len(raw))
 
     def _drain_remote_acks(self) -> None:

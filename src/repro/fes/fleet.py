@@ -108,7 +108,9 @@ def calibrate_model(
 
     Builds a small full-fidelity fleet, deploys the paper's
     remote-control APP to every vehicle, and measures the server-side
-    time from dispatch to each install resolving.  The mean becomes
+    time from dispatch to each install resolving (the
+    ``install_resolved`` events on the control plane's ``deploy``
+    category).  The mean becomes
     ``ack_latency_us`` and half the observed spread ``ack_jitter_us``.
     The sample includes the channel's round trip, which the statistical
     vehicle pays again on its own link — the fit is a slight
@@ -124,10 +126,10 @@ def calibrate_model(
     start = fleet.sim.now
 
     def on_event(event) -> None:
-        if event.kind == "install_resolved":
+        if event.name == "install_resolved":
             resolved.append(fleet.sim.now - start)
 
-    fleet.api.deployments.add_listener(on_event)
+    fleet.api.telemetry.subscribe(on_event, ("deploy",))
     try:
         fleet.deploy(app.name)
         deadline = fleet.sim.now + settle_us
@@ -135,7 +137,7 @@ def calibrate_model(
             if not fleet.sim.step():
                 break
     finally:
-        fleet.api.deployments.remove_listener(on_event)
+        fleet.api.telemetry.unsubscribe(on_event)
     if not resolved:
         return StatisticalModel(**overrides)
     mean = sum(resolved) // len(resolved)

@@ -37,6 +37,13 @@ from repro.sim.kernel import MS, Simulator
 #: Stream-path prefix for per-vehicle draws.
 STREAM_PREFIX = "statvehicle"
 
+#: VM memory blocks a confirmed plug-in occupies in diagnostic reports.
+MEMORY_BLOCKS_PER_PLUGIN = 4
+
+#: Rate at which a reported plug-in's activation counter grows with
+#: simulated time, like a real 10 ms dispatch loop's.
+ACTIVATION_RATE_HZ = 100
+
 
 @dataclass(frozen=True)
 class StatisticalModel:
@@ -46,40 +53,38 @@ class StatisticalModel:
     receiving a management message and handing the ack to the uplink
     (link latency is NOT included — the simulated channel still adds
     its own delays, so channel profiles and fault plans keep working).
-    ``ack_jitter_us`` spreads it uniformly.  The failure rates are
-    per-message Bernoulli draws producing negative acknowledgements.
-    ``memory_blocks_per_plugin`` feeds the diagnostic reports the soak
-    gate reads; ``activation_rate_hz`` makes reported activation
-    counters grow with simulated time like a real dispatch loop's.
+    ``ack_jitter_us`` spreads it uniformly.  ``install_failure_rate``
+    is a per-package Bernoulli draw producing a negative
+    acknowledgement; uninstalls of a confirmed plug-in always succeed.
+    Diagnostic reports use the fixed :data:`MEMORY_BLOCKS_PER_PLUGIN`
+    and :data:`ACTIVATION_RATE_HZ`.
     """
 
     ack_latency_us: int = 120 * MS
     ack_jitter_us: int = 40 * MS
     install_failure_rate: float = 0.0
-    uninstall_failure_rate: float = 0.0
-    memory_blocks_per_plugin: int = 4
-    activation_rate_hz: int = 100
 
     def __post_init__(self) -> None:
         if self.ack_latency_us < 0 or self.ack_jitter_us < 0:
             raise ConfigurationError(
                 "statistical latency and jitter must be >= 0"
             )
-        for rate in (self.install_failure_rate, self.uninstall_failure_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigurationError(
-                    f"failure rates must be in [0, 1] (got {rate})"
-                )
+        if not 0.0 <= self.install_failure_rate <= 1.0:
+            raise ConfigurationError(
+                f"install_failure_rate must be in [0, 1] "
+                f"(got {self.install_failure_rate})"
+            )
 
 
 class StatisticalVehicle:
     """A fleet member that answers the server statistically.
 
-    Protocol-compatible with :class:`~repro.fes.vehicle.Vehicle` where
-    the platform and campaign layers touch vehicles: ``vin``, ``spec``,
-    ``sim``, ``boot()``, ``run()``, and ``emit_diagnostics()`` (the
-    soak path).  ``pirte_of`` raises — there is no PIRTE to introspect,
-    which the campaign engine's baseline capture already tolerates.
+    Answers the calls the platform and campaign layers make on a
+    :class:`~repro.fes.vehicle.Vehicle`: ``vin``, ``spec``, ``sim``,
+    ``boot()``, ``run()``, ``redial()`` (the fault injector's end of an
+    offline window), ``diagnostic_reports()`` (the soak baseline) and
+    ``emit_diagnostics()`` (the soak path).  ``pirte_of`` raises —
+    there is no PIRTE to introspect.
 
     What a vehicle owns is its identity and its state: the spec (whose
     description it shares with its model), its ``statvehicle:<VIN>``
@@ -109,7 +114,6 @@ class StatisticalVehicle:
         #: plugin name -> (target_swc, target_ecu) of confirmed installs.
         self.installed: dict[str, tuple[str, str]] = {}
         self.acks_sent = 0
-        self.messages_received = 0
         self.nacks_sent = 0
         self._booted = False
 
@@ -142,6 +146,17 @@ class StatisticalVehicle:
 
     # -- connectivity --------------------------------------------------------
 
+    def redial(self) -> bool:
+        """Dial the trusted server unless connected; True when it dialled.
+
+        Like the ECM, the vehicle sends what it buffered while offline
+        once the new connection is up.
+        """
+        if self._endpoint is not None and not self._endpoint.closed:
+            return False
+        self.fabric.connect(self.server_address, self.vin, self._on_connected)
+        return True
+
     def _on_connected(self, endpoint: Endpoint) -> None:
         self._endpoint = endpoint
         endpoint.on_receive(self._on_message)
@@ -161,7 +176,6 @@ class StatisticalVehicle:
     # -- protocol ------------------------------------------------------------
 
     def _on_message(self, raw: bytes) -> None:
-        self.messages_received += 1
         message = msg.decode(raw)
         if isinstance(message, msg.InstallMessage):
             self._handle_install(message)
@@ -206,15 +220,6 @@ class StatisticalVehicle:
                 )
             )
             return
-        if self._stream.chance(self.model.uninstall_failure_rate):
-            self._reply(
-                msg.AckMessage(
-                    message.plugin_name, message.target_swc,
-                    msg.MessageType.UNINSTALL, msg.AckStatus.LIFECYCLE_ERROR,
-                    "statistical uninstall failure",
-                )
-            )
-            return
         del self.installed[message.plugin_name]
         self._reply(
             msg.AckMessage(
@@ -241,43 +246,53 @@ class StatisticalVehicle:
 
     # -- telemetry ------------------------------------------------------------
 
-    def emit_diagnostics(self) -> None:
-        """Send one healthy DiagMessage per plug-in-hosting SW-C.
+    def diagnostic_reports(self) -> list[msg.DiagMessage]:
+        """One healthy DiagMessage per plug-in-hosting SW-C, as of now.
 
         Mirrors the full PIRTE's report shape so the campaign soak gate
-        evaluates mixed fleets with one code path: zero traps, activation
-        counters growing at ``activation_rate_hz``, and memory usage
-        proportional to the confirmed plug-in population.
+        evaluates mixed fleets with one code path: zero traps and fuel,
+        activation counters growing at :data:`ACTIVATION_RATE_HZ`, and
+        :data:`MEMORY_BLOCKS_PER_PLUGIN` used per confirmed plug-in.
         """
         by_swc: dict[str, list[str]] = {}
         for plugin_name, (swc, __) in self.installed.items():
             by_swc.setdefault(swc, []).append(plugin_name)
-        activations = (self._sim.now * self.model.activation_rate_hz) // 1_000_000
+        activations = (self._sim.now * ACTIVATION_RATE_HZ) // 1_000_000
+        reports = []
         for placement in self.spec.all_placements():
             plugins = sorted(by_swc.get(placement.instance_name, ()))
-            used = len(plugins) * self.model.memory_blocks_per_plugin
-            report = msg.DiagMessage(
-                source_ecu=placement.ecu_name,
-                source_swc=placement.instance_name,
-                memory_used_blocks=used,
-                memory_free_blocks=max(
-                    0, placement.spec.vm_memory_blocks - used
-                ),
-                plugins=tuple(
-                    msg.PluginHealth(
-                        plugin_name=name,
-                        state="running",
-                        activations=activations,
-                        traps=0,
-                        fuel_used=0,
-                    )
-                    for name in plugins
-                ),
+            used = len(plugins) * MEMORY_BLOCKS_PER_PLUGIN
+            reports.append(
+                msg.DiagMessage(
+                    source_ecu=placement.ecu_name,
+                    source_swc=placement.instance_name,
+                    memory_used_blocks=used,
+                    memory_free_blocks=max(
+                        0, placement.spec.vm_memory_blocks - used
+                    ),
+                    plugins=tuple(
+                        msg.PluginHealth(
+                            plugin_name=name,
+                            state="running",
+                            activations=activations,
+                            traps=0,
+                            fuel_used=0,
+                        )
+                        for name in plugins
+                    ),
+                )
             )
+        return reports
+
+    def emit_diagnostics(self) -> None:
+        """Send :meth:`diagnostic_reports` toward the trusted server."""
+        for report in self.diagnostic_reports():
             self._send_upstream(report.encode())
 
 
 __all__ = [
+    "ACTIVATION_RATE_HZ",
+    "MEMORY_BLOCKS_PER_PLUGIN",
     "StatisticalModel",
     "StatisticalVehicle",
     "STREAM_PREFIX",

@@ -22,6 +22,7 @@ from repro.autosar.swc import ComponentType
 from repro.autosar.system import SystemDescription
 from repro.autosar.vfb import Connector, validate_connector
 from repro.core.ecm import EcmPirte, EcmSpec, SwcRoute, make_ecm_swc_type
+from repro.core.messages import DiagMessage
 from repro.core.pirte import Pirte
 from repro.core.plugin_swc import (
     PluginSwcSpec,
@@ -327,7 +328,15 @@ def _relay_peer(spec: PluginSwcSpec, virtual_name: str) -> str:
 
 
 class Vehicle:
-    """A built, running vehicle."""
+    """A built, running vehicle.
+
+    The campaign layer reaches it through the calls a
+    :class:`~repro.fes.statistical.StatisticalVehicle` answers too:
+    ``vin``, ``spec``, ``sim``, ``boot()``, ``run()``, ``redial()``,
+    ``diagnostic_reports()`` and ``emit_diagnostics()``.  Only the
+    fault injector's soak anomalies reach into a PIRTE, because
+    writing its counters is the fault.
+    """
 
     def __init__(self, spec: VehicleSpec, system: BuiltSystem) -> None:
         self.spec = spec
@@ -356,6 +365,29 @@ class Vehicle:
 
     def run(self, duration_us: int) -> None:
         self.system.run(duration_us)
+
+    def redial(self) -> bool:
+        """Have the ECM dial the trusted server unless it is connected;
+        True when it dialled.  The ECM sends what it buffered while
+        offline once the new connection is up."""
+        ecm = self.ecm_pirte
+        if ecm.connected:
+            return False
+        ecm.connect_to_server()
+        return True
+
+    def diagnostic_reports(self) -> list[DiagMessage]:
+        """The DiagMessage each plug-in-hosting SW-C (the ECM included)
+        would send now.  A SW-C whose PIRTE does not exist yet (its
+        ECU's init task has not run) has nothing to report."""
+        reports = []
+        for placement in self.spec.all_placements():
+            try:
+                pirte = self.pirte_of(placement.instance_name)
+            except ConfigurationError:
+                continue
+            reports.append(pirte.diagnostic_report())
+        return reports
 
     def emit_diagnostics(self) -> None:
         """Have every plug-in-hosting SW-C (the ECM included) send one

@@ -71,8 +71,6 @@ class Pusher:
         self.pushed = 0
         self.received = 0
         self.dropped_messages = 0
-        self.filtered_messages = 0
-        self.disconnects = 0
         self._queued_bytes = 0
         # Optional observability tap (set by FleetAPI); duck-typed so
         # the pusher has no import dependency on repro.telemetry.
@@ -153,7 +151,6 @@ class Pusher:
             return 0
         in_flight = endpoint.drain_unsent()
         endpoint.close()
-        self.disconnects += 1
         if not in_flight:
             return 0
         outbox = self._outboxes.setdefault(vin, deque())
@@ -180,7 +177,6 @@ class Pusher:
             for raw in raws:
                 verdict = self._push_filter(vin, raw)
                 if not verdict.deliver:
-                    self.filtered_messages += 1
                     continue
                 if verdict.delay_us > 0:
                     self._sim.schedule(

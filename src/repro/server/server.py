@@ -7,9 +7,10 @@ resource-oriented :attr:`api` control plane
 portal sits above it).
 
 :meth:`TrustedServer.restart` simulates a server process restart: the
-whole service layer (listeners, pending updates, campaign engines'
-admission claims) is torn down and rebuilt from the database — which,
-like the pusher's network identity, survives.  Persistent campaigns are
+whole service layer (the control-plane bus and its taps, pending
+updates, campaign engines' admission claims) is torn down and rebuilt
+from the database — which, like the pusher's network identity,
+survives.  Persistent campaigns are
 recovered afterwards with ``server.api.campaigns.load()``.
 """
 
@@ -35,7 +36,6 @@ class TrustedServer:
         self.address = address
         self.db = Database()
         self.pusher = Pusher(fabric, address)
-        self.restarts = 0
         self._bring_up()
 
     def _bring_up(self) -> None:
@@ -44,12 +44,11 @@ class TrustedServer:
     def restart(self) -> FleetAPI:
         """Simulate a server process restart; returns the fresh API.
 
-        Process state (event listeners, in-flight update bookkeeping,
+        Process state (bus taps, in-flight update bookkeeping,
         admission claims, live campaign objects) is discarded; the
         database and the pusher's connections survive.  Callers resume
         campaigns via ``server.api.campaigns.load()``.
         """
-        self.restarts += 1
         self._bring_up()
         return self.api
 

@@ -16,7 +16,6 @@ from repro.server.services.campaigns import (
 from repro.server.services.deployments import (
     DeploymentService,
     InstallProgress,
-    ServerEvent,
 )
 from repro.server.services.envelope import ApiError, ErrorCode, Response
 from repro.server.services.fleetapi import FleetAPI
@@ -35,7 +34,6 @@ __all__ = [
     "PHASE_ROLLING_BACK",
     "PHASE_UPDATING",
     "Response",
-    "ServerEvent",
     "VehicleService",
     "VehicleView",
 ]

@@ -16,8 +16,7 @@ second campaign's report as ``EXCLUDED`` with an ``admission_denied``
 event naming the holding campaign.
 
 The heavy campaign machinery (:mod:`repro.campaign`) is imported
-lazily: it sits above the server in the layer diagram, and the engine
-in turn subscribes to this package's deployment events.
+lazily: it sits above the server in the layer diagram.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from typing import Optional
 from repro.errors import UnknownEntityError
 from repro.server.database import Database
 from repro.server.models import CampaignRecord
-from repro.server.services.deployments import DeploymentService
 from repro.server.services.envelope import ErrorCode, Response
 
 #: Claim phases an engine moves a VIN through.
@@ -41,9 +39,8 @@ RESUMABLE_STATUSES = ("staged", "interrupted")
 class CampaignService:
     """Campaign persistence, queries, and cross-campaign admission."""
 
-    def __init__(self, db: Database, deployments: DeploymentService) -> None:
+    def __init__(self, db: Database) -> None:
         self.db = db
-        self.deployments = deployments
         #: Live (spec, faults) pairs: campaigns created in this process
         #: (their engine may be running here) and records revived by
         #: :meth:`_revive`, so each record is deserialized once.

@@ -4,8 +4,11 @@ The paper's plug-in (re)deployment operations (Sec. 3.2.2) as one
 cohesive control-plane service: deploy, uninstall, batch dispatch,
 retry, abandon, update, restore, and reconcile — all returning uniform
 :class:`~repro.server.services.envelope.Response` envelopes — plus the
-upstream acknowledgement pump and the installation event bus campaign
-engines subscribe to.
+upstream acknowledgement pump.  Every change of an installation
+record's state is published as one ``deploy`` event on the control
+plane's :class:`~repro.telemetry.bus.TelemetryBus`; campaign engines,
+the fault injector and the gateway's event stream learn installation
+state by tapping that category.
 
 This is the single code path for installation status queries;
 ``Platform.installation_status`` and ``Deployment.status`` delegate
@@ -14,8 +17,7 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.core import messages as msg
 from repro.errors import PackagingError, ServerError, UnknownEntityError
@@ -49,26 +51,6 @@ class InstallProgress(NamedTuple):
         return self.total - self.acked - self.failed
 
 
-@dataclass(frozen=True)
-class ServerEvent:
-    """Notification emitted when an installation record changes state.
-
-    ``kind`` is one of ``install_resolved`` (status reached ACTIVE or
-    FAILED), ``uninstall_done`` (record removed after all uninstall
-    acks), ``uninstall_failed`` (a negative uninstall ack), or
-    ``update_redeploy_failed`` (an :meth:`DeploymentService.update`
-    removed the old version but the server rejected re-deploying the
-    new one — the app is now absent from the vehicle).  Campaign
-    engines subscribe via :meth:`DeploymentService.add_listener`
-    instead of polling statuses.
-    """
-
-    kind: str
-    vin: str
-    app_name: str
-    status: Optional[InstallStatus] = None
-
-
 class DeploymentService:
     """The install/uninstall control plane."""
 
@@ -85,26 +67,13 @@ class DeploymentService:
         #: The control plane's bus: deployment life-cycle events and
         #: relayed DiagMessage telemetry are published onto it.
         self.telemetry = telemetry
-        self.deploys = 0
-        self.rejected_deploys = 0
         self.acks_processed = 0
         self.malformed_upstream = 0
         self._plans = PackagePlans()
         # (vin, app_name) -> user_id: update waiting for uninstall acks.
         self._pending_updates: dict[tuple[str, str], str] = {}
-        self._listeners: list[Callable[[ServerEvent], None]] = []
 
     # -- events ---------------------------------------------------------------
-
-    def add_listener(self, callback: Callable[[ServerEvent], None]) -> None:
-        """Subscribe to installation state-change events."""
-        if callback not in self._listeners:
-            self._listeners.append(callback)
-
-    def remove_listener(self, callback: Callable[[ServerEvent], None]) -> None:
-        """Unsubscribe a previously added listener (no-op if absent)."""
-        if callback in self._listeners:
-            self._listeners.remove(callback)
 
     def _emit(
         self,
@@ -113,13 +82,20 @@ class DeploymentService:
         app_name: str,
         status: Optional[InstallStatus] = None,
     ) -> None:
-        event = ServerEvent(kind, vin, app_name, status)
+        """Publish one installation state change as a ``deploy`` event.
+
+        ``kind`` is the event name: ``install_resolved`` (the record
+        reached ACTIVE or FAILED), ``uninstall_done`` (the record was
+        removed after every uninstall ack), ``uninstall_failed`` (a
+        negative uninstall ack) or ``update_redeploy_failed`` (an
+        :meth:`update` removed the old version but the server refused
+        the new one, so the app is absent from the vehicle).  The data
+        holds ``app`` and ``status`` (the status value, or ``""``).
+        """
         self.telemetry.publish(
             "deploy", kind, self.pusher.now, vin=vin,
             app=app_name, status=status.value if status else "",
         )
-        for callback in list(self._listeners):
-            callback(event)
 
     # -- deployment -----------------------------------------------------------
 
@@ -139,7 +115,6 @@ class DeploymentService:
             )
         report = self.store.evaluate(app, vehicle)
         if not report.ok:
-            self.rejected_deploys += 1
             return Response.failure(
                 ErrorCode.INCOMPATIBLE, *report.reasons, value=report
             )
@@ -163,7 +138,6 @@ class DeploymentService:
         self.pusher.push_many(vin, [package.raw for package in packages])
         vehicle.conf.installed[app.name] = installed
         vehicle.update_failures.pop(app.name, None)
-        self.deploys += 1
         return Response.success(report, pushed_messages=len(packages))
 
     def uninstall(self, user_id: str, vin: str, app_name: str) -> Response:
@@ -595,5 +569,4 @@ class DeploymentService:
 __all__ = [
     "DeploymentService",
     "InstallProgress",
-    "ServerEvent",
 ]

@@ -50,7 +50,7 @@ class FleetAPI:
         self.deployments = DeploymentService(
             db, pusher, self.store, self.telemetry
         )
-        self.campaigns = CampaignService(db, self.deployments)
+        self.campaigns = CampaignService(db)
         pusher.on_upstream(self.deployments.on_vehicle_message)
         pusher.set_telemetry(self.telemetry)
 

@@ -9,9 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 def derive_seed(root_seed: int, path: str) -> int:
@@ -24,7 +21,7 @@ class SeededStream:
     """An isolated random stream bound to one consumer.
 
     Thin wrapper over :class:`random.Random` with the distributions the
-    simulation layers need (jitter, Bernoulli loss, choices).
+    simulation layers need (jitter, Bernoulli draws, uniform integers).
     """
 
     def __init__(self, root_seed: int, path: str) -> None:
@@ -48,34 +45,6 @@ class SeededStream:
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high]."""
         return self._rng.randint(low, high)
-
-    def uniform(self, low: float, high: float) -> float:
-        """Uniform float in [low, high]."""
-        return self._rng.uniform(low, high)
-
-    def expovariate_us(self, mean_us: float) -> int:
-        """Exponential inter-arrival time in integer microseconds."""
-        if mean_us <= 0:
-            return 0
-        return max(0, int(round(self._rng.expovariate(1.0 / mean_us))))
-
-    def choice(self, options: Sequence[T]) -> T:
-        """Uniform choice from a non-empty sequence."""
-        return self._rng.choice(options)
-
-    def sample(self, options: Sequence[T], k: int) -> list[T]:
-        """Sample ``k`` distinct elements."""
-        return self._rng.sample(options, k)
-
-    def shuffle(self, items: list[T]) -> list[T]:
-        """Return a shuffled copy (the input list is not mutated)."""
-        out = list(items)
-        self._rng.shuffle(out)
-        return out
-
-    def bytes(self, n: int) -> bytes:
-        """``n`` deterministic pseudo-random bytes."""
-        return self._rng.randbytes(n)
 
 
 class StreamFactory:

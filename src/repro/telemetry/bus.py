@@ -23,10 +23,14 @@ Design points:
 * **Exact drop accounting.**  ``published == retained + dropped`` holds
   per category at all times; the property tests pin it.
 * **Subscriber taps.**  Callbacks see every event *before* ring-buffer
-  eviction, so a live consumer (the campaign engine's soak monitor, a
-  future event-stream endpoint) is never subject to buffer pressure.
-  Taps run synchronously in publish order, which keeps runs
-  deterministic under the simulation kernel.
+  eviction, so a live consumer (the campaign engine, the fault
+  injector's soak anomalies, the gateway's event stream) is never
+  subject to buffer pressure.  Taps run synchronously and see events
+  in publish order, which keeps runs deterministic under the
+  simulation kernel.  An event a tap publishes is counted and retained
+  at once, but reaches the taps only after the event being delivered
+  has reached all of them, so a tap reacting to a ``deploy`` event
+  cannot show its own ``campaign`` event to a later tap first.
 
 The bus itself is clock-free: publishers stamp events with simulated
 time, so the bus works identically under the kernel and in plain unit
@@ -91,6 +95,10 @@ class TelemetryBus:
         self._taps: list[
             tuple[Callable[[TelemetryEvent], None], Optional[frozenset]]
         ] = []
+        #: True while taps are being called; events published meanwhile
+        #: wait in ``_backlog`` for their turn.
+        self._delivering = False
+        self._backlog: Deque[TelemetryEvent] = deque()
 
     # -- publishing ------------------------------------------------------------
 
@@ -102,7 +110,15 @@ class TelemetryBus:
         vin: str = "",
         **data: Any,
     ) -> TelemetryEvent:
-        """Record one event; returns it (taps have already seen it)."""
+        """Record one event and deliver it to the taps; returns it.
+
+        Called from outside a tap, every tap has seen the event (and
+        whatever the taps published meanwhile) when this returns.
+        Called from inside a tap, the event is counted and retained at
+        once and delivered after the event being delivered.  A tap that
+        raises propagates its exception; the events still waiting are
+        then not delivered, and the bus stays usable.
+        """
         return self.publish_event(
             TelemetryEvent(time_us, category, name, vin, data)
         )
@@ -123,10 +139,28 @@ class TelemetryBus:
             if len(buffer) == capacity:
                 self._dropped[category] = self._dropped.get(category, 0) + 1
             buffer.append(event)
-        for callback, categories in list(self._taps):
-            if categories is None or category in categories:
-                callback(event)
+        if self._delivering:
+            self._backlog.append(event)
+        elif self._taps:
+            self._deliver(event)
         return event
+
+    def _deliver(self, event: TelemetryEvent) -> None:
+        """Call the taps for ``event``, then for each event they
+        published meanwhile, in publish order."""
+        self._delivering = True
+        try:
+            while True:
+                category = event.category
+                for callback, categories in list(self._taps):
+                    if categories is None or category in categories:
+                        callback(event)
+                if not self._backlog:
+                    return
+                event = self._backlog.popleft()
+        finally:
+            self._delivering = False
+            self._backlog.clear()
 
     # -- taps ------------------------------------------------------------------
 
@@ -138,7 +172,9 @@ class TelemetryBus:
         """Attach a tap; returns ``callback`` for use with unsubscribe.
 
         ``categories=None`` taps everything.  Taps see events before
-        ring eviction, in publish order, synchronously.
+        ring eviction, in publish order, synchronously, and in the
+        order they subscribed.  A tap may publish: its event reaches
+        the taps after the one it is handling (see :meth:`publish`).
         """
         wanted = None if categories is None else frozenset(categories)
         self._taps.append((callback, wanted))

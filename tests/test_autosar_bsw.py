@@ -10,7 +10,6 @@ from repro.autosar.bsw import (
     roundtrip,
     segment,
 )
-from repro.autosar.bsw.canif import CanInterface
 from repro.autosar.types import BYTES, UINT16
 from repro.can import CanBus, CanController
 from repro.errors import ComError, MemoryPoolError
@@ -127,9 +126,8 @@ def build_com_pair():
     for name in ("ecu1", "ecu2"):
         controller = CanController(name)
         bus.attach(controller)
-        canif = CanInterface(controller)
-        com = ComStack(canif)
-        stacks.append((com, canif))
+        com = ComStack(controller)
+        stacks.append((com, com.canif))
     return sim, bus, stacks
 
 

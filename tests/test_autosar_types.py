@@ -9,12 +9,10 @@ from repro.autosar import (
     INT16,
     UINT8,
     UINT16,
-    UINT32,
     BytesType,
     DataElement,
     IntegerType,
     SenderReceiverInterface,
-    lookup_type,
     provided_port,
     required_port,
 )
@@ -38,10 +36,6 @@ class TestIntegerType:
     def test_bool_is_not_int(self):
         with pytest.raises(ValueError):
             UINT8.validate(True)
-
-    def test_byte_length(self):
-        assert UINT8.byte_length() == 1
-        assert UINT32.byte_length() == 4
 
     def test_decode_wrong_length_rejected(self):
         with pytest.raises(ValueError):
@@ -75,13 +69,6 @@ class TestBoolAndBytes:
 
     def test_bytes_not_fixed_size(self):
         assert not BYTES.fixed_size
-        with pytest.raises(ConfigurationError):
-            BYTES.byte_length()
-
-    def test_lookup_type(self):
-        assert lookup_type("uint8") is UINT8
-        with pytest.raises(ConfigurationError):
-            lookup_type("nonsense")
 
 
 def sr_iface(name="Iface", queued=False):

@@ -472,7 +472,7 @@ class TestInstallProgress:
         fleet.run(1 * SECOND)
         deployments = fleet.server.api.deployments
         events = []
-        deployments.add_listener(events.append)
+        fleet.api.telemetry.subscribe(events.append, ("deploy",))
         result = deployments.deploy(fleet.user_id, vin, APP)
         assert result.ok
         installed = fleet.server.db.installation(vin, APP)
@@ -488,9 +488,9 @@ class TestInstallProgress:
         assert progress.pending == progress.total - 1
         status = deployments.installation_status(vin, APP)
         assert status is InstallStatus.FAILED
-        # The resolution was pushed to listeners, not polled.
+        # The resolution was published on the bus, not polled.
         assert [
-            (e.kind, e.vin, e.status) for e in events
+            (e.name, e.vin, InstallStatus(e.data["status"])) for e in events
         ] == [("install_resolved", vin, InstallStatus.FAILED)]
 
     def test_stale_nack_cannot_demote_active_install(self):

@@ -145,12 +145,12 @@ class TestEnvelopes:
             App(APP, "2.0", {"fat_p": fat}, [conf])
         ).unwrap()
         events = []
-        fleet.api.deployments.add_listener(events.append)
+        fleet.api.telemetry.subscribe(events.append, ("deploy",))
         assert fleet.api.deployments.update(fleet.user_id, vin, APP).ok
         fleet.sim.run_for(5 * SECOND)
         assert fleet.installation_status(vin, APP) is None
         assert any(
-            event.kind == "update_redeploy_failed" and event.vin == vin
+            event.name == "update_redeploy_failed" and event.vin == vin
             for event in events
         )
         # The failure is queryable (and restart-safe), so portals can
@@ -551,11 +551,9 @@ class TestCampaignPersistence:
             soak_trap_vins={"VIN-0001", "VIN-0003"},
             soak_trap_rate=0.25,
             soak_trap_count=9,
-            soak_trap_after_us=300_000,
             soak_drain_vins={"VIN-0004"},
             soak_drain_rate=0.5,
             soak_drain_blocks=16,
-            soak_drain_after_us=400_000,
         )
         assert FaultPlan.from_dict(plan.to_dict()) == plan
         data = json.loads(json.dumps(plan.to_dict()))  # JSON-safe

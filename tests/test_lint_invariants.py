@@ -124,3 +124,50 @@ def test_an_allowlisted_def_passes(tmp_path, monkeypatch, capsys):
     assert "[unreferenced-def] do_GET in _Handler.do_GET" in (
         capsys.readouterr().err
     )
+
+
+def unread(tmp_path, source, reader=""):
+    defining = tmp_path / "defs.py"
+    defining.write_text(source)
+    reading = tmp_path / "uses.py"
+    reading.write_text(reader)
+    found = lint.unread_attributes([defining], [defining, reading])
+    return [(scope, detail) for scope, __, __, detail in found[defining]]
+
+
+COUNTER = (
+    "class Link:\n"
+    "    def __init__(self):\n"
+    "        self.sent = 0\n"
+    "        self.bytes_out, self.retries = 0, 0\n"
+    "\n"
+    "    def send(self, raw):\n"
+    "        self.sent += 1\n"
+    "        self.bytes_out += len(raw)\n"
+    "        self.retries = self.retries\n"
+)
+
+
+def test_flags_an_attribute_that_is_only_written(tmp_path):
+    # ``+=`` writes; it is not a read.  Each attribute is flagged once.
+    assert unread(tmp_path, COUNTER) == [
+        ("Link.sent", "sent"), ("Link.bytes_out", "bytes_out"),
+    ]
+
+
+def test_a_read_in_another_file_counts(tmp_path):
+    reader = "def total(link):\n    return link.sent + link.bytes_out\n"
+    assert unread(tmp_path, COUNTER, reader) == []
+
+
+def test_a_getattr_string_or_keyword_counts(tmp_path):
+    assert unread(tmp_path, COUNTER, "getattr(link, 'sent')\n") == [
+        ("Link.bytes_out", "bytes_out"),
+    ]
+    assert unread(tmp_path, COUNTER, "report(bytes_out=1)\n") == [
+        ("Link.sent", "sent"),
+    ]
+    # A string that is not an identifier reads nothing.
+    assert unread(tmp_path, COUNTER, "print('sent!', 'bytes_out x')\n") == [
+        ("Link.sent", "sent"), ("Link.bytes_out", "bytes_out"),
+    ]

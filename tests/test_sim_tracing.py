@@ -99,20 +99,6 @@ class TestSeededStream:
         hits = sum(stream.chance(0.3) for _ in range(5000))
         assert 1200 < hits < 1800
 
-    def test_expovariate_nonnegative(self):
-        stream = SeededStream(0, "e")
-        assert all(stream.expovariate_us(1000) >= 0 for _ in range(100))
-
-    def test_expovariate_zero_mean(self):
-        assert SeededStream(0, "e").expovariate_us(0) == 0
-
-    def test_shuffle_does_not_mutate(self):
-        stream = SeededStream(0, "s")
-        items = [1, 2, 3, 4, 5]
-        out = stream.shuffle(items)
-        assert items == [1, 2, 3, 4, 5]
-        assert sorted(out) == items
-
     def test_factory_caches_streams(self):
         factory = StreamFactory(3)
         assert factory.stream("x") is factory.stream("x")

@@ -15,6 +15,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.campaign import FaultPlan
+from repro.campaign.report import HALTED, ROLLED_BACK, SUCCEEDED, TIMED_OUT
 from repro.campaign.spec import FixedWaves, PercentageWaves
 from repro.core import messages as msg
 from repro.errors import ConfigurationError
@@ -29,6 +31,7 @@ from repro.fes import (
 )
 from repro.network.sockets import NetworkFabric
 from repro.server.models import InstallStatus
+from repro.server.pusher import Pusher
 from repro.server.server import DEFAULT_ADDRESS
 from repro.sim.kernel import MS, SECOND, Simulator
 from repro.telemetry.soak import SoakPolicy
@@ -133,6 +136,37 @@ class TestStatisticalVehicle:
         assert by_swc["swc1"].plugins[0].traps == 0
         assert by_swc["swc1"].memory_used_blocks > 0
 
+    def test_redial_sends_the_ack_buffered_while_offline(self):
+        sim = Simulator()
+        fabric = NetworkFabric(sim)
+        pusher = Pusher(fabric, DEFAULT_ADDRESS)
+        upstream = []
+        pusher.on_upstream(lambda vin, raw: upstream.append(msg.decode(raw)))
+        # A slow vehicle, so the link can be cut between the install
+        # arriving and its ack leaving.
+        model = StatisticalModel(ack_latency_us=1 * SECOND, ack_jitter_us=0)
+        vehicle = StatisticalVehicle(
+            make_example_vehicle_spec("VIN-0000"), fabric, sim,
+            DEFAULT_ADDRESS, model=model,
+        )
+        vehicle.boot()
+        sim.run_for(1 * SECOND)
+        assert vehicle.redial() is False  # connected: nothing to dial
+        pusher.push("VIN-0000", self._install_raw())
+        sim.run_for(500 * MS)
+        assert vehicle.installed == {"COM": ("swc1", "ECU1")}
+        pusher.disconnect("VIN-0000")
+        sim.run_for(2 * SECOND)
+        assert vehicle.acks_sent == 1
+        assert upstream == []  # buffered in the vehicle's outbox
+        assert vehicle.redial() is True
+        sim.run_for(1 * SECOND)
+        assert [(ack.plugin_name, ack.ok) for ack in upstream] == [
+            ("COM", True)
+        ]
+        assert pusher.is_connected("VIN-0000")
+        assert vehicle.redial() is False
+
     def test_pirte_of_raises(self):
         __, vehicle, __, __ = self._standalone()
         with pytest.raises(ConfigurationError):
@@ -159,6 +193,23 @@ class TestMixedFleetCampaigns:
         )
         # The canary wave is exactly the full-fidelity prefix.
         assert report.waves[0].vins == fleet.vins[:3]
+
+    def test_offline_faults_redial_both_fidelities(self):
+        # The injector's end of an offline window redials through
+        # vehicle.redial(), which a statistical vehicle answers too.
+        fleet = mixed_fleet(20, full=2, seed=1)
+        engine = fleet.stage_campaign(
+            canary_campaign(APP),
+            faults=FaultPlan(
+                seed=3, offline_rate=1.0, offline_duration_us=1 * SECOND
+            ),
+        )
+        report = engine.run()
+        assert report.status in (SUCCEEDED, ROLLED_BACK, HALTED, TIMED_OUT)
+        stats = engine.injector.stats
+        assert stats.offline_events == len(fleet.vins)
+        assert stats.reconnects == stats.offline_events
+        assert all(fleet.server.pusher.is_connected(vin) for vin in fleet.vins)
 
     def test_server_records_match_both_fidelities(self):
         fleet = mixed_fleet(10, full=2)

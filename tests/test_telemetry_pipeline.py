@@ -87,6 +87,47 @@ class TestTelemetryBus:
         assert [e.time_us for e in diag_only] == [1]
         assert [e.time_us for e in everything] == [1, 2, 3]
 
+    def test_an_event_a_tap_publishes_reaches_taps_in_publish_order(self):
+        bus = TelemetryBus()
+        seen = []
+
+        def react(event):
+            # Like the campaign engine logging its reaction to an install.
+            if event.category == "deploy":
+                bus.publish("campaign", "updated", event.time_us, vin=event.vin)
+                # Counted and retained at once, before any tap sees it.
+                assert bus.published("campaign") == len(bus.events("campaign"))
+
+        bus.subscribe(react)
+        bus.subscribe(seen.append)
+        for time_us, vin in ((1, "VIN-1"), (2, "VIN-2")):
+            bus.publish("deploy", "install_resolved", time_us, vin=vin)
+        assert [(e.category, e.vin) for e in seen] == [
+            ("deploy", "VIN-1"), ("campaign", "VIN-1"),
+            ("deploy", "VIN-2"), ("campaign", "VIN-2"),
+        ]
+        for category in ("deploy", "campaign"):
+            assert [e for e in seen if e.category == category] == (
+                bus.events(category)
+            )
+
+    def test_a_raising_tap_leaves_the_bus_usable(self):
+        bus = TelemetryBus()
+        seen = []
+
+        def explode(event):
+            if event.name == "boom":
+                bus.publish("campaign", "queued", event.time_us)
+                raise RuntimeError("tap failed")
+
+        bus.subscribe(explode)
+        bus.subscribe(seen.append)
+        with pytest.raises(RuntimeError, match="tap failed"):
+            bus.publish("deploy", "boom", 1)
+        assert bus.published() == 2 and bus.retained() == 2
+        bus.publish("deploy", "fine", 2)
+        assert [e.name for e in seen] == ["fine"]
+
     def test_snapshot_is_json_ready_and_accounts_exactly(self):
         bus = TelemetryBus(default_capacity=2)
         for i in range(3):
@@ -301,7 +342,7 @@ class TestSoakPolicy:
     def test_health_policy_empty_wave_regression(self):
         # Regression pin: the health gate must stay division-safe when a
         # wave attempted zero vehicles.
-        assert HealthPolicy().breaches(0, 0, 0, 0) == []
+        assert HealthPolicy().breaches(0, 0, 0) == []
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
