@@ -54,7 +54,9 @@ from repro.campaign.report import (
     Disposition,
     WaveReport,
 )
-from repro.campaign.spec import CANARY_SOAK_US, RETRY_BACKOFF_US, CampaignSpec
+from repro.campaign.spec import (
+    CANARY_SOAK_US, RETRY_BACKOFF_US, WAVE_PAUSE_US, CampaignSpec,
+)
 from repro.errors import ConfigurationError
 from repro.server.models import InstallStatus
 from repro.server.services.envelope import ErrorCode
@@ -471,8 +473,7 @@ class CampaignEngine:
             self._begin_soak(index)
             return
         self._schedule_promotion(
-            index,
-            CANARY_SOAK_US if wave.canary else self.spec.pause_us,
+            index, CANARY_SOAK_US if wave.canary else WAVE_PAUSE_US
         )
 
     def _schedule_promotion(self, index: int, pause_us: int) -> None:
@@ -604,7 +605,7 @@ class CampaignEngine:
                 f"{verdict.checked} vehicles"
             ),
         )
-        self._schedule_promotion(index, self.spec.pause_us)
+        self._schedule_promotion(index, WAVE_PAUSE_US)
 
     # -- rollback --------------------------------------------------------------
 

@@ -15,10 +15,11 @@ realises them deterministically against one platform:
   negative acknowledgement is synthesised after one round trip, exactly
   as if the vehicle's PIRTE had rejected the package.
 
-The timings no plan varies are module constants: the delay range, the
-offline start range, the synthesised NACK's latency and the delay
-before a soak anomaly strikes.  Soak anomalies arm when a ``deploy``
-event on the control plane's bus reports an install resolved ACTIVE.
+The values no plan varies are module constants: the delay range, the
+offline start range, the synthesised NACK's latency, the delay before
+a soak anomaly strikes and how many packages a flaky vehicle NACKs.
+Soak anomalies arm when a ``deploy`` event on the control plane's bus
+reports an install resolved ACTIVE.
 
 All randomness flows from per-VIN :class:`~repro.sim.random.SeededStream`
 children of ``plan.seed`` (``faults:<VIN>`` and ``faults:soak:<VIN>``),
@@ -51,6 +52,8 @@ OFFLINE_AFTER_MAX_US = 2 * SECOND
 NACK_LATENCY_US = 150 * MS
 #: Time from an install resolving ACTIVE to its soak anomaly.
 SOAK_ANOMALY_AFTER_US = 200 * MS
+#: Install packages a flaky vehicle NACKs before it behaves.
+FLAKY_INSTALL_FAILURES = 2
 
 
 def _rate(name: str, value: float) -> float:
@@ -76,11 +79,10 @@ class FaultPlan:
     seed: int = 0
     install_failure_rate: float = 0.0
     doomed_vins: FrozenSet[str] = field(default_factory=frozenset)
-    #: Vehicles that NACK their first ``flaky_install_failures`` install
-    #: packages, then behave — the transient-failure shape a retry
-    #: budget exists for.
+    #: Vehicles that NACK their first :data:`FLAKY_INSTALL_FAILURES`
+    #: install packages, then behave — the transient-failure shape a
+    #: retry budget exists for.
     flaky_vins: FrozenSet[str] = field(default_factory=frozenset)
-    flaky_install_failures: int = 2
     drop_rate: float = 0.0
     delay_rate: float = 0.0
     offline_rate: float = 0.0
@@ -122,10 +124,6 @@ class FaultPlan:
             raise ConfigurationError("soak_drain_blocks must be >= 0")
         if self.soak_fuel_amount < 0:
             raise ConfigurationError("soak_fuel_amount must be >= 0")
-        if self.flaky_install_failures < 0:
-            raise ConfigurationError(
-                "flaky_install_failures must be >= 0"
-            )
         # Normalise so equality/replay semantics do not depend on the
         # container type the caller used.
         object.__setattr__(self, "doomed_vins", frozenset(self.doomed_vins))
@@ -164,7 +162,6 @@ class FaultPlan:
             "install_failure_rate": self.install_failure_rate,
             "doomed_vins": sorted(self.doomed_vins),
             "flaky_vins": sorted(self.flaky_vins),
-            "flaky_install_failures": self.flaky_install_failures,
             "drop_rate": self.drop_rate,
             "delay_rate": self.delay_rate,
             "offline_rate": self.offline_rate,
@@ -427,8 +424,7 @@ class FaultInjector:
         if isinstance(message, msg.InstallMessage):
             flaky = (
                 vin in self.plan.flaky_vins
-                and self._flaky_used.get(vin, 0)
-                < self.plan.flaky_install_failures
+                and self._flaky_used.get(vin, 0) < FLAKY_INSTALL_FAILURES
             )
             if flaky:
                 self._flaky_used[vin] = self._flaky_used.get(vin, 0) + 1
@@ -468,6 +464,7 @@ class FaultInjector:
 __all__ = [
     "DELAY_MAX_US",
     "DELAY_MIN_US",
+    "FLAKY_INSTALL_FAILURES",
     "FaultInjector",
     "FaultPlan",
     "FaultStats",

@@ -34,6 +34,10 @@ RETRY_BACKOFF_US = 200 * MS
 #: wave, when the spec has no telemetry soak gate.
 CANARY_SOAK_US = 500 * MS
 
+#: How long any other wave that passed its gate (or its soak) waits
+#: before the next wave.
+WAVE_PAUSE_US = 100 * MS
+
 
 # -- wave sizing ---------------------------------------------------------------
 
@@ -366,8 +370,9 @@ class CampaignSpec:
     against server vehicle records, so every spec survives a server
     restart.  With ``canary`` True the first wave is the canary: it
     soaks for :data:`CANARY_SOAK_US` after resolving and may use the
-    stricter ``canary_health`` thresholds.  A VIN's retries each wait
-    :data:`RETRY_BACKOFF_US` before they are pushed.
+    stricter ``canary_health`` thresholds; later waves wait
+    :data:`WAVE_PAUSE_US` before the next one.  A VIN's retries each
+    wait :data:`RETRY_BACKOFF_US` before they are pushed.
     """
 
     app_name: str
@@ -379,7 +384,6 @@ class CampaignSpec:
     rollback: RollbackPolicy = field(default_factory=RollbackPolicy)
     retry_budget: int = 1
     wave_timeout_us: int = 30 * SECOND
-    pause_us: int = 100 * MS
     #: Telemetry-driven soak gate (see :class:`repro.telemetry.SoakPolicy`).
     #: When set, every wave with updated vehicles soaks under sampled
     #: DiagMessage telemetry before promotion; the blind canary pause
@@ -459,7 +463,6 @@ class CampaignSpec:
             "rollback": self.rollback.to_dict(),
             "retry_budget": self.retry_budget,
             "wave_timeout_us": self.wave_timeout_us,
-            "pause_us": self.pause_us,
             "soak": self.soak.to_dict() if self.soak is not None else None,
             "user_id": self.user_id,
         }
@@ -495,7 +498,6 @@ class CampaignSpec:
             rollback=RollbackPolicy.from_dict(data["rollback"]),
             retry_budget=data["retry_budget"],
             wave_timeout_us=data["wave_timeout_us"],
-            pause_us=data["pause_us"],
             # .get: payloads persisted before soak gates existed lack
             # the key; they keep the legacy time-only soak.
             soak=(
@@ -510,6 +512,7 @@ class CampaignSpec:
 __all__ = [
     "CANARY_SOAK_US",
     "RETRY_BACKOFF_US",
+    "WAVE_PAUSE_US",
     "WavePolicy",
     "FixedWaves",
     "PercentageWaves",

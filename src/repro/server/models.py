@@ -143,6 +143,9 @@ class InstalledApp:
     version: str
     status: InstallStatus
     plugins: list[InstalledPlugin] = field(default_factory=list)
+    #: Who an update redeploys as once every uninstall is acked; empty
+    #: when no update waits.
+    update_user: str = ""
 
     def plugin(self, name: str) -> Optional[InstalledPlugin]:
         for record in self.plugins:

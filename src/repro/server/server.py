@@ -7,11 +7,11 @@ resource-oriented :attr:`api` control plane
 portal sits above it).
 
 :meth:`TrustedServer.restart` simulates a server process restart: the
-whole service layer (the control-plane bus and its taps, pending
-updates, campaign engines' admission claims) is torn down and rebuilt
-from the database — which, like the pusher's network identity,
-survives.  Persistent campaigns are
-recovered afterwards with ``server.api.campaigns.load()``.
+whole service layer (the control-plane bus and its taps, campaign
+engines' admission claims) is torn down and rebuilt from the database
+— which, like the pusher's network identity, survives.  Persistent
+campaigns are recovered afterwards with
+``server.api.campaigns.load()``.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class TrustedServer:
     def restart(self) -> FleetAPI:
         """Simulate a server process restart; returns the fresh API.
 
-        Process state (bus taps, in-flight update bookkeeping,
-        admission claims, live campaign objects) is discarded; the
-        database and the pusher's connections survive.  Callers resume
-        campaigns via ``server.api.campaigns.load()``.
+        Process state (bus taps, admission claims, live campaign
+        objects) is discarded; the database and the pusher's
+        connections survive.  Callers resume campaigns via
+        ``server.api.campaigns.load()``.
         """
         self._bring_up()
         return self.api

@@ -4,11 +4,13 @@ The paper's plug-in (re)deployment operations (Sec. 3.2.2) as one
 cohesive control-plane service: deploy, uninstall, batch dispatch,
 retry, abandon, update, restore, and reconcile — all returning uniform
 :class:`~repro.server.services.envelope.Response` envelopes — plus the
-upstream acknowledgement pump.  Every change of an installation
-record's state is published as one ``deploy`` event on the control
-plane's :class:`~repro.telemetry.bus.TelemetryBus`; campaign engines,
-the fault injector and the gateway's event stream learn installation
-state by tapping that category.
+upstream acknowledgement pump.  Everything that decides an install
+outcome lives on the database's installation records, so a server
+restart changes no outcome.  Every change of an installation record's
+state is published as one ``deploy`` event on the control plane's
+:class:`~repro.telemetry.bus.TelemetryBus`; campaign engines, the fault
+injector and the gateway's event stream learn installation state by
+tapping that category.
 
 This is the single code path for installation status queries;
 ``Platform.installation_status`` and ``Deployment.status`` delegate
@@ -17,7 +19,7 @@ here.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from repro.core import messages as msg
 from repro.errors import PackagingError, ServerError, UnknownEntityError
@@ -70,8 +72,6 @@ class DeploymentService:
         self.acks_processed = 0
         self.malformed_upstream = 0
         self._plans = PackagePlans()
-        # (vin, app_name) -> user_id: update waiting for uninstall acks.
-        self._pending_updates: dict[tuple[str, str], str] = {}
 
     # -- events ---------------------------------------------------------------
 
@@ -87,7 +87,8 @@ class DeploymentService:
         ``kind`` is the event name: ``install_resolved`` (the record
         reached ACTIVE or FAILED), ``uninstall_done`` (the record was
         removed after every uninstall ack), ``uninstall_failed`` (a
-        negative uninstall ack) or ``update_redeploy_failed`` (an
+        negative uninstall ack other than ``UNKNOWN_PLUGIN``, which
+        counts as removed) or ``update_redeploy_failed`` (an
         :meth:`update` removed the old version but the server refused
         the new one, so the app is absent from the vehicle).  The data
         holds ``app`` and ``status`` (the status value, or ``""``).
@@ -96,6 +97,21 @@ class DeploymentService:
             "deploy", kind, self.pusher.now, vin=vin,
             app=app_name, status=status.value if status else "",
         )
+
+    def _set_status(
+        self,
+        vehicle: Vehicle,
+        installed: InstalledApp,
+        status: InstallStatus,
+        event: str = "",
+    ) -> None:
+        """The only status writer: move ``installed`` to ``status`` and,
+        if that changed it, publish the ``deploy`` event ``event``."""
+        if installed.status is status:
+            return
+        installed.status = status
+        if event:
+            self._emit(event, vehicle.vin, installed.app_name, status)
 
     # -- deployment -----------------------------------------------------------
 
@@ -162,13 +178,12 @@ class DeploymentService:
             )
         # An explicit removal overrides any update waiting on this app:
         # the operator asked for the app to be gone, not replaced.
-        self._pending_updates.pop((vin, app_name), None)
+        installed.update_user = ""
         if installed.status is InstallStatus.REMOVING:
             # Idempotent: the teardown is already in flight; re-pushing
-            # duplicate uninstalls would only earn UNKNOWN_PLUGIN nacks
-            # racing the real acks.
+            # duplicate uninstalls would only race the real acks.
             return Response.success(reasons=["removal already in progress"])
-        installed.status = InstallStatus.REMOVING
+        self._set_status(vehicle, installed, InstallStatus.REMOVING)
         raws = []
         for record in installed.plugins:
             record.acked = False
@@ -217,33 +232,25 @@ class DeploymentService:
                 f"APP {app_name} on {vin} is {installed.status.value}; "
                 f"only pending/failed installs can be retried",
             )
-        pushed = 0
-        for record in installed.plugins:
-            if record.acked:
-                continue
-            if not record.package:
-                raise ServerError(
-                    f"no stored package for plug-in {record.plugin_name}"
-                )
-            record.nacked = False
-            self.pusher.push(vin, record.package)
-            pushed += 1
-        if pushed == 0:
+        unacked = [record for record in installed.plugins if not record.acked]
+        if not unacked:
             return Response.failure(
                 ErrorCode.NOTHING_TO_DO,
                 f"APP {app_name} on {vin} has nothing to retry",
             )
-        installed.status = InstallStatus.PENDING
-        return Response.success(pushed_messages=pushed)
+        for record in unacked:
+            self._resend(vehicle, installed, record)
+        return Response.success(pushed_messages=len(unacked))
 
     def abandon(self, user_id: str, vin: str, app_name: str) -> Response:
         """Drop a failed/stuck installation record (rollback cleanup).
 
-        Unlike :meth:`uninstall`, the record is removed immediately and
-        no acknowledgements are awaited: uninstall messages go out
-        best-effort for the plug-ins the vehicle did confirm, and the
-        vehicle is flagged for workshop attention.  Used by campaign
-        rollback when an install never fully happened.
+        Unlike :meth:`uninstall`, the record, and with it any update
+        waiting on it, is removed immediately and no acknowledgements
+        are awaited: uninstall messages go out best-effort for the
+        plug-ins the vehicle did confirm.  Used by campaign rollback
+        when an install never fully happened; flagging the vehicle for
+        the workshop is the campaign engine's part.
         """
         vehicle, error = self._vehicle_for(user_id, vin)
         if error is not None:
@@ -254,7 +261,6 @@ class DeploymentService:
                 ErrorCode.NOT_INSTALLED,
                 f"APP {app_name} is not installed on {vin}",
             )
-        self._pending_updates.pop((vin, app_name), None)
         pushed = 0
         for record in installed.plugins:
             if not record.acked:
@@ -272,7 +278,8 @@ class DeploymentService:
         The paper's pragmatic model (Sec. 5): the plug-ins are stopped
         and removed, then the new version is installed fresh — no state
         transfer.  The re-deployment triggers automatically once the
-        vehicle has acknowledged every uninstall.
+        vehicle has acknowledged every uninstall.  The waiting update is
+        the record's ``update_user``, so it survives a server restart.
         """
         vehicle, error = self._vehicle_for(user_id, vin)
         if error is not None:
@@ -296,7 +303,7 @@ class DeploymentService:
         result = self.uninstall(user_id, vin, app_name)
         if not result.ok:
             return result
-        self._pending_updates[(vin, app_name)] = user_id
+        installed.update_user = user_id
         return Response.success(pushed_messages=result.pushed_messages)
 
     def restore(self, vin: str, ecu_name: str) -> Response:
@@ -305,25 +312,9 @@ class DeploymentService:
             vehicle = self.db.vehicle(vin)
         except UnknownEntityError as exc:
             return Response.failure(ErrorCode.UNKNOWN_ENTITY, str(exc))
-        pushed = 0
-        for installed in vehicle.conf.installed.values():
-            if installed.status is InstallStatus.REMOVING:
-                # Mid-uninstall: re-pushing installs here would race the
-                # pending uninstall acks into deleting a record for
-                # plug-ins that just got re-installed.
-                continue
-            for record in installed.plugins:
-                if record.ecu_name != ecu_name:
-                    continue
-                if not record.package:
-                    raise ServerError(
-                        f"no stored package for plug-in {record.plugin_name}"
-                    )
-                record.acked = False
-                record.nacked = False
-                installed.status = InstallStatus.PENDING
-                self.pusher.push(vin, record.package)
-                pushed += 1
+        pushed = self._resend_all(
+            vehicle, lambda record: record.ecu_name == ecu_name
+        )
         if pushed == 0:
             return Response.failure(
                 ErrorCode.NOTHING_TO_DO,
@@ -345,27 +336,15 @@ class DeploymentService:
             vehicle = self.db.vehicle(vin)
         except UnknownEntityError as exc:
             return Response.failure(ErrorCode.UNKNOWN_ENTITY, str(exc))
-        pushed = 0
-        for installed in vehicle.conf.installed.values():
-            if installed.status is InstallStatus.REMOVING:
-                continue
-            for record in installed.plugins:
-                report = vehicle.health.get(record.swc_name)
-                if report is None:
-                    continue
-                present = {
-                    h.plugin_name
-                    for h in report.plugins  # type: ignore[attr-defined]
-                }
-                if record.plugin_name in present:
-                    continue
-                if not record.package:
-                    continue
-                record.acked = False
-                record.nacked = False
-                installed.status = InstallStatus.PENDING
-                self.pusher.push(vin, record.package)
-                pushed += 1
+
+        def missing(record: InstalledPlugin) -> bool:
+            report = vehicle.health.get(record.swc_name)
+            return report is not None and all(
+                h.plugin_name != record.plugin_name
+                for h in report.plugins  # type: ignore[attr-defined]
+            )
+
+        pushed = self._resend_all(vehicle, missing)
         if pushed == 0:
             return Response.success(reasons=["nothing to reconcile"])
         return Response.success(pushed_messages=pushed)
@@ -419,85 +398,62 @@ class DeploymentService:
         record: InstalledPlugin,
         message: msg.AckMessage,
     ) -> None:
-        if message.op is msg.MessageType.INSTALL:
-            if installed.status is InstallStatus.REMOVING:
-                # The app is being torn down: a late install ack (or
-                # NACK) from the superseded attempt must neither
-                # resurrect the record to ACTIVE nor wedge the removal
-                # in FAILED.  Mirrors the UNINSTALL-branch guard below.
-                return
+        """Apply one ack: uninstall acks exactly while the record is
+        REMOVING, install acks exactly while it is not.  Any other ack
+        answers a superseded attempt (a late install ack, an old
+        :meth:`abandon`'s teardown) and must not touch the record."""
+        removing = installed.status is InstallStatus.REMOVING
+        expected = (
+            msg.MessageType.UNINSTALL if removing else msg.MessageType.INSTALL
+        )
+        if message.op is not expected:
+            return
+        if not removing:
             if message.ok:
                 record.acked = True
                 record.nacked = False
                 if installed.all_acked():
-                    installed.status = InstallStatus.ACTIVE
-                    self._emit(
-                        "install_resolved", vehicle.vin, installed.app_name,
-                        InstallStatus.ACTIVE,
+                    self._set_status(
+                        vehicle, installed, InstallStatus.ACTIVE,
+                        "install_resolved",
                     )
-            else:
-                if record.acked:
-                    # The plug-in is already confirmed installed; this
-                    # NACK answers a stale duplicate package (e.g. a
-                    # retry raced a delayed original).  The vehicle is
-                    # healthy — do not demote the record.
-                    return
+            elif not record.acked:
+                # A NACK for an acked plug-in answers a stale duplicate
+                # package (a retry raced a delayed original): the
+                # vehicle is healthy, so the record is not demoted.
                 record.nacked = True
-                previous = installed.status
-                installed.status = InstallStatus.FAILED
-                if previous is not InstallStatus.FAILED:
-                    self._emit(
-                        "install_resolved", vehicle.vin, installed.app_name,
-                        InstallStatus.FAILED,
-                    )
-        elif message.op is msg.MessageType.UNINSTALL:
-            if installed.status is not InstallStatus.REMOVING:
-                # No removal is in progress for this record: the ack
-                # answers an old best-effort uninstall (e.g. from an
-                # abandon() whose record a later campaign re-created).
-                # Applying it would corrupt — or delete — the fresh
-                # installation.
-                return
-            if message.ok:
-                record.acked = True
-                if installed.all_acked():
-                    del vehicle.conf.installed[installed.app_name]
-                    self._emit(
-                        "uninstall_done", vehicle.vin, installed.app_name
-                    )
-                    # A pending update re-deploys the new version now.
-                    user_id = self._pending_updates.pop(
-                        (vehicle.vin, installed.app_name), None
-                    )
-                    if user_id is not None:
-                        redeploy = self.deploy(
-                            user_id, vehicle.vin, installed.app_name
-                        )
-                        if not redeploy.ok:
-                            # The old version is gone and the new one
-                            # was rejected: surface it — portal queries
-                            # must not mistake this for a clean
-                            # uninstall.  The trace lives on the
-                            # vehicle record, so it survives a server
-                            # restart; see :meth:`update_failure`.
-                            vehicle.update_failures[
-                                installed.app_name
-                            ] = list(redeploy.reasons)
-                            self._emit(
-                                "update_redeploy_failed",
-                                vehicle.vin,
-                                installed.app_name,
-                            )
-            else:
-                installed.status = InstallStatus.FAILED
-                # A half-removed app cannot be auto-updated anymore.
-                self._pending_updates.pop(
-                    (vehicle.vin, installed.app_name), None
+                self._set_status(
+                    vehicle, installed, InstallStatus.FAILED,
+                    "install_resolved",
                 )
-                self._emit(
-                    "uninstall_failed", vehicle.vin, installed.app_name,
-                    InstallStatus.FAILED,
-                )
+        elif message.ok or message.status is msg.AckStatus.UNKNOWN_PLUGIN:
+            # A plug-in the vehicle no longer has (an ECU that lost its
+            # RAM) is as removed as one it just uninstalled.
+            record.acked = True
+            if installed.all_acked():
+                self._remove(vehicle, installed)
+        else:
+            # A half-removed app cannot be auto-updated anymore.
+            installed.update_user = ""
+            self._set_status(
+                vehicle, installed, InstallStatus.FAILED, "uninstall_failed"
+            )
+
+    def _remove(self, vehicle: Vehicle, installed: InstalledApp) -> None:
+        """Delete a fully uninstalled record; redeploy a waiting update."""
+        app_name = installed.app_name
+        del vehicle.conf.installed[app_name]
+        self._emit("uninstall_done", vehicle.vin, app_name)
+        if not installed.update_user:
+            return
+        redeploy = self.deploy(installed.update_user, vehicle.vin, app_name)
+        if not redeploy.ok:
+            # The old version is gone and the new one was rejected:
+            # surface it — portal queries must not mistake this for a
+            # clean uninstall.  The trace lives on the vehicle record,
+            # so it survives a server restart; see :meth:`update_failure`.
+            vehicle.update_failures[app_name] = list(redeploy.reasons)
+            self._emit("update_redeploy_failed", vehicle.vin, app_name)
 
     # -- queries ---------------------------------------------------------------
 
@@ -544,6 +500,39 @@ class DeploymentService:
         )
 
     # -- internals --------------------------------------------------------------
+
+    def _resend_all(
+        self, vehicle: Vehicle, lost: Callable[[InstalledPlugin], bool]
+    ) -> int:
+        """:meth:`_resend` every plug-in ``lost`` picks; the count.  A
+        record mid-uninstall is skipped: its pending uninstall acks would
+        delete the record of plug-ins just re-installed."""
+        picked = [
+            (installed, record)
+            for installed in vehicle.conf.installed.values()
+            if installed.status is not InstallStatus.REMOVING
+            for record in installed.plugins
+            if lost(record)
+        ]
+        for installed, record in picked:
+            self._resend(vehicle, installed, record)
+        return len(picked)
+
+    def _resend(
+        self,
+        vehicle: Vehicle,
+        installed: InstalledApp,
+        record: InstalledPlugin,
+    ) -> None:
+        """Push ``record``'s stored package again; the record is PENDING."""
+        if not record.package:
+            raise ServerError(
+                f"no stored package for plug-in {record.plugin_name}"
+            )
+        record.acked = False
+        record.nacked = False
+        self._set_status(vehicle, installed, InstallStatus.PENDING)
+        self.pusher.push(vehicle.vin, record.package)
 
     def _vehicle_for(
         self, user_id: str, vin: str

@@ -250,9 +250,7 @@ class TestHealthGatesAndRollback:
         spec = canary_campaign(
             APP, fractions=(0.25, 1.0), max_failure_rate=0.5, retry_budget=1
         )
-        faults = FaultPlan(
-            seed=5, flaky_vins={"VIN-0002"}, flaky_install_failures=2
-        )
+        faults = FaultPlan(seed=5, flaky_vins={"VIN-0002"})
         report = fleet.run_campaign(spec, faults=faults)
         assert report.status == "succeeded"
         assert report.dispositions["VIN-0002"] is Disposition.UPDATED

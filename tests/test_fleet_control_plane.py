@@ -451,7 +451,7 @@ class TestConcurrentCampaigns:
             APP, waves=FixedWaves(1), canary=False,
             health=HealthPolicy(max_failure_rate=0.1),
             rollback=RollbackPolicy(scope="campaign"),
-            retry_budget=0, pause_us=100_000,
+            retry_budget=0,
         )
         engine = fleet.stage_campaign(
             spec, faults=FaultPlan(seed=7, doomed_vins={"VIN-0001"})
@@ -534,6 +534,10 @@ class TestCampaignPersistence:
         assert CampaignSpec.from_dict(selector_spec.to_dict()) == (
             selector_spec
         )
+        # A payload persisted with the removed ``pause_us`` still loads.
+        assert CampaignSpec.from_dict(
+            {**spec.to_dict(), "pause_us": 100_000}
+        ) == spec
         # Malformed payloads surface as ConfigurationError, not raw
         # KeyError/TypeError from deep inside the registry.
         from repro.campaign.spec import WavePolicy
@@ -558,6 +562,12 @@ class TestCampaignPersistence:
         assert FaultPlan.from_dict(plan.to_dict()) == plan
         data = json.loads(json.dumps(plan.to_dict()))  # JSON-safe
         assert FaultPlan.from_dict(data) == plan
+        # A key that names no field, such as the removed
+        # ``flaky_install_failures``, is refused.
+        with pytest.raises(TypeError):
+            FaultPlan.from_dict(
+                {**plan.to_dict(), "flaky_install_failures": 2}
+            )
         # Pre-soak payloads without the anomaly keys still load.
         legacy = {
             key: value
