@@ -32,6 +32,12 @@ machine-checked:
    read in one of those six directories as an attribute, a name, a
    keyword argument or an identifier string constant (``getattr``).
    A counter or time stamp that is only ever written is dead state.
+6. **Kernel-private state stays in the kernel** — outside
+   ``src/repro/sim``, no code under ``src/repro`` reads or writes an
+   underscore attribute through a simulator reference (``sim._x``,
+   ``self.sim._x``, ``self._sim._x``, ``<expr>.sim._x``).  The event
+   key format and the kernel's position are one module's decision;
+   other layers use its public methods and the ``Owner`` handles.
 
 Violations are keyed ``relpath::scope::rule`` (scope = enclosing
 function qualname; for rule 4, the definition's own qualname; for
@@ -60,6 +66,10 @@ ALLOWLIST = Path(__file__).resolve().parent / "lint_allowlist.txt"
 GATEWAY_DIR = "src/repro/server/gateway"
 GATEWAY_EXEMPT_FILES = ("pump.py",)
 
+#: The simulation kernel, the one package that touches its private
+#: state (rule 6).
+KERNEL_DIR = "src/repro/sim"
+
 #: Dotted call names that read the wall clock.
 WALL_CLOCK_CALLS = {
     "time.time",
@@ -82,6 +92,7 @@ RULE_SIM_ACCESS = "sim-access"
 RULE_UNUSED_IMPORT = "unused-import"
 RULE_UNREFERENCED_DEF = "unreferenced-def"
 RULE_UNREAD_ATTRIBUTE = "unread-attribute"
+RULE_KERNEL_PRIVATE = "kernel-private"
 
 #: Directories the unused-import rule checks and the unreferenced-def
 #: and unread-attribute rules read names in.
@@ -105,12 +116,23 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
+def _simulator_reference(node: ast.AST) -> bool:
+    """``sim``, ``<expr>.sim`` or ``<expr>._sim``."""
+    if isinstance(node, ast.Name):
+        return node.id == "sim"
+    return isinstance(node, ast.Attribute) and node.attr in ("sim", "_sim")
+
+
 class Visitor(ast.NodeVisitor):
     """Collects (scope, rule, lineno, detail) violations of one file."""
 
-    def __init__(self, deterministic: bool, gateway: bool) -> None:
+    def __init__(
+        self, deterministic: bool, gateway: bool, kernel: bool
+    ) -> None:
         self.deterministic = deterministic
         self.gateway = gateway
+        #: Whether the file is the kernel's own (exempt from rule 6).
+        self.kernel = kernel
         self.scope: list[str] = []
         self.violations: list[tuple[str, str, int, str]] = []
 
@@ -147,6 +169,15 @@ class Visitor(ast.NodeVisitor):
         if self.gateway and node.attr == "sim":
             self._flag(
                 RULE_SIM_ACCESS, node, dotted_name(node) or "<expr>.sim"
+            )
+        if (
+            not self.kernel
+            and node.attr.startswith("_")
+            and _simulator_reference(node.value)
+        ):
+            self._flag(
+                RULE_KERNEL_PRIVATE, node,
+                dotted_name(node) or f"<expr>.sim.{node.attr}",
             )
         self.generic_visit(node)
 
@@ -382,17 +413,21 @@ def unread_attributes(
     return found
 
 
-def lint_file(path: Path) -> list[tuple[str, str, int, str]]:
-    rel = path.relative_to(ROOT).as_posix()
+def lint_source(source: str, rel: str) -> list[tuple[str, str, int, str]]:
+    """Rules 1, 2 and 6 on the source of the file at repo path ``rel``."""
     in_gateway = rel.startswith(GATEWAY_DIR + "/")
-    deterministic = not in_gateway
-    gateway = in_gateway and path.name not in GATEWAY_EXEMPT_FILES
-    if not deterministic and not gateway:
-        return []
-    tree = ast.parse(path.read_text(), filename=rel)
-    visitor = Visitor(deterministic, gateway)
-    visitor.visit(tree)
+    exempt = rel.rsplit("/", 1)[-1] in GATEWAY_EXEMPT_FILES
+    visitor = Visitor(
+        deterministic=not in_gateway,
+        gateway=in_gateway and not exempt,
+        kernel=rel.startswith(KERNEL_DIR + "/"),
+    )
+    visitor.visit(ast.parse(source, filename=rel))
     return visitor.violations
+
+
+def lint_file(path: Path) -> list[tuple[str, str, int, str]]:
+    return lint_source(path.read_text(), path.relative_to(ROOT).as_posix())
 
 
 def load_allowlist() -> set[str]:

@@ -4,7 +4,10 @@ An :class:`Ecu` is assembled by the system builder; application code
 interacts with it through its component instances and, for the dynamic
 component model, through the PIRTE living inside a plug-in SW-C.  Every
 ECU sits on the system's CAN bus, so its RTE reaches the other ECUs
-through COM and CanIf.
+through COM and CanIf.  Its CPU owns the kernel events of its alarms
+(each an :class:`~repro.autosar.os.task.Activation` of a mapped task)
+and of its completions, and parks them while every periodic runnable
+is idle (see :mod:`repro.autosar.os.scheduler`).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Optional
 from repro.autosar.ecu import Ecu
 from repro.autosar.events import DataReceivedEvent, InitEvent, TimingEvent
 from repro.autosar.bsw.com import SignalConfig
-from repro.autosar.os.task import Task, WorkItem
+from repro.autosar.os.task import Activation, Task, WorkItem
 from repro.autosar.rte.rte import ComRoute, LocalRoute
 from repro.autosar.swc import ComponentInstance
 from repro.autosar.system import SystemDescription
@@ -228,8 +228,7 @@ class SystemBuilder:
     ) -> None:
         item = self._activation_item(instance, event.runnable, periodic=True)
         alarm = ecu.alarms.create(
-            f"{instance.name}.{event.runnable}.timer",
-            partial(ecu.cpu.activate, task, item),
+            f"{instance.name}.{event.runnable}.timer", Activation(task, item)
         )
         ecu.at_boot(
             lambda a=alarm, e=event: a.set_relative(e.offset_us, e.period_us)

@@ -2,6 +2,14 @@
 
 from repro.autosar.os.alarm import Alarm, AlarmManager
 from repro.autosar.os.scheduler import Cpu
-from repro.autosar.os.task import Task, TaskState, WorkItem
+from repro.autosar.os.task import Activation, Task, TaskState, WorkItem
 
-__all__ = ["Alarm", "AlarmManager", "Cpu", "Task", "TaskState", "WorkItem"]
+__all__ = [
+    "Activation",
+    "Alarm",
+    "AlarmManager",
+    "Cpu",
+    "Task",
+    "TaskState",
+    "WorkItem",
+]

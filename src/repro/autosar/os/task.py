@@ -33,8 +33,8 @@ class WorkItem:
     item completes (side effects become visible at completion, modelling
     results produced at the end of a runnable's execution window).
     ``noop``, when given, says whether running ``action`` now would
-    change nothing; the scheduler may then elide the item's completion
-    event (see :class:`~repro.autosar.os.scheduler.Cpu`).
+    change nothing; a CPU whose periodic items all say so parks (see
+    :class:`~repro.autosar.os.scheduler.Cpu`).
     """
 
     label: str
@@ -48,15 +48,15 @@ class WorkItem:
 
 
 def _settled(field: str, doc: str) -> property:
-    """A read-only task attribute that a lazy completion may still owe.
+    """A read-only task attribute that a parked CPU may still owe.
 
-    Reading it first settles (or materializes) its CPU's lazy
-    completion, so it reads what the ticking scheduler would show.
+    Reading it first settles its CPU (:meth:`Cpu.wake`), so it reads
+    what the ticking scheduler would show.
     """
 
     def read(task: "Task"):
         cpu = task.cpu
-        if cpu is not None and cpu._lazy is not None:
+        if cpu is not None and cpu._parked is not None:
             cpu.wake()
         return getattr(task, field)
 
@@ -91,7 +91,7 @@ class Task:
         #: Stamped by Cpu.add_task; activate() verifies it by identity.
         self.cpu: Any = None
         self.queue: Deque[WorkItem] = deque()
-        self.activation_count = 0
+        self._activation_count = 0
         self.dropped_activations = 0
         self._completed_items = 0
         # Response-time statistics (us), filled by the scheduler.  Kept
@@ -103,6 +103,7 @@ class Task:
         self._activation_times: Deque[int] = deque()
 
     state = _settled("_state", "The OSEK task state.")
+    activation_count = _settled("_activation_count", "Activations accepted.")
     completed_items = _settled("_completed_items", "Work items completed.")
     response_count = _settled(
         "_response_count", "Completions paired with an activation."
@@ -130,7 +131,7 @@ class Task:
 
     def note_activation(self, now: int) -> None:
         """Record an activation instant for response-time accounting."""
-        self.activation_count += 1
+        self._activation_count += 1
         self._activation_times.append(now)
 
     def note_completion(self, now: int) -> None:
@@ -147,4 +148,26 @@ class Task:
         return f"<Task {self.name} prio={self.priority} {self.state.value}>"
 
 
-__all__ = ["Task", "TaskState", "WorkItem"]
+class Activation:
+    """OSEK's ActivateTask as an alarm action: activate ``task`` with
+    ``item``.
+
+    An alarm with this action is a *chain* of the task's CPU: its
+    expiries are that CPU's events, and the CPU may park it (see
+    :class:`~repro.autosar.os.scheduler.Cpu`).  Build it after
+    ``Cpu.add_task``.
+    """
+
+    __slots__ = ("task", "item")
+
+    def __init__(self, task: Task, item: WorkItem) -> None:
+        if task.cpu is None:
+            raise OsekError(f"task {task.name} is on no CPU")
+        self.task = task
+        self.item = item
+
+    def __call__(self) -> None:
+        self.task.cpu.activate(self.task, self.item)
+
+
+__all__ = ["Activation", "Task", "TaskState", "WorkItem"]

@@ -33,9 +33,10 @@ class Runnable:
     ``noop`` is an optional predicate for periodic runnables: true when
     running the body on ``instance`` now would change nothing.  The
     generator attaches it to the runnable's timing-event work item, so
-    the scheduler can elide such activations' completions.  Whatever
-    changes the state it reads must first call ``Cpu.wake`` on the
-    instance's CPU (see :mod:`repro.autosar.os.scheduler`).
+    a CPU whose periodic items are all idle can park: it queues no
+    tick until the next touch.  Whatever changes the state it reads
+    must first call ``Cpu.wake`` on the instance's CPU, or arrive as an
+    activation (see :mod:`repro.autosar.os.scheduler`).
     """
 
     name: str

@@ -17,7 +17,7 @@ interacting with the external world" (paper Sec. 3.1.1).  The
 
 Messages from the server and from external endpoints land in inboxes
 that the next ``dispatch`` tick drains; each arrival wakes the host CPU
-first, so an elided idle tick never misses one.
+first, so a parked CPU resumes its ticks and never misses one.
 """
 
 from __future__ import annotations

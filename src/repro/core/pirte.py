@@ -10,7 +10,7 @@ One PIRTE instance lives in the ``state`` dict of its host
 runnables call :meth:`step` (message processing + VM execution) and
 :meth:`timer_tick` (periodic plug-in activations).  :meth:`idle` and
 :meth:`timer_idle` tell when those calls would do nothing, which lets
-the scheduler elide idle ticks; every entry point that changes that
+the host CPU park while both hold; every entry point that changes that
 state from outside the PIRTE's own runnables wakes the host CPU first.
 
 Routing summary (paper Sec. 3.1.3):
@@ -169,7 +169,7 @@ class Pirte:
         return rte.sim.now if rte is not None else 0
 
     def _wake(self) -> None:
-        """Let the host CPU resolve an elided tick before state changes."""
+        """Let a parked host CPU settle and resume before state changes."""
         cpu = self.instance.cpu
         if cpu is not None:
             cpu.wake()

@@ -249,8 +249,9 @@ def make_plugin_swc_type(
     The periodic ``dispatch`` and ``timer`` runnables declare ``noop``
     predicates: a tick is a no-op once the PIRTE exists and
     :meth:`Pirte.idle` (for ``timer``, :meth:`Pirte.timer_idle`) holds.
-    The scheduler then elides the tick's completion; the PIRTE wakes
-    its CPU before any change from outside its own runnables.
+    When both hold the CPU parks, queueing no tick; the PIRTE wakes its
+    CPU before any change from outside its own runnables, and data on
+    ``mgmt_in``, a relay-in or a service-in port activates ``dispatch``.
     """
 
     def default_factory(instance: ComponentInstance) -> Pirte:

@@ -180,21 +180,36 @@ class DeploymentService:
         # the operator asked for the app to be gone, not replaced.
         installed.update_user = ""
         if installed.status is InstallStatus.REMOVING:
-            # Idempotent: the teardown is already in flight; re-pushing
-            # duplicate uninstalls would only race the real acks.
-            return Response.success(reasons=["removal already in progress"])
+            # The teardown is in flight, but its messages may be lost:
+            # re-push each uninstall whose ack has not arrived.  One
+            # that reaches the vehicle twice is answered UNKNOWN_PLUGIN
+            # the second time, which counts as removed.
+            pushed = self._push_uninstalls(vin, installed, acked=False)
+            return Response.success(
+                reasons=["removal already in progress"],
+                pushed_messages=pushed,
+            )
         self._set_status(vehicle, installed, InstallStatus.REMOVING)
-        raws = []
         for record in installed.plugins:
             record.acked = False
             record.nacked = False
-            raws.append(
-                msg.UninstallMessage(
-                    record.plugin_name, record.ecu_name, record.swc_name
-                ).encode()
-            )
+        pushed = self._push_uninstalls(vin, installed, acked=False)
+        return Response.success(pushed_messages=pushed)
+
+    def _push_uninstalls(
+        self, vin: str, installed: InstalledApp, acked: bool
+    ) -> int:
+        """Push the uninstall of each plug-in whose ``acked`` flag is
+        ``acked``; returns how many were pushed."""
+        raws = [
+            msg.UninstallMessage(
+                record.plugin_name, record.ecu_name, record.swc_name
+            ).encode()
+            for record in installed.plugins
+            if record.acked == acked
+        ]
         self.pusher.push_many(vin, raws)
-        return Response.success(pushed_messages=len(raws))
+        return len(raws)
 
     # -- batch / campaign operations ------------------------------------------
 
@@ -248,9 +263,11 @@ class DeploymentService:
         Unlike :meth:`uninstall`, the record, and with it any update
         waiting on it, is removed immediately and no acknowledgements
         are awaited: uninstall messages go out best-effort for the
-        plug-ins the vehicle did confirm.  Used by campaign rollback
-        when an install never fully happened; flagging the vehicle for
-        the workshop is the campaign engine's part.
+        plug-ins still on the vehicle.  Those are the plug-ins whose
+        install it confirmed, or, for a removal in progress, the ones
+        whose uninstall it has not.  Used by campaign rollback when an
+        install never fully happened; flagging the vehicle for the
+        workshop is the campaign engine's part.
         """
         vehicle, error = self._vehicle_for(user_id, vin)
         if error is not None:
@@ -261,15 +278,8 @@ class DeploymentService:
                 ErrorCode.NOT_INSTALLED,
                 f"APP {app_name} is not installed on {vin}",
             )
-        pushed = 0
-        for record in installed.plugins:
-            if not record.acked:
-                continue
-            raw = msg.UninstallMessage(
-                record.plugin_name, record.ecu_name, record.swc_name
-            ).encode()
-            self.pusher.push(vin, raw)
-            pushed += 1
+        removing = installed.status is InstallStatus.REMOVING
+        pushed = self._push_uninstalls(vin, installed, acked=not removing)
         return Response.success(pushed_messages=pushed)
 
     def update(self, user_id: str, vin: str, app_name: str) -> Response:

@@ -5,38 +5,40 @@ channels, the trusted server's pusher) share one :class:`Simulator`.  Time
 is an integer number of microseconds, which keeps event ordering exact and
 runs reproducible across platforms.
 
-Events scheduled for the same instant are delivered in scheduling order
-(FIFO), which gives the whole stack deterministic behaviour without
-relying on floating point tie-breaking.
+Same-instant events run in the order of a key their owner computes:
+``(time, owner rank, owner-local count)``.  Each CPU is an owner
+(:meth:`Simulator.owner` hands out an :class:`Owner`, ranked in creation
+order), and counts its own events: its ECU's alarm expiries and its
+completions.  Every other event belongs to one shared owner, which ranks
+before every CPU and counts in scheduling order, so those events keep
+their FIFO order among themselves.  Removing one CPU's events therefore
+moves no other event's key, and a CPU can compute the key its k-th next
+expiry would get without running the ones before it.  An event queued
+for the current instant always runs after the event that queued it:
+the heap holds only events not yet run.  A CPU event queued by a shared
+event at the current instant also keys after it; a shared event queued
+by a CPU event keys before it, and runs ahead of the same-instant CPU
+events still queued.
+
+A CPU whose periodic work is all idle queues no event at all (see
+:mod:`repro.autosar.os.scheduler`), so :meth:`Simulator.run` may drain
+while ECUs are booted: every CPU parked and nothing else queued.
 
 Performance notes (this is the hottest module in the repository — a
 100k-vehicle campaign pushes tens of millions of events through it):
 
-* The event list is a binary heap of plain ``(time, seq)`` tuples, so
+* The event list is a binary heap of plain ``(time, key)`` tuples, so
   ``heapq`` compares tuples in C instead of calling a generated
-  ``__lt__`` on a dataclass.  Callback and label live in a side table
-  keyed by ``seq``.
+  ``__lt__`` on a dataclass.  A key is one int, ``rank << 40 | count``
+  (the shared owner's rank is 0).  Callback and label live in a side
+  table keyed by the key.
 * Cancellation is O(1): the side-table entry is deleted and the heap
   tuple becomes a tombstone, skipped when it reaches the top.  A
-  cancel-heavy workload (campaign retry timers, soak ticks) cannot
-  bloat the heap: when tombstones outnumber live events the heap is
-  compacted in one O(n) pass.
+  cancel-heavy workload (campaign retry timers, soak ticks, parked
+  CPUs) cannot bloat the heap: when tombstones outnumber live events
+  the heap is compacted in one O(n) pass.
 * :meth:`Simulator.schedule_many` amortizes validation and, for large
   batches, replaces N ``heappush`` calls with one ``heapify``.
-
-Reserved sequence numbers let a layer skip an event it can prove does
-nothing, without moving any other event.  :meth:`Simulator.reserve`
-takes the number ``schedule`` would have given the event and queues
-nothing; the layer later either applies the event's bookkeeping itself
-or queues it for real with :meth:`Simulator.schedule_reserved`.  Every
-event still queued keeps the number, and so the place among
-same-instant ties, it would have had.  :meth:`Simulator.passed` tells
-which of the two a key needs: a ``(time, seq)`` key has been passed
-when ``time < now``, or when ``time == now`` and ``seq`` is below the
-executing event's number.  Once :meth:`Simulator.run` or
-:meth:`Simulator.run_until` returns, every key at ``now`` has been
-passed; a bare :meth:`Simulator.step` leaves the position at the event
-it ran.
 """
 
 from __future__ import annotations
@@ -56,15 +58,19 @@ SECOND = 1_000_000
 #: keeps tiny simulations from heapifying on every few cancels.
 _COMPACT_MIN_TOMBSTONES = 64
 
-#: Position after run()/run_until() return: above every sequence number.
+#: Position after run()/run_until() return: above every key.
 _PAST_ALL = float("inf")
+
+#: Owner-local counts stay below this; an owner's keys start at its rank
+#: shifted past it.
+_RANK_SPAN = 1 << 40
 
 
 class EventHandle:
     """Opaque handle returned by :meth:`Simulator.schedule`.
 
     Holding on to the handle allows the caller to cancel the event before
-    it fires.  Handles compare by their sequence number.
+    it fires.  Handles compare by their key (``seq``).
     """
 
     __slots__ = ("seq", "time", "label")
@@ -114,10 +120,17 @@ class Simulator:
         self._events: dict[int, tuple[Callable[[], None], str]] = {}
         self._tombstones = 0
         self.events_executed = 0
-        #: Sequence number of the executing event (or of the last one a
-        #: bare step() ran); _PAST_ALL once run()/run_until() return.
-        #: Keys at ``now`` below it have been passed (see passed()).
+        #: Key of the executing event (or of the last one a bare step()
+        #: ran); _PAST_ALL once run()/run_until() return.  Keys at
+        #: ``now`` below it have been passed (see Owner.passed()).
         self._at: float = -1
+        #: Ranks handed out by owner(); the shared owner is rank 0.
+        self._owners = 0
+
+    def owner(self) -> "Owner":
+        """A new event owner, ranked after every owner made before it."""
+        self._owners += 1
+        return Owner(self, self._owners)
 
     def schedule(
         self,
@@ -129,8 +142,9 @@ class Simulator:
 
         ``delay`` must be a non-negative integer (bools are rejected —
         ``isinstance(True, int)`` holds, but a boolean delay is always a
-        bug); zero-delay events run after all events already scheduled
-        for the current instant.
+        bug); zero-delay events run after every shared-owner event
+        already scheduled for the current instant.  The event belongs to
+        the shared owner.
         """
         if type(delay) is not int:
             _check_delay(delay, "delay")
@@ -220,42 +234,6 @@ class Simulator:
         self._queue = [entry for entry in self._queue if entry[1] in events]
         heapify(self._queue)
         self._tombstones = 0
-
-    def reserve(self) -> int:
-        """Take the sequence number the next :meth:`schedule` would use.
-
-        Nothing is queued.  The caller either never queues the event
-        (and applies its effects itself once :meth:`passed` says the
-        key is behind) or queues it later under this number with
-        :meth:`schedule_reserved`, so no other event changes place.
-        """
-        return next(self._seq)
-
-    def schedule_reserved(
-        self,
-        seq: int,
-        time: int,
-        callback: Callable[[], None],
-        label: str = "",
-    ) -> EventHandle:
-        """Queue ``callback`` at absolute ``time`` under reserved ``seq``.
-
-        The key must not have been passed: the event would run out of
-        order.
-        """
-        if self.passed(time, seq):
-            raise SimTimeError(
-                f"reserved event ({time}, {seq}) is behind the kernel "
-                f"(now {self.now})"
-            )
-        self._events[seq] = (callback, label)
-        heappush(self._queue, (time, seq))
-        return EventHandle(seq, time, label)
-
-    def passed(self, time: int, seq: int) -> bool:
-        """Whether an event keyed ``(time, seq)`` would already have run."""
-        now = self.now
-        return time < now or (time == now and seq < self._at)
 
     def is_pending(self, handle: EventHandle) -> bool:
         """Whether the event behind ``handle`` is still queued."""
@@ -353,6 +331,102 @@ class Simulator:
         return self.run_until(self.now + duration, max_events=max_events)
 
 
+class Owner:
+    """One CPU's handle on the kernel: its events and their tie order.
+
+    Events queued through an owner key ``(time, rank << 40 | count)``,
+    where ``count`` is this owner's own FIFO counter, so same-instant
+    events run in rank order across owners and in queueing order within
+    one.  An owner that skips some of its events (a parked CPU) draws
+    their counts arithmetically: it sets :attr:`count` to what the
+    skipped events would have drawn and queues the events it resumes
+    under their own counts with :meth:`schedule_count`.
+    """
+
+    __slots__ = ("_sim", "_base", "count")
+
+    def __init__(self, sim: Simulator, rank: int) -> None:
+        self._sim = sim
+        self._base = rank * _RANK_SPAN
+        #: Counts drawn so far: the next event queued gets this one.
+        self.count = 0
+
+    def schedule(
+        self,
+        delay: int,
+        callback: Callable[[], None],
+        label: str = "",
+    ) -> EventHandle:
+        """:meth:`Simulator.schedule`, keyed by this owner's next count."""
+        if type(delay) is not int:
+            _check_delay(delay, "delay")
+        if delay < 0:
+            raise SimTimeError(f"cannot schedule into the past (delay={delay})")
+        sim = self._sim
+        seq = self._base + self.count
+        self.count += 1
+        time = sim.now + delay
+        sim._events[seq] = (callback, label)
+        heappush(sim._queue, (time, seq))
+        return EventHandle(seq, time, label)
+
+    def schedule_count(
+        self,
+        time: int,
+        count: int,
+        callback: Callable[[], None],
+        label: str = "",
+    ) -> EventHandle:
+        """Queue ``callback`` at absolute ``time`` under a drawn ``count``.
+
+        The key must not have been passed: the event would run out of
+        order.
+        """
+        if self.passed(time, count):
+            raise SimTimeError(
+                f"event ({time}, {count}) is behind the kernel "
+                f"(now {self._sim.now})"
+            )
+        sim = self._sim
+        seq = self._base + count
+        sim._events[seq] = (callback, label)
+        heappush(sim._queue, (time, seq))
+        return EventHandle(seq, time, label)
+
+    def count_of(self, handle: EventHandle) -> int:
+        """The owner-local count an event of this owner was queued under."""
+        return handle.seq - self._base
+
+    def cancel(self, handle: EventHandle) -> bool:
+        """:meth:`Simulator.cancel`."""
+        return self._sim.cancel(handle)
+
+    def passed(self, time: int, count: int) -> bool:
+        """Whether this owner's event keyed ``(time, count)`` would already
+        have run.
+
+        Once :meth:`Simulator.run` or :meth:`Simulator.run_until`
+        returns, every key at ``now`` has been passed; a bare
+        :meth:`Simulator.step` leaves the position at the event it ran.
+        """
+        sim = self._sim
+        now = sim.now
+        return time < now or (time == now and self._base + count < sim._at)
+
+    def behind(self, time: int) -> bool:
+        """Whether every event this owner could have at ``time`` has run.
+
+        Exact while no event of this owner is running: the kernel's
+        position at ``now`` is then before all of its events at ``now``
+        or after all of them.
+        """
+        sim = self._sim
+        now = sim.now
+        return time < now or (
+            time == now and self._base + _RANK_SPAN <= sim._at
+        )
+
+
 def format_time(us: int) -> str:
     """Human-readable rendering of a kernel timestamp."""
     if us >= SECOND:
@@ -366,6 +440,7 @@ __all__ = [
     "MS",
     "SECOND",
     "EventHandle",
+    "Owner",
     "Simulator",
     "format_time",
 ]

@@ -1,23 +1,78 @@
 """The ticking scheduler, kept as the reference for the OS layer.
 
-:class:`Cpu` and :class:`Task` below are the OSEK scheduler and task as
-they were before :mod:`repro.autosar.os.scheduler` learned to elide idle
-periodic ticks.  Every completion is a kernel event here, and every
-counter is updated when it happens, which makes this scheduler slow and
-obviously faithful.  ``tests/test_os_differential.py`` drives generated
-scenarios on both and requires the same action log, counters, alarm
-expirations and published ``os`` events.
+:class:`Cpu`, :class:`Task` and :class:`Alarm` below are the OSEK
+scheduler, task and alarm as they were before
+:mod:`repro.autosar.os.scheduler` learned to elide idle periodic ticks
+and to park idle CPUs.  Every expiry and every completion is a kernel
+event here, and every counter is updated when it happens, which makes
+this scheduler slow and obviously faithful.  It keys its events the way
+the kernel keys a CPU's: each :class:`Cpu` is an event owner
+(``sim.owner()``), queues its completions through it, and its alarms
+are built on it (``Alarm(cpu.events, name, action)``), so both sides
+break same-instant ties alike.  ``tests/test_os_differential.py`` drives
+generated scenarios on both and requires the same action log, counters,
+alarm expirations and published ``os`` events.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Callable, Deque, Optional
 
 from repro.autosar.os.task import TaskState, WorkItem
 from repro.errors import OsekError
 from repro.sim.kernel import EventHandle, Simulator
 from repro.telemetry.bus import TelemetryBus
+
+
+class Alarm:
+    """A single alarm bound to an action callback."""
+
+    def __init__(
+        self,
+        sim: Simulator,
+        name: str,
+        action: Callable[[], None],
+    ) -> None:
+        self.sim = sim
+        self.name = name
+        self.action = action
+        self._handle: Optional[EventHandle] = None
+        self._cycle_us = 0
+        self.expirations = 0
+        self.armed = False
+        # Precomputed once: a cyclic alarm re-schedules every expiration,
+        # and building the label f-string per tick shows up in profiles.
+        self._label = f"alarm:{name}"
+
+    def set_relative(self, offset_us: int, cycle_us: int = 0) -> None:
+        """OSEK SetRelAlarm: fire after ``offset_us``; repeat every
+        ``cycle_us`` when non-zero."""
+        if self.armed:
+            raise OsekError(f"alarm {self.name} is already armed")
+        if offset_us < 0 or cycle_us < 0:
+            raise OsekError(f"alarm {self.name}: negative offset or cycle")
+        self._cycle_us = cycle_us
+        self.armed = True
+        self._handle = self.sim.schedule(offset_us, self._expire, self._label)
+
+    def cancel(self) -> None:
+        """OSEK CancelAlarm: disarm; no-op when not armed."""
+        if self._handle is not None:
+            self.sim.cancel(self._handle)
+            self._handle = None
+        self.armed = False
+
+    def _expire(self) -> None:
+        self.expirations += 1
+        if self._cycle_us > 0:
+            self._handle = self.sim.schedule(
+                self._cycle_us, self._expire, self._label
+            )
+        else:
+            self.armed = False
+            self._handle = None
+        self.action()
 
 
 class Task:
@@ -105,6 +160,9 @@ class Cpu:
         tracer: Optional[TelemetryBus] = None,
     ) -> None:
         self.sim = sim
+        #: This CPU's event owner: its completions, and the expiries of
+        #: the alarms built on it.
+        self.events = sim.owner()
         self.name = name
         self.tracer = tracer
         self.tasks: dict[str, Task] = {}
@@ -213,7 +271,7 @@ class Cpu:
         # _complete reads the flat fields; by the time another dispatch
         # can overwrite them, this completion has either fired or been
         # cancelled by _preempt.
-        self._handle = self.sim.schedule(
+        self._handle = self.events.schedule(
             item.duration_us, self._complete, self._labels[task.name]
         )
         if self.tracer is not None:
@@ -225,7 +283,7 @@ class Cpu:
     def _preempt(self) -> None:
         task, item = self._current, self._item
         if self._handle is not None:
-            self.sim.cancel(self._handle)
+            self.events.cancel(self._handle)
             self._handle = None
         consumed = self.sim.now - self._started
         remaining = self._remaining - consumed

@@ -15,6 +15,7 @@ from repro import InstallStatus, build_fleet
 from repro.core import messages as msg
 from repro.errors import ServerError
 from repro.fes.example_platform import PHONE_ADDRESS, make_remote_control_app
+from repro.server.pusher import PushVerdict
 from repro.sim import MS, SECOND
 
 APP = "remote-control"
@@ -237,6 +238,53 @@ def outcome_state(fleet):
         }
         state[vin] = records, dict(vehicle.update_failures)
     return state
+
+
+def lose_uninstalls(fleet, count):
+    """Drop the next ``count`` uninstall messages the server pushes."""
+    left = [count]
+
+    def verdict(vin, raw):
+        if left[0] and isinstance(msg.decode(raw), msg.UninstallMessage):
+            left[0] -= 1
+            return PushVerdict.drop()
+        return PushVerdict.allow()
+
+    fleet.server.pusher.set_push_filter(verdict)
+
+
+class TestStuckRemoval:
+    """A removal whose uninstall messages were lost can still finish."""
+
+    @staticmethod
+    def stuck(lost):
+        fleet = deployed_fleet()
+        vin = fleet.vins[0]
+        lose_uninstalls(fleet, lost)
+        assert fleet.api.deployments.uninstall(fleet.user_id, vin, APP).ok
+        fleet.sim.run_for(30 * SECOND)
+        assert fleet.installation_status(vin, APP) is InstallStatus.REMOVING
+        return fleet, vin
+
+    @pytest.mark.parametrize("lost", [1, 2])
+    def test_uninstall_again_repushes_the_unacked_uninstalls(self, lost):
+        fleet, vin = self.stuck(lost)
+        again = fleet.api.deployments.uninstall(fleet.user_id, vin, APP)
+        assert again.ok and again.pushed_messages == lost
+        fleet.sim.run_for(30 * SECOND)
+        assert fleet.installation_status(vin, APP) is None
+        assert installed_plugins(fleet)[vin] == {"swc1": [], "swc2": []}
+
+    def test_abandon_uninstalls_what_is_still_on_the_vehicle(self):
+        fleet, vin = self.stuck(2)
+        assert installed_plugins(fleet)[vin] == {
+            "swc1": ["COM"], "swc2": ["OP"],
+        }
+        gone = fleet.api.deployments.abandon(fleet.user_id, vin, APP)
+        assert gone.ok and gone.pushed_messages == 2
+        fleet.sim.run_for(30 * SECOND)
+        assert fleet.installation_status(vin, APP) is None
+        assert installed_plugins(fleet)[vin] == {"swc1": [], "swc2": []}
 
 
 class TestRestartInvariance:

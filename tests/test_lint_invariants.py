@@ -1,5 +1,5 @@
-"""``scripts/lint_invariants.py``: the unused-import and unreferenced-def
-rules, the allowlist."""
+"""``scripts/lint_invariants.py``: the unused-import, unreferenced-def
+and kernel-private rules, the allowlist."""
 
 import importlib.util
 from pathlib import Path
@@ -171,3 +171,30 @@ def test_a_getattr_string_or_keyword_counts(tmp_path):
     assert unread(tmp_path, COUNTER, "print('sent!', 'bytes_out x')\n") == [
         ("Link.sent", "sent"), ("Link.bytes_out", "bytes_out"),
     ]
+
+
+def kernel_private(source, rel="src/repro/autosar/os/scheduler.py"):
+    return [
+        detail for __, rule, __, detail in lint.lint_source(source, rel)
+        if rule == lint.RULE_KERNEL_PRIVATE
+    ]
+
+
+def test_flags_private_kernel_state_reached_through_a_simulator():
+    source = (
+        "def f(sim, self, cpu):\n"
+        "    sim._at = 0\n"
+        "    self.sim._queue.clear()\n"
+        "    self._sim._events\n"
+        "    cpu.ecu.sim._seq\n"
+        "    return sim.now, self.sim.schedule, cpu.events.count\n"
+    )
+    assert kernel_private(source) == [
+        "sim._at", "self.sim._queue", "self._sim._events", "cpu.ecu.sim._seq",
+    ]
+
+
+def test_the_kernel_may_touch_its_own_state():
+    source = "def f(sim):\n    return sim._at\n"
+    assert kernel_private(source, rel="src/repro/sim/kernel.py") == []
+

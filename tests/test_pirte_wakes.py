@@ -1,22 +1,26 @@
-"""Elided idle PIRTE ticks at the PIRTE's real wake sites.
+"""Parked plug-in SW-C CPUs at the PIRTE's real wake sites.
 
-The scheduler elides the completion of a plug-in SW-C's ``dispatch`` or
-``timer`` tick whose ``noop`` predicate (``Pirte.idle``,
-``Pirte.timer_idle``) holds; see :mod:`repro.autosar.os.scheduler`.
-That is exact only while two things hold:
+A CPU whose ``dispatch`` and ``timer`` ticks are idle (their ``noop``
+predicates, ``Pirte.idle`` and ``Pirte.timer_idle``, hold) parks: it
+queues no alarm event until the next touch; see
+:mod:`repro.autosar.os.scheduler`.  That is exact only while two things
+hold:
 
 * every entry point that changes the PIRTE from outside its own
-  runnables wakes the host CPU first, so a lazy tick still ahead of the
-  kernel is queued for real and runs the new work at its completion
-  instant, as the ticking scheduler does;
+  runnables wakes the host CPU first, so the CPU settles and resumes
+  its ticks before the change, and runs the new work at the instant
+  the ticking scheduler runs it.  A missed wake stalls the PIRTE for
+  good: nothing else would resume the ticks;
 * the predicates are false whenever a tick would do something.
 
-The wake tests stop the simulation 1 us into a lazy tick's execution
-window, change the PIRTE through one real entry point (or deliver an
-ECM server or external message the way the network does) and require
-the work to run exactly at that tick's completion instant.  The
-predicate tests put work into each input a predicate reads and require
-the PIRTE not to be idle, and the work to run at the next tick.
+The wake tests park the CPU, run at least ten ``dispatch`` periods on
+and 1 us into a tick, change the PIRTE through one real entry point
+(or deliver an ECM server or external message the way the network
+does, or a CAN frame into an input port) and require the work to run
+at that tick's completion instant, and at the instant the ticking
+scheduler (parking switched off) runs it.  The predicate tests put work
+into each input a predicate reads and require the PIRTE not to be
+idle, and the work to run at the next tick.
 """
 
 from __future__ import annotations
@@ -24,7 +28,14 @@ from __future__ import annotations
 import pytest
 
 from repro.autosar import INT16, SystemDescription, build_system
-from repro.core import MessageType, PluginSwcSpec, ServicePort, get_pirte
+from repro.autosar.os import scheduler
+from repro.core import (
+    MessageType,
+    PluginSwcSpec,
+    RelayLink,
+    ServicePort,
+    get_pirte,
+)
 from repro.core import messages as msg
 from repro.core.external import encode_external
 from repro.core.plugin_swc import make_plugin_swc_type
@@ -71,25 +82,44 @@ def install(pirte, name, source, first_port=0):
     assert ack.ok, ack.detail
 
 
-def into_lazy_tick(sim, cpu, label):
-    """Run until ``label``'s tick is in flight lazily, then 1 us into it.
-
-    Returns the instant the tick's completion is due.
-    """
-    def lazy_ahead():
-        return (
-            cpu._lazy is not None and cpu._item.label == label
-            and cpu._started + cpu._remaining > sim.now
-        )
-
+def park(sim, cpu):
+    """Run until ``cpu`` parks; its parked record."""
     for __ in range(10_000):
-        while not lazy_ahead():
-            assert sim.step()
-        # Another event at the same instant may touch the CPU first.
-        sim.run_until(sim.now + 1)
-        if lazy_ahead():
-            return cpu._started + cpu._remaining
-    raise AssertionError(f"no lazy {label} tick")
+        if cpu._parked is not None:
+            return cpu._parked
+        assert sim.step()
+    raise AssertionError(f"{cpu.name} never parked")
+
+
+def into_lazy_tick(sim, cpu, label, periods=10):
+    """Park ``cpu``, then run 1 us into a ``label`` tick at least
+    ``periods`` dispatch periods on that no other tick shares.
+
+    The CPU is still parked on return: the tick is in flight only in
+    the arithmetic.  Returns the instant the tick's completion is due.
+    """
+    for __ in range(100):
+        parked = park(sim, cpu)
+        chains = [(alarm, time) for alarm, time, __ in parked.pending]
+        alarm, tick = next(
+            (a, t) for a, t in chains if a.action.item.label == label
+        )
+        cycle = alarm._cycle_us
+        start = sim.now + periods * min(a._cycle_us for a, __ in chains)
+        tick += max(0, -(-(start - tick) // cycle)) * cycle
+        for __ in range(1_000):
+            if not any(
+                (tick - t) % a._cycle_us == 0
+                for a, t in chains if a is not alarm
+            ):
+                break
+            tick += cycle
+        else:
+            raise AssertionError(f"every {label} tick shares its instant")
+        sim.run_until(tick + 1)
+        if cpu._parked is parked:
+            return tick + alarm.action.item.duration_us
+    raise AssertionError(f"{cpu.name} kept being touched")
 
 
 def runs_at(sim, instant, done):
@@ -317,3 +347,218 @@ class TestIdlePredicates:
         completion = next_completion(deployed.sim, cpu, "swc1.dispatch")
         runs_at(deployed.sim, completion, lambda: not com.running)
         assert ecm.set_state("COM", MessageType.START).ok
+
+
+# -- touches of a CPU parked for ten dispatch periods ------------------------
+
+
+def work_instant(sim, done):
+    """The instant ``done()`` turns true, stepping the kernel."""
+    for __ in range(100_000):
+        if done():
+            return sim.now
+        assert sim.step()
+    raise AssertionError("the work never ran")
+
+
+def parked_and_ticking(monkeypatch, build, touch, done, label):
+    """Touch a parked CPU 1 us into a ``label`` tick, ten dispatch
+    periods on; then touch the ticking scheduler (parking switched off)
+    at the same instant.  The work must run at the same instant on
+    both; returns it and the tick's completion instant.
+
+    ``build()`` returns ``(sim, cpu, world)``; ``touch(world)`` and
+    ``done(world)`` act on and observe one side.
+    """
+    sim, cpu, world = build()
+    completion = into_lazy_tick(sim, cpu, label)
+    at = sim.now
+    assert cpu._parked is not None
+    touch(world)
+    parked = work_instant(sim, lambda: done(world))
+    with monkeypatch.context() as patch:
+        patch.setattr(scheduler, "PLAN_LIMIT", 0)  # plans nothing: ticks
+        ticking_sim, ticking_cpu, ticking = build()
+        ticking_sim.run_until(at)
+        touch(ticking)
+        assert work_instant(ticking_sim, lambda: done(ticking)) == parked
+        assert ticking_cpu._parked is None
+    return parked, completion
+
+
+def host_world(**spec_options):
+    """``host_system`` with ``fwd`` (port 0 in, port 1 out) installed."""
+    system, pirte = host_system(**spec_options)
+    install(pirte, "fwd", FORWARD_SOURCE)
+    return system.sim, pirte.instance.cpu, pirte
+
+
+def platform_world():
+    """The deployed example car; the world is the platform."""
+    platform = build_example_platform()
+    platform.boot()
+    platform.run(1 * SECOND)
+    assert platform.deploy("remote-control").ok
+    platform.run(3 * SECOND)
+    ecm = platform.vehicle().pirte_of("swc1")
+    return platform.sim, ecm.instance.cpu, platform
+
+
+def can_world():
+    """``host`` on ecu1 with a forwarder whose port 0 takes the relay-in,
+    the service-in and the management inputs; ``peer`` on ecu2 feeds
+    all three over CAN.  The world is ``(host PIRTE, peer instance)``.
+    """
+    host = PluginSwcSpec(
+        "CanHost",
+        relays=[RelayLink(peer="peer", out_virtual="V0", in_virtual="V1")],
+        services=[
+            ServicePort("VIN_", "svc_in", "in", INT16),
+            ServicePort("VOUT", "svc_out", "out", INT16),
+        ],
+        vm_memory_blocks=64,
+    )
+    peer = PluginSwcSpec(
+        "CanPeer",
+        relays=[RelayLink(peer="host", out_virtual="V0", in_virtual="V1")],
+        services=[ServicePort("VS", "svc_feed", "out", INT16)],
+        vm_memory_blocks=64,
+    )
+    desc = SystemDescription("can-wakes")
+    desc.add_ecu("ecu1")
+    desc.add_ecu("ecu2")
+    desc.add_component("host", make_plugin_swc_type(host), "ecu1")
+    desc.add_component("peer", make_plugin_swc_type(peer), "ecu2")
+    desc.connect("peer", "mgmt_out", "host", "mgmt_in")
+    desc.connect("peer", "p2p_host_out", "host", "p2p_peer_in")
+    desc.connect("host", "p2p_peer_out", "peer", "p2p_host_in")
+    desc.connect("peer", "svc_feed", "host", "svc_in")
+    system = build_system(desc)
+    system.boot_all()
+    system.sim.run_for(5 * MS)
+    pirte = get_pirte(system.instance("host"))
+    ack = pirte.install(make_install(
+        "fwd", "ecu1", "host", ports=[("in", 0), ("out", 1)],
+        links=[link_virtual(0, "VIN_"), link_virtual(1, "VOUT")],
+        source=FORWARD_SOURCE,
+    ))
+    assert ack.ok, ack.detail
+    return system.sim, pirte.instance.cpu, (pirte, system.instance("peer"))
+
+
+class TestParkedTouches:
+    """One case per touch path, each against a CPU parked for at least
+    ten dispatch periods.  The work runs at the instant the ticking
+    scheduler runs it, so a missed wake (which would leave the PIRTE
+    parked for good) fails here."""
+
+    def test_install(self, monkeypatch):
+        ran, completion = parked_and_ticking(
+            monkeypatch, host_world,
+            lambda pirte: install(pirte, "echo", ECHO_SOURCE, first_port=10),
+            lambda pirte: pirte.activations_run == 1,
+            "host.dispatch",
+        )
+        assert ran == completion
+
+    def test_uninstall(self, monkeypatch):
+        # Removing a plug-in only makes the ticks idler: what must match
+        # is the settled bookkeeping, at the touch and one tick later.
+        def counters(pirte):
+            cpu = pirte.instance.cpu
+            task = next(iter(cpu.tasks.values()))
+            return (
+                pirte.instance.rte.sim.now, cpu.busy_time, cpu.dispatches,
+                task.activation_count, task.response_total_us, task.state,
+            )
+
+        seen = {}
+
+        def touch(pirte):
+            assert pirte.uninstall("fwd").ok
+            assert pirte.instance.cpu._parked is None
+            seen.setdefault("at touch", []).append(counters(pirte))
+
+        def done(pirte):
+            sim = pirte.instance.rte.sim
+            sim.run_until(sim.now + 3 * MS)
+            seen.setdefault("later", []).append(counters(pirte))
+            return True
+
+        parked_and_ticking(
+            monkeypatch, host_world, touch, done, "host.dispatch"
+        )
+        for key in ("at touch", "later"):
+            parked, ticking = seen[key]
+            assert parked == ticking, key
+
+    def test_set_state(self, monkeypatch):
+        def build():
+            sim, cpu, pirte = host_world()
+            install(pirte, "ticker", TICKER_SOURCE, first_port=10)
+            assert pirte.set_state("ticker", MessageType.STOP).ok
+            return sim, cpu, pirte
+
+        parked_and_ticking(
+            monkeypatch, build,
+            lambda pirte: pirte.set_state("ticker", MessageType.START),
+            lambda pirte: pirte.activations_run == 1,
+            "host.dispatch",
+        )
+
+    def test_deliver_to_port(self, monkeypatch):
+        ran, completion = parked_and_ticking(
+            monkeypatch, host_world,
+            lambda pirte: pirte.deliver_to_port(0, 42),
+            lambda pirte: pirte.activations_run == 1,
+            "host.dispatch",
+        )
+        assert ran == completion
+
+    def test_ecm_server_message(self, monkeypatch):
+        stop = msg.LifecycleMessage(MessageType.STOP, "COM", "ECU1", "swc1")
+
+        def com(platform):
+            return platform.vehicle().pirte_of("swc1").plugin("COM")
+
+        ran, completion = parked_and_ticking(
+            monkeypatch, platform_world,
+            lambda platform: platform.vehicle().pirte_of("swc1")
+            ._server._on_message(stop.encode()),
+            lambda platform: not com(platform).running,
+            "swc1.dispatch",
+        )
+        assert ran == completion
+
+    def test_ecm_external_message(self, monkeypatch):
+        def ecm(platform):
+            return platform.vehicle().pirte_of("swc1")
+
+        ran, completion = parked_and_ticking(
+            monkeypatch, platform_world,
+            lambda platform: ecm(platform)._externals[PHONE_ADDRESS]
+            ._on_message(encode_external("Speed", 21)),
+            lambda platform: ecm(platform).external_in == 1,
+            "swc1.dispatch",
+        )
+        assert ran == completion
+
+    @pytest.mark.parametrize("port", ["mgmt_in", "relay_in", "service_in"])
+    def test_can_delivery(self, monkeypatch, port):
+        def touch(world):
+            __, peer = world
+            if port == "mgmt_in":
+                data = msg.DataMessage("ecu1", "host", 0, 5)
+                peer.write("mgmt_out", "mgmt", data.encode())
+            elif port == "relay_in":
+                peer.write("p2p_host_out", "data", encode_relay(0, 5))
+            else:
+                peer.write("svc_feed", "value", 5)
+
+        ran, completion = parked_and_ticking(
+            monkeypatch, can_world, touch,
+            lambda world: world[0].activations_run == 1,
+            "host.dispatch",
+        )
+        # The frame lands during or after the tick the write started in.
+        assert ran >= completion

@@ -1,6 +1,10 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from functools import partial
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimTimeError
 from repro.sim import SECOND, Simulator, format_time
@@ -164,51 +168,158 @@ class TestRunUntil:
         assert sim.now == 350
 
 
-class TestReservedSequenceNumbers:
-    def test_reserved_event_keeps_its_place_among_ties(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(5, lambda: order.append("before"))
-        seq = sim.reserve()
-        sim.schedule(5, lambda: order.append("after"))
-        sim.schedule_reserved(seq, 5, lambda: order.append("reserved"))
-        sim.run()
-        assert order == ["before", "reserved", "after"]
+class TestOwnerTieRule:
+    """Same-instant events run by (time, owner rank, owner-local count)."""
 
-    def test_passed_compares_sequence_numbers_at_now(self):
+    def test_same_instant_events_run_in_rank_order(self):
         sim = Simulator()
+        cpu_a, cpu_b = sim.owner(), sim.owner()
+        order = []
+        cpu_b.schedule(5, lambda: order.append("b"))
+        cpu_a.schedule(5, lambda: order.append("a"))
+        sim.schedule(5, lambda: order.append("shared"))
+        sim.run()
+        # The shared owner ranks before every CPU, CPUs by creation.
+        assert order == ["shared", "a", "b"]
+
+    def test_fifo_within_each_owner(self):
+        sim = Simulator()
+        cpu = sim.owner()
+        order = []
+        for n in range(3):
+            cpu.schedule(5, lambda n=n: order.append(("cpu", n)))
+            sim.schedule_at(5, lambda n=n: order.append(("shared", n)))
+        sim.schedule_many(
+            [(5, lambda n=n: order.append(("many", n))) for n in range(3)]
+        )
+        sim.run()
+        assert order == (
+            [("shared", n) for n in range(3)]
+            + [("many", n) for n in range(3)]
+            + [("cpu", n) for n in range(3)]
+        )
+
+    def test_event_queued_for_now_runs_after_the_event_that_queued_it(self):
+        sim = Simulator()
+        cpu_a, cpu_b = sim.owner(), sim.owner()
+        order = []
+
+        def on_b():
+            order.append("b")
+            # Keyed before cpu_b's own same-instant events, yet after b.
+            sim.schedule(0, lambda: order.append("shared from b"))
+            cpu_a.schedule(0, lambda: order.append("a from b"))
+            cpu_b.schedule(0, lambda: order.append("b from b"))
+
+        def on_shared():
+            order.append("shared")
+            cpu_a.schedule(0, lambda: order.append("a from shared"))
+
+        cpu_b.schedule(5, on_b)
+        cpu_b.schedule(5, lambda: order.append("b2"))
+        sim.schedule(5, on_shared)
+        sim.run()
+        assert order == [
+            "shared", "a from shared", "b",
+            "shared from b", "a from b", "b2", "b from b",
+        ]
+
+    def test_schedule_count_keeps_the_place_of_its_count(self):
+        sim = Simulator()
+        cpu = sim.owner()
+        order = []
+        cpu.schedule(5, lambda: order.append("before"))
+        skipped = cpu.count
+        cpu.count += 1
+        cpu.schedule(5, lambda: order.append("after"))
+        cpu.schedule_count(5, skipped, lambda: order.append("resumed"))
+        sim.run()
+        assert order == ["before", "resumed", "after"]
+
+    def test_passed_compares_keys_at_now(self):
+        sim = Simulator()
+        cpu, later = sim.owner(), sim.owner()
         seen = []
-        early = sim.reserve()
         sim.schedule(5, lambda: seen.append(
-            (sim.passed(5, early), sim.passed(5, late), sim.passed(4, late))
+            (cpu.passed(5, 0), cpu.behind(5), cpu.passed(4, 7))
         ))
-        late = sim.reserve()
-        assert not sim.passed(0, early)  # nothing has run yet
+        handle = cpu.schedule(5, lambda: seen.append(
+            (cpu.passed(5, 0), cpu.passed(5, 1), later.behind(5))
+        ))
+        later.schedule(5, lambda: seen.append((cpu.behind(5),)))
+        assert cpu.count_of(handle) == 0
+        assert not cpu.passed(0, 0)  # nothing has run yet
         sim.run_until(5)
-        assert seen == [(True, False, True)]
+        assert seen == [(False, False, True), (False, False, False), (True,)]
         # Once run_until returns, every key at now has been passed.
-        assert sim.passed(5, late)
-        assert not sim.passed(6, early)
+        assert cpu.passed(5, 1) and cpu.behind(5)
+        assert not cpu.passed(6, 0)
 
     def test_bare_step_leaves_the_position_at_its_event(self):
         sim = Simulator()
-        first = sim.schedule(5, lambda: None)
-        between = sim.reserve()
-        sim.schedule(5, lambda: None)
+        cpu = sim.owner()
+        cpu.schedule(5, lambda: None)
+        cpu.schedule(5, lambda: None)
         assert sim.step()
-        assert sim.passed(5, first.seq - 1)
-        assert not sim.passed(5, between)
+        assert cpu.passed(5, 0) is False  # the event running now
+        assert sim.step()
+        assert cpu.passed(5, 0) and not cpu.passed(5, 1)
 
-    def test_reserved_event_behind_the_kernel_rejected(self):
+    def test_schedule_count_behind_the_kernel_rejected(self):
         sim = Simulator()
-        seq = sim.reserve()
+        cpu = sim.owner()
+        cpu.count += 1
         sim.run_until(10)
         with pytest.raises(SimTimeError):
-            sim.schedule_reserved(seq, 10, lambda: None)
+            cpu.schedule_count(10, 0, lambda: None)
         with pytest.raises(SimTimeError):
-            sim.schedule_reserved(seq, 9, lambda: None)
-        sim.schedule_reserved(seq, 11, lambda: None)
+            cpu.schedule_count(9, 0, lambda: None)
+        cpu.schedule_count(11, 0, lambda: None)
         assert sim.run() == 1
+
+
+#: A generated event: (owner index, time, same-owner children as
+#: (delay, grandchild count)).  Owner 0 is the shared owner.
+_events = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.integers(0, 6),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=2),
+    ),
+    max_size=25,
+)
+
+
+def _run_schedule(events, without=None) -> list:
+    """Run ``events`` (minus owner ``without``'s); the (label, time) log."""
+    sim = Simulator()
+    owners = [sim] + [sim.owner() for __ in range(3)]
+    log = []
+
+    def fire(label, owner, children):
+        log.append((label, sim.now))
+        for k, (delay, grandchildren) in enumerate(children):
+            owners[owner].schedule(delay, partial(
+                fire, f"{label}.{k}", owner, [(1, 0)] * grandchildren,
+            ))
+
+    for n, (owner, time, children) in enumerate(events):
+        if owner != without:
+            owners[owner].schedule(time, partial(fire, n, owner, children))
+    sim.run()
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=_events, without=st.integers(1, 3))
+def test_removing_one_cpu_owner_moves_no_other_event(events, without):
+    full = _run_schedule(events)
+    dropped = {n for n, (owner, __, __) in enumerate(events) if owner == without}
+    expected = [
+        entry for entry in full
+        if int(str(entry[0]).split(".")[0]) not in dropped
+    ]
+    assert _run_schedule(events, without) == expected
 
 
 class TestFormatTime:
