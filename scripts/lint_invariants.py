@@ -38,6 +38,11 @@ machine-checked:
    ``self.sim._x``, ``self._sim._x``, ``<expr>.sim._x``).  The event
    key format and the kernel's position are one module's decision;
    other layers use its public methods and the ``Owner`` handles.
+7. **The campaign and server layers are fidelity-neutral** — under
+   ``src/repro/campaign`` and ``src/repro/server``, no code reads an
+   attribute named ``pirte_of`` or ``ecm_pirte``.  Those reach into a
+   full vehicle's PIRTEs, which a statistical vehicle does not have;
+   these layers use the calls both fidelities answer.
 
 Violations are keyed ``relpath::scope::rule`` (scope = enclosing
 function qualname; for rule 4, the definition's own qualname; for
@@ -70,6 +75,11 @@ GATEWAY_EXEMPT_FILES = ("pump.py",)
 #: state (rule 6).
 KERNEL_DIR = "src/repro/sim"
 
+#: The layers that must treat every vehicle fidelity alike (rule 7),
+#: and the full-fidelity-only attributes they may not read.
+FIDELITY_NEUTRAL_DIRS = ("src/repro/campaign", "src/repro/server")
+FULL_FIDELITY_ATTRIBUTES = ("pirte_of", "ecm_pirte")
+
 #: Dotted call names that read the wall clock.
 WALL_CLOCK_CALLS = {
     "time.time",
@@ -93,6 +103,7 @@ RULE_UNUSED_IMPORT = "unused-import"
 RULE_UNREFERENCED_DEF = "unreferenced-def"
 RULE_UNREAD_ATTRIBUTE = "unread-attribute"
 RULE_KERNEL_PRIVATE = "kernel-private"
+RULE_FIDELITY_NEUTRAL = "fidelity-neutral"
 
 #: Directories the unused-import rule checks and the unreferenced-def
 #: and unread-attribute rules read names in.
@@ -127,12 +138,15 @@ class Visitor(ast.NodeVisitor):
     """Collects (scope, rule, lineno, detail) violations of one file."""
 
     def __init__(
-        self, deterministic: bool, gateway: bool, kernel: bool
+        self, deterministic: bool, gateway: bool, kernel: bool,
+        neutral: bool,
     ) -> None:
         self.deterministic = deterministic
         self.gateway = gateway
         #: Whether the file is the kernel's own (exempt from rule 6).
         self.kernel = kernel
+        #: Whether the file is in a fidelity-neutral layer (rule 7).
+        self.neutral = neutral
         self.scope: list[str] = []
         self.violations: list[tuple[str, str, int, str]] = []
 
@@ -178,6 +192,11 @@ class Visitor(ast.NodeVisitor):
             self._flag(
                 RULE_KERNEL_PRIVATE, node,
                 dotted_name(node) or f"<expr>.sim.{node.attr}",
+            )
+        if self.neutral and node.attr in FULL_FIDELITY_ATTRIBUTES:
+            self._flag(
+                RULE_FIDELITY_NEUTRAL, node,
+                dotted_name(node) or f"<expr>.{node.attr}",
             )
         self.generic_visit(node)
 
@@ -414,13 +433,17 @@ def unread_attributes(
 
 
 def lint_source(source: str, rel: str) -> list[tuple[str, str, int, str]]:
-    """Rules 1, 2 and 6 on the source of the file at repo path ``rel``."""
+    """Rules 1, 2, 6 and 7 on the source of the file at repo path
+    ``rel``."""
     in_gateway = rel.startswith(GATEWAY_DIR + "/")
     exempt = rel.rsplit("/", 1)[-1] in GATEWAY_EXEMPT_FILES
     visitor = Visitor(
         deterministic=not in_gateway,
         gateway=in_gateway and not exempt,
         kernel=rel.startswith(KERNEL_DIR + "/"),
+        neutral=rel.startswith(
+            tuple(d + "/" for d in FIDELITY_NEUTRAL_DIRS)
+        ),
     )
     visitor.visit(ast.parse(source, filename=rel))
     return visitor.violations

@@ -19,7 +19,9 @@ The values no plan varies are module constants: the delay range, the
 offline start range, the synthesised NACK's latency, the delay before
 a soak anomaly strikes and how many packages a flaky vehicle NACKs.
 Soak anomalies arm when a ``deploy`` event on the control plane's bus
-reports an install resolved ACTIVE.
+reports an install resolved ACTIVE, and strike through
+``vehicle.book_fault()``, which both fidelities answer, so a
+statistical vehicle's diagnostic reports carry them as a full one's do.
 
 All randomness flows from per-VIN :class:`~repro.sim.random.SeededStream`
 children of ``plan.seed`` (``faults:<VIN>`` and ``faults:soak:<VIN>``),
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, FrozenSet
 
 from repro.core import messages as msg
-from repro.errors import ConfigurationError, UnknownEntityError
+from repro.errors import ConfigurationError
 from repro.server.models import InstallStatus
 from repro.server.pusher import PushVerdict
 from repro.sim.kernel import MS, SECOND
@@ -228,9 +230,6 @@ class FaultInjector:
         self._streams = StreamFactory(plan.seed)
         self._flaky_used: dict[str, int] = {}
         self._anomalies_armed: set[str] = set()
-        # Live allocations modelling a resource leak; held so the
-        # drained blocks stay gone for the rest of the run.
-        self._drained: list = []
         self._bus = None
         self._attached = False
 
@@ -327,84 +326,38 @@ class FaultInjector:
         fuel = vin in plan.soak_fuel_vins or (
             plan.soak_fuel_rate > 0 and stream.chance(plan.soak_fuel_rate)
         )
-        if trap:
+        if trap or drain or fuel:
             self.platform.sim.schedule(
                 SOAK_ANOMALY_AFTER_US,
-                lambda: self._inject_trap_burst(vin, app_name),
-                f"faults:soak-trap:{vin}",
-            )
-        if drain:
-            self.platform.sim.schedule(
-                SOAK_ANOMALY_AFTER_US,
-                lambda: self._inject_drain(vin, app_name),
-                f"faults:soak-drain:{vin}",
-            )
-        if fuel:
-            self.platform.sim.schedule(
-                SOAK_ANOMALY_AFTER_US,
-                lambda: self._inject_fuel_burn(vin, app_name),
-                f"faults:soak-fuel:{vin}",
+                lambda: self._strike(
+                    vin, app_name,
+                    traps=plan.soak_trap_count if trap else 0,
+                    fuel=plan.soak_fuel_amount if fuel else 0,
+                    blocks=plan.soak_drain_blocks if drain else 0,
+                ),
+                f"faults:soak:{vin}",
             )
 
-    def _installed_plugins(self, vin: str, app_name: str) -> list:
-        """(pirte, plugin) pairs of ``app_name``'s live plug-ins on ``vin``."""
-        try:
-            record = self.platform.server.db.vehicle(vin)
-        except UnknownEntityError:
-            return []
-        installed = record.conf.installed.get(app_name)
+    def _strike(
+        self, vin: str, app_name: str, traps: int, fuel: int, blocks: int
+    ) -> None:
+        """Book one vehicle's soak anomaly: ``traps`` trapped activations
+        and ``fuel`` extra fuel on each of ``app_name``'s plug-ins the
+        vehicle runs, and ``blocks`` leaked from the first one's SW-C."""
+        installed = self.platform.server.db.installation(vin, app_name)
         if installed is None:
-            return []
-        vehicle = self.platform.vehicle(vin)
-        pairs = []
-        for entry in installed.plugins:
-            try:
-                pirte = vehicle.pirte_of(entry.swc_name)
-            except (KeyError, ConfigurationError):
-                continue
-            plugin = pirte.plugins.get(entry.plugin_name)
-            if plugin is not None:
-                pairs.append((pirte, plugin))
-        return pairs
-
-    def _inject_trap_burst(self, vin: str, app_name: str) -> None:
-        """Burst trapped activations on the freshly installed plug-ins.
-
-        Books the traps exactly the way a real trapping activation
-        would: the VM's trap counter, the plug-in's failed-activation
-        counter, and the PIRTE's trapped-activation total all move, so
-        the next :class:`~repro.core.messages.DiagMessage` carries them.
-        """
-        for pirte, plugin in self._installed_plugins(vin, app_name):
-            for _ in range(self.plan.soak_trap_count):
-                plugin.vm.activations += 1
-                plugin.vm.traps += 1
-                plugin.failed_activations += 1
-                pirte.trapped_activations += 1
-                self.stats.soak_traps_injected += 1
-
-    def _inject_fuel_burn(self, vin: str, app_name: str) -> None:
-        """Burn extra VM fuel on the freshly installed plug-ins.
-
-        Moves only the fuel counter — no traps, no failed activations —
-        so the anomaly is invisible to trap/memory thresholds and the
-        next DiagMessage's ``fuel_used`` is the sole evidence.
-        """
-        for _pirte, plugin in self._installed_plugins(vin, app_name):
-            plugin.vm.total_fuel_used += self.plan.soak_fuel_amount
-            self.stats.soak_fuel_burned += self.plan.soak_fuel_amount
-
-    def _inject_drain(self, vin: str, app_name: str) -> None:
-        """Leak blocks from the hosting SW-C's memory pool."""
-        pairs = self._installed_plugins(vin, app_name)
-        if not pairs:
             return
-        pool = pairs[0][0].pool
-        for _ in range(self.plan.soak_drain_blocks):
-            if pool.free_blocks <= 0:
-                break
-            self._drained.append(pool.allocate(pool.block_size))
-            self.stats.soak_blocks_drained += 1
+        vehicle = self.platform.vehicle(vin)
+        for entry in installed.plugins:
+            leaked = vehicle.book_fault(
+                entry.swc_name, entry.plugin_name, traps, fuel, blocks
+            )
+            if leaked is None:
+                continue
+            self.stats.soak_traps_injected += traps
+            self.stats.soak_fuel_burned += fuel
+            self.stats.soak_blocks_drained += leaked
+            blocks = 0
 
     # -- the push filter -------------------------------------------------------
 

@@ -6,8 +6,10 @@ interacting with the external world" (paper Sec. 3.1.1).  The
 
 * a socket client to the pre-defined trusted server, created during
   initialization (Sec. 3.1.3, type I ports);
-* distribution of installation packages to plug-in SW-Cs over type I
-  ports, and relay of their acks back to the server;
+* routing of each management message by its target SW-C alone: the
+  ECM's own plug-in table answers it, another plug-in SW-C gets it over
+  its type I port (its acks are relayed back to the server), and a SW-C
+  the vehicle does not host is answered ``UNKNOWN_PLUGIN``;
 * the ECC table: external endpoints are dialled when an ECC arrives,
   inbound named messages are routed to the recipient plug-in port
   (locally, or as DATA messages over type I), and unconnected plug-in
@@ -33,8 +35,9 @@ from repro.core import messages as msg
 from repro.core.context import EccEntry
 from repro.core.external import decode_external, encode_external
 from repro.core.pirte import Pirte
-from repro.core.plugin import Plugin
+from repro.core.plugin import MANAGEMENT, Plugin, unhosted
 from repro.core.plugin_swc import (
+    MGMT_ELEMENT,
     MGMT_IF,
     PluginSwcSpec,
     build_virtual_port_specs,
@@ -254,55 +257,40 @@ class EcmPirte(Pirte):
     # -- server message handling ----------------------------------------------
 
     def handle_server_message(self, raw: bytes) -> None:
-        """Dispatch one message pushed by the trusted server."""
-        message = msg.decode(raw)
-        if isinstance(message, msg.InstallMessage):
-            # "An ECC is extracted by the ECM PIRTE" (Sec. 3.1.2) —
-            # regardless of which SW-C the plug-in lands on.
-            if message.ecc.entries:
-                self.register_ecc(
-                    message.target_swc, message.plugin_name,
-                    message.ecc.entries,
-                )
-            if message.target_swc == self.swc_name:
-                ack = self.install(message)
-                self.send_to_server(ack.encode())
-            else:
-                self._forward(message.target_ecu, message.target_swc, raw)
-        elif isinstance(message, msg.UninstallMessage):
-            # The plug-in's ECC goes with it; its connections stay open.
-            self._ecc.pop((message.target_swc, message.plugin_name), None)
-            if message.target_swc == self.swc_name:
-                ack = self.uninstall(message.plugin_name)
-                self.send_to_server(ack.encode())
-            else:
-                self._forward(message.target_ecu, message.target_swc, raw)
-        elif isinstance(message, msg.LifecycleMessage):
-            if message.target_swc == self.swc_name:
-                ack = self.set_state(message.plugin_name, message.op)
-                self.send_to_server(ack.encode())
-            else:
-                self._forward(message.target_ecu, message.target_swc, raw)
-        elif isinstance(message, msg.DataMessage):
-            self.route_data_message(message)
-        else:
-            self._trace("unexpected_server_message")
+        """Route one message pushed by the trusted server.
 
-    def _forward(self, target_ecu: str, target_swc: str, raw: bytes) -> None:
-        route = self.spec.route_for_swc(target_swc) or self.spec.route_for_ecu(
-            target_ecu
-        )
-        if route is None:
-            self._trace("no_route", ecu=target_ecu, swc=target_swc)
-            nack = msg.AckMessage(
-                "?", target_swc, msg.MessageType.INSTALL,
-                msg.AckStatus.UNKNOWN_PLUGIN,
-                f"ECM has no route to SW-C {target_swc} on {target_ecu}",
-            )
-            self.send_to_server(nack.encode())
+        A management message goes by its target SW-C alone (see the
+        module docstring); a DATA message by its target ECU.
+        """
+        message = msg.decode(raw)
+        if not isinstance(message, MANAGEMENT):
+            if isinstance(message, msg.DataMessage):
+                self.route_data_message(message)
+            else:
+                self._trace("unexpected_server_message")
             return
-        self.instance.write(route.out_port, "mgmt", raw)
-        self._trace("forwarded", swc=target_swc, size=len(raw))
+        swc = message.target_swc
+        route = self.spec.route_for_swc(swc)
+        if swc != self.swc_name and route is None:
+            self._trace("no_route", swc=swc)
+            self.send_ack(unhosted(message))
+            return
+        # "An ECC is extracted by the ECM PIRTE" (Sec. 3.1.2), whichever
+        # SW-C the plug-in lands on; it goes with the plug-in's
+        # uninstall, while its connections stay open.
+        if isinstance(message, msg.InstallMessage) and message.ecc.entries:
+            self.register_ecc(swc, message.plugin_name, message.ecc.entries)
+        elif isinstance(message, msg.UninstallMessage):
+            self._ecc.pop((swc, message.plugin_name), None)
+        if route is None:
+            self.send_ack(self.answer(message))
+        else:
+            self.instance.write(route.out_port, MGMT_ELEMENT, raw)
+            self._trace("forwarded", swc=swc, size=len(raw))
+
+    def send_ack(self, ack: msg.AckMessage) -> None:
+        """The ECM's own acks go straight up the server link."""
+        self.send_to_server(ack.encode())
 
     def _drain_remote_acks(self) -> None:
         buffers = self._ack_buffers
@@ -311,14 +299,17 @@ class EcmPirte(Pirte):
             # mgmt receive buffers once instead of three dict lookups
             # per route on every periodic poll.
             buffers = [
-                (route.in_port, self.instance.port(route.in_port).buffer("mgmt"))
+                (
+                    route.in_port,
+                    self.instance.port(route.in_port).buffer(MGMT_ELEMENT),
+                )
                 for route in self.spec.routes
                 if route.in_port in self.instance.ports
             ]
             self._ack_buffers = buffers
         for in_port, buffer in buffers:
             while buffer.pending():
-                raw = self.instance.receive(in_port, "mgmt")
+                raw = self.instance.receive(in_port, MGMT_ELEMENT)
                 # Acks and diagnostic reports travel back on type I;
                 # relay both verbatim to the trusted server.
                 self.send_to_server(raw)
@@ -361,7 +352,7 @@ class EcmPirte(Pirte):
         raw = msg.DataMessage(
             message.target_ecu, route.target_swc, message.port_id, message.value
         ).encode()
-        self.instance.write(route.out_port, "mgmt", raw)
+        self.instance.write(route.out_port, MGMT_ELEMENT, raw)
 
 
 def make_ecm_swc_type(
@@ -390,7 +381,9 @@ def make_ecm_swc_type(
             make = provided_port if provided else required_port
             ctype.add_port(make(name, iface))
         ctype.add_event(
-            DataReceivedEvent("dispatch", port=route.in_port, element="mgmt")
+            DataReceivedEvent(
+                "dispatch", port=route.in_port, element=MGMT_ELEMENT
+            )
         )
 
     from repro.autosar.runnable import Runnable

@@ -34,14 +34,19 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from repro.autosar.bsw.memory import Allocation, MemoryPool
+from repro.autosar.interfaces import DataElement, SenderReceiverInterface
 from repro.autosar.swc import ComponentInstance
+from repro.autosar.types import BYTES
 from repro.core import messages as msg
 from repro.core.context import LinkKind
 from repro.core.plugin import (
     ENTRY_ON_INIT,
     ENTRY_ON_MESSAGE,
     ENTRY_ON_TIMER,
+    MANAGEMENT,
     Plugin,
+    PluginState,
+    PluginTable,
 )
 from repro.core.virtual_ports import (
     GuardState,
@@ -60,6 +65,15 @@ from repro.errors import (
 )
 from repro.vm.loader import unpack
 from repro.vm.machine import Vm
+
+#: The one data element of the type I interface: management messages,
+#: acks and diagnostic reports between the ECM and each plug-in SW-C.
+MGMT_ELEMENT = "mgmt"
+#: The type I interface.
+MGMT_IF = SenderReceiverInterface(
+    "PluginMgmtIf",
+    [DataElement(MGMT_ELEMENT, BYTES, queued=True, queue_length=64)],
+)
 
 
 class _Bridge:
@@ -95,8 +109,13 @@ class _Bridge:
         return self._port(index).pop()
 
 
-class Pirte:
-    """Plug-in runtime environment hosted in one plug-in SW-C."""
+class Pirte(PluginTable):
+    """Plug-in runtime environment hosted in one plug-in SW-C.
+
+    Its :class:`~repro.core.plugin.PluginTable` is the SW-C's own
+    plug-ins: the management contract holds here, and :meth:`admit`
+    adds the full fidelity's binary, context and memory checks.
+    """
 
     def __init__(
         self,
@@ -104,7 +123,6 @@ class Pirte:
         virtual_ports: list[VirtualPortSpec],
         mgmt_in: Optional[str] = "mgmt_in",
         mgmt_out: Optional[str] = "mgmt_out",
-        mgmt_element: str = "mgmt",
         vm_memory_blocks: int = 512,
         vm_block_size: int = 64,
         fuel_per_activation: int = 20_000,
@@ -125,7 +143,6 @@ class Pirte:
         }
         self.mgmt_in = mgmt_in
         self.mgmt_out = mgmt_out
-        self.mgmt_element = mgmt_element
         # "The VM is assigned its own memory" (Sec. 3.1.1): a pool owned
         # by this SW-C, charged per installed plug-in.
         self.pool = MemoryPool(
@@ -206,6 +223,16 @@ class Pirte:
         Never raises for package-level problems; failures are reported
         as negative acks so they travel back to the trusted server.
         """
+        return self.answer(message)
+
+    def held(
+        self, swc: str, name: str
+    ) -> Optional[tuple[msg.InstallMessage, PluginState]]:
+        plugin = self.plugins.get(name)
+        return None if plugin is None else (plugin.package, plugin.state)
+
+    def admit(self, message: msg.InstallMessage) -> msg.AckMessage:
+        """Check and install a plug-in this SW-C does not hold yet."""
         self._wake()
 
         def nack(status: msg.AckStatus, detail: str) -> msg.AckMessage:
@@ -213,16 +240,10 @@ class Pirte:
                 "install_failed", plugin=message.plugin_name, detail=detail
             )
             return msg.AckMessage(
-                message.plugin_name, self.swc_name, msg.MessageType.INSTALL,
-                status, detail,
+                message.plugin_name, message.target_swc,
+                msg.MessageType.INSTALL, status, detail,
             )
 
-        if message.plugin_name in self.plugins:
-            return nack(
-                msg.AckStatus.LIFECYCLE_ERROR,
-                f"plug-in {message.plugin_name} already installed; "
-                f"uninstall (stop) it before updating",
-            )
         try:
             binary = unpack(message.binary)
         except BinaryFormatError as exc:
@@ -242,15 +263,7 @@ class Pirte:
             fuel_per_activation=self.fuel_per_activation,
             time_source=self._now,
         )
-        plugin = Plugin(
-            message.plugin_name,
-            message.version,
-            binary,
-            message.pic,
-            message.plc,
-            message.ecc,
-            vm,
-        )
+        plugin = Plugin(message, binary, vm)
         self.plugins[plugin.name] = plugin
         self._allocations[plugin.name] = allocation
         for port in plugin.ports:
@@ -261,7 +274,7 @@ class Pirte:
             self._pending.append((plugin, ENTRY_ON_INIT, ()))
         self._trace("installed", plugin=plugin.name, size=binary.size)
         return msg.AckMessage(
-            plugin.name, self.swc_name, msg.MessageType.INSTALL,
+            plugin.name, message.target_swc, msg.MessageType.INSTALL,
             msg.AckStatus.OK,
         )
 
@@ -306,16 +319,13 @@ class Pirte:
 
     def uninstall(self, plugin_name: str) -> msg.AckMessage:
         """Remove a plug-in: stop, unlink, release memory."""
+        return self.answer(
+            msg.UninstallMessage(plugin_name, self.ecu_name, self.swc_name)
+        )
+
+    def remove(self, swc: str, name: str) -> None:
         self._wake()
-        plugin = self.plugins.get(plugin_name)
-        if plugin is None:
-            return msg.AckMessage(
-                plugin_name, self.swc_name, msg.MessageType.UNINSTALL,
-                msg.AckStatus.UNKNOWN_PLUGIN,
-                f"no plug-in named {plugin_name!r}",
-            )
-        if plugin.running:
-            plugin.stop()
+        plugin = self.plugins.pop(name)
         for port in plugin.ports:
             self._ports_by_id.pop(port.global_id, None)
         self._pending = deque(
@@ -323,39 +333,21 @@ class Pirte:
             for p, entry, args in self._pending
             if p is not plugin
         )
-        self.pool.release(self._allocations.pop(plugin_name))
+        self.pool.release(self._allocations.pop(name))
         plugin.mark_uninstalled()
-        del self.plugins[plugin_name]
         self.uninstalls += 1
-        self._trace("uninstalled", plugin=plugin_name)
-        return msg.AckMessage(
-            plugin_name, self.swc_name, msg.MessageType.UNINSTALL,
-            msg.AckStatus.OK,
-        )
+        self._trace("uninstalled", plugin=name)
 
     def set_state(self, plugin_name: str, op: msg.MessageType) -> msg.AckMessage:
         """Apply a START or STOP request."""
-        self._wake()
-        plugin = self.plugins.get(plugin_name)
-        if plugin is None:
-            return msg.AckMessage(
-                plugin_name, self.swc_name, op,
-                msg.AckStatus.UNKNOWN_PLUGIN, f"no plug-in {plugin_name!r}",
-            )
-        try:
-            if op is msg.MessageType.START:
-                plugin.start()
-            else:
-                plugin.stop()
-        except LifecycleError as exc:
-            return msg.AckMessage(
-                plugin_name, self.swc_name, op,
-                msg.AckStatus.LIFECYCLE_ERROR, str(exc),
-            )
-        self._trace("state_change", plugin=plugin_name, op=op.name)
-        return msg.AckMessage(
-            plugin_name, self.swc_name, op, msg.AckStatus.OK
+        return self.answer(
+            msg.LifecycleMessage(op, plugin_name, self.ecu_name, self.swc_name)
         )
+
+    def enter(self, swc: str, name: str, state: PluginState) -> None:
+        self._wake()
+        self.plugins[name].state = state
+        self._trace("state_change", plugin=name, state=state.value)
 
     # -- routing: plug-in -> out ---------------------------------------------
 
@@ -489,7 +481,7 @@ class Pirte:
         instance = self.instance
         if self.mgmt_in is not None and self.mgmt_in in instance.ports:
             self._mgmt_buffer = instance.port(self.mgmt_in).buffer(
-                self.mgmt_element
+                MGMT_ELEMENT
             )
         buffers = []
         for spec in self.virtual_ports.values():
@@ -509,7 +501,7 @@ class Pirte:
         mgmt = self._mgmt_buffer
         if mgmt is not None:
             while mgmt.pending():
-                raw = instance.receive(self.mgmt_in, self.mgmt_element)
+                raw = instance.receive(self.mgmt_in, MGMT_ELEMENT)
                 self.handle_management(raw)
         # Relay (type II) and service (type III) inbound virtual ports.
         for spec, buffer in in_buffers:
@@ -566,18 +558,11 @@ class Pirte:
     def handle_management(self, raw: bytes) -> None:
         """Process one type I management message."""
         message = msg.decode(raw)
-        if isinstance(message, msg.InstallMessage):
-            ack = self.install(message)
-            self.send_ack(ack)
-        elif isinstance(message, msg.UninstallMessage):
-            ack = self.uninstall(message.plugin_name)
-            self.send_ack(ack)
-        elif isinstance(message, msg.LifecycleMessage):
-            ack = self.set_state(message.plugin_name, message.op)
-            self.send_ack(ack)
+        if isinstance(message, MANAGEMENT):
+            self.send_ack(self.answer(message))
         elif isinstance(message, msg.DataMessage):
             self.deliver_to_port(message.port_id, message.value)
-        else:  # AckMessage arriving at a plain plug-in SW-C: ignore.
+        else:  # An ack or a report arriving at a plug-in SW-C: ignore.
             self._trace("unexpected_ack")
 
     def send_ack(self, ack: msg.AckMessage) -> None:
@@ -585,9 +570,30 @@ class Pirte:
         if self.mgmt_out is None or self.mgmt_out not in self.instance.ports:
             self._trace("ack_unroutable", plugin=ack.plugin_name)
             return
-        self.instance.write(self.mgmt_out, self.mgmt_element, ack.encode())
+        self.instance.write(self.mgmt_out, MGMT_ELEMENT, ack.encode())
 
     # -- diagnostics ---------------------------------------------------------------
+
+    def book_fault(
+        self, name: str, traps: int, fuel: int, blocks: int
+    ) -> Optional[int]:
+        """Book a soak fault on plug-in ``name`` the way a real one
+        lands: ``traps`` trapped activations (VM, plug-in and PIRTE
+        counters), ``fuel`` extra VM fuel, and up to ``blocks`` leaked
+        from this SW-C's VM pool for good.  The blocks leaked, or None
+        without such a plug-in."""
+        plugin = self.plugins.get(name)
+        if plugin is None:
+            return None
+        plugin.vm.activations += traps
+        plugin.vm.traps += traps
+        plugin.failed_activations += traps
+        self.trapped_activations += traps
+        plugin.vm.total_fuel_used += fuel
+        leaked = min(blocks, self.pool.free_blocks)
+        if leaked:
+            self.pool.allocate(leaked * self.pool.block_size)
+        return leaked
 
     def diagnostic_report(self) -> msg.DiagMessage:
         """Current health snapshot of this SW-C's dynamic state."""
@@ -616,9 +622,7 @@ class Pirte:
         """
         report = self.diagnostic_report()
         if self.mgmt_out is not None and self.mgmt_out in self.instance.ports:
-            self.instance.write(
-                self.mgmt_out, self.mgmt_element, report.encode()
-            )
+            self.instance.write(self.mgmt_out, MGMT_ELEMENT, report.encode())
         else:
             self.forward_diagnostics(report)
 
@@ -627,4 +631,4 @@ class Pirte:
         self._trace("diag_unroutable")
 
 
-__all__ = ["Pirte"]
+__all__ = ["MGMT_ELEMENT", "MGMT_IF", "Pirte"]

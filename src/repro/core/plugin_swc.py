@@ -20,17 +20,15 @@ from repro.autosar.ports import PortPrototype, provided_port, required_port
 from repro.autosar.runnable import Runnable
 from repro.autosar.swc import ComponentInstance, ComponentType
 from repro.autosar.types import BYTES, DataType
-from repro.core.pirte import Pirte
+from repro.core.pirte import MGMT_ELEMENT, MGMT_IF, Pirte
 from repro.core.virtual_ports import PortGuard, VirtualPortKind, VirtualPortSpec
 from repro.errors import ConfigurationError
 
 #: Key under which the PIRTE lives in the instance state dict.
 PIRTE_KEY = "pirte"
 
-#: Shared byte-stream interface used by type I and type II ports.
-MGMT_IF = SenderReceiverInterface(
-    "PluginMgmtIf", [DataElement("mgmt", BYTES, queued=True, queue_length=64)]
-)
+#: Byte-stream interface of the type II ports; the type I ports use
+#: :data:`~repro.core.pirte.MGMT_IF`.
 RELAY_IF = SenderReceiverInterface(
     "PluginRelayIf", [DataElement("data", BYTES, queued=True, queue_length=64)]
 )
@@ -317,7 +315,9 @@ def make_plugin_swc_type(
     ]
     if spec.has_mgmt:
         events.append(
-            DataReceivedEvent("dispatch", port="mgmt_in", element="mgmt")
+            DataReceivedEvent(
+                "dispatch", port="mgmt_in", element=MGMT_ELEMENT
+            )
         )
     for relay in spec.relays:
         events.append(
@@ -343,6 +343,7 @@ def make_plugin_swc_type(
 
 __all__ = [
     "PIRTE_KEY",
+    "MGMT_ELEMENT",
     "MGMT_IF",
     "RELAY_IF",
     "RelayLink",

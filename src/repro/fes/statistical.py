@@ -11,10 +11,13 @@ campaign is *when* the acks come back and *whether* they are positive.
 :class:`StatisticalVehicle` replaces the ECU/VM substrate with seeded
 draws from a :class:`StatisticalModel` (ack latency, jitter, failure
 rates), calibrated against the full simulation via
-:func:`repro.fes.fleet.calibrate_model`.  It speaks the real management protocol over
-the real simulated network — the trusted server cannot tell the
-difference — so campaign engines, health gates, pusher accounting, and
-telemetry soak windows all work unchanged on mixed-fidelity fleets.
+:func:`repro.fes.fleet.calibrate_model`.  It answers the management
+protocol through the full PIRTE's own contract
+(:class:`~repro.core.plugin.PluginTable`) over the real simulated
+network, so the trusted server cannot tell the fidelities apart
+(``tests/test_fidelity_contract.py`` holds them to it), and campaign
+engines, health gates, pusher accounting, and telemetry soak windows
+all work unchanged on mixed-fidelity fleets.
 
 Determinism: each vehicle draws from the fabric's stream
 ``statvehicle:<VIN>``; stream paths are isolated (see
@@ -25,10 +28,12 @@ seed replays byte-identically.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core import messages as msg
+from repro.core.plugin import MANAGEMENT, PluginState, PluginTable, unhosted
 from repro.errors import ConfigurationError
 from repro.fes.vehicle import VehicleSpec
 from repro.network.sockets import Endpoint, NetworkFabric
@@ -37,7 +42,7 @@ from repro.sim.kernel import MS, Simulator
 #: Stream-path prefix for per-vehicle draws.
 STREAM_PREFIX = "statvehicle"
 
-#: VM memory blocks a confirmed plug-in occupies in diagnostic reports.
+#: VM memory blocks an installed plug-in occupies in diagnostic reports.
 MEMORY_BLOCKS_PER_PLUGIN = 4
 
 #: Rate at which a reported plug-in's activation counter grows with
@@ -54,8 +59,9 @@ class StatisticalModel:
     (link latency is NOT included — the simulated channel still adds
     its own delays, so channel profiles and fault plans keep working).
     ``ack_jitter_us`` spreads it uniformly.  ``install_failure_rate``
-    is a per-package Bernoulli draw producing a negative
-    acknowledgement; uninstalls of a confirmed plug-in always succeed.
+    is a Bernoulli draw per package of a plug-in not yet installed that
+    produces a negative acknowledgement; every other answer follows the
+    contract of :class:`~repro.core.plugin.PluginTable`.
     Diagnostic reports use the fixed :data:`MEMORY_BLOCKS_PER_PLUGIN`
     and :data:`ACTIVATION_RATE_HZ`.
     """
@@ -76,15 +82,18 @@ class StatisticalModel:
             )
 
 
-class StatisticalVehicle:
+class StatisticalVehicle(PluginTable):
     """A fleet member that answers the server statistically.
 
     Answers the calls the platform and campaign layers make on a
     :class:`~repro.fes.vehicle.Vehicle`: ``vin``, ``spec``, ``sim``,
     ``boot()``, ``run()``, ``redial()`` (the fault injector's end of an
-    offline window), ``diagnostic_reports()`` (the soak baseline) and
-    ``emit_diagnostics()`` (the soak path).  ``pirte_of`` raises —
-    there is no PIRTE to introspect.
+    offline window), ``book_fault()`` (its soak anomalies),
+    ``diagnostic_reports()`` (the soak baseline) and
+    ``emit_diagnostics()`` (the soak path).  A management message for a
+    hosted SW-C is answered by the plug-in table, one for any other SW-C
+    ``UNKNOWN_PLUGIN``, as the ECM routes them; the ack leaves after a
+    drawn processing time.
 
     What a vehicle owns is its identity and its state: the spec (whose
     description it shares with its model), its ``statvehicle:<VIN>``
@@ -94,6 +103,11 @@ class StatisticalVehicle:
     """
 
     fidelity = "statistical"
+    #: ``(SW-C, plug-in)`` of the stopped plug-ins, and the soak faults
+    #: booked by ``(counter, SW-C, plug-in)``.  Few vehicles get either,
+    #: so a vehicle starts with these shared empty values.
+    stopped: frozenset = frozenset()
+    faults: Optional[Counter] = None
 
     def __init__(
         self,
@@ -111,8 +125,8 @@ class StatisticalVehicle:
         self._stream = fabric.streams.stream(f"{STREAM_PREFIX}:{spec.vin}")
         self._endpoint: Optional[Endpoint] = None
         self._outbox: list[bytes] = []
-        #: plugin name -> (target_swc, target_ecu) of confirmed installs.
-        self.installed: dict[str, tuple[str, str]] = {}
+        #: ``(SW-C, plug-in)`` -> the shared decoded package installed.
+        self.installed: dict[tuple[str, str], msg.InstallMessage] = {}
         self.acks_sent = 0
         self.nacks_sent = 0
         self._booted = False
@@ -126,12 +140,6 @@ class StatisticalVehicle:
     @property
     def sim(self) -> Simulator:
         return self._sim
-
-    def pirte_of(self, swc_instance: str):
-        raise ConfigurationError(
-            f"vehicle {self.vin} is statistical-fidelity; it has no PIRTE "
-            f"for SW-C {swc_instance!r}"
-        )
 
     def boot(self) -> None:
         """Dial the trusted server (idempotent, like a real boot)."""
@@ -159,7 +167,7 @@ class StatisticalVehicle:
 
     def _on_connected(self, endpoint: Endpoint) -> None:
         self._endpoint = endpoint
-        endpoint.on_receive(self._on_message)
+        endpoint.on_receive(self._on_server_data)
         while self._outbox:
             raw = self._outbox.pop(0)
             endpoint.send(raw, size=len(raw))
@@ -175,58 +183,45 @@ class StatisticalVehicle:
 
     # -- protocol ------------------------------------------------------------
 
-    def _on_message(self, raw: bytes) -> None:
+    def _on_server_data(self, raw: bytes) -> None:
         message = msg.decode(raw)
-        if isinstance(message, msg.InstallMessage):
-            self._handle_install(message)
-        elif isinstance(message, msg.UninstallMessage):
-            self._handle_uninstall(message)
-        elif isinstance(message, msg.LifecycleMessage):
-            self._reply(
-                msg.AckMessage(
-                    message.plugin_name, message.target_swc,
-                    message.op, msg.AckStatus.OK,
-                )
-            )
-        # DataMessages have no statistical observable; drop them.
+        if not isinstance(message, MANAGEMENT):
+            return  # DATA messages have no statistical observable.
+        if self._placement(message.target_swc) is None:
+            self._reply(unhosted(message))
+        else:
+            self._reply(self.answer(message))
 
-    def _handle_install(self, message: msg.InstallMessage) -> None:
-        if self._stream.chance(self.model.install_failure_rate):
-            self._reply(
-                msg.AckMessage(
-                    message.plugin_name, message.target_swc,
-                    msg.MessageType.INSTALL, msg.AckStatus.BAD_PACKAGE,
-                    "statistical install failure",
-                )
-            )
-            return
-        self.installed[message.plugin_name] = (
-            message.target_swc, message.target_ecu
-        )
-        self._reply(
-            msg.AckMessage(
-                message.plugin_name, message.target_swc,
-                msg.MessageType.INSTALL, msg.AckStatus.OK,
-            )
+    def held(
+        self, swc: str, name: str
+    ) -> Optional[tuple[msg.InstallMessage, PluginState]]:
+        package = self.installed.get((swc, name))
+        if package is None:
+            return None
+        stopped = (swc, name) in self.stopped
+        return package, PluginState.STOPPED if stopped else PluginState.RUNNING
+
+    def admit(self, message: msg.InstallMessage) -> msg.AckMessage:
+        """Install a new plug-in unless the failure draw refuses it."""
+        ok = not self._stream.chance(self.model.install_failure_rate)
+        if ok:
+            self.installed[(message.target_swc, message.plugin_name)] = message
+        return msg.AckMessage(
+            message.plugin_name, message.target_swc, msg.MessageType.INSTALL,
+            msg.AckStatus.OK if ok else msg.AckStatus.BAD_PACKAGE,
+            "" if ok else "statistical install failure",
         )
 
-    def _handle_uninstall(self, message: msg.UninstallMessage) -> None:
-        if message.plugin_name not in self.installed:
-            self._reply(
-                msg.AckMessage(
-                    message.plugin_name, message.target_swc,
-                    msg.MessageType.UNINSTALL, msg.AckStatus.UNKNOWN_PLUGIN,
-                    f"plug-in {message.plugin_name} is not installed",
-                )
-            )
-            return
-        del self.installed[message.plugin_name]
-        self._reply(
-            msg.AckMessage(
-                message.plugin_name, message.target_swc,
-                msg.MessageType.UNINSTALL, msg.AckStatus.OK,
-            )
-        )
+    def remove(self, swc: str, name: str) -> None:
+        del self.installed[(swc, name)]
+        self.enter(swc, name, PluginState.UNINSTALLED)
+
+    def enter(self, swc: str, name: str, state: PluginState) -> None:
+        key = (swc, name)
+        if state is PluginState.STOPPED:
+            self.stopped = self.stopped | {key}
+        elif key in self.stopped:
+            self.stopped = self.stopped - {key}
 
     def _reply(self, ack: msg.AckMessage) -> None:
         """Send ``ack`` after the drawn vehicle-side processing time."""
@@ -246,40 +241,77 @@ class StatisticalVehicle:
 
     # -- telemetry ------------------------------------------------------------
 
+    def _placement(self, swc: str):
+        for placement in self.spec.all_placements():
+            if placement.instance_name == swc:
+                return placement
+        return None
+
+    def _memory(self, swc: str) -> tuple[int, int]:
+        """``(used, free)`` VM memory blocks of hosted SW-C ``swc``."""
+        used = (self.faults or {}).get(("blocks", swc, ""), 0) + sum(
+            MEMORY_BLOCKS_PER_PLUGIN for host, __ in self.installed
+            if host == swc
+        )
+        capacity = self._placement(swc).spec.vm_memory_blocks
+        return used, max(0, capacity - used)
+
+    def book_fault(
+        self, swc: str, plugin: str, traps: int, fuel: int, blocks: int
+    ) -> Optional[int]:
+        """Book a soak fault as :meth:`Vehicle.book_fault
+        <repro.fes.vehicle.Vehicle.book_fault>` does, into the counters
+        :meth:`diagnostic_reports` reads: the blocks leaked, or None
+        when the plug-in is not installed."""
+        if (swc, plugin) not in self.installed:
+            return None
+        leaked = min(blocks, self._memory(swc)[1])
+        if self.faults is None:
+            self.faults = Counter()
+        self.faults.update({
+            ("traps", swc, plugin): traps,
+            ("fuel", swc, plugin): fuel,
+            ("blocks", swc, ""): leaked,
+        })
+        return leaked
+
     def diagnostic_reports(self) -> list[msg.DiagMessage]:
-        """One healthy DiagMessage per plug-in-hosting SW-C, as of now.
+        """One DiagMessage per plug-in-hosting SW-C, as of now.
 
         Mirrors the full PIRTE's report shape so the campaign soak gate
-        evaluates mixed fleets with one code path: zero traps and fuel,
-        activation counters growing at :data:`ACTIVATION_RATE_HZ`, and
-        :data:`MEMORY_BLOCKS_PER_PLUGIN` used per confirmed plug-in.
+        evaluates mixed fleets with one code path: each installed
+        plug-in's state, activation counters growing at
+        :data:`ACTIVATION_RATE_HZ`, :data:`MEMORY_BLOCKS_PER_PLUGIN` used
+        per installed plug-in, and the soak faults :meth:`book_fault`
+        booked (a trap counts as an activation, as in a VM).
         """
-        by_swc: dict[str, list[str]] = {}
-        for plugin_name, (swc, __) in self.installed.items():
-            by_swc.setdefault(swc, []).append(plugin_name)
+        faults = self.faults or {}
         activations = (self._sim.now * ACTIVATION_RATE_HZ) // 1_000_000
         reports = []
         for placement in self.spec.all_placements():
-            plugins = sorted(by_swc.get(placement.instance_name, ()))
-            used = len(plugins) * MEMORY_BLOCKS_PER_PLUGIN
+            swc = placement.instance_name
+            used, free = self._memory(swc)
+            plugins = []
+            for host, name in sorted(self.installed):
+                if host != swc:
+                    continue
+                traps = faults.get(("traps", swc, name), 0)
+                plugins.append(
+                    msg.PluginHealth(
+                        plugin_name=name,
+                        state=self.held(swc, name)[1].value,
+                        activations=activations + traps,
+                        traps=traps,
+                        fuel_used=faults.get(("fuel", swc, name), 0),
+                    )
+                )
             reports.append(
                 msg.DiagMessage(
                     source_ecu=placement.ecu_name,
-                    source_swc=placement.instance_name,
+                    source_swc=swc,
                     memory_used_blocks=used,
-                    memory_free_blocks=max(
-                        0, placement.spec.vm_memory_blocks - used
-                    ),
-                    plugins=tuple(
-                        msg.PluginHealth(
-                            plugin_name=name,
-                            state="running",
-                            activations=activations,
-                            traps=0,
-                            fuel_used=0,
-                        )
-                        for name in plugins
-                    ),
+                    memory_free_blocks=free,
+                    plugins=tuple(plugins),
                 )
             )
         return reports

@@ -333,9 +333,8 @@ class Vehicle:
     The campaign layer reaches it through the calls a
     :class:`~repro.fes.statistical.StatisticalVehicle` answers too:
     ``vin``, ``spec``, ``sim``, ``boot()``, ``run()``, ``redial()``,
-    ``diagnostic_reports()`` and ``emit_diagnostics()``.  Only the
-    fault injector's soak anomalies reach into a PIRTE, because
-    writing its counters is the fault.
+    ``book_fault()``, ``diagnostic_reports()`` and
+    ``emit_diagnostics()``.
     """
 
     def __init__(self, spec: VehicleSpec, system: BuiltSystem) -> None:
@@ -375,6 +374,17 @@ class Vehicle:
             return False
         ecm.connect_to_server()
         return True
+
+    def book_fault(
+        self, swc: str, plugin: str, traps: int, fuel: int, blocks: int
+    ) -> Optional[int]:
+        """Book a soak fault on plug-in ``plugin`` of SW-C ``swc``:
+        ``traps`` trapped activations, ``fuel`` extra VM fuel and up to
+        ``blocks`` leaked from the SW-C's VM memory, booked where a real
+        fault would leave them, so the next diagnostic report carries
+        them.  Returns the blocks leaked, or None when the SW-C does not
+        run that plug-in."""
+        return self.pirte_of(swc).book_fault(plugin, traps, fuel, blocks)
 
     def diagnostic_reports(self) -> list[DiagMessage]:
         """The DiagMessage each plug-in-hosting SW-C (the ECM included)

@@ -117,12 +117,16 @@ class InstallStatus(enum.Enum):
 class InstalledPlugin:
     """Record of one deployed plug-in (InstalledAPP row detail).
 
-    ``acked`` records a positive installation acknowledgement;
-    ``nacked`` a negative one.  Both False means the vehicle has not
-    answered yet (in flight, offline, or lost) — campaign health gates
-    need that three-way distinction.  ``package`` is the encoded install
-    message that retry, restore and reconcile resend; ``footprint`` the
-    binary size the SW-C memory budget counts.
+    Each flag keeps one meaning whatever the record's status: ``acked``
+    records a positive installation acknowledgement, ``nacked`` a
+    negative one, and ``removed`` that the vehicle confirmed the
+    plug-in's removal.  ``acked`` and ``nacked`` both False means the
+    vehicle has not answered the install yet (in flight, offline, or
+    lost) — campaign health gates need that three-way distinction.
+    Until ``removed``, the plug-in may still be on the vehicle.
+    ``package`` is the encoded install message that retry, restore and
+    reconcile resend; ``footprint`` the binary size the SW-C memory
+    budget counts.
     """
 
     plugin_name: str
@@ -131,6 +135,7 @@ class InstalledPlugin:
     port_ids: tuple[int, ...]
     acked: bool = False
     nacked: bool = False
+    removed: bool = False
     package: bytes = b""
     footprint: int = 0
 

@@ -179,34 +179,29 @@ class DeploymentService:
         # An explicit removal overrides any update waiting on this app:
         # the operator asked for the app to be gone, not replaced.
         installed.update_user = ""
-        if installed.status is InstallStatus.REMOVING:
-            # The teardown is in flight, but its messages may be lost:
-            # re-push each uninstall whose ack has not arrived.  One
-            # that reaches the vehicle twice is answered UNKNOWN_PLUGIN
-            # the second time, which counts as removed.
-            pushed = self._push_uninstalls(vin, installed, acked=False)
+        removing = installed.status is InstallStatus.REMOVING
+        self._set_status(vehicle, installed, InstallStatus.REMOVING)
+        # A teardown in flight may have lost its messages: the same
+        # pushes repeat it.  An uninstall that reaches the vehicle twice
+        # is answered UNKNOWN_PLUGIN the second time, which counts as
+        # removed.
+        pushed = self._push_uninstalls(vin, installed)
+        if removing:
             return Response.success(
                 reasons=["removal already in progress"],
                 pushed_messages=pushed,
             )
-        self._set_status(vehicle, installed, InstallStatus.REMOVING)
-        for record in installed.plugins:
-            record.acked = False
-            record.nacked = False
-        pushed = self._push_uninstalls(vin, installed, acked=False)
         return Response.success(pushed_messages=pushed)
 
-    def _push_uninstalls(
-        self, vin: str, installed: InstalledApp, acked: bool
-    ) -> int:
-        """Push the uninstall of each plug-in whose ``acked`` flag is
-        ``acked``; returns how many were pushed."""
+    def _push_uninstalls(self, vin: str, installed: InstalledApp) -> int:
+        """Push the uninstall of each plug-in that may still be on the
+        vehicle (not ``removed``); returns how many were pushed."""
         raws = [
             msg.UninstallMessage(
                 record.plugin_name, record.ecu_name, record.swc_name
             ).encode()
             for record in installed.plugins
-            if record.acked == acked
+            if not record.removed
         ]
         self.pusher.push_many(vin, raws)
         return len(raws)
@@ -227,10 +222,10 @@ class DeploymentService:
         """Re-push the unacknowledged plug-ins of a stuck installation.
 
         Valid while the install is PENDING (acks lost / vehicle offline)
-        or FAILED (negative ack): already-acked plug-ins are left alone,
-        the rest are re-sent from the stored packages and the status
-        returns to PENDING.  This is the campaign engine's retry-budget
-        primitive.
+        or FAILED (negative ack): plug-ins whose install was acked and
+        that are not removed are left alone, the rest are re-sent from
+        the stored packages and the status returns to PENDING.  This is
+        the campaign engine's retry-budget primitive.
         """
         vehicle, error = self._vehicle_for(user_id, vin)
         if error is not None:
@@ -247,7 +242,10 @@ class DeploymentService:
                 f"APP {app_name} on {vin} is {installed.status.value}; "
                 f"only pending/failed installs can be retried",
             )
-        unacked = [record for record in installed.plugins if not record.acked]
+        unacked = [
+            record for record in installed.plugins
+            if not record.acked or record.removed
+        ]
         if not unacked:
             return Response.failure(
                 ErrorCode.NOTHING_TO_DO,
@@ -263,9 +261,9 @@ class DeploymentService:
         Unlike :meth:`uninstall`, the record, and with it any update
         waiting on it, is removed immediately and no acknowledgements
         are awaited: uninstall messages go out best-effort for the
-        plug-ins still on the vehicle.  Those are the plug-ins whose
-        install it confirmed, or, for a removal in progress, the ones
-        whose uninstall it has not.  Used by campaign rollback when an
+        plug-ins that may still be on the vehicle, by :meth:`uninstall`'s
+        rule: every one whose removal it has not confirmed.  Used by
+        campaign rollback when an
         install never fully happened; flagging the vehicle for the
         workshop is the campaign engine's part.
         """
@@ -278,9 +276,9 @@ class DeploymentService:
                 ErrorCode.NOT_INSTALLED,
                 f"APP {app_name} is not installed on {vin}",
             )
-        removing = installed.status is InstallStatus.REMOVING
-        pushed = self._push_uninstalls(vin, installed, acked=not removing)
-        return Response.success(pushed_messages=pushed)
+        return Response.success(
+            pushed_messages=self._push_uninstalls(vin, installed)
+        )
 
     def update(self, user_id: str, vin: str, app_name: str) -> Response:
         """Update an installed APP to the latest uploaded version.
@@ -439,8 +437,8 @@ class DeploymentService:
         elif message.ok or message.status is msg.AckStatus.UNKNOWN_PLUGIN:
             # A plug-in the vehicle no longer has (an ECU that lost its
             # RAM) is as removed as one it just uninstalled.
-            record.acked = True
-            if installed.all_acked():
+            record.removed = True
+            if all(record.removed for record in installed.plugins):
                 self._remove(vehicle, installed)
         else:
             # A half-removed app cannot be auto-updated anymore.
@@ -539,8 +537,7 @@ class DeploymentService:
             raise ServerError(
                 f"no stored package for plug-in {record.plugin_name}"
             )
-        record.acked = False
-        record.nacked = False
+        record.acked = record.nacked = record.removed = False
         self._set_status(vehicle, installed, InstallStatus.PENDING)
         self.pusher.push(vehicle.vin, record.package)
 

@@ -12,6 +12,7 @@ from repro.core import (
     PlcLink,
     PortInit,
 )
+from repro.server.models import InstallStatus
 from repro.vm.loader import compile_plugin
 
 #: A plug-in that echoes every received message to its next port:
@@ -121,3 +122,23 @@ def make_install(
         ecc=ecc,
         binary=make_binary(source, mem_hint=mem_hint),
     )
+
+
+def assert_vehicles_run_active_records(fleet) -> None:
+    """Quiescence, at either fidelity: each vehicle's plug-ins per SW-C,
+    read from its diagnostic reports, are exactly the ones the server's
+    ACTIVE records name."""
+    for vin in fleet.vins:
+        recorded: dict[str, set[str]] = {}
+        for installed in fleet.server.db.installed_apps(vin):
+            if installed.status is InstallStatus.ACTIVE:
+                for entry in installed.plugins:
+                    recorded.setdefault(entry.swc_name, set()).add(
+                        entry.plugin_name
+                    )
+        running = {
+            report.source_swc: {h.plugin_name for h in report.plugins}
+            for report in fleet.vehicle(vin).diagnostic_reports()
+            if report.plugins
+        }
+        assert running == recorded, vin

@@ -492,9 +492,11 @@ class TestInstallProgress:
         ] == [("install_resolved", vin, InstallStatus.FAILED)]
 
     def test_stale_nack_cannot_demote_active_install(self):
-        # A duplicate package (retry racing a delayed original) gets
-        # NACK'd by the vehicle after the install already completed.
-        # That stale NACK must not flip a healthy record to FAILED.
+        # A vehicle acks an identical package delivered again OK, so a
+        # retry racing a delayed original is not NACKed; the guard is
+        # for a NACK that arrives anyway (an injected one here) after
+        # the install completed: it must not flip a healthy record to
+        # FAILED.
         fleet = make_fleet(1)
         vin = fleet.vins[0]
         deployment = fleet.deploy(APP)

@@ -4,6 +4,8 @@ These tests build miniature vehicles: plug-in SW-Cs wired to legacy
 components and to each other, driven through real install packages.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.autosar import (
@@ -171,14 +173,28 @@ class TestInstallation:
         assert len(got) == 1
         assert got[0].status in (AckStatus.BAD_PACKAGE, AckStatus.CONTEXT_ERROR)
 
-    def test_duplicate_install_nacked(self):
+    def test_redelivered_package_acked_other_package_refused(self):
+        # An identical package delivered again (a retry whose first acks
+        # were lost) is acked OK and changes nothing; a different
+        # package under the installed name is refused.
         system = single_swc_system()
         send_mgmt(system, forward_install().encode())
         system.run(10 * MS)
+        pirte = get_pirte(system.instance("host"))
+        installed = pirte.plugin("fwd")
         send_mgmt(system, forward_install().encode())
+        system.run(10 * MS)
+        newer = replace(forward_install(), version="2.0")
+        send_mgmt(system, newer.encode())
         system.run(20 * MS)
         statuses = [a.status for a in acks(system)]
-        assert statuses == [AckStatus.OK, AckStatus.LIFECYCLE_ERROR]
+        assert statuses == [
+            AckStatus.OK, AckStatus.OK, AckStatus.LIFECYCLE_ERROR,
+        ]
+        assert pirte.plugin("fwd") is installed
+        assert installed.version == "1.0"
+        assert installed.state is PluginState.RUNNING
+        assert pirte.installs == 1
 
     def test_port_id_collision_nacked(self):
         system = single_swc_system()

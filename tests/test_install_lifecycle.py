@@ -232,7 +232,10 @@ def outcome_state(fleet):
         records = {
             name: (
                 record.status, record.version, record.update_user,
-                [(p.plugin_name, p.acked, p.nacked) for p in record.plugins],
+                [
+                    (p.plugin_name, p.acked, p.nacked, p.removed)
+                    for p in record.plugins
+                ],
             )
             for name, record in vehicle.conf.installed.items()
         }
@@ -240,12 +243,18 @@ def outcome_state(fleet):
     return state
 
 
-def lose_uninstalls(fleet, count):
-    """Drop the next ``count`` uninstall messages the server pushes."""
+def lose_uninstalls(fleet, count, plugin=None):
+    """Drop the next ``count`` uninstall messages the server pushes (of
+    ``plugin`` only, when given)."""
     left = [count]
 
     def verdict(vin, raw):
-        if left[0] and isinstance(msg.decode(raw), msg.UninstallMessage):
+        message = msg.decode(raw)
+        if (
+            left[0]
+            and isinstance(message, msg.UninstallMessage)
+            and plugin in (None, message.plugin_name)
+        ):
             left[0] -= 1
             return PushVerdict.drop()
         return PushVerdict.allow()
@@ -283,6 +292,32 @@ class TestStuckRemoval:
         gone = fleet.api.deployments.abandon(fleet.user_id, vin, APP)
         assert gone.ok and gone.pushed_messages == 2
         fleet.sim.run_for(30 * SECOND)
+        assert fleet.installation_status(vin, APP) is None
+        assert installed_plugins(fleet)[vin] == {"swc1": [], "swc2": []}
+
+
+class TestFailedRemoval:
+    def test_abandon_uninstalls_what_the_removal_left(self):
+        """After a removal failed half-way, abandon pushes the uninstall
+        of the plug-in still on the vehicle, not of the one removed."""
+        fleet = deployed_fleet()
+        vin = fleet.vins[0]
+        lose_uninstalls(fleet, 1, plugin="OP")
+        assert fleet.api.deployments.uninstall(fleet.user_id, vin, APP).ok
+        fleet.sim.run_for(5 * SECOND)
+        inject_ack(
+            fleet, vin, "OP", "swc2", UNINSTALL,
+            msg.AckStatus.LIFECYCLE_ERROR,
+        )
+        record = fleet.server.db.installation(vin, APP)
+        assert record.status is InstallStatus.FAILED
+        assert [(p.plugin_name, p.removed) for p in record.plugins] == [
+            ("COM", True), ("OP", False),
+        ]
+        assert installed_plugins(fleet)[vin] == {"swc1": [], "swc2": ["OP"]}
+        gone = fleet.api.deployments.abandon(fleet.user_id, vin, APP)
+        assert gone.ok and gone.pushed_messages == 1
+        fleet.sim.run_for(5 * SECOND)
         assert fleet.installation_status(vin, APP) is None
         assert installed_plugins(fleet)[vin] == {"swc1": [], "swc2": []}
 

@@ -1,5 +1,5 @@
-"""``scripts/lint_invariants.py``: the unused-import, unreferenced-def
-and kernel-private rules, the allowlist."""
+"""``scripts/lint_invariants.py``: the unused-import, unreferenced-def,
+kernel-private and fidelity-neutral rules, the allowlist."""
 
 import importlib.util
 from pathlib import Path
@@ -198,3 +198,30 @@ def test_the_kernel_may_touch_its_own_state():
     source = "def f(sim):\n    return sim._at\n"
     assert kernel_private(source, rel="src/repro/sim/kernel.py") == []
 
+
+
+def fidelity_neutral(source, rel):
+    return [
+        detail for __, rule, __, detail in lint.lint_source(source, rel)
+        if rule == lint.RULE_FIDELITY_NEUTRAL
+    ]
+
+
+PIRTE_REACH = (
+    "def f(platform, vin):\n"
+    "    vehicle = platform.vehicle(vin)\n"
+    "    return vehicle.pirte_of('swc1').plugins, vehicle.ecm_pirte\n"
+)
+
+
+def test_flags_a_pirte_reach_in_the_campaign_and_server_layers():
+    assert fidelity_neutral(PIRTE_REACH, "src/repro/campaign/faults.py") == [
+        "vehicle.pirte_of", "vehicle.ecm_pirte",
+    ]
+    assert fidelity_neutral(
+        PIRTE_REACH, "src/repro/server/services/deployments.py"
+    ) == ["vehicle.pirte_of", "vehicle.ecm_pirte"]
+
+
+def test_a_pirte_reach_elsewhere_is_clean():
+    assert fidelity_neutral(PIRTE_REACH, "src/repro/fes/vehicle.py") == []
