@@ -25,7 +25,7 @@ def run_install_timeline(seed=0):
     platform.boot()
     platform.run(1 * MS)  # let init runnables create the PIRTEs
     # Advance until the ECM reports connected.
-    while not platform.vehicle().ecm_pirte.connected:
+    while not platform.vehicle().ecm_pirte.uplink.up:
         platform.run(10 * MS)
     connect_us = platform.sim.now - t0
     deployment = platform.deploy("remote-control")

@@ -68,7 +68,7 @@ def main() -> None:
     platform.boot()
     platform.run(1 * SECOND)
     car = platform.vehicle("VIN-0001")
-    print(f"   ECM connected to server: {car.ecm_pirte.connected}")
+    print(f"   ECM connected to server: {car.ecm_pirte.uplink.up}")
 
     print("== user clicks 'install remote-control' on the web portal ==")
     deployment = platform.deploy("remote-control")

@@ -43,6 +43,12 @@ machine-checked:
    attribute named ``pirte_of`` or ``ecm_pirte``.  Those reach into a
    full vehicle's PIRTEs, which a statistical vehicle does not have;
    these layers use the calls both fidelities answer.
+8. **A vehicle has one server link** — outside ``src/repro/network``,
+   no code under ``src/repro`` calls ``connect`` on a name or attribute
+   called ``fabric`` or ``_fabric``.  A vehicle reaches its trusted
+   server through :class:`~repro.network.sockets.Uplink` alone, so the
+   dial, the offline buffer and the flush are written once for every
+   fidelity.
 
 Violations are keyed ``relpath::scope::rule`` (scope = enclosing
 function qualname; for rule 4, the definition's own qualname; for
@@ -80,6 +86,11 @@ KERNEL_DIR = "src/repro/sim"
 FIDELITY_NEUTRAL_DIRS = ("src/repro/campaign", "src/repro/server")
 FULL_FIDELITY_ATTRIBUTES = ("pirte_of", "ecm_pirte")
 
+#: The package that may dial a fabric (rule 8), and the names a fabric
+#: goes by.
+NETWORK_DIR = "src/repro/network"
+FABRIC_NAMES = ("fabric", "_fabric")
+
 #: Dotted call names that read the wall clock.
 WALL_CLOCK_CALLS = {
     "time.time",
@@ -104,6 +115,7 @@ RULE_UNREFERENCED_DEF = "unreferenced-def"
 RULE_UNREAD_ATTRIBUTE = "unread-attribute"
 RULE_KERNEL_PRIVATE = "kernel-private"
 RULE_FIDELITY_NEUTRAL = "fidelity-neutral"
+RULE_ONE_SERVER_LINK = "one-server-link"
 
 #: Directories the unused-import rule checks and the unreferenced-def
 #: and unread-attribute rules read names in.
@@ -139,7 +151,7 @@ class Visitor(ast.NodeVisitor):
 
     def __init__(
         self, deterministic: bool, gateway: bool, kernel: bool,
-        neutral: bool,
+        neutral: bool, network: bool,
     ) -> None:
         self.deterministic = deterministic
         self.gateway = gateway
@@ -147,6 +159,8 @@ class Visitor(ast.NodeVisitor):
         self.kernel = kernel
         #: Whether the file is in a fidelity-neutral layer (rule 7).
         self.neutral = neutral
+        #: Whether the file is the network layer's (exempt from rule 8).
+        self.network = network
         self.scope: list[str] = []
         self.violations: list[tuple[str, str, int, str]] = []
 
@@ -177,6 +191,22 @@ class Visitor(ast.NodeVisitor):
                     self._flag(RULE_RANDOM, node, name)
                 elif name in WALL_CLOCK_CALLS:
                     self._flag(RULE_WALL_CLOCK, node, name)
+        func = node.func
+        if (
+            not self.network
+            and isinstance(func, ast.Attribute)
+            and func.attr == "connect"
+            and (
+                isinstance(func.value, ast.Name)
+                and func.value.id in FABRIC_NAMES
+                or isinstance(func.value, ast.Attribute)
+                and func.value.attr in FABRIC_NAMES
+            )
+        ):
+            self._flag(
+                RULE_ONE_SERVER_LINK, node,
+                dotted_name(func) or "<expr>.fabric.connect",
+            )
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -433,7 +463,7 @@ def unread_attributes(
 
 
 def lint_source(source: str, rel: str) -> list[tuple[str, str, int, str]]:
-    """Rules 1, 2, 6 and 7 on the source of the file at repo path
+    """Rules 1, 2, 6, 7 and 8 on the source of the file at repo path
     ``rel``."""
     in_gateway = rel.startswith(GATEWAY_DIR + "/")
     exempt = rel.rsplit("/", 1)[-1] in GATEWAY_EXEMPT_FILES
@@ -444,6 +474,7 @@ def lint_source(source: str, rel: str) -> list[tuple[str, str, int, str]]:
         neutral=rel.startswith(
             tuple(d + "/" for d in FIDELITY_NEUTRAL_DIRS)
         ),
+        network=rel.startswith(NETWORK_DIR + "/"),
     )
     visitor.visit(ast.parse(source, filename=rel))
     return visitor.violations

@@ -128,13 +128,11 @@ class VehicleBuilder:
         relays: Sequence[RelayLink],
         services: Sequence[ServicePort],
         type_name: Optional[str],
-        has_mgmt: bool,
     ) -> PluginSwcSpec:
         return PluginSwcSpec(
             type_name or f"{instance.capitalize()}Type",
             relays=relays,
             services=services,
-            has_mgmt=has_mgmt,
         )
 
     def ecm(
@@ -147,17 +145,15 @@ class VehicleBuilder:
     ) -> "VehicleBuilder":
         """Place the ECM SW-C (exactly one per vehicle) on ECU ``on``.
 
-        The ECM's management traffic goes through the ECC/server link,
-        so its base spec is built with ``has_mgmt=False``.
+        The ECM's management traffic goes over its server link, so it
+        has a type I port pair per plug-in SW-C instead of its own.
         """
         if self._ecm is not None:
             raise ConfigurationError(
                 f"vehicle {self.vin}: ECM already declared "
                 f"({self._ecm.instance_name!r})"
             )
-        built = self._make_spec(
-            instance, relays, services, type_name, has_mgmt=False
-        )
+        built = self._make_spec(instance, relays, services, type_name)
         self._ecm = PluginSwcPlacement(instance, on, built)
         return self
 
@@ -175,9 +171,7 @@ class VehicleBuilder:
         SW-Cs; ``services`` the type III virtual ports into the built-in
         software.
         """
-        built = self._make_spec(
-            instance, relays, services, type_name, has_mgmt=True
-        )
+        built = self._make_spec(instance, relays, services, type_name)
         self._plugin_swcs.append(PluginSwcPlacement(instance, on, built))
         return self
 

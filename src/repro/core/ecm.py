@@ -4,18 +4,27 @@
 interacting with the external world" (paper Sec. 3.1.1).  The
 :class:`EcmPirte` extends the plain PIRTE with:
 
-* a socket client to the pre-defined trusted server, created during
-  initialization (Sec. 3.1.3, type I ports);
+* a socket client to the pre-defined trusted server, dialled during
+  initialization (Sec. 3.1.3, type I ports): an
+  :class:`~repro.network.sockets.Uplink`, the link a statistical vehicle
+  holds too.  Everything the vehicle sends up leaves on it: the ECM's
+  own acks and reports, and those the other plug-in SW-Cs send over
+  their type I ports, relayed verbatim;
 * routing of each management message by its target SW-C alone: the
   ECM's own plug-in table answers it, another plug-in SW-C gets it over
-  its type I port (its acks are relayed back to the server), and a SW-C
-  the vehicle does not host is answered ``UNKNOWN_PLUGIN``;
-* the ECC table: external endpoints are dialled when an ECC arrives,
+  its type I port, and a SW-C the vehicle does not host is answered
+  ``UNKNOWN_PLUGIN``;
+* the ECC table: external endpoints are dialled when an ECC is adopted,
   inbound named messages are routed to the recipient plug-in port
   (locally, or as DATA messages over type I), and unconnected plug-in
   port writes are routed outward.  Entries are kept per (target SW-C,
-  plug-in): a re-install replaces them and the plug-in's uninstall
-  drops them, so an updated APP is routed by its own ECC.
+  plug-in), and they follow the answers: an install's ECC is adopted
+  only when the install is acked OK, after the ECM's own table answers
+  or when the target SW-C's ack passes through.  The ECCs of forwarded
+  installs wait per (SW-C, plug-in) in arrival order, and each install
+  answer takes the oldest, since type I is FIFO.  An UNINSTALL drops the
+  plug-in's entries whatever the answer, and the OK answers of its
+  installs still waiting adopt nothing.
 
 Messages from the server and from external endpoints land in inboxes
 that the next ``dispatch`` tick drains; each arrival wakes the host CPU
@@ -29,23 +38,24 @@ from dataclasses import dataclass, field
 from typing import Deque, Optional
 
 from repro.autosar.events import InitEvent
-from repro.autosar.interfaces import SenderReceiverInterface
+from repro.autosar.runnable import Runnable
 from repro.autosar.swc import ComponentInstance, ComponentType
 from repro.core import messages as msg
-from repro.core.context import EccEntry
+from repro.core.context import EMPTY_ECC, Ecc, EccEntry
 from repro.core.external import decode_external, encode_external
 from repro.core.pirte import Pirte
 from repro.core.plugin import MANAGEMENT, Plugin, unhosted
 from repro.core.plugin_swc import (
     MGMT_ELEMENT,
     MGMT_IF,
+    PIRTE_KEY,
     PluginSwcSpec,
+    PortDecl,
     build_virtual_port_specs,
-    make_plugin_swc_type,
+    make_pirte_host_type,
 )
-from repro.autosar.ports import provided_port, required_port
-from repro.errors import ConfigurationError, ConnectionRefusedError_
-from repro.network.sockets import Endpoint, NetworkFabric
+from repro.errors import ConnectionRefusedError_
+from repro.network.sockets import Endpoint, NetworkFabric, Uplink
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,7 @@ class SwcRoute:
     out_port: str
     in_port: str
 
-    def ports(self) -> list[tuple[str, bool, SenderReceiverInterface]]:
+    def ports(self) -> list[PortDecl]:
         """``(name, provided, interface)`` of the ECM's type I port pair:
         it writes the out port and reads the in port."""
         return [(self.out_port, True, MGMT_IF), (self.in_port, False, MGMT_IF)]
@@ -102,8 +112,6 @@ class EcmPirte(Pirte):
         super().__init__(
             instance,
             build_virtual_port_specs(spec.base),
-            mgmt_in=None,
-            mgmt_out=None,
             vm_memory_blocks=spec.base.vm_memory_blocks,
             vm_block_size=spec.base.vm_block_size,
             fuel_per_activation=spec.base.fuel_per_activation,
@@ -111,13 +119,16 @@ class EcmPirte(Pirte):
         self.spec = spec
         self.fabric = fabric
         self.client_name = client_name
-        self._server: Optional[Endpoint] = None
-        self._server_outbox: Deque[bytes] = deque()
+        #: The vehicle's link to the trusted server.
+        self.uplink = Uplink(fabric, spec.server_address, client_name, self)
         self._server_inbox: Deque[bytes] = deque()
         self._ext_inbox: Deque[tuple[str, bytes]] = deque()
         self._externals: dict[str, Endpoint] = {}
-        #: (target SW-C, plug-in) -> the ECC entries its install carried.
-        self._ecc: dict[tuple[str, str], tuple[EccEntry, ...]] = {}
+        #: (target SW-C, plug-in) -> the ECC its acked install carried.
+        self._ecc: dict[tuple[str, str], Ecc] = {}
+        #: (target SW-C, plug-in) -> the ECCs of forwarded installs not
+        #: answered yet, oldest first.
+        self._waiting: dict[tuple[str, str], Deque[Ecc]] = {}
         self.acks_forwarded = 0
         self.external_in = 0
         #: Lazy (port name, buffer) cache for :meth:`_drain_remote_acks`.
@@ -125,21 +136,8 @@ class EcmPirte(Pirte):
 
     # -- server connectivity ------------------------------------------------
 
-    def connect_to_server(self) -> None:
-        """Dial the pre-defined trusted server (called at ECU init)."""
-        self.fabric.connect(
-            self.spec.server_address, self.client_name, self._on_server_connected
-        )
-
-    def _on_server_connected(self, endpoint: Endpoint) -> None:
-        self._server = endpoint
-        endpoint.on_receive(self._on_server_data)
-        self._trace("server_connected")
-        while self._server_outbox:
-            raw = self._server_outbox.popleft()
-            endpoint.send(raw, size=len(raw))
-
-    def _on_server_data(self, raw: bytes) -> None:
+    def on_server_data(self, raw: bytes) -> None:
+        """Bytes from the trusted server, handled at the next tick."""
         self._wake()
         self._server_inbox.append(raw)
 
@@ -147,21 +145,9 @@ class EcmPirte(Pirte):
         self._wake()
         self._ext_inbox.append((address, raw))
 
-    @property
-    def connected(self) -> bool:
-        return self._server is not None and not self._server.closed
-
-    def send_to_server(self, raw: bytes) -> None:
-        """Send bytes to the trusted server (queued until connected)."""
-        if self._server is not None and self._server.closed:
-            # The link was severed (vehicle offline / server cut us off):
-            # fall back to buffering until the next successful dial.
-            self._server = None
-            self._trace("server_link_lost")
-        if self._server is None:
-            self._server_outbox.append(raw)
-        else:
-            self._server.send(raw, size=len(raw))
+    def send_up(self, raw: bytes) -> None:
+        """The ECM sends toward the trusted server on its server link."""
+        self.uplink.send(raw)
 
     # -- external endpoints ----------------------------------------------------
 
@@ -188,31 +174,16 @@ class EcmPirte(Pirte):
     @property
     def ecc_entries(self) -> list[EccEntry]:
         """The ECC entries of every installed plug-in, oldest first."""
-        return [entry for entries in self._ecc.values() for entry in entries]
+        return [entry for ecc in self._ecc.values() for entry in ecc.entries]
 
-    def register_ecc(self, swc: str, plugin: str, entries) -> None:
-        """Adopt one plug-in's ECC entries and dial their endpoints.
-
-        They replace any entries registered for the same plug-in.
-        """
-        self._ecc[(swc, plugin)] = tuple(entries)
-        for entry in entries:
-            self._connect_external(entry.endpoint)
-
-    def _ecc_route_for_message(self, name: str) -> Optional[EccEntry]:
-        for entries in self._ecc.values():
-            for entry in entries:
-                if entry.message_name == name:
-                    return entry
-        return None
-
-    def _ecc_entry_for_port(self, port_id: int) -> Optional[EccEntry]:
-        ecu = self.ecu_name
-        for entries in self._ecc.values():
-            for entry in entries:
-                if entry.port_id == port_id and entry.recipient_ecu == ecu:
-                    return entry
-        return None
+    def _adopt(self, key: tuple[str, str], ecc: Ecc) -> None:
+        """Make ``ecc`` plug-in ``key``'s ECC and dial its endpoints."""
+        if not ecc.entries:
+            self._ecc.pop(key, None)
+            return
+        self._ecc[key] = ecc
+        for endpoint in ecc.endpoints():
+            self._connect_external(endpoint)
 
     # -- overrides ---------------------------------------------------------------
 
@@ -220,8 +191,12 @@ class EcmPirte(Pirte):
         self, plugin: Plugin, global_port_id: int, value: int
     ) -> None:
         """Unconnected plug-in port write: route externally via ECC."""
-        entry = self._ecc_entry_for_port(global_port_id)
-        if entry is None:
+        ecu = self.ecu_name
+        for ecc in self._ecc.values():
+            entry = ecc.entry_for_port(global_port_id, ecu)
+            if entry is not None:
+                break
+        else:
             super().handle_direct_write(plugin, global_port_id, value)
             return
         endpoint = self._externals.get(entry.endpoint)
@@ -273,24 +248,30 @@ class EcmPirte(Pirte):
         route = self.spec.route_for_swc(swc)
         if swc != self.swc_name and route is None:
             self._trace("no_route", swc=swc)
-            self.send_ack(unhosted(message))
+            self.send_up(unhosted(message).encode())
             return
         # "An ECC is extracted by the ECM PIRTE" (Sec. 3.1.2), whichever
-        # SW-C the plug-in lands on; it goes with the plug-in's
-        # uninstall, while its connections stay open.
-        if isinstance(message, msg.InstallMessage) and message.ecc.entries:
-            self.register_ecc(swc, message.plugin_name, message.ecc.entries)
-        elif isinstance(message, msg.UninstallMessage):
-            self._ecc.pop((swc, message.plugin_name), None)
+        # SW-C the plug-in lands on.  It goes with the plug-in's
+        # uninstall, while its connections stay open; the installs
+        # still waiting come before the uninstall on type I, so their
+        # answers adopt nothing.
+        key = (swc, message.plugin_name)
+        install = isinstance(message, msg.InstallMessage)
+        if isinstance(message, msg.UninstallMessage):
+            self._ecc.pop(key, None)
+            waiting = self._waiting.get(key)
+            if waiting:
+                self._waiting[key] = deque(EMPTY_ECC for __ in waiting)
         if route is None:
-            self.send_ack(self.answer(message))
-        else:
-            self.instance.write(route.out_port, MGMT_ELEMENT, raw)
-            self._trace("forwarded", swc=swc, size=len(raw))
-
-    def send_ack(self, ack: msg.AckMessage) -> None:
-        """The ECM's own acks go straight up the server link."""
-        self.send_to_server(ack.encode())
+            ack = self.answer(message)
+            if install and ack.ok:
+                self._adopt(key, message.ecc)
+            self.send_up(ack.encode())
+            return
+        if install:
+            self._waiting.setdefault(key, deque()).append(message.ecc)
+        self.instance.write(route.out_port, MGMT_ELEMENT, raw)
+        self._trace("forwarded", swc=swc, size=len(raw))
 
     def _drain_remote_acks(self) -> None:
         buffers = self._ack_buffers
@@ -310,21 +291,40 @@ class EcmPirte(Pirte):
         for in_port, buffer in buffers:
             while buffer.pending():
                 raw = self.instance.receive(in_port, MGMT_ELEMENT)
+                if self._waiting:
+                    self._answered(msg.decode(raw))
                 # Acks and diagnostic reports travel back on type I;
                 # relay both verbatim to the trusted server.
-                self.send_to_server(raw)
+                self.send_up(raw)
                 self.acks_forwarded += 1
 
-    def forward_diagnostics(self, report: msg.DiagMessage) -> None:
-        """ECM's own diagnostics go straight up the server link."""
-        self.send_to_server(report.encode())
+    def _answered(self, message: msg.Message) -> None:
+        """A forwarded install's answer takes the oldest ECC waiting
+        for its plug-in, and an OK adopts it."""
+        if not (
+            isinstance(message, msg.AckMessage)
+            and message.op is msg.MessageType.INSTALL
+        ):
+            return
+        key = (message.target_swc, message.plugin_name)
+        waiting = self._waiting.get(key)
+        if not waiting:
+            return
+        ecc = waiting.popleft()
+        if not waiting:
+            del self._waiting[key]
+        if message.ok:
+            self._adopt(key, ecc)
 
     # -- external data routing ---------------------------------------------------
 
     def route_external_in(self, name: str, value: int) -> None:
         """Route an inbound named external message via the ECC."""
-        entry = self._ecc_route_for_message(name)
-        if entry is None:
+        for ecc in self._ecc.values():
+            entry = ecc.route_for(name)
+            if entry is not None:
+                break
+        else:
             self.dropped_messages += 1
             self._trace("external_unroutable", message=name)
             return
@@ -362,41 +362,26 @@ def make_ecm_swc_type(
 ) -> ComponentType:
     """Build the ECM component type: plug-in SW-C + comm module.
 
-    Adds one provided/required type I port pair per route and connects
-    to the trusted server at ECU start-up.
+    Its ports are the base spec's, then a provided/required type I pair
+    per route.  A ``connect`` runnable dials the trusted server at ECU
+    start-up; its init event runs after ``init``'s, on the same task, so
+    the PIRTE exists by then.
     """
-    if spec.base.has_mgmt:
-        raise ConfigurationError(
-            "the ECM manages others; set has_mgmt=False on its base spec"
-        )
 
-    def pirte_factory(instance: ComponentInstance) -> EcmPirte:
+    def factory(instance: ComponentInstance) -> EcmPirte:
         return EcmPirte(instance, spec, fabric, client_name)
 
-    ctype = make_plugin_swc_type(spec.base, pirte_factory=pirte_factory)
-    from repro.autosar.events import DataReceivedEvent
-
-    for route in spec.routes:
-        for name, provided, iface in route.ports():
-            make = provided_port if provided else required_port
-            ctype.add_port(make(name, iface))
-        ctype.add_event(
-            DataReceivedEvent(
-                "dispatch", port=route.in_port, element=MGMT_ELEMENT
-            )
-        )
-
-    from repro.autosar.runnable import Runnable
-    from repro.core.plugin_swc import PIRTE_KEY
+    ctype = make_pirte_host_type(
+        spec.base,
+        factory,
+        [
+            *spec.base.swc_ports(),
+            *(port for route in spec.routes for port in route.ports()),
+        ],
+    )
 
     def connect_body(instance: ComponentInstance) -> None:
-        pirte = instance.state.get(PIRTE_KEY)
-        if pirte is None:
-            # init runnable may not have run yet within this boot order.
-            pirte = pirte_factory(instance)
-            instance.state[PIRTE_KEY] = pirte
-        if not pirte.connected:
-            pirte.connect_to_server()
+        instance.state[PIRTE_KEY].uplink.dial()
 
     ctype.add_runnable(Runnable("connect", connect_body, execution_time_us=100))
     ctype.add_event(InitEvent("connect"))

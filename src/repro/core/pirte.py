@@ -26,6 +26,11 @@ Routing summary (paper Sec. 3.1.3):
   linked to it.
 * type I SW-C data -> management protocol (install/uninstall/start/stop/
   external data relay).
+
+Everything a PIRTE sends toward the trusted server, acks and diagnostic
+reports, leaves through :meth:`Pirte.send_up`: a plug-in SW-C writes it
+to its type I out port, and the ECM (see :mod:`repro.core.ecm`) sends it
+on its server link.
 """
 
 from __future__ import annotations
@@ -69,6 +74,10 @@ from repro.vm.machine import Vm
 #: The one data element of the type I interface: management messages,
 #: acks and diagnostic reports between the ECM and each plug-in SW-C.
 MGMT_ELEMENT = "mgmt"
+#: A plug-in SW-C's type I port pair: management messages from the ECM
+#: arrive on the in port; acks and reports leave on the out port.
+MGMT_IN = "mgmt_in"
+MGMT_OUT = "mgmt_out"
 #: The type I interface.
 MGMT_IF = SenderReceiverInterface(
     "PluginMgmtIf",
@@ -117,16 +126,17 @@ class Pirte(PluginTable):
     adds the full fidelity's binary, context and memory checks.
     """
 
+    #: VM activations one :meth:`step` runs at most; the rest wait for
+    #: the next step.
+    max_activations_per_step = 64
+
     def __init__(
         self,
         instance: ComponentInstance,
         virtual_ports: list[VirtualPortSpec],
-        mgmt_in: Optional[str] = "mgmt_in",
-        mgmt_out: Optional[str] = "mgmt_out",
         vm_memory_blocks: int = 512,
         vm_block_size: int = 64,
         fuel_per_activation: int = 20_000,
-        max_activations_per_step: int = 64,
     ) -> None:
         self.instance = instance
         self.virtual_ports: dict[str, VirtualPortSpec] = {}
@@ -141,15 +151,12 @@ class Pirte(PluginTable):
             for spec in virtual_ports
             if spec.guard is not None
         }
-        self.mgmt_in = mgmt_in
-        self.mgmt_out = mgmt_out
         # "The VM is assigned its own memory" (Sec. 3.1.1): a pool owned
         # by this SW-C, charged per installed plug-in.
         self.pool = MemoryPool(
             f"{instance.name}.vm", vm_block_size, vm_memory_blocks
         )
         self.fuel_per_activation = fuel_per_activation
-        self.max_activations_per_step = max_activations_per_step
         self.plugins: dict[str, Plugin] = {}
         self._allocations: dict[str, Allocation] = {}
         self._ports_by_id: dict[int, Plugin] = {}
@@ -479,10 +486,8 @@ class Pirte(PluginTable):
     def _resolve_in_buffers(self) -> list:
         """Resolve the receive buffers the drain loop polls (once)."""
         instance = self.instance
-        if self.mgmt_in is not None and self.mgmt_in in instance.ports:
-            self._mgmt_buffer = instance.port(self.mgmt_in).buffer(
-                MGMT_ELEMENT
-            )
+        if MGMT_IN in instance.ports:  # the ECM has no type I in port
+            self._mgmt_buffer = instance.port(MGMT_IN).buffer(MGMT_ELEMENT)
         buffers = []
         for spec in self.virtual_ports.values():
             if spec.kind in (VirtualPortKind.RELAY_IN, VirtualPortKind.SERVICE_IN):
@@ -501,7 +506,7 @@ class Pirte(PluginTable):
         mgmt = self._mgmt_buffer
         if mgmt is not None:
             while mgmt.pending():
-                raw = instance.receive(self.mgmt_in, MGMT_ELEMENT)
+                raw = instance.receive(MGMT_IN, MGMT_ELEMENT)
                 self.handle_management(raw)
         # Relay (type II) and service (type III) inbound virtual ports.
         for spec, buffer in in_buffers:
@@ -559,18 +564,16 @@ class Pirte(PluginTable):
         """Process one type I management message."""
         message = msg.decode(raw)
         if isinstance(message, MANAGEMENT):
-            self.send_ack(self.answer(message))
+            self.send_up(self.answer(message).encode())
         elif isinstance(message, msg.DataMessage):
             self.deliver_to_port(message.port_id, message.value)
         else:  # An ack or a report arriving at a plug-in SW-C: ignore.
             self._trace("unexpected_ack")
 
-    def send_ack(self, ack: msg.AckMessage) -> None:
-        """Write an acknowledgement onto the type I out port."""
-        if self.mgmt_out is None or self.mgmt_out not in self.instance.ports:
-            self._trace("ack_unroutable", plugin=ack.plugin_name)
-            return
-        self.instance.write(self.mgmt_out, MGMT_ELEMENT, ack.encode())
+    def send_up(self, raw: bytes) -> None:
+        """Send an encoded ack or report toward the trusted server: over
+        the type I out port, to the ECM, which relays it."""
+        self.instance.write(MGMT_OUT, MGMT_ELEMENT, raw)
 
     # -- diagnostics ---------------------------------------------------------------
 
@@ -615,20 +618,12 @@ class Pirte(PluginTable):
         )
 
     def emit_diagnostics(self) -> None:
-        """Send a diagnostic report over the type I out port.
+        """Send a diagnostic report toward the trusted server.
 
         The paper lists "transfer of diagnostic messages" as a type I
         use case; the ECM relays these reports to the trusted server.
         """
-        report = self.diagnostic_report()
-        if self.mgmt_out is not None and self.mgmt_out in self.instance.ports:
-            self.instance.write(self.mgmt_out, MGMT_ELEMENT, report.encode())
-        else:
-            self.forward_diagnostics(report)
-
-    def forward_diagnostics(self, report: msg.DiagMessage) -> None:
-        """Hook for PIRTEs with a direct server path (the ECM)."""
-        self._trace("diag_unroutable")
+        self.send_up(self.diagnostic_report().encode())
 
 
-__all__ = ["MGMT_ELEMENT", "MGMT_IF", "Pirte"]
+__all__ = ["MGMT_ELEMENT", "MGMT_IF", "MGMT_IN", "MGMT_OUT", "Pirte"]

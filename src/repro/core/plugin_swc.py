@@ -3,9 +3,11 @@
 The OEM provides plug-in SW-Cs "which to start with only contain VMs and
 APIs in the form of provided and required SW-C ports" (paper Sec. 3.1.1).
 This module builds such a component type from a declarative spec: which
-type I/II/III SW-C ports it has and which virtual ports the PIRTE maps
-them to.  The embedded PIRTE is created on the component instance at
-ECU start-up.
+type II/III SW-C ports it has and which virtual ports the PIRTE maps
+them to.  The SW-C's role decides its type I ports: every plug-in SW-C
+has one pair toward the ECM (:data:`TYPE_I_PORTS`), and the ECM has one
+pair per plug-in SW-C it manages instead (:mod:`repro.core.ecm`).  The
+embedded PIRTE is created on the component instance at ECU start-up.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from typing import Any, Callable, Optional
 
 from repro.autosar.events import DataReceivedEvent, InitEvent, TimingEvent
 from repro.autosar.interfaces import DataElement, SenderReceiverInterface
-from repro.autosar.ports import PortPrototype, provided_port, required_port
+from repro.autosar.ports import provided_port, required_port
 from repro.autosar.runnable import Runnable
 from repro.autosar.swc import ComponentInstance, ComponentType
 from repro.autosar.types import BYTES, DataType
-from repro.core.pirte import MGMT_ELEMENT, MGMT_IF, Pirte
+from repro.core.pirte import MGMT_ELEMENT, MGMT_IF, MGMT_IN, MGMT_OUT, Pirte
 from repro.core.virtual_ports import PortGuard, VirtualPortKind, VirtualPortSpec
 from repro.errors import ConfigurationError
 
@@ -32,6 +34,14 @@ PIRTE_KEY = "pirte"
 RELAY_IF = SenderReceiverInterface(
     "PluginRelayIf", [DataElement("data", BYTES, queued=True, queue_length=64)]
 )
+
+#: ``(name, provided, interface)`` of a plug-in SW-C's type I pair: it
+#: reads management messages from the ECM and writes acks and reports.
+TYPE_I_PORTS = ((MGMT_IN, False, MGMT_IF), (MGMT_OUT, True, MGMT_IF))
+
+#: One SW-C port: ``(name, provided, interface)``; a port that is not
+#: provided is required.
+PortDecl = tuple[str, bool, SenderReceiverInterface]
 
 
 @dataclass(frozen=True)
@@ -99,7 +109,6 @@ class PluginSwcSpec:
     type_name: str
     relays: tuple[RelayLink, ...] = ()
     services: tuple[ServicePort, ...] = ()
-    has_mgmt: bool = True
     dispatch_period_us: int = 2_000
     timer_period_us: int = 10_000
     dispatch_exec_us: int = 200
@@ -111,15 +120,10 @@ class PluginSwcSpec:
         object.__setattr__(self, "relays", tuple(self.relays))
         object.__setattr__(self, "services", tuple(self.services))
 
-    def swc_ports(self) -> list[tuple[str, bool, SenderReceiverInterface]]:
-        """``(name, provided, interface)`` of every SW-C port, in
-        declaration order: what :func:`build_ports` builds and what a
-        vehicle spec's connectors are checked against.  A port that is
-        not provided is required."""
-        ports: list[tuple[str, bool, SenderReceiverInterface]] = []
-        if self.has_mgmt:
-            ports.append(("mgmt_in", False, MGMT_IF))
-            ports.append(("mgmt_out", True, MGMT_IF))
+    def swc_ports(self) -> list[PortDecl]:
+        """The type II and III ports the spec declares, in declaration
+        order.  A component type adds the type I ports of its role."""
+        ports: list[PortDecl] = []
         for relay in self.relays:
             ports.append((relay.resolved_out_port(), True, RELAY_IF))
             ports.append((relay.resolved_in_port(), False, RELAY_IF))
@@ -217,14 +221,6 @@ def build_virtual_port_specs(spec: PluginSwcSpec) -> list[VirtualPortSpec]:
     return specs
 
 
-def build_ports(spec: PluginSwcSpec) -> list[PortPrototype]:
-    """The SW-C port prototypes of :meth:`PluginSwcSpec.swc_ports`."""
-    return [
-        (provided_port if provided else required_port)(name, iface)
-        for name, provided, iface in spec.swc_ports()
-    ]
-
-
 def get_pirte(instance: ComponentInstance) -> Pirte:
     """The PIRTE hosted by a plug-in SW-C instance."""
     pirte = instance.state.get(PIRTE_KEY)
@@ -235,35 +231,40 @@ def get_pirte(instance: ComponentInstance) -> Pirte:
     return pirte
 
 
-def make_plugin_swc_type(
-    spec: PluginSwcSpec,
-    pirte_factory: Optional[Callable[[ComponentInstance], Pirte]] = None,
-) -> ComponentType:
-    """Build the plug-in SW-C component type for ``spec``.
+def make_plugin_swc_type(spec: PluginSwcSpec) -> ComponentType:
+    """Build the plug-in SW-C component type for ``spec``: its type I
+    pair, then the spec's ports, around a plain :class:`Pirte`."""
 
-    ``pirte_factory`` lets the ECM factory substitute its own PIRTE
-    subclass; the default creates a plain :class:`Pirte`.
-
-    The periodic ``dispatch`` and ``timer`` runnables declare ``noop``
-    predicates: a tick is a no-op once the PIRTE exists and
-    :meth:`Pirte.idle` (for ``timer``, :meth:`Pirte.timer_idle`) holds.
-    When both hold the CPU parks, queueing no tick; the PIRTE wakes its
-    CPU before any change from outside its own runnables, and data on
-    ``mgmt_in``, a relay-in or a service-in port activates ``dispatch``.
-    """
-
-    def default_factory(instance: ComponentInstance) -> Pirte:
+    def factory(instance: ComponentInstance) -> Pirte:
         return Pirte(
             instance,
             build_virtual_port_specs(spec),
-            mgmt_in="mgmt_in" if spec.has_mgmt else None,
-            mgmt_out="mgmt_out" if spec.has_mgmt else None,
             vm_memory_blocks=spec.vm_memory_blocks,
             vm_block_size=spec.vm_block_size,
             fuel_per_activation=spec.fuel_per_activation,
         )
 
-    factory = pirte_factory or default_factory
+    return make_pirte_host_type(
+        spec, factory, [*TYPE_I_PORTS, *spec.swc_ports()]
+    )
+
+
+def make_pirte_host_type(
+    spec: PluginSwcSpec,
+    factory: Callable[[ComponentInstance], Pirte],
+    ports: list[PortDecl],
+) -> ComponentType:
+    """A component type with ``ports`` that hosts the PIRTE ``factory``
+    makes.
+
+    The ``init`` runnable creates the PIRTE; the periodic ``dispatch``
+    and ``timer`` runnables declare ``noop`` predicates: a tick is a
+    no-op once the PIRTE exists and :meth:`Pirte.idle` (for ``timer``,
+    :meth:`Pirte.timer_idle`) holds.  When both hold the CPU parks,
+    queueing no tick; the PIRTE wakes its CPU before any change from
+    outside its own runnables, and data on any required port (each
+    interface here has one element) activates ``dispatch``.
+    """
 
     def ensure_pirte(instance: ComponentInstance) -> Pirte:
         pirte = instance.state.get(PIRTE_KEY)
@@ -313,29 +314,19 @@ def make_plugin_swc_type(
             offset_us=spec.timer_period_us,
         ),
     ]
-    if spec.has_mgmt:
-        events.append(
-            DataReceivedEvent(
-                "dispatch", port="mgmt_in", element=MGMT_ELEMENT
-            )
+    events += [
+        DataReceivedEvent(
+            "dispatch", port=name, element=iface.elements[0].name
         )
-    for relay in spec.relays:
-        events.append(
-            DataReceivedEvent(
-                "dispatch", port=relay.resolved_in_port(), element="data"
-            )
-        )
-    for service in spec.services:
-        if service.direction == "in":
-            events.append(
-                DataReceivedEvent(
-                    "dispatch", port=service.swc_port, element=service.element
-                )
-            )
-
+        for name, provided, iface in ports
+        if not provided
+    ]
     return ComponentType(
         spec.type_name,
-        ports=build_ports(spec),
+        ports=[
+            (provided_port if provided else required_port)(name, iface)
+            for name, provided, iface in ports
+        ],
         runnables=runnables,
         events=events,
     )
@@ -345,12 +336,16 @@ __all__ = [
     "PIRTE_KEY",
     "MGMT_ELEMENT",
     "MGMT_IF",
+    "MGMT_IN",
+    "MGMT_OUT",
     "RELAY_IF",
+    "TYPE_I_PORTS",
+    "PortDecl",
     "RelayLink",
     "ServicePort",
     "PluginSwcSpec",
     "build_virtual_port_specs",
-    "build_ports",
     "get_pirte",
+    "make_pirte_host_type",
     "make_plugin_swc_type",
 ]

@@ -14,7 +14,9 @@ rates), calibrated against the full simulation via
 :func:`repro.fes.fleet.calibrate_model`.  It answers the management
 protocol through the full PIRTE's own contract
 (:class:`~repro.core.plugin.PluginTable`) over the real simulated
-network, so the trusted server cannot tell the fidelities apart
+network, on the ECM's kind of server link
+(:class:`~repro.network.sockets.Uplink`: the same dial, offline buffer
+and flush), so the trusted server cannot tell the fidelities apart
 (``tests/test_fidelity_contract.py`` holds them to it), and campaign
 engines, health gates, pusher accounting, and telemetry soak windows
 all work unchanged on mixed-fidelity fleets.
@@ -36,7 +38,7 @@ from repro.core import messages as msg
 from repro.core.plugin import MANAGEMENT, PluginState, PluginTable, unhosted
 from repro.errors import ConfigurationError
 from repro.fes.vehicle import VehicleSpec
-from repro.network.sockets import Endpoint, NetworkFabric
+from repro.network.sockets import NetworkFabric, Uplink
 from repro.sim.kernel import MS, Simulator
 
 #: Stream-path prefix for per-vehicle draws.
@@ -97,8 +99,8 @@ class StatisticalVehicle(PluginTable):
 
     What a vehicle owns is its identity and its state: the spec (whose
     description it shares with its model), its ``statvehicle:<VIN>``
-    stream, its connection and outbox, and its installed plug-ins.  The
-    ``model`` is shared too: :meth:`ScenarioBuilder.build
+    stream, its server link with its offline outbox, and its installed
+    plug-ins.  The ``model`` is shared too: :meth:`ScenarioBuilder.build
     <repro.api.builder.ScenarioBuilder.build>` passes one per scenario.
     """
 
@@ -118,13 +120,11 @@ class StatisticalVehicle(PluginTable):
         model: StatisticalModel,
     ) -> None:
         self.spec = spec
-        self.fabric = fabric
         self._sim = sim
-        self.server_address = server_address
         self.model = model
         self._stream = fabric.streams.stream(f"{STREAM_PREFIX}:{spec.vin}")
-        self._endpoint: Optional[Endpoint] = None
-        self._outbox: list[bytes] = []
+        #: The vehicle's link to the trusted server.
+        self.uplink = Uplink(fabric, server_address, spec.vin, self)
         #: ``(SW-C, plug-in)`` -> the shared decoded package installed.
         self.installed: dict[tuple[str, str], msg.InstallMessage] = {}
         self.acks_sent = 0
@@ -146,7 +146,7 @@ class StatisticalVehicle(PluginTable):
         if self._booted:
             return
         self._booted = True
-        self.fabric.connect(self.server_address, self.vin, self._on_connected)
+        self.uplink.dial()
 
     def run(self, duration_us: int) -> None:
         self.boot()
@@ -155,35 +155,14 @@ class StatisticalVehicle(PluginTable):
     # -- connectivity --------------------------------------------------------
 
     def redial(self) -> bool:
-        """Dial the trusted server unless connected; True when it dialled.
-
-        Like the ECM, the vehicle sends what it buffered while offline
-        once the new connection is up.
-        """
-        if self._endpoint is not None and not self._endpoint.closed:
-            return False
-        self.fabric.connect(self.server_address, self.vin, self._on_connected)
-        return True
-
-    def _on_connected(self, endpoint: Endpoint) -> None:
-        self._endpoint = endpoint
-        endpoint.on_receive(self._on_server_data)
-        while self._outbox:
-            raw = self._outbox.pop(0)
-            endpoint.send(raw, size=len(raw))
-
-    def _send_upstream(self, raw: bytes) -> None:
-        if self._endpoint is None or self._endpoint.closed:
-            # Offline (never connected, or the link was severed by a
-            # fault): buffer like the real ECM's server outbox does.
-            self._endpoint = None
-            self._outbox.append(raw)
-            return
-        self._endpoint.send(raw, size=len(raw))
+        """Dial the trusted server unless the link is up; True when it
+        dialled (see :class:`~repro.network.sockets.Uplink`)."""
+        return self.uplink.dial()
 
     # -- protocol ------------------------------------------------------------
 
-    def _on_server_data(self, raw: bytes) -> None:
+    def on_server_data(self, raw: bytes) -> None:
+        """Answer one message from the trusted server."""
         message = msg.decode(raw)
         if not isinstance(message, MANAGEMENT):
             return  # DATA messages have no statistical observable.
@@ -235,7 +214,7 @@ class StatisticalVehicle(PluginTable):
             self.nacks_sent += 1
         self._sim.schedule(
             delay,
-            lambda: self._send_upstream(raw),
+            lambda: self.uplink.send(raw),
             f"statvehicle:{self.vin}:ack",
         )
 
@@ -319,7 +298,7 @@ class StatisticalVehicle(PluginTable):
     def emit_diagnostics(self) -> None:
         """Send :meth:`diagnostic_reports` toward the trusted server."""
         for report in self.diagnostic_reports():
-            self._send_upstream(report.encode())
+            self.uplink.send(report.encode())
 
 
 __all__ = [

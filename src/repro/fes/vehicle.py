@@ -23,9 +23,11 @@ from repro.autosar.system import SystemDescription
 from repro.autosar.vfb import Connector, validate_connector
 from repro.core.ecm import EcmPirte, EcmSpec, SwcRoute, make_ecm_swc_type
 from repro.core.messages import DiagMessage
-from repro.core.pirte import Pirte
+from repro.core.pirte import MGMT_IN, MGMT_OUT, Pirte
 from repro.core.plugin_swc import (
+    TYPE_I_PORTS,
     PluginSwcSpec,
+    PortDecl,
     build_virtual_port_specs,
     get_pirte,
     make_plugin_swc_type,
@@ -123,8 +125,7 @@ class VehicleSpec:
 
         Raises :class:`~repro.errors.ConfigurationError` for: no ECUs, a
         duplicate ECU or component instance, a SW-C or legacy component
-        on an unknown ECU, an ECM with ``has_mgmt=True`` or a plug-in
-        SW-C without it, a SW-C spec with a duplicate virtual or SW-C
+        on an unknown ECU, a SW-C spec with a duplicate virtual or SW-C
         port name, a relay to an undeclared peer or one whose peer lacks
         the back-relay, and a connector to an undeclared component
         instance or port, into a port another connector already writes,
@@ -158,15 +159,6 @@ class VehicleSpec:
                 raise ConfigurationError(
                     f"{where}: SW-C {name!r} placed on unknown ECU "
                     f"{placement.ecu_name!r}"
-                )
-            if placement is self.ecm and placement.spec.has_mgmt:
-                raise ConfigurationError(
-                    f"{where}: ECM {name!r} base spec must have "
-                    f"has_mgmt=False"
-                )
-            if placement is not self.ecm and not placement.spec.has_mgmt:
-                raise ConfigurationError(
-                    f"{where}: plug-in SW-C {name!r} needs has_mgmt=True"
                 )
             placement.spec.validate()
             for relay in placement.spec.relays:
@@ -226,10 +218,7 @@ class VehicleSpec:
                         for p in legacy[instance].ports
                     ]
                 else:
-                    declared = by_name[instance].spec.swc_ports()
-                    if instance == self.ecm.instance_name:
-                        for route in self.ecm_routes():
-                            declared += route.ports()
+                    declared = self.ports_of(by_name[instance])
                 ports = {
                     name: (provided, interface)
                     for name, provided, interface in declared
@@ -260,6 +249,17 @@ class VehicleSpec:
             except ConfigurationError as exc:
                 raise ConfigurationError(f"{where}: {exc}") from None
 
+    def ports_of(self, placement: PluginSwcPlacement) -> list[PortDecl]:
+        """``(name, provided, interface)`` of every port of a placed
+        SW-C, by its role: a plug-in SW-C's type I pair, then its spec's
+        ports; the ECM's spec ports, then its routes' type I pairs."""
+        ports = placement.spec.swc_ports()
+        if placement.instance_name != self.ecm.instance_name:
+            return [*TYPE_I_PORTS, *ports]
+        for route in self.ecm_routes():
+            ports += route.ports()
+        return ports
+
     def ecm_routes(self) -> list[SwcRoute]:
         """The ECM's type I port pair toward each other plug-in SW-C."""
         return [
@@ -278,8 +278,8 @@ class VehicleSpec:
         connectors = []
         for route in self.ecm_routes():
             swc = route.target_swc
-            connectors.append((ecm, route.out_port, swc, "mgmt_in"))
-            connectors.append((swc, "mgmt_out", ecm, route.in_port))
+            connectors.append((ecm, route.out_port, swc, MGMT_IN))
+            connectors.append((swc, MGMT_OUT, ecm, route.in_port))
         placements = self.all_placements()
         by_name = {p.instance_name: p for p in placements}
         for placement in placements:
@@ -366,14 +366,9 @@ class Vehicle:
         self.system.run(duration_us)
 
     def redial(self) -> bool:
-        """Have the ECM dial the trusted server unless it is connected;
-        True when it dialled.  The ECM sends what it buffered while
-        offline once the new connection is up."""
-        ecm = self.ecm_pirte
-        if ecm.connected:
-            return False
-        ecm.connect_to_server()
-        return True
+        """Have the ECM dial the trusted server unless its link is up;
+        True when it dialled (see :class:`~repro.network.sockets.Uplink`)."""
+        return self.ecm_pirte.uplink.dial()
 
     def book_fault(
         self, swc: str, plugin: str, traps: int, fuel: int, blocks: int

@@ -9,7 +9,7 @@ from repro.network.channel import (
     ChannelProfile,
     DuplexLink,
 )
-from repro.network.sockets import Endpoint, NetworkFabric
+from repro.network.sockets import Endpoint, NetworkFabric, Uplink
 
 __all__ = [
     "CELLULAR",
@@ -21,4 +21,5 @@ __all__ = [
     "DuplexLink",
     "Endpoint",
     "NetworkFabric",
+    "Uplink",
 ]

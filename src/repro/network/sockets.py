@@ -5,7 +5,8 @@ a pre-defined trusted server".  This module provides that shape: a
 :class:`NetworkFabric` in which servers :meth:`~NetworkFabric.listen` on
 string addresses (``"server.oem.example:7000"``) and clients
 :meth:`~NetworkFabric.connect`, yielding a pair of :class:`Endpoint`
-objects over a :class:`DuplexLink`.
+objects over a :class:`DuplexLink`.  A vehicle's connection to its
+trusted server is an :class:`Uplink`, at either simulation fidelity.
 
 Each message travels with an explicit ``size``, the byte count the
 latency model charges for.  Every sender in the platform passes real
@@ -16,8 +17,9 @@ the phone sends :mod:`repro.core.external` frames.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Deque, Iterable, Optional
 
 from repro.errors import (
     AddressInUseError,
@@ -198,4 +200,73 @@ class NetworkFabric:
         return sum(self._dials.values())
 
 
-__all__ = ["Endpoint", "NetworkFabric"]
+class Uplink:
+    """A vehicle's one link to its trusted server.
+
+    :meth:`dial` connects unless the link is up; :meth:`send` sends at
+    once while it is up.  While it is down (never dialled, a dial in
+    flight, or severed from either side) sent bytes wait, and the next
+    dial that succeeds flushes them in order.  Bytes the server sends go
+    to ``owner.on_server_data(raw)``.  The fabric's tracer, when it has
+    one, gets ``net`` events ``server_connected`` and
+    ``server_link_lost`` naming the client.
+
+    A link allocates as little as it can, since a fleet holds one per
+    vehicle: it has slots, the receive handler is bound when the link
+    comes up and the outbox is made on the first send while down.
+    """
+
+    __slots__ = ("fabric", "address", "name", "owner", "_endpoint", "_outbox")
+
+    def __init__(
+        self, fabric: NetworkFabric, address: str, name: str, owner: Any
+    ) -> None:
+        self.fabric = fabric
+        self.address = address
+        #: The client name the server knows the vehicle by.
+        self.name = name
+        self.owner = owner
+        self._endpoint: Optional[Endpoint] = None
+        self._outbox: Optional[Deque[bytes]] = None
+
+    @property
+    def up(self) -> bool:
+        endpoint = self._endpoint
+        return endpoint is not None and not endpoint.closed
+
+    def dial(self) -> bool:
+        """Dial the server unless the link is up; True when it dialled."""
+        if self.up:
+            return False
+        self.fabric.connect(self.address, self.name, self._connected)
+        return True
+
+    def _connected(self, endpoint: Endpoint) -> None:
+        self._endpoint = endpoint
+        endpoint.on_receive(self.owner.on_server_data)
+        self._trace("server_connected")
+        outbox = self._outbox
+        while outbox:
+            raw = outbox.popleft()
+            endpoint.send(raw, size=len(raw))
+
+    def send(self, raw: bytes) -> None:
+        """Send ``raw`` to the server now, or once a dial succeeds."""
+        endpoint = self._endpoint
+        if endpoint is not None and endpoint.closed:
+            self._endpoint = endpoint = None
+            self._trace("server_link_lost")
+        if endpoint is not None:
+            endpoint.send(raw, size=len(raw))
+        elif self._outbox is None:
+            self._outbox = deque((raw,))
+        else:
+            self._outbox.append(raw)
+
+    def _trace(self, name: str) -> None:
+        tracer = self.fabric.tracer
+        if tracer is not None:
+            tracer.publish("net", name, self.fabric.sim.now, client=self.name)
+
+
+__all__ = ["Endpoint", "NetworkFabric", "Uplink"]

@@ -151,10 +151,6 @@ class StreamBroker:
         self._seq = 0
         self._next_client = 0
         self._attached = False
-        # The bus unsubscribes by identity; ``self._tap`` is a fresh
-        # bound-method object on every attribute access, so the exact
-        # object handed to subscribe() must be kept for detach().
-        self._tap_ref = self._tap
 
     # -- bus side (sim thread) -------------------------------------------------
 
@@ -162,13 +158,13 @@ class StreamBroker:
         if self._attached:
             return
         self._attached = True
-        self.bus.subscribe(self._tap_ref)
+        self.bus.subscribe(self._tap)
 
     def detach(self) -> None:
         if not self._attached:
             return
         self._attached = False
-        self.bus.unsubscribe(self._tap_ref)
+        self.bus.unsubscribe(self._tap)
 
     def _tap(self, event: TelemetryEvent) -> None:
         """Stamp a sequence number and fan out (runs inside publish)."""

@@ -12,7 +12,12 @@ from repro.core import (
     PlcLink,
     PortInit,
 )
+from repro.core import messages as msg
+from repro.fes import build_fleet, make_remote_control_app
+from repro.fes.example_platform import PHONE_ADDRESS
 from repro.server.models import InstallStatus
+from repro.server.pusher import PushVerdict
+from repro.sim import SECOND
 from repro.vm.loader import compile_plugin
 
 #: A plug-in that echoes every received message to its next port:
@@ -122,6 +127,28 @@ def make_install(
         ecc=ecc,
         binary=make_binary(source, mem_hint=mem_hint),
     )
+
+
+def server_packages(
+    version: str, phone: str = PHONE_ADDRESS
+) -> dict[str, InstallMessage]:
+    """``{plug-in: InstallMessage}`` the server pushes to an example car
+    for the remote-control APP at ``version`` whose phone is ``phone``."""
+    fleet = build_fleet(1, seed=1)
+    fleet.api.store.upload(
+        make_remote_control_app(phone, version=version)
+    ).unwrap()
+    captured = {}
+
+    def keep(vin, raw):
+        message = msg.decode(raw)
+        captured[message.plugin_name] = message
+        return PushVerdict.drop()
+
+    fleet.server.pusher.set_push_filter(keep)
+    fleet.run(1 * SECOND)
+    assert fleet.deploy("remote-control").ok
+    return captured
 
 
 def assert_vehicles_run_active_records(fleet) -> None:

@@ -127,7 +127,7 @@ class TestScenarioRoundTrip:
         platform = tri_platform
         platform.boot()
         platform.run(1 * SECOND)
-        assert platform.vehicle("VIN-TRI").ecm_pirte.connected
+        assert platform.vehicle("VIN-TRI").ecm_pirte.uplink.up
 
         deployment = platform.deploy("fanout")
         assert deployment.ok
@@ -272,13 +272,6 @@ def _missing_back_relay(spec):
     return "lacks the back-relay toward 'swc1'"
 
 
-def _ecm_with_mgmt(spec):
-    spec.ecm = PluginSwcPlacement(
-        "swc1", "ECU1", replace(spec.ecm.spec, has_mgmt=True)
-    )
-    return "has_mgmt=False"
-
-
 def _duplicate_instance(spec):
     spec.legacy = (
         *spec.legacy, LegacyComponent("swc2", make_sink_type(), "ECU1"),
@@ -347,7 +340,6 @@ class TestSpecValidatedAtEitherFidelity:
         [
             _swc_on_unknown_ecu,
             _missing_back_relay,
-            _ecm_with_mgmt,
             _duplicate_instance,
             _connector_to_ghost,
             _connector_to_missing_port,
@@ -357,8 +349,8 @@ class TestSpecValidatedAtEitherFidelity:
             _incompatible_interfaces,
             _duplicate_virtual_port,
         ],
-        ids=["unknown-ecu", "missing-back-relay", "ecm-with-mgmt",
-             "duplicate-instance", "connector-to-ghost",
+        ids=["unknown-ecu", "missing-back-relay", "duplicate-instance",
+             "connector-to-ghost",
              "connector-to-missing-port", "connector-into-provided-port",
              "second-writer", "writer-into-derived-pair",
              "incompatible-interfaces", "duplicate-virtual-port"],
@@ -389,7 +381,7 @@ class TestServerAddress:
         platform = scenario.build()
         platform.boot()
         platform.run(3 * SECOND)
-        assert platform.vehicle("VIN-A").ecm_pirte.connected
+        assert platform.vehicle("VIN-A").ecm_pirte.uplink.up
 
 
 class TestHeterogeneousFleet:

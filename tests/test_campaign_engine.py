@@ -399,7 +399,7 @@ class TestPusherRobustness:
         assert not pusher.is_connected(vin)
         # The vehicle redials; the outbox flushes; the install completes.
         fleet.sim.run_for(1 * SECOND)
-        fleet.vehicle(vin).ecm_pirte.connect_to_server()
+        assert fleet.vehicle(vin).redial()
         elapsed = deployment.wait(30 * SECOND)
         assert elapsed > 0 and deployment.all_active
         assert pusher.pending_for(vin) == 0

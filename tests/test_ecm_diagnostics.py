@@ -109,18 +109,21 @@ class TestEcmRouting:
         ecm.route_data_message(msg.DataMessage("ECU9", "", 0, 1))
         assert ecm.dropped_messages == before + 1
 
-    def test_send_to_server_queues_before_connect(self):
+    def test_send_up_queues_before_connect(self):
         platform = build_example_platform()
         platform.boot()
         platform.run(1 * MS)  # PIRTE exists, connection still in flight
         ecm = platform.vehicle().ecm_pirte
-        assert not ecm.connected
+        assert not ecm.uplink.up
+        before = platform.server.api.deployments.acks_processed
         ack = msg.AckMessage(
             "x", "swc1", msg.MessageType.INSTALL, msg.AckStatus.OK
         )
-        ecm.send_to_server(ack.encode())  # must not raise
+        ecm.send_up(ack.encode())  # must not raise
         platform.run(2 * SECOND)
-        assert ecm.connected
+        assert ecm.uplink.up
+        # Flushed once the dial succeeded.
+        assert platform.server.api.deployments.acks_processed == before + 1
 
     def test_external_out_without_ecc_dropped(self, deployed):
         ecm = deployed.vehicle().ecm_pirte

@@ -34,7 +34,7 @@ def deployed(platform):
 
 class TestDeployment:
     def test_ecm_connects_at_startup(self, platform):
-        assert platform.vehicle().ecm_pirte.connected
+        assert platform.vehicle().ecm_pirte.uplink.up
         assert platform.server.pusher.is_connected("VIN-0001")
 
     def test_deploy_reaches_active(self, deployed):

@@ -39,21 +39,6 @@ class TestVehicleSpecValidation:
         with pytest.raises(ConfigurationError):
             build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
-    def test_ecm_with_mgmt_rejected(self):
-        spec = self._base_spec()
-        spec.ecm = PluginSwcPlacement(
-            "swc1", "ECU1", PluginSwcSpec("BadEcm", has_mgmt=True)
-        )
-        with pytest.raises(ConfigurationError):
-            build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
-
-    def test_plugin_swc_without_mgmt_rejected(self):
-        spec = self._base_spec()
-        no_mgmt = PluginSwcSpec("NoMgmt", has_mgmt=False)
-        spec.plugin_swcs = (PluginSwcPlacement("swc2", "ECU2", no_mgmt),)
-        with pytest.raises(ConfigurationError):
-            build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
-
     def test_relay_to_unknown_peer_rejected(self):
         from repro.core.plugin_swc import RelayLink
 
@@ -69,9 +54,9 @@ class TestVehicleSpecValidation:
             build_vehicle(spec, NetworkFabric(Simulator()), DEFAULT_ADDRESS)
 
     def test_spec_ports_and_wiring_are_what_the_build_declares(self):
-        # validate() judges connectors on PluginSwcSpec.swc_ports(), the
-        # ECM's routes and VehicleSpec.wiring() without building
-        # component types; together they must be exactly what
+        # validate() judges connectors on VehicleSpec.ports_of() (each
+        # placement's ports by its role) and VehicleSpec.wiring() without
+        # building component types; together they must be exactly what
         # build_vehicle declares, down to the interface objects.
         spec = self._base_spec()
         desc = build_vehicle(
@@ -82,13 +67,7 @@ class TestVehicleSpecValidation:
                 (port.name, port.is_provided, port.interface)
                 for port in desc.placement(placement.instance_name).ctype.ports
             ]
-            declared = placement.spec.swc_ports()
-            if placement is spec.ecm:
-                declared += [
-                    port for route in spec.ecm_routes()
-                    for port in route.ports()
-                ]
-            assert built == declared
+            assert built == spec.ports_of(placement)
         connectors = [
             (c.from_instance, c.from_port, c.to_instance, c.to_port)
             for c in desc.connectors

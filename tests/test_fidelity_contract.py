@@ -17,6 +17,10 @@ versions 1.0 and 2.0, delivered again, over each other, or re-addressed
 to a SW-C the car does not host (``swc9`` on the routed ``ECU2``,
 ``swc7`` on an unknown ECU); plug-in names include an absent one.
 
+Both fidelities reach the server on one kind of link
+(:class:`~repro.network.sockets.Uplink`), so what they send while
+offline waits and arrives alike once they redial.
+
 Campaign outcomes must not depend on fidelity either: an offline-fault
 campaign and a soak-fault campaign end alike on all-statistical,
 mixed and all-full fleets, and once settled every vehicle runs exactly
@@ -32,10 +36,9 @@ from repro.campaign import FaultPlan
 from repro.core import messages as msg
 from repro.fes import build_fleet, canary_campaign, make_remote_control_app
 from repro.fes.example_platform import PHONE_ADDRESS
-from repro.server.pusher import PushVerdict
 from repro.sim import MS, SECOND
 from repro.telemetry.soak import SoakPolicy
-from tests.helpers import assert_vehicles_run_active_records
+from tests.helpers import assert_vehicles_run_active_records, server_packages
 
 APP = "remote-control"
 START = msg.MessageType.START
@@ -45,26 +48,6 @@ UNINSTALL = msg.MessageType.UNINSTALL
 #: not host on a routed ECU and one on an ECU it does not have.
 TARGETS = (("swc1", "ECU1"), ("swc2", "ECU2"), ("swc9", "ECU2"), ("swc7", "ECU9"))
 PLUGINS = ("COM", "OP", "GHOST")
-
-
-def server_packages(version):
-    """``{plug-in: InstallMessage}`` the server pushes to an example car
-    for the remote-control APP at ``version``."""
-    fleet = build_fleet(1, seed=1)
-    fleet.api.store.upload(
-        make_remote_control_app(PHONE_ADDRESS, version=version)
-    ).unwrap()
-    captured = {}
-
-    def keep(vin, raw):
-        message = msg.decode(raw)
-        captured[message.plugin_name] = message
-        return PushVerdict.drop()
-
-    fleet.server.pusher.set_push_filter(keep)
-    fleet.run(1 * SECOND)
-    assert fleet.deploy(APP).ok
-    return captured
 
 
 V1, V2 = server_packages("1.0"), server_packages("2.0")
@@ -158,6 +141,59 @@ class TestManagementContract:
             assert [len(got) for got in acks.values()] == [answered] * 2
         assert acks[full.vin] == acks[statistical.vin]
         assert plugins_per_swc(full) == plugins_per_swc(statistical)
+
+
+class TestOfflineLink:
+    def test_both_fidelities_buffer_until_redial(self):
+        """An APP installed at both fidelities, both links severed by
+        the server: a STOP pushed and diagnostic reports emitted while
+        offline reach the server only after ``redial()``, and then
+        alike."""
+        fleet = build_fleet(2, seed=1, full_vehicles=1)
+        full, statistical = fleet.vehicles
+        pusher = fleet.server.pusher
+        acks = {vin: [] for vin in fleet.vins}
+
+        def spy(vin, raw):
+            message = msg.decode(raw)
+            if isinstance(message, msg.AckMessage):
+                acks[vin].append((
+                    message.op, message.plugin_name, message.target_swc,
+                    message.status,
+                ))
+            fleet.api.deployments.on_vehicle_message(vin, raw)
+
+        pusher.on_upstream(spy)
+        fleet.run(1 * SECOND)
+        for name in ("COM", "OP"):
+            for vin in fleet.vins:
+                pusher.push(vin, PACKAGES[name].encode())
+        fleet.sim.run_for(2 * SECOND)
+        assert [len(got) for got in acks.values()] == [2, 2]
+        for vin in fleet.vins:
+            pusher.disconnect(vin)
+            pusher.push(vin, encode((STOP, "OP", TARGETS[1])))
+        for vehicle in fleet.vehicles:
+            vehicle.emit_diagnostics()
+        fleet.sim.run_for(2 * SECOND)
+        for vin in fleet.vins:
+            assert fleet.api.vehicles.health(vin).unwrap() == {}
+            assert len(acks[vin]) == 2
+        assert full.redial() and statistical.redial()
+        fleet.sim.run_for(2 * SECOND)
+        assert acks[full.vin] == acks[statistical.vin]
+        assert acks[full.vin][-1] == (STOP, "OP", "swc2", msg.AckStatus.OK)
+
+        def health(vin):
+            return {
+                swc: sorted((h.plugin_name, h.state) for h in report.plugins)
+                for swc, report in fleet.api.vehicles.health(vin).unwrap()
+                .items()
+            }
+
+        assert health(full.vin) == health(statistical.vin) == {
+            "swc1": [("COM", "running")], "swc2": [("OP", "running")],
+        }
 
 
 # -- campaign outcomes ---------------------------------------------------------

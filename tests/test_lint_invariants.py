@@ -1,5 +1,6 @@
 """``scripts/lint_invariants.py``: the unused-import, unreferenced-def,
-kernel-private and fidelity-neutral rules, the allowlist."""
+kernel-private, fidelity-neutral and one-server-link rules, the
+allowlist."""
 
 import importlib.util
 from pathlib import Path
@@ -225,3 +226,32 @@ def test_flags_a_pirte_reach_in_the_campaign_and_server_layers():
 
 def test_a_pirte_reach_elsewhere_is_clean():
     assert fidelity_neutral(PIRTE_REACH, "src/repro/fes/vehicle.py") == []
+
+
+def one_server_link(source, rel):
+    return [
+        detail for __, rule, __, detail in lint.lint_source(source, rel)
+        if rule == lint.RULE_ONE_SERVER_LINK
+    ]
+
+
+DIALS = (
+    "def f(self, fabric, bus):\n"
+    "    fabric.connect('srv:1', 'VIN-1', print)\n"
+    "    self.fabric.connect('srv:1', 'VIN-1', print)\n"
+    "    self._fabric.connect('srv:1', 'VIN-1', print)\n"
+    "    self.uplink.fabric.connect('phone:1', 'VIN-1:ext', print)\n"
+    "    bus.connect(print)\n"
+    "    return self.uplink.dial(), fabric.listen\n"
+)
+
+
+def test_flags_a_fabric_dial_outside_the_network_layer():
+    assert one_server_link(DIALS, "src/repro/fes/statistical.py") == [
+        "fabric.connect", "self.fabric.connect", "self._fabric.connect",
+        "self.uplink.fabric.connect",
+    ]
+
+
+def test_the_network_layer_may_dial():
+    assert one_server_link(DIALS, "src/repro/network/sockets.py") == []

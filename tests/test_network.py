@@ -16,6 +16,7 @@ from repro.network import (
     ChannelProfile,
     DuplexLink,
     NetworkFabric,
+    Uplink,
 )
 from repro.sim import Simulator, StreamFactory
 from repro.telemetry import TelemetryBus
@@ -250,3 +251,92 @@ class TestNetworkFabric:
         gc.collect()
         assert [ref() for ref in refs] == [None] * len(refs)
         assert fabric.connection_count == 3
+
+
+class _Vehicle:
+    """The owner of an uplink: collects what the server sends."""
+
+    def __init__(self):
+        self.got = []
+
+    def on_server_data(self, raw):
+        self.got.append(raw)
+
+
+class TestUplink:
+    def _world(self):
+        """A traced fabric, a server that records each accepted
+        connection and everything it receives, and an undialled link."""
+        sim = Simulator()
+        tracer = TelemetryBus()
+        fabric = NetworkFabric(
+            sim, tracer=tracer, default_profile=ChannelProfile(latency_us=100)
+        )
+        accepted, received = [], []
+
+        def accept(endpoint, who):
+            accepted.append(endpoint)
+            endpoint.on_receive(received.append)
+
+        fabric.listen("srv:1", accept)
+        vehicle = _Vehicle()
+        link = Uplink(fabric, "srv:1", "VIN-1", vehicle)
+        return sim, tracer, link, accepted, received, vehicle
+
+    def test_buffers_before_the_first_dial(self):
+        sim, __, link, accepted, received, __ = self._world()
+        link.send(b"early")
+        sim.run()
+        assert not link.up and accepted == [] and received == []
+        assert link.dial()
+        sim.run()
+        assert link.up and received == [b"early"]
+
+    def test_flushes_in_send_order(self):
+        sim, tracer, link, __, received, __ = self._world()
+        link.send(b"1")
+        link.dial()
+        link.send(b"2")  # dial in flight
+        sim.run()
+        link.send(b"3")  # link up: sent at once
+        sim.run()
+        assert received == [b"1", b"2", b"3"]
+        assert [e.data for e in tracer.events("net", "server_connected")] == [
+            {"client": "VIN-1"},
+        ]
+
+    def test_buffers_after_the_peer_closes(self):
+        sim, tracer, link, accepted, received, __ = self._world()
+        link.dial()
+        sim.run()
+        accepted[0].close()  # the server severs the link
+        assert not link.up
+        link.send(b"offline")
+        sim.run()
+        assert received == []
+        assert len(tracer.events("net", "server_link_lost")) == 1
+
+    def test_dial_returns_false_while_up(self):
+        sim, __, link, __, __, __ = self._world()
+        assert link.dial()
+        sim.run()
+        assert link.up
+        assert not link.dial()
+        assert link.fabric.connection_count == 1
+
+    def test_nothing_lost_across_a_sever_and_a_redial(self):
+        sim, __, link, accepted, received, vehicle = self._world()
+        link.dial()
+        sim.run()
+        link.send(b"a")
+        sim.run()
+        accepted[0].close()
+        link.send(b"b")
+        link.send(b"c")
+        assert link.dial()
+        link.send(b"d")  # redial in flight
+        sim.run()
+        assert received == [b"a", b"b", b"c", b"d"]
+        accepted[1].send(b"down")  # the new link reaches the owner
+        sim.run()
+        assert vehicle.got == [b"down"]

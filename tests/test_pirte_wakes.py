@@ -209,7 +209,7 @@ class TestEcmWakeSites:
             MessageType.STOP, "COM", ecm.ecu_name, "swc1"
         )
         # What the server link does when the pushed bytes arrive.
-        ecm._server._on_message(stop.encode())
+        ecm.on_server_data(stop.encode())
         runs_at(deployed.sim, completion, lambda: not com.running)
         assert ecm.set_state("COM", MessageType.START).ok
 
@@ -313,7 +313,7 @@ class TestIdlePredicates:
         )
         route = ecm.spec.routes[0]
         posts = (
-            lambda: ecm._server._on_message(ack.encode()),
+            lambda: ecm.on_server_data(ack.encode()),
             lambda: ecm._externals[PHONE_ADDRESS]._on_message(
                 encode_external("Speed", 5)
             ),
@@ -342,7 +342,7 @@ class TestIdlePredicates:
         stop = msg.LifecycleMessage(
             MessageType.STOP, "COM", ecm.ecu_name, "swc1"
         )
-        ecm._server._on_message(stop.encode())
+        ecm.on_server_data(stop.encode())
         com = ecm.plugin("COM")
         completion = next_completion(deployed.sim, cpu, "swc1.dispatch")
         runs_at(deployed.sim, completion, lambda: not com.running)
@@ -524,7 +524,7 @@ class TestParkedTouches:
         ran, completion = parked_and_ticking(
             monkeypatch, platform_world,
             lambda platform: platform.vehicle().pirte_of("swc1")
-            ._server._on_message(stop.encode()),
+            .on_server_data(stop.encode()),
             lambda platform: not com(platform).running,
             "swc1.dispatch",
         )

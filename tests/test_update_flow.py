@@ -1,7 +1,10 @@
 """Tests for the stop-then-restart-fresh update flow (paper Sec. 5)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import messages as msg
 from repro.fes.example_platform import (
     PHONE_ADDRESS,
     build_example_platform,
@@ -10,6 +13,7 @@ from repro.fes.example_platform import (
 from repro.server.models import InstallStatus
 from repro.server.services import ErrorCode
 from repro.sim import SECOND
+from tests.helpers import server_packages
 
 
 INVERTED_OP = """
@@ -168,3 +172,97 @@ class TestEccAfterUpdate:
         state = deployed.actuator_state()
         assert state.get("wheels") == [30]
         assert state.get("speed") == [77]
+
+
+#: The server's remote-control packages at 1.0 for the example phone,
+#: and at 2.0 for a phone at another address.
+PHONE_B = "phone-b:1"
+V1 = server_packages("1.0")
+V2_B = server_packages("2.0", phone=PHONE_B)
+
+
+def ack_spy(platform):
+    """The ``(op, plug-in, SW-C, status)`` of every ack the server gets,
+    in arrival order; the server still handles each message."""
+    acks = []
+    deployments = platform.server.api.deployments
+
+    def spy(vin, raw):
+        message = msg.decode(raw)
+        if isinstance(message, msg.AckMessage):
+            acks.append((message.plugin_name, message.target_swc,
+                         message.op, message.status))
+        deployments.on_vehicle_message(vin, raw)
+
+    platform.server.pusher.on_upstream(spy)
+    return acks
+
+
+def ecc_phones(platform):
+    ecm = platform.vehicle().ecm_pirte
+    return sorted({entry.endpoint for entry in ecm.ecc_entries})
+
+
+class TestEccFollowsTheAnswer:
+    """An install's ECC is adopted only when the install is acked OK."""
+
+    INSTALL = msg.MessageType.INSTALL
+
+    def test_refused_package_keeps_the_running_plugins_ecc(self, deployed):
+        acks = ack_spy(deployed)
+        deployed.server.pusher.push("VIN-0001", V2_B["COM"].encode())
+        deployed.run(1 * SECOND)
+        assert acks == [
+            ("COM", "swc1", self.INSTALL, msg.AckStatus.LIFECYCLE_ERROR),
+        ]
+        assert deployed.vehicle().ecm_pirte.plugin("COM").package.version == (
+            "1.0"
+        )
+        assert ecc_phones(deployed) == [PHONE_ADDRESS]
+
+    def test_refused_forwarded_package_adds_no_ecc(self, deployed):
+        acks = ack_spy(deployed)
+        entries = deployed.vehicle().ecm_pirte.ecc_entries
+        package = replace(V2_B["COM"], target_swc="swc2", target_ecu="ECU2")
+        deployed.server.pusher.push("VIN-0001", package.encode())
+        deployed.run(1 * SECOND)
+        assert acks == [
+            ("COM", "swc2", self.INSTALL, msg.AckStatus.CONTEXT_ERROR),
+        ]
+        assert deployed.vehicle().ecm_pirte.ecc_entries == entries
+
+    @pytest.fixture()
+    def booted(self):
+        platform = build_example_platform()
+        platform.boot()
+        platform.run(1 * SECOND)
+        return platform
+
+    def test_forwarded_answers_take_the_eccs_in_arrival_order(self, booted):
+        acks = ack_spy(booted)
+        ecm = booted.vehicle().ecm_pirte
+        # OP carries an ECC here: phone-a's at 1.0, phone-b's at 2.0.
+        for package in (
+            replace(V1["OP"], ecc=V1["COM"].ecc),
+            replace(V2_B["OP"], ecc=V2_B["COM"].ecc),
+        ):
+            ecm.handle_server_message(package.encode())
+        booted.run(1 * SECOND)
+        assert acks == [
+            ("OP", "swc2", self.INSTALL, msg.AckStatus.OK),
+            ("OP", "swc2", self.INSTALL, msg.AckStatus.LIFECYCLE_ERROR),
+        ]
+        assert ecc_phones(booted) == [PHONE_ADDRESS]
+
+    def test_uninstall_voids_a_waiting_install(self, booted):
+        acks = ack_spy(booted)
+        ecm = booted.vehicle().ecm_pirte
+        ecm.handle_server_message(
+            replace(V1["OP"], ecc=V1["COM"].ecc).encode()
+        )
+        ecm.handle_server_message(
+            msg.UninstallMessage("OP", "ECU2", "swc2").encode()
+        )
+        booted.run(1 * SECOND)
+        assert [status for *__, status in acks] == [msg.AckStatus.OK] * 2
+        assert ecm.ecc_entries == []
